@@ -2,8 +2,10 @@
 
 Subcommands map one-to-one onto the library layers: roots, group, mutate,
 assoc, catalan, wiring, and verify.  Output is deterministic for a fixed
-seed.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 budget exceeded.
+seed.  Exit codes: 0 success, 1 verification failure, 2 usage error
+(including a type name or matrix that is not a finite irreducible type where
+one is needed), 3 budget exceeded or, for mutate, an exchange matrix of
+infinite type.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import argparse
 import json
 import sys
 
-from .cartan import b_matrix, cartan_for_type, parse_cartan_text
-from .roots import ClosureBudgetExceeded, root_system, to_json_dict
+from .cartan import UnrecognizedDiagram, b_matrix, cartan_for_type, parse_cartan_text
+from .roots import ClosureBudgetExceeded, NotIrreducible, root_system, to_json_dict
 from .coxeter import (
     BudgetExceeded,
     build_group,
@@ -22,6 +24,7 @@ from .coxeter import (
     weak_order,
 )
 from .mutation import (
+    Inconclusive,
     MutationBudgetExceeded,
     detect_finite_type,
     explore,
@@ -43,6 +46,11 @@ from .cartan import dynkin_name
 from .coxeter import absolute_interval, coxeter_element
 from . import wiring
 from .verify import render_report, run_battery
+
+
+class NotFiniteType(RuntimeError):
+    """mutate was handed an exchange matrix of infinite type."""
+
 
 FORMATS = {
     "roots": ("text", "json"),
@@ -118,6 +126,13 @@ def cmd_mutate(parser, args) -> tuple[int, str]:
     else:
         rows = tuple(tuple(r) for r in entries)
     n = len(rows[0])
+    # an infinite exchange graph would only end at the seed budget, long
+    # after the Laurent polynomials have grown huge; refuse it up front
+    detected = detect_finite_type(tuple(tuple(row[:n]) for row in rows[:n]))
+    if detected is None:
+        raise NotFiniteType(
+            "exchange matrix is not of finite type; its exchange graph is infinite"
+        )
     names = [f"x{i+1}" for i in range(n)]
     frozen = [f"c{i+1}" for i in range(len(rows) - n)]
     record = explore(initial_seed(rows, names, frozen), budget=args.budget_seeds)
@@ -125,12 +140,11 @@ def cmd_mutate(parser, args) -> tuple[int, str]:
         return 0, graph_to_dot(record)
     if args.format == "json":
         return 0, json.dumps(graph_to_dict(record), indent=2, sort_keys=True)
-    detected = detect_finite_type(tuple(tuple(row[:n]) for row in rows[:n]))
     lines = [
         f"seeds {len(record.seeds)}",
         f"variables {len(record.variables)}",
         f"closed {record.closed}",
-        f"detected {dynkin_name(detected) if detected else 'not finite'}",
+        f"detected {dynkin_name(detected)}",
     ]
     return 0, "\n".join(lines)
 
@@ -258,6 +272,12 @@ def main(argv=None) -> int:
     except (MutationBudgetExceeded, BudgetExceeded, ClosureBudgetExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except (NotFiniteType, Inconclusive) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 3
+    except (UnrecognizedDiagram, NotIrreducible) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text + "\n")

@@ -5,9 +5,17 @@ A seed couples an m-by-n extended exchange matrix with n cluster variables
 and m-n frozen variables, all living in one ambient Laurent ring.  Mutation
 in direction k replaces the k-th cluster variable via the exchange relation
 (product over positive column entries plus product over negative ones,
-divided exactly by the old variable) and transforms the matrix.  Seeds are
-compared through a canonical form that sorts the cluster and permutes the
-matrix accordingly, so the exchange graph is found by plain BFS.
+divided exactly by the old variable) and transforms the matrix.
+
+The exchange graph is found by BFS over integer data.  Beside its matrix,
+every seed carries its C-matrix and its g-vectors (Fomin-Zelevinsky,
+Cluster algebras IV; Nakanishi-Zelevinsky, tropical dualities), which
+mutate by integer operations alone.  Seeds are identified by their sorted
+g-vectors together with the matrix permuted the same way, and each cluster
+variable is computed in the Laurent ring once, when its g-vector first
+appears.  The Laurent-level canonical form (`canonical_key`) sorts the
+cluster by text instead; the two keys agree whenever the initial cluster is
+algebraically independent, as the generators from `initial_seed` are.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from . import cartan as cartan_mod
-from .cartan import DynkinType
+from .cartan import DynkinType, Entries
 from .laurent import LaurentPoly
 from .linalg import matrix_rank
 from .roots import RootSystem
@@ -38,6 +46,11 @@ class Inconclusive(RuntimeError):
 
 class NotAlmostPositive(ValueError):
     """A denominator vector is neither a positive root nor a negated simple."""
+
+
+class NotSignCoherent(ArithmeticError):
+    """A c-vector has entries of both signs (or none).  Sign-coherence is a
+    theorem (Gross-Hacking-Keel-Kontsevich), so this signals a bug."""
 
 
 def skew_symmetrizer(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -142,6 +155,45 @@ def matrix_mutate(
     return tuple(out)
 
 
+def c_vector_sign(c_rows: Sequence[Sequence[int]], k: int) -> int:
+    """Sign of the k-th c-vector (column k of the C-matrix given by rows);
+    raises NotSignCoherent unless its entries are nonzero of one sign."""
+    column = [row[k] for row in c_rows]
+    if any(column):
+        if min(column) >= 0:
+            return 1
+        if max(column) <= 0:
+            return -1
+    raise NotSignCoherent(f"c-vector {k + 1} is {tuple(column)}")
+
+
+def tropical_mutate(
+    btilde: Sequence[Sequence[int]],
+    c_rows: Sequence[Sequence[int]],
+    gvectors: Sequence[Sequence[int]],
+    k: int,
+) -> tuple[Entries, Entries, Entries]:
+    """Mutate the integer data of a seed in direction k.
+
+    The C-matrix (given by rows; its columns are the c-vectors) mutates as
+    the bottom block of the extended matrix stacked over it.  Only the k-th
+    g-vector moves: g'_k = -g_k + sum_i [-eps_k b_ik]_+ g_i, where eps_k is
+    the sign of the k-th c-vector (Nakanishi-Zelevinsky, Prop 1.3).
+    Returns the new (extended matrix, C rows, g-vectors).
+    """
+    m = len(btilde)
+    stacked = matrix_mutate(tuple(btilde) + tuple(c_rows), k)
+    eps = c_vector_sign(c_rows, k)
+    g = [-x for x in gvectors[k]]
+    for i, gi in enumerate(gvectors):
+        b = -eps * btilde[i][k]
+        if b > 0:
+            g = [a + b * x for a, x in zip(g, gi)]
+    moved = list(gvectors)
+    moved[k] = tuple(g)
+    return stacked[:m], stacked[m:], tuple(moved)
+
+
 @dataclass(frozen=True)
 class Seed:
     matrix: ExchangeMatrix
@@ -203,19 +255,31 @@ def canonical_key(seed: Seed) -> tuple:
     """Canonical form: cluster sorted by canonical text, with the same
     permutation applied to matrix columns and the top n rows (frozen rows
     keep their order, their columns are permuted)."""
-    n = seed.matrix.n
     texts = [v.text() for v in seed.cluster]
-    if len(set(texts)) != n:
+    _check_distinct(texts)
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    return (tuple(texts[i] for i in order), _permuted(seed.matrix.rows, order))
+
+
+def _check_distinct(cluster: Sequence) -> None:
+    """Raise ValueError unless the variables (or their texts) are distinct."""
+    if len(set(cluster)) != len(cluster):
         raise ValueError("cluster variables within a seed must be distinct")
-    order = sorted(range(n), key=lambda i: texts[i])
-    matrix = seed.matrix.rows
-    permuted_top = tuple(
-        tuple(matrix[order[i]][order[j]] for j in range(n)) for i in range(n)
-    )
-    permuted_frozen = tuple(
-        tuple(row[order[j]] for j in range(n)) for row in matrix[n:]
-    )
-    return (tuple(texts[i] for i in order), permuted_top + permuted_frozen)
+
+
+def _permuted(matrix: Sequence[Sequence[int]], order: Sequence[int]) -> tuple:
+    """Conjugate the top square block by `order`; frozen rows keep their
+    place, their columns move."""
+    n = len(order)
+    top = tuple(tuple(matrix[i][j] for j in order) for i in order)
+    return top + tuple(tuple(row[j] for j in order) for row in matrix[n:])
+
+
+def _g_key(btilde: Sequence[Sequence[int]], gvectors: Sequence[tuple[int, ...]]) -> tuple:
+    """Seed key from integer data: sorted g-vectors with the matrix permuted
+    the same way (see explore for when it agrees with canonical_key)."""
+    order = sorted(range(len(gvectors)), key=gvectors.__getitem__)
+    return (tuple(gvectors[i] for i in order), _permuted(btilde, order))
 
 
 @dataclass
@@ -230,23 +294,38 @@ class MutationGraph:
 
 
 def explore(seed: Seed, budget: int = 10**5) -> MutationGraph:
-    """BFS over the exchange graph up to canonical equivalence.
+    """BFS over the exchange graph, keyed by g-vectors.
+
+    Each seed is tracked with its C-matrix and g-vectors (both I at the
+    start, with `seed` as the initial seed); `tropical_mutate` moves them
+    by integer operations, and every c-vector met is checked for
+    sign-coherence.  A seed is known by its sorted g-vectors and permuted
+    matrix (frozen rows included).  This key agrees with `canonical_key`
+    when the cluster of `seed` is algebraically independent, which holds
+    for `initial_seed`.  A cluster variable is computed by `seed_mutate`
+    only when an unseen seed brings an unseen g-vector; every stored seed
+    must still have distinct variables (ValueError otherwise).
 
     Raises MutationBudgetExceeded (with the partial graph attached) if more
     than `budget` seeds appear.
     """
+    n = seed.matrix.n
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    values = dict(zip(identity, seed.cluster))  # g-vector -> cluster variable
+    _check_distinct(seed.cluster)
     record = MutationGraph([seed], [], {}, False)
-    index = {canonical_key(seed): 0}
     for v in seed.cluster:
         record.variables.setdefault(v.text(), v)
+    tropical = [(seed.matrix.rows, identity, identity)]
+    index = {_g_key(seed.matrix.rows, identity): 0}
     frontier = [0]
     while frontier:
         fresh = []
         for u in frontier:
-            current = record.seeds[u]
-            for k in range(current.matrix.n):
-                image = seed_mutate(current, k)
-                key = canonical_key(image)
+            rows, c_rows, gvectors = tropical[u]
+            for k in range(n):
+                image = tropical_mutate(rows, c_rows, gvectors, k)
+                key = _g_key(image[0], image[2])
                 v = index.get(key)
                 if v is None:
                     v = len(record.seeds)
@@ -255,10 +334,22 @@ def explore(seed: Seed, budget: int = 10**5) -> MutationGraph:
                             f"exchange graph exceeded {budget} seeds", partial=record
                         )
                     index[key] = v
-                    record.seeds.append(image)
+                    g = image[2][k]
+                    parent = record.seeds[u]
+                    if g in values:
+                        cluster = list(parent.cluster)
+                        cluster[k] = values[g]
+                        new = Seed(
+                            ExchangeMatrix(image[0], n), tuple(cluster), parent.frozen
+                        )
+                    else:
+                        new = seed_mutate(parent, k)
+                        values[g] = new.cluster[k]
+                        record.variables.setdefault(values[g].text(), values[g])
+                    _check_distinct(new.cluster)
+                    record.seeds.append(new)
+                    tropical.append(image)
                     fresh.append(v)
-                    for var in image.cluster:
-                        record.variables.setdefault(var.text(), var)
                 if u <= v:
                     record.edges.append((u, k, v))
         frontier = fresh

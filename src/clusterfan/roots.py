@@ -23,6 +23,10 @@ class ClosureBudgetExceeded(RuntimeError):
     allows; the input cannot be of finite type."""
 
 
+class NotIrreducible(ValueError):
+    """A computation defined for irreducible systems got a composite one."""
+
+
 @dataclass(frozen=True)
 class Root:
     coords: tuple[int, ...]
@@ -259,7 +263,9 @@ def coxeter_data(rs: RootSystem) -> CoxeterData:
     n h = 2 |positives| and |W| = prod(e_i + 1) are asserted.
     """
     if len(rs.dynkin) != 1:
-        raise ValueError(f"coxeter_data needs an irreducible system, got {rs.dynkin}")
+        raise NotIrreducible(
+            f"coxeter_data needs an irreducible system, got {cartan_mod.dynkin_name(rs.dynkin)}"
+        )
     histogram: dict[int, int] = {}
     for root in rs.positive_roots():
         histogram[root.height] = histogram.get(root.height, 0) + 1

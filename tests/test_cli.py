@@ -1,6 +1,7 @@
 """End-to-end runs of the command line front end through main()."""
 
 import json
+import time
 
 import pytest
 
@@ -114,6 +115,39 @@ def test_mutate_budget_exit_code(capsys):
     code, out, err = run(capsys, "mutate", "--type", "A3", "--budget-seeds", "2")
     assert code == 3
     assert "budget exceeded" in err
+
+
+def test_mutate_infinite_type_fails_fast(capsys, tmp_path):
+    # the rank-2 matrix with b12 b21 = -6 has an infinite exchange graph,
+    # and the seed budget alone would not stop the growth of its variables
+    path = tmp_path / "b.json"
+    path.write_text("[[0, 2], [-3, 0]]")
+    for fmt in ("text", "json", "dot"):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "mutate", "--matrix-file", str(path), "--budget-seeds", "50",
+            "--format", fmt,
+        )
+        assert time.perf_counter() - start < 3
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "not of finite type" in err
+
+
+def test_roots_unknown_type_exits_2(capsys):
+    code, out, err = run(capsys, "roots", "--type", "X9")
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == ["roots: unknown family 'X'"]
+
+
+def test_catalan_reducible_type_exits_2(capsys):
+    code, out, err = run(capsys, "catalan", "--type", "A2+A1")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "irreducible" in err and "A1+A2" in err
 
 
 def test_assoc_text(capsys):

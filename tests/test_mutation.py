@@ -1,5 +1,7 @@
 """Seed mutation: rank-2 chains, Laurentness, finite-type detection."""
 
+import json
+
 import pytest
 
 from clusterfan.cartan import b_matrix, cartan_for_type, dynkin_name
@@ -7,6 +9,7 @@ from clusterfan.laurent import LaurentPoly, parse_laurent
 from clusterfan.mutation import (
     ExchangeMatrix,
     MutationBudgetExceeded,
+    MutationGraph,
     NotAlmostPositive,
     alternating_chain,
     canonical_key,
@@ -189,3 +192,124 @@ def test_frozen_row_changes_variables():
     new = moved.cluster[0]
     ambient = ("x", "y", "c")
     assert new == parse_laurent(ambient, "y*x^-1 + c*x^-1")
+
+
+# -- g-vector exploration against the Laurent-keyed oracle ---------------------
+
+
+def laurent_explore(seed, budget=10**5):
+    """Reference BFS: every seed mutated in every direction in the Laurent
+    ring, seeds identified by canonical_key."""
+    record = MutationGraph([seed], [], {}, False)
+    index = {canonical_key(seed): 0}
+    for v in seed.cluster:
+        record.variables.setdefault(v.text(), v)
+    frontier = [0]
+    while frontier:
+        fresh = []
+        for u in frontier:
+            for k in range(seed.matrix.n):
+                image = seed_mutate(record.seeds[u], k)
+                v = index.setdefault(canonical_key(image), len(record.seeds))
+                if v == len(record.seeds):
+                    if v >= budget:
+                        raise MutationBudgetExceeded("budget", partial=record)
+                    record.seeds.append(image)
+                    fresh.append(v)
+                    for var in image.cluster:
+                        record.variables.setdefault(var.text(), var)
+                if u <= v:
+                    record.edges.append((u, k, v))
+        frontier = fresh
+    record.closed = True
+    return record
+
+
+def graph_bytes(record):
+    data = json.dumps(graph_to_dict(record), indent=2, sort_keys=True)
+    return data, graph_to_dot(record), list(record.variables)
+
+
+def exchange_rows(name, frozen="none"):
+    """Bipartite exchange matrix of a type with no frozen rows ("none"),
+    principal coefficients ("principal") or the given frozen rows."""
+    rows = [list(r) for r in b_matrix(cartan_for_type(name))]
+    n = len(rows)
+    if frozen == "none":
+        return rows
+    if frozen == "principal":
+        return rows + [[int(i == j) for j in range(n)] for i in range(n)]
+    return rows + [list(r) for r in frozen]
+
+
+def relabeled(rows, perm, sign):
+    """Conjugate the top block by perm, move frozen columns along, negate."""
+    n = len(perm)
+    top = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    frozen = [[row[p] for p in perm] for row in rows[n:]]
+    return [[sign * x for x in row] for row in top + frozen]
+
+
+def seed_of(rows):
+    n = len(rows[0])
+    names = [f"x{i + 1}" for i in range(n)]
+    return initial_seed(rows, names, [f"c{i + 1}" for i in range(len(rows) - n)])
+
+
+# the Laurent oracle costs about 4 s for F4 and 2 s for D5 with principal
+# coefficients; those two run coefficient-free only
+ORACLE_CASES = [
+    (name, frozen)
+    for name in ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",
+                 "D4", "D5", "G2", "F4")
+    for frozen in ("none", "principal")
+    if not (frozen == "principal" and name in ("D5", "F4"))
+]
+
+
+@pytest.mark.parametrize("name,frozen", ORACLE_CASES)
+def test_explore_matches_laurent_oracle(name, frozen):
+    seed = seed_of(exchange_rows(name, frozen))
+    assert graph_bytes(explore(seed)) == graph_bytes(laurent_explore(seed))
+
+
+@pytest.mark.parametrize(
+    "name,frozen,perm,sign",
+    [
+        ("A3", [(1, 0, 2)], (2, 0, 1), -1),
+        ("B3", [(0, -1, 1), (2, 0, 0)], (1, 2, 0), 1),
+        ("C3", "principal", (2, 1, 0), -1),
+        ("D4", [(1, -2, 0, 1), (0, 1, 0, -1)], (3, 1, 0, 2), -1),
+        ("G2", [(-2, 1)], (1, 0), -1),
+        ("A4", [(0, 1, -1, 2), (1, 0, 0, -1)], (2, 3, 1, 0), 1),
+        ("B4", "none", (3, 0, 2, 1), -1),
+    ],
+)
+def test_explore_matches_oracle_on_relabeled_inputs(name, frozen, perm, sign):
+    seed = seed_of(relabeled(exchange_rows(name, frozen), perm, sign))
+    assert graph_bytes(explore(seed)) == graph_bytes(laurent_explore(seed))
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, 17, 41])
+def test_budget_partial_record_matches_oracle(budget):
+    seed = seed_of(exchange_rows("A4", "principal"))
+    with pytest.raises(MutationBudgetExceeded) as ours:
+        explore(seed, budget=budget)
+    with pytest.raises(MutationBudgetExceeded) as theirs:
+        laurent_explore(seed, budget=budget)
+    assert len(ours.value.partial.seeds) == budget
+    assert graph_bytes(ours.value.partial) == graph_bytes(theirs.value.partial)
+
+
+def test_e6_exchange_graph():
+    seed = seed_of(exchange_rows("E6"))
+    graph = explore(seed)
+    assert (len(graph.seeds), len(graph.edges), len(graph.variables)) == (833, 2499, 42)
+
+
+def test_explore_rejects_repeated_initial_variables():
+    seed = seed_from_dict(
+        {"n": 2, "btilde": [[0, 1], [-1, 0]], "cluster": ["x", "x"], "variables": ["x", "y"]}
+    )
+    with pytest.raises(ValueError, match="distinct"):
+        explore(seed)
