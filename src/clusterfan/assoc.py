@@ -129,7 +129,7 @@ def tau_orbits(ap: AlmostPositive) -> list[tuple[int, ...]]:
     return orbits
 
 
-def tau_order(ap: AlmostPositive, group: WeylGroup) -> int:
+def tau_order(ap: AlmostPositive) -> int:
     """Order of the composite involution pair, checked against the closed
     form: (h+2)/2 when the longest element is -1, else h+2."""
     composite = {idx: ap.tau_minus[ap.tau_plus[idx]] for idx in ap.indices}
@@ -142,9 +142,9 @@ def tau_order(ap: AlmostPositive, group: WeylGroup) -> int:
             length += 1
         order = math.lcm(order, length)
     h = coxeter_data(ap.rs).coxeter_number
+    w0 = ap.rs.longest_element()
     w0_is_minus_one = all(
-        group.apply(group.w0, idx) == ap.rs.negate(idx)
-        for idx in range(len(ap.rs.roots))
+        w0[idx] == ap.rs.negate(idx) for idx in range(len(ap.rs.roots))
     )
     expected = (h + 2) // 2 if w0_is_minus_one else h + 2
     assert order == expected, (order, expected)
@@ -328,7 +328,7 @@ class SupportFunctionF:
         return self.values[idx]
 
 
-def support_function(ap: AlmostPositive, group: WeylGroup) -> SupportFunctionF:
+def support_function(ap: AlmostPositive) -> SupportFunctionF:
     """Seed F on the negated simples with the coroot half-sum coefficients,
     then spread it over the involution orbits.  The seed must be invariant
     under the diagram symmetry induced by the longest element, and strictly
@@ -336,8 +336,9 @@ def support_function(ap: AlmostPositive, group: WeylGroup) -> SupportFunctionF:
     rs = ap.rs
     rho = weight_data(rs).coroot_half_sum
 
+    w0 = rs.longest_element()
     for i in range(rs.n):
-        image = group.apply(group.w0, rs.simple_index[i])
+        image = w0[rs.simple_index[i]]
         i_star = rs.roots[rs.negate(image)].coords.index(1)
         assert rho[i] == rho[i_star], "seed must be (-w0)-invariant"
     for j in range(rs.n):
@@ -384,26 +385,32 @@ def build_polytope(
 ) -> AssociahedronPolytope:
     ap = complex_data.ap
     rs = ap.rs
+    # Scaled by one common denominator, the support values become integers
+    # and each system an integer one whose solution is `scale` times the
+    # vertex.  Over the lcm of that solution's denominators, every pairing
+    # below is an integer dot product.
+    scale = math.lcm(*(support(idx).denominator for idx in ap.indices))
+    bounds = {idx: int(support(idx) * scale) for idx in ap.indices}
     vertices = []
     for facet in complex_data.facets:
         matrix = [list(rs.roots[idx].coords) for idx in facet]
-        rhs = [support(idx) for idx in facet]
         try:
-            z = solve_linear(matrix, rhs)
+            scaled = solve_linear(matrix, [bounds[idx] for idx in facet])
         except SingularMatrix as exc:
             raise SingularClusterSystem(f"cluster {facet}: {exc}") from exc
+        common = math.lcm(*(x.denominator for x in scaled))
+        numerators = [x.numerator * (common // x.denominator) for x in scaled]
         in_facet = set(facet)
-        for idx in ap.indices:
-            pairing = sum(
-                c * zj for c, zj in zip(rs.roots[idx].coords, z)
-            )
+        for idx, bound in bounds.items():
+            pairing = sum(c * x for c, x in zip(rs.roots[idx].coords, numerators))
             if idx in in_facet:
-                assert pairing == support(idx)
-            elif pairing >= support(idx):
+                assert pairing == bound * common
+            elif pairing >= bound * common:
                 raise InequalityViolation(
-                    f"vertex of {facet} pairs to {pairing} against root {idx}"
+                    f"vertex of {facet} pairs to {Fraction(pairing, common * scale)}"
+                    f" against root {idx}"
                 )
-        vertices.append(tuple(z))
+        vertices.append(tuple(x / scale for x in scaled))
     assert len(set(vertices)) == len(vertices), "vertices must be distinct"
     return AssociahedronPolytope(
         ap, support, complex_data.facets, tuple(vertices)
@@ -414,12 +421,11 @@ def build_polytope(
 
 
 def _cone_solver(
-    rs: RootSystem, facet: tuple[int, ...]
+    columns: Sequence[Sequence[Fraction | int]],
 ) -> Callable[[Sequence[Fraction]], tuple[Fraction, ...]]:
-    """Exact barycentric solver for the simplicial cone on a cluster: maps a
-    vector to its coefficients over the cluster's roots."""
-    n = rs.n
-    columns = [rs.roots[idx].coords for idx in facet]
+    """Exact barycentric solver for the simplicial cone spanned by n
+    vectors: maps a vector to its coefficients over them."""
+    n = len(columns)
     matrix = [[columns[j][i] for j in range(n)] for i in range(n)]
     inverse_cols = [
         solve_linear(matrix, [1 if i == k else 0 for i in range(n)])
@@ -459,7 +465,10 @@ def coverage_check(
     ap = complex_data.ap
     n = ap.n
     rng = random.Random(rng_seed)
-    solvers = [_cone_solver(ap.rs, facet) for facet in complex_data.facets]
+    solvers = [
+        _cone_solver([ap.rs.roots[idx].coords for idx in facet])
+        for facet in complex_data.facets
+    ]
     covered_once = 0
     for _ in range(samples):
         vector = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
@@ -502,26 +511,15 @@ def refinement_check(
                 out[j] += sign * c * weights[i][j]
         return tuple(out)
 
-    solvers = []
-    for facet in complex_data.facets:
-        columns = [push(rs.roots[idx].coords) for idx in facet]
-        matrix = [[columns[j][i] for j in range(n)] for i in range(n)]
-        inverse_cols = [
-            solve_linear(matrix, [1 if i == k else 0 for i in range(n)])
-            for k in range(n)
-        ]
-        solvers.append(inverse_cols)
+    solvers = [
+        _cone_solver([push(rs.roots[idx].coords) for idx in facet])
+        for facet in complex_data.facets
+    ]
 
     def members(vector: Sequence[Fraction]) -> set[int]:
-        out = set()
-        for c, inverse_cols in enumerate(solvers):
-            coeffs = [
-                sum(inverse_cols[k][j] * vector[k] for k in range(n))
-                for j in range(n)
-            ]
-            if all(x >= 0 for x in coeffs):
-                out.add(c)
-        return out
+        return {
+            c for c, solve in enumerate(solvers) if all(x >= 0 for x in solve(vector))
+        }
 
     per_cone: dict[int, int] = {}
     for w in range(len(group)):

@@ -4,8 +4,9 @@ Subcommands map one-to-one onto the library layers: roots, group, mutate,
 assoc, catalan, wiring, and verify.  Output is deterministic for a fixed
 seed.  Exit codes: 0 success, 1 verification failure, 2 usage error
 (including a type name or matrix that is not a finite irreducible type where
-one is needed), 3 budget exceeded or, for mutate, an exchange matrix of
-infinite type.
+one is needed, and a matrix file that is not a Cartan matrix or, for mutate,
+not skew-symmetrizable), 3 budget exceeded or, for mutate, an exchange
+matrix of infinite type.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ import argparse
 import json
 import sys
 
-from .cartan import UnrecognizedDiagram, b_matrix, cartan_for_type, parse_cartan_text
+from .cartan import (
+    NotCartanShape,
+    NotSymmetrizable,
+    UnrecognizedDiagram,
+    b_matrix,
+    cartan_for_type,
+    parse_cartan_text,
+)
 from .roots import ClosureBudgetExceeded, NotIrreducible, root_system, to_json_dict
 from .coxeter import (
     BudgetExceeded,
@@ -26,6 +34,7 @@ from .coxeter import (
 from .mutation import (
     Inconclusive,
     MutationBudgetExceeded,
+    NotSkewSymmetrizable,
     detect_finite_type,
     explore,
     graph_to_dict,
@@ -152,7 +161,7 @@ def cmd_mutate(parser, args) -> tuple[int, str]:
 def cmd_assoc(parser, args) -> tuple[int, str]:
     rs = root_system(tuple(tuple(r) for r in _entries_from_args(parser, args)))
     data = cluster_complex(compatibility(almost_positive(rs)))
-    support = support_function(data.ap, build_group(rs))
+    support = support_function(data.ap)
     poly = build_polytope(data, support)
     if args.format == "off":
         if rs.n != 3:
@@ -275,7 +284,13 @@ def main(argv=None) -> int:
     except (NotFiniteType, Inconclusive) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 3
-    except (UnrecognizedDiagram, NotIrreducible) as exc:
+    except (
+        UnrecognizedDiagram,
+        NotIrreducible,
+        NotCartanShape,
+        NotSymmetrizable,
+        NotSkewSymmetrizable,
+    ) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     if args.out:

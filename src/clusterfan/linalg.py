@@ -10,7 +10,7 @@ of each Bareiss division step is asserted.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 Rows = Sequence[Sequence[Fraction | int]]
@@ -20,13 +20,18 @@ class SingularMatrix(ValueError):
     """Raised when a square system has no unique solution."""
 
 
+def _scaled_int_row(row: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm.  A row made
+    only of ints is already scaled and skips the Fraction round trip."""
+    if all(type(x) is int for x in row):
+        return list(row), 1
+    fracs = [Fraction(x) for x in row]
+    scale = lcm(*(f.denominator for f in fracs))
+    return [int(f * scale) for f in fracs], scale
+
+
 def _scaled_int_rows(rows: Rows) -> list[list[int]]:
-    out = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        out.append([int(f * scale) for f in fracs])
-    return out
+    return [_scaled_int_row(row)[0] for row in rows]
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int, list[int]]:
@@ -79,20 +84,12 @@ def det(rows: Rows) -> Fraction:
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return Fraction(1)
-    scales = []
-    work = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        s = lcm(*(f.denominator for f in fracs))
-        scales.append(s)
-        work.append([int(f * s) for f in fracs])
+    scaled = [_scaled_int_row(row) for row in rows]
+    work = [row for row, _ in scaled]
     rank, sign, _ = _bareiss(work)
     if rank < n:
         return Fraction(0)
-    value = Fraction(sign * work[n - 1][n - 1])
-    for s in scales:
-        value /= s
-    return value
+    return Fraction(sign * work[n - 1][n - 1], prod(scale for _, scale in scaled))
 
 
 def solve_linear(matrix: Rows, rhs: Sequence[Fraction | int]) -> list[Fraction]:
@@ -110,13 +107,18 @@ def solve_linear(matrix: Rows, rhs: Sequence[Fraction | int]) -> list[Fraction]:
     rank, _, pivots = _bareiss(work)
     if rank < n or pivots != list(range(n)):
         raise SingularMatrix(f"matrix of rank {rank} < {n} has no unique solution")
-    solution: list[Fraction] = [Fraction(0)] * n
+    # By Cramer's rule the last pivot D (the determinant of the row-swapped
+    # integer matrix) times any solution entry is an integer, so back
+    # substitution can run on the numerators over D.
+    denominator = work[n - 1][n - 1]
+    numerators = [0] * n
     for i in range(n - 1, -1, -1):
-        acc = Fraction(work[i][n])
+        acc = denominator * work[i][n]
         for j in range(i + 1, n):
-            acc -= work[i][j] * solution[j]
-        solution[i] = acc / work[i][i]
-    return solution
+            acc -= work[i][j] * numerators[j]
+        numerators[i], rem = divmod(acc, work[i][i])
+        assert rem == 0, "back substitution over the last pivot must be exact"
+    return [Fraction(x, denominator) for x in numerators]
 
 
 def leading_principal_minors(rows: Sequence[Sequence[int]]) -> list[Fraction]:

@@ -48,6 +48,11 @@ class NotAlmostPositive(ValueError):
     """A denominator vector is neither a positive root nor a negated simple."""
 
 
+class NotSkewSymmetrizable(ValueError):
+    """A square matrix admits no skew-symmetrizer: a nonzero diagonal entry,
+    a broken zero or sign pattern, or inconsistent ratios around a cycle."""
+
+
 class NotSignCoherent(ArithmeticError):
     """A c-vector has entries of both signs (or none).  Sign-coherence is a
     theorem (Gross-Hacking-Keel-Kontsevich), so this signals a bug."""
@@ -55,16 +60,19 @@ class NotSignCoherent(ArithmeticError):
 
 def skew_symmetrizer(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Minimal positive integers d with d_i b_ij = -d_j b_ji for a square
-    integer matrix with zero diagonal; raises ValueError if none exist."""
+    integer matrix with zero diagonal; raises NotSkewSymmetrizable if none
+    exist."""
     n = len(rows)
     for i in range(n):
         if rows[i][i] != 0:
-            raise ValueError(f"diagonal entry b[{i}][{i}] = {rows[i][i]} nonzero")
+            raise NotSkewSymmetrizable(
+                f"diagonal entry b[{i}][{i}] = {rows[i][i]} nonzero"
+            )
         for j in range(n):
             if (rows[i][j] == 0) != (rows[j][i] == 0):
-                raise ValueError(f"zero pattern broken at ({i},{j})")
+                raise NotSkewSymmetrizable(f"zero pattern broken at ({i},{j})")
             if rows[i][j] * rows[j][i] > 0:
-                raise ValueError(f"entries at ({i},{j}) share a sign")
+                raise NotSkewSymmetrizable(f"entries at ({i},{j}) share a sign")
     d: list[Fraction | None] = [None] * n
     for seed in range(n):
         if d[seed] is not None:
@@ -83,7 +91,9 @@ def skew_symmetrizer(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
                     component.append(j)
                     queue.append(j)
                 elif d[j] != candidate:
-                    raise ValueError(f"not skew-symmetrizable at edge ({i},{j})")
+                    raise NotSkewSymmetrizable(
+                        f"not skew-symmetrizable at edge ({i},{j})"
+                    )
         from math import gcd, lcm
 
         scale = lcm(*(d[i].denominator for i in component))

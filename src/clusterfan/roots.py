@@ -165,6 +165,25 @@ class RootSystem:
             out.append(self.index[image])
         return tuple(out)
 
+    def longest_element(self) -> tuple[int, ...]:
+        """The longest Weyl group element w0 as a permutation of the root
+        indices (position r holds the index of w0(root r)).
+
+        Right multiplication by s_i lengthens w exactly when w sends alpha_i
+        to a positive root, so extending the identity that way until no
+        simple root stays positive reaches w0 in |positives| steps, without
+        enumerating the group."""
+        perm = tuple(range(len(self.roots)))
+        generators = [self.simple_perm(i) for i in range(self.n)]
+        while True:
+            ascents = [
+                i for i, s in enumerate(self.simple_index) if self.is_positive(perm[s])
+            ]
+            if not ascents:
+                return perm
+            g = generators[ascents[0]]
+            perm = tuple(perm[g[r]] for r in range(len(perm)))
+
     def is_positive(self, idx: int) -> bool:
         return idx < self.num_positive
 

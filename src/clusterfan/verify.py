@@ -318,7 +318,7 @@ def criterion_tau_machinery() -> str:
             assert any(
                 ap.negative_simple(idx) is not None for idx in orbit
             ), f"{name} orbit misses -Pi"
-        orders[name] = tau_order(ap, _grp(name))
+        orders[name] = tau_order(ap)
 
     rs = _rs("A2")
     ap = almost_positive(rs)
@@ -336,7 +336,7 @@ def criterion_tau_machinery() -> str:
 
 def _polytope(name: str):
     data = _complex(name)
-    support = support_function(data.ap, _grp(name))
+    support = support_function(data.ap)
     return build_polytope(data, support), support
 
 

@@ -83,8 +83,7 @@ TAU_ORDERS = {
 def test_tau_product_order(name, order):
     rs = root_system(name)
     ap = almost_positive(rs)
-    group = build_group(rs)
-    assert tau_order(ap, group) == order
+    assert tau_order(ap) == order
 
 
 def test_every_orbit_meets_negated_simples():
@@ -154,13 +153,13 @@ def test_facets_unimodular():
 def test_support_function_constants():
     rs = root_system("A3")
     ap = almost_positive(rs)
-    support = support_function(ap, build_group(rs))
+    support = support_function(ap)
     values = tuple(support(rs.negate(rs.simple_index[i])) for i in range(3))
     assert values == (Fraction(3, 2), Fraction(2), Fraction(3, 2))
 
     rs = root_system("C3")
     ap = almost_positive(rs)
-    support = support_function(ap, build_group(rs))
+    support = support_function(ap)
     values = tuple(support(rs.negate(rs.simple_index[i])) for i in range(3))
     assert values == (Fraction(5, 2), Fraction(4), Fraction(9, 2))
 
@@ -169,7 +168,7 @@ def test_a2_polytope_is_the_pentagon():
     rs = root_system("A2")
     ap = almost_positive(rs)
     data = cluster_complex(compatibility(ap))
-    poly = build_polytope(data, support_function(ap, build_group(rs)))
+    poly = build_polytope(data, support_function(ap))
     assert sorted(poly.vertices) == [
         (Fraction(-1), Fraction(-1)),
         (Fraction(-1), Fraction(1)),
@@ -184,7 +183,7 @@ def test_polytope_vertex_counts(name, vertices):
     rs = root_system(name)
     ap = almost_positive(rs)
     data = cluster_complex(compatibility(ap))
-    poly = build_polytope(data, support_function(ap, build_group(rs)))
+    poly = build_polytope(data, support_function(ap))
     assert len(poly.vertices) == vertices
     assert len(set(poly.vertices)) == vertices
 
@@ -193,7 +192,7 @@ def test_polytope_simple_three_edges_per_vertex():
     rs = root_system("A3")
     ap = almost_positive(rs)
     data = cluster_complex(compatibility(ap))
-    poly = build_polytope(data, support_function(ap, build_group(rs)))
+    poly = build_polytope(data, support_function(ap))
     degree = {v: 0 for v in range(len(poly.vertices))}
     for a, b in poly.edges():
         degree[a] += 1
@@ -241,7 +240,7 @@ def test_polytope_json_structure():
     rs = root_system("A2")
     ap = almost_positive(rs)
     data = cluster_complex(compatibility(ap))
-    poly = build_polytope(data, support_function(ap, build_group(rs)))
+    poly = build_polytope(data, support_function(ap))
     payload = json.loads(polytope_json(poly))
     assert len(payload["facets"]) == 5
     assert len(payload["vertices"]) == 5
@@ -252,7 +251,7 @@ def test_polytope_off_header():
     rs = root_system("A3")
     ap = almost_positive(rs)
     data = cluster_complex(compatibility(ap))
-    poly = build_polytope(data, support_function(ap, build_group(rs)))
+    poly = build_polytope(data, support_function(ap))
     text = polytope_off(poly)
     lines = text.splitlines()
     assert lines[0] == "OFF"
@@ -264,6 +263,6 @@ def test_polytope_off_rejects_wrong_rank():
     rs = root_system("A2")
     ap = almost_positive(rs)
     data = cluster_complex(compatibility(ap))
-    poly = build_polytope(data, support_function(ap, build_group(rs)))
+    poly = build_polytope(data, support_function(ap))
     with pytest.raises(ValueError):
         polytope_off(poly)

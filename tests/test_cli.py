@@ -157,6 +157,32 @@ def test_assoc_text(capsys):
     assert "h_vector 1 9 9 1" in out
 
 
+def test_assoc_e7_builds_no_weyl_group(capsys):
+    # the E7 Weyl group (2,903,040 elements) is beyond the group budget
+    code, out, _ = run(capsys, "assoc", "--type", "E7")
+    assert code == 0
+    assert "vertices 4160" in out
+    assert "h_vector 1 63 546 1470 1470 546 63 1" in out
+
+
+@pytest.mark.parametrize(
+    "command,matrix,message",
+    [
+        ("roots", "[[2, 1], [-1, 2]]", "roots: off-diagonal a[0][1] = 1 is positive"),
+        ("assoc", "[[2, 1], [-1, 2]]", "assoc: off-diagonal a[0][1] = 1 is positive"),
+        ("mutate", "[[0, 1], [1, 0]]", "mutate: entries at (0,1) share a sign"),
+        ("mutate", "[[2, 1], [-1, 2]]", "mutate: diagonal entry b[0][0] = 2 nonzero"),
+    ],
+)
+def test_bad_matrix_file_exits_2(capsys, tmp_path, command, matrix, message):
+    path = tmp_path / "m.json"
+    path.write_text(matrix)
+    code, out, err = run(capsys, command, "--matrix-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [message]
+
+
 def test_assoc_json(capsys):
     code, out, _ = run(capsys, "assoc", "--type", "A2", "--format", "json")
     assert code == 0

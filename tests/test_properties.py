@@ -1,13 +1,17 @@
 """Property tests: mutation is an involution on matrices, tropical data and
 seeds, c-vectors stay sign-coherent, g-vectors are the degrees of the
-cluster variables, and exact division inverts multiplication."""
+cluster variables, exact division inverts multiplication, and the linear
+algebra gives the same answers on int rows as on Fraction rows."""
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clusterfan.cartan import b_matrix, cartan_for_type
 from clusterfan.laurent import LaurentPoly
-from clusterfan.linalg import matrix_rank
+from clusterfan.linalg import SingularMatrix, det, matrix_rank, solve_linear
 from clusterfan.mutation import (
     c_vector_sign,
     initial_seed,
@@ -108,3 +112,37 @@ def test_exact_division_inverts_multiplication(data):
     p = data.draw(laurent_polys(names))
     q = data.draw(laurent_polys(names, nonzero=True))
     assert (p * q).exact_div(q) == p
+
+
+@st.composite
+def int_systems(draw):
+    """A small square integer matrix, sometimes singular, and a right-hand
+    side."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    rhs = draw(st.lists(entry, min_size=n, max_size=n))
+    return rows, rhs
+
+
+def as_fractions(values):
+    return [Fraction(x) for x in values]
+
+
+@quick
+@given(int_systems())
+def test_int_rows_agree_with_fraction_rows(system):
+    rows, rhs = system
+    fraction_rows = [as_fractions(row) for row in rows]
+    assert det(rows) == det(fraction_rows)
+    assert matrix_rank(rows) == matrix_rank(fraction_rows)
+    assert matrix_rank(rows[:-1]) == matrix_rank(fraction_rows[:-1])
+    if det(rows) == 0:
+        for matrix, vector in ((rows, rhs), (fraction_rows, as_fractions(rhs))):
+            with pytest.raises(SingularMatrix):
+                solve_linear(matrix, vector)
+    else:
+        solution = solve_linear(rows, rhs)
+        assert solution == solve_linear(fraction_rows, as_fractions(rhs))
+        assert all(type(x) is Fraction for x in solution)
+        assert [sum(a * x for a, x in zip(row, solution)) for row in rows] == rhs

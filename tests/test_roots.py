@@ -1,9 +1,11 @@
-"""Root system closure, invariants, the root poset, and weight data."""
+"""Root system closure, invariants, the longest element, the root poset, and
+weight data."""
 
 from fractions import Fraction
 
 import pytest
 
+from clusterfan.coxeter import build_group
 from clusterfan.roots import (
     RootPoset,
     coxeter_data,
@@ -43,6 +45,38 @@ def test_invariant_table(name):
     # nh = 2|positive roots| and sum of exponents = |positive roots|
     assert rs.n * h == 2 * positives
     assert sum(exponents) == positives
+
+
+# every type whose whole Weyl group the suite can afford to build
+GROUP_ORACLE_TYPES = (
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
+    "C3", "C4", "D4", "D5", "G2", "F4", "E6",
+)
+
+
+@pytest.mark.parametrize("name", GROUP_ORACLE_TYPES)
+def test_longest_element_matches_group(name):
+    rs = root_system(name)
+    group = build_group(rs)
+    assert rs.longest_element() == group.elements[group.w0]
+
+
+@pytest.mark.parametrize("name", GROUP_ORACLE_TYPES + ("E7", "E8"))
+def test_longest_element_structure(name):
+    rs = root_system(name)
+    w0 = rs.longest_element()
+    size = len(rs.roots)
+    # sends every positive root to a negative one and back
+    assert all(rs.is_positive(w0[r]) != rs.is_positive(r) for r in range(size))
+    assert all(w0[w0[r]] == r for r in range(size))
+    # -w0 permutes the simple roots by a symmetry of the Dynkin diagram
+    star = [rs.simple_index.index(rs.negate(w0[s])) for s in rs.simple_index]
+    assert sorted(star) == list(range(rs.n))
+    assert all(
+        rs.cartan[star[i]][star[j]] == rs.cartan[i][j]
+        for i in range(rs.n)
+        for j in range(rs.n)
+    )
 
 
 def test_roots_ordered_positives_first():
