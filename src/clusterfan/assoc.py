@@ -80,22 +80,19 @@ def almost_positive(rs: RootSystem) -> AlmostPositive:
     position = {idx: p for p, idx in enumerate(indices)}
 
     def build(part: frozenset[int], fixed: frozenset[int]) -> dict[int, int]:
-        perm = list(range(len(rs.roots)))
-        for i in part:
-            sp = rs.simple_perm(i)
-            perm = [sp[x] for x in perm]
+        """tau over one part: the product of its (commuting) simple
+        reflections, except that it fixes -alpha_i for i in the other part."""
+        perm = rs.word_perm(sorted(part))
         table = {}
         for idx in indices:
             coords = rs.roots[idx].coords
             if sum(coords) == -1 and min(coords) == -1 and coords.index(-1) in fixed:
                 table[idx] = idx
             else:
-                image = perm[idx]
-                assert image in position or image in set(indices)
-                table[idx] = image
+                table[idx] = perm[idx]
         for idx, image in table.items():
+            assert image in position, "image stays almost positive"
             assert table[image] == idx, "involution"
-            assert image in set(indices), "image stays almost positive"
         return table
 
     plus, minus = parts
@@ -380,11 +377,12 @@ class AssociahedronPolytope:
         return out
 
 
-def build_polytope(
-    complex_data: ClusterComplexData, support: SupportFunctionF
-) -> AssociahedronPolytope:
+def build_polytope(complex_data: ClusterComplexData) -> AssociahedronPolytope:
+    """One vertex per cluster, cut out by the support function of the
+    complex's almost-positive roots."""
     ap = complex_data.ap
     rs = ap.rs
+    support = support_function(ap)
     # Scaled by one common denominator, the support values become integers
     # and each system an integer one whose solution is `scale` times the
     # vertex.  Over the lcm of that solution's denominators, every pairing

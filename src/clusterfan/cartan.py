@@ -28,6 +28,12 @@ class NotSymmetrizable(ValueError):
     """No positive diagonal matrix symmetrizes the given matrix."""
 
 
+class NotSkewSymmetrizable(ValueError):
+    """An exchange matrix admits no skew-symmetrizer: it is not m-by-n with
+    m >= n, or its top square part has a nonzero diagonal entry, a broken
+    zero or sign pattern, or inconsistent ratios around a cycle."""
+
+
 class UnrecognizedDiagram(ValueError):
     """The diagram is not one of the finite Dynkin diagrams."""
 
@@ -58,14 +64,17 @@ def check_shape(rows: Sequence[Sequence[int]]) -> Entries:
     return entries
 
 
-def symmetrizer(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Minimal positive integer diagonal D with D A symmetric.
+def _propagate(
+    entries: Sequence[Sequence[int]], sign: int, error: type[ValueError]
+) -> tuple[int, ...]:
+    """Minimal positive integers d with d_i m_ij = sign d_j m_ji.
 
-    Propagates d_j = d_i a_ij / a_ji along diagram edges within each
-    connected component, then rescales each component to minimal integers.
-    Raises NotSymmetrizable when a cycle forces inconsistent ratios.
+    Propagates d_j = sign d_i m_ij / m_ji along the nonzero entries within
+    each connected component, then rescales each component to coprime
+    integers.  The caller guarantees that m_ij and m_ji vanish together and
+    that sign m_ij m_ji > 0 otherwise, so every ratio is positive; a cycle
+    forcing inconsistent ratios raises `error`.
     """
-    entries = check_shape(rows)
     n = len(entries)
     d: list[Fraction | None] = [None] * n
     for seed in range(n):
@@ -79,29 +88,43 @@ def symmetrizer(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
             for j in range(n):
                 if i == j or entries[i][j] == 0:
                     continue
-                candidate = d[i] * entries[i][j] / entries[j][i]
+                candidate = d[i] * (sign * entries[i][j]) / entries[j][i]
                 if d[j] is None:
                     d[j] = candidate
                     component.append(j)
                     queue.append(j)
                 elif d[j] != candidate:
-                    raise NotSymmetrizable(
-                        f"inconsistent symmetrizer ratio at edge ({i},{j})"
-                    )
+                    raise error(f"inconsistent symmetrizer ratio at edge ({i},{j})")
         scale = lcm(*(d[i].denominator for i in component))
         values = [int(d[i] * scale) for i in component]
-        g = 0
-        for v in values:
-            g = gcd(g, v)
+        g = gcd(*values)
         for i, v in zip(component, values):
             d[i] = Fraction(v // g)
-    result = tuple(int(x) for x in d)
-    assert all(x > 0 for x in result)
+    return tuple(int(x) for x in d)
+
+
+def symmetrizer(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Minimal positive integer diagonal D with D A symmetric; raises
+    NotSymmetrizable when a cycle forces inconsistent ratios."""
+    return _propagate(check_shape(rows), 1, NotSymmetrizable)
+
+
+def skew_symmetrizer(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Minimal positive integers d with d_i b_ij = -d_j b_ji for a square
+    integer matrix with zero diagonal; raises NotSkewSymmetrizable if none
+    exist."""
+    n = len(rows)
     for i in range(n):
+        if rows[i][i] != 0:
+            raise NotSkewSymmetrizable(
+                f"diagonal entry b[{i}][{i}] = {rows[i][i]} nonzero"
+            )
         for j in range(n):
-            if result[i] * entries[i][j] != result[j] * entries[j][i]:
-                raise NotSymmetrizable(f"symmetrization fails at ({i},{j})")
-    return result
+            if (rows[i][j] == 0) != (rows[j][i] == 0):
+                raise NotSkewSymmetrizable(f"zero pattern broken at ({i},{j})")
+            if rows[i][j] * rows[j][i] > 0:
+                raise NotSkewSymmetrizable(f"entries at ({i},{j}) share a sign")
+    return _propagate(rows, -1, NotSkewSymmetrizable)
 
 
 def validate_finite_type(rows: Sequence[Sequence[int]]) -> bool:

@@ -15,6 +15,7 @@ from itertools import combinations
 from .assoc import n_phi, narayana
 from .cartan import dynkin_name
 from .coxeter import AbsoluteInterval, BudgetExceeded, WeylGroup
+from .coxeter import absolute_interval, coxeter_element
 from .linalg import SingularMatrix, solve_linear
 from .roots import RootPoset, RootSystem, coxeter_data
 
@@ -65,8 +66,12 @@ class _UnionFind:
             self.groups -= 1
 
 
+# largest torus (points mod h+1) whose orbits are counted
+TORUS_BUDGET = 10**7
+
+
 def torus_orbits(
-    rs: RootSystem, generators: str = "simple", budget: int = 10**7
+    rs: RootSystem, generators: str = "simple", budget: int = TORUS_BUDGET
 ) -> int:
     """Number of Weyl orbits on the coordinate lattice modulo h+1.
 
@@ -204,16 +209,13 @@ def shi_positive_regions(rs: RootSystem) -> int:
 # -- the consolidated report ----------------------------------------------------------
 
 
-def enumeration_report(
-    rs: RootSystem,
-    group: WeylGroup | None = None,
-    interval: AbsoluteInterval | None = None,
-    torus_budget: int = 10**7,
-) -> list[dict]:
+def enumeration_report(rs: RootSystem, group: WeylGroup | None = None) -> list[dict]:
     """One row per (interpretation, statistic): observed against expected.
 
     Expected values come from the exponent product formula and the closed
     Narayana forms; every interpretation is computed independently of them.
+    The noncrossing rows, read off the absolute interval below the bipartite
+    Coxeter element, need the Weyl group and appear only when it is given.
     """
     expected_total = n_phi(rs)
     expected_profile = narayana(rs)
@@ -238,14 +240,14 @@ def enumeration_report(
     for k, size in enumerate(profile):
         add("antichains", k, size, expected_profile[k])
 
-    if interval is not None:
-        stats = nc_lattice_stats(interval)
+    if group is not None:
+        stats = nc_lattice_stats(absolute_interval(group, coxeter_element(group)))
         add("noncrossing", "total", stats["total"], expected_total)
         for k, size in enumerate(stats["rank_counts"]):
             add("noncrossing", k, size, expected_profile[k])
 
     h = coxeter_data(rs).coxeter_number
-    if (h + 1) ** rs.n <= torus_budget:
+    if (h + 1) ** rs.n <= TORUS_BUDGET:
         add("torus_orbits", "total", torus_orbits(rs), expected_total)
 
     if rs.n <= 3:

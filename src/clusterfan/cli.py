@@ -4,9 +4,9 @@ Subcommands map one-to-one onto the library layers: roots, group, mutate,
 assoc, catalan, wiring, and verify.  Output is deterministic for a fixed
 seed.  Exit codes: 0 success, 1 verification failure, 2 usage error
 (including a type name or matrix that is not a finite irreducible type where
-one is needed, and a matrix file that is not a Cartan matrix or, for mutate,
-not skew-symmetrizable), 3 budget exceeded or, for mutate, an exchange
-matrix of infinite type.
+one is needed, and a matrix file that is empty, not a Cartan matrix or, for
+mutate, not an m-by-n matrix, m >= n, with a skew-symmetrizable top part),
+3 budget exceeded or, for mutate, an exchange matrix of infinite type.
 """
 
 from __future__ import annotations
@@ -16,11 +16,15 @@ import json
 import sys
 
 from .cartan import (
+    Entries,
     NotCartanShape,
+    NotSkewSymmetrizable,
     NotSymmetrizable,
     UnrecognizedDiagram,
+    as_entries,
     b_matrix,
     cartan_for_type,
+    dynkin_name,
     parse_cartan_text,
 )
 from .roots import ClosureBudgetExceeded, NotIrreducible, root_system, to_json_dict
@@ -32,9 +36,9 @@ from .coxeter import (
     weak_order,
 )
 from .mutation import (
+    ExchangeMatrix,
     Inconclusive,
     MutationBudgetExceeded,
-    NotSkewSymmetrizable,
     detect_finite_type,
     explore,
     graph_to_dict,
@@ -48,11 +52,8 @@ from .assoc import (
     compatibility,
     polytope_json,
     polytope_off,
-    support_function,
 )
 from .catalan import enumeration_report, report_csv
-from .cartan import dynkin_name
-from .coxeter import absolute_interval, coxeter_element
 from . import wiring
 from .verify import render_report, run_battery
 
@@ -71,17 +72,21 @@ FORMATS = {
 }
 
 
-def _entries_from_args(parser: argparse.ArgumentParser, args) -> list[list[int]]:
+def _entries_from_args(parser: argparse.ArgumentParser, args) -> Entries:
     if args.matrix_file:
         with open(args.matrix_file) as handle:
             text = handle.read().strip()
         try:
             rows = json.loads(text)
         except json.JSONDecodeError:
-            return [list(r) for r in parse_cartan_text(text)]
-        return [list(map(int, row)) for row in rows]
+            rows = parse_cartan_text(text)
+        if not isinstance(rows, (list, tuple)) or not rows or not all(
+            isinstance(row, (list, tuple)) and row for row in rows
+        ):
+            raise NotCartanShape("matrix must be a nonempty list of nonempty rows")
+        return as_entries(rows)
     if args.type:
-        return [list(r) for r in cartan_for_type(args.type)]
+        return cartan_for_type(args.type)
     parser.error("one of --type or --matrix-file is required")
 
 
@@ -95,7 +100,7 @@ def _check_format(parser, command: str, fmt: str) -> str:
 
 
 def cmd_roots(parser, args) -> tuple[int, str]:
-    rs = root_system(tuple(tuple(r) for r in _entries_from_args(parser, args)))
+    rs = root_system(_entries_from_args(parser, args))
     if args.format == "json":
         return 0, json.dumps(to_json_dict(rs), indent=2, sort_keys=True)
     lines = [
@@ -113,7 +118,7 @@ def cmd_roots(parser, args) -> tuple[int, str]:
 
 
 def cmd_group(parser, args) -> tuple[int, str]:
-    rs = root_system(tuple(tuple(r) for r in _entries_from_args(parser, args)))
+    rs = root_system(_entries_from_args(parser, args))
     group = build_group(rs)
     if args.format == "dot":
         return 0, hasse_dot(group, weak_order(group))
@@ -130,20 +135,18 @@ def cmd_group(parser, args) -> tuple[int, str]:
 
 def cmd_mutate(parser, args) -> tuple[int, str]:
     entries = _entries_from_args(parser, args)
-    if args.type and not args.matrix_file:
-        rows = b_matrix(tuple(tuple(r) for r in entries))
-    else:
-        rows = tuple(tuple(r) for r in entries)
-    n = len(rows[0])
+    rows = entries if args.matrix_file else b_matrix(entries)
+    # a malformed file fails here, with exit 2, before detection or exploration
+    matrix = ExchangeMatrix(rows, len(rows[0]))
     # an infinite exchange graph would only end at the seed budget, long
     # after the Laurent polynomials have grown huge; refuse it up front
-    detected = detect_finite_type(tuple(tuple(row[:n]) for row in rows[:n]))
+    detected = detect_finite_type(matrix)
     if detected is None:
         raise NotFiniteType(
             "exchange matrix is not of finite type; its exchange graph is infinite"
         )
-    names = [f"x{i+1}" for i in range(n)]
-    frozen = [f"c{i+1}" for i in range(len(rows) - n)]
+    names = [f"x{i+1}" for i in range(matrix.n)]
+    frozen = [f"c{i+1}" for i in range(matrix.m - matrix.n)]
     record = explore(initial_seed(rows, names, frozen), budget=args.budget_seeds)
     if args.format == "dot":
         return 0, graph_to_dot(record)
@@ -159,10 +162,9 @@ def cmd_mutate(parser, args) -> tuple[int, str]:
 
 
 def cmd_assoc(parser, args) -> tuple[int, str]:
-    rs = root_system(tuple(tuple(r) for r in _entries_from_args(parser, args)))
+    rs = root_system(_entries_from_args(parser, args))
     data = cluster_complex(compatibility(almost_positive(rs)))
-    support = support_function(data.ap)
-    poly = build_polytope(data, support)
+    poly = build_polytope(data)
     if args.format == "off":
         if rs.n != 3:
             parser.error("OFF output is only defined for rank 3")
@@ -180,10 +182,8 @@ def cmd_assoc(parser, args) -> tuple[int, str]:
 
 
 def cmd_catalan(parser, args) -> tuple[int, str]:
-    rs = root_system(tuple(tuple(r) for r in _entries_from_args(parser, args)))
-    group = build_group(rs)
-    interval = absolute_interval(group, coxeter_element(group))
-    rows = enumeration_report(rs, group, interval)
+    rs = root_system(_entries_from_args(parser, args))
+    rows = enumeration_report(rs, build_group(rs))
     mismatches = [row for row in rows if not row["match"]]
     code = 1 if mismatches else 0
     if args.format == "csv":
@@ -217,9 +217,8 @@ def cmd_wiring(parser, args) -> tuple[int, str]:
 
 
 def cmd_verify(parser, args) -> tuple[int, str]:
-    extended = args.extended
-    results = run_battery(extended=extended, rng_seed=args.rng_seed)
-    text = render_report(results, extended=extended)
+    results = run_battery(extended=args.extended, rng_seed=args.rng_seed)
+    text = render_report(results, extended=args.extended)
     return (0 if all(r.passed for r in results) else 1), text
 
 
@@ -263,11 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("verify")
-    p.add_argument("--quick", action="store_true", default=True)
-    p.add_argument("--extended", action="store_true")
+    suite = p.add_mutually_exclusive_group()
+    suite.add_argument("--quick", action="store_false", dest="extended")
+    suite.add_argument("--extended", action="store_true")
     p.add_argument("--out", help="write the report to this file")
     p.add_argument("--rng-seed", type=int, default=11)
-    p.set_defaults(handler=cmd_verify, format="text")
+    p.set_defaults(handler=cmd_verify, format="text", extended=False)
     return parser
 
 

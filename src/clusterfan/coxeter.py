@@ -216,12 +216,16 @@ class WeakOrderData:
     exhaustive: bool
 
 
-def weak_order(group: WeylGroup, sample_seed: int = 7) -> WeakOrderData:
+SAMPLE_SEED = 7
+
+
+def weak_order(group: WeylGroup) -> WeakOrderData:
     """Right weak order: covers u < u s_i when the length goes up.
 
     Performs the lattice check: every pair has a unique maximal common lower
     bound that dominates all others.  Exhaustive up to 1000 elements,
-    seeded-random sampling above.  Raises LatticeCheckFailed on any failure.
+    sampling 2000 pairs (seeded by SAMPLE_SEED) above.  Raises
+    LatticeCheckFailed on any failure.
     """
     size = len(group.elements)
     covers = []
@@ -255,7 +259,7 @@ def weak_order(group: WeylGroup, sample_seed: int = 7) -> WeakOrderData:
     if exhaustive:
         pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
     else:
-        rng = random.Random(sample_seed)
+        rng = random.Random(SAMPLE_SEED)
         pairs = [
             (rng.randrange(size), rng.randrange(size)) for _ in range(2000)
         ]
@@ -292,10 +296,7 @@ def coxeter_element(group: WeylGroup, order: Sequence[int] | None = None) -> int
         order = sorted(plus) + sorted(minus)
     if sorted(order) != list(range(group.n)):
         raise ValueError(f"{order!r} is not an ordering of the {group.n} generators")
-    c = 0
-    for i in order:
-        c = group.times_generator(c, i)
-    return c
+    return group.element_index[group.rs.word_perm(order)]
 
 
 @dataclass(frozen=True)
@@ -309,13 +310,10 @@ class AbsoluteInterval:
 def absolute_interval(group: WeylGroup, c: int) -> AbsoluteInterval:
     """The interval [identity, c] in absolute order, with reflection-length
     ranks.  c must be a Coxeter element."""
-    coxeter_set = set()
-    for order in permutations(range(group.n)):
-        e = 0
-        for i in order:
-            e = group.times_generator(e, i)
-        coxeter_set.add(e)
-    if c not in coxeter_set:
+    target = group.elements[c]
+    if not any(
+        group.rs.word_perm(order) == target for order in permutations(range(group.n))
+    ):
         raise NotCoxeterElement(
             "element is not a product of all simple reflections in any order"
         )

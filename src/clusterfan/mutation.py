@@ -21,12 +21,11 @@ algebraically independent, as the generators from `initial_seed` are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Sequence
 
 from . import cartan as cartan_mod
-from .cartan import DynkinType, Entries
+from .cartan import DynkinType, Entries, NotSkewSymmetrizable, skew_symmetrizer
 from .laurent import LaurentPoly
 from .linalg import matrix_rank
 from .roots import RootSystem
@@ -48,62 +47,9 @@ class NotAlmostPositive(ValueError):
     """A denominator vector is neither a positive root nor a negated simple."""
 
 
-class NotSkewSymmetrizable(ValueError):
-    """A square matrix admits no skew-symmetrizer: a nonzero diagonal entry,
-    a broken zero or sign pattern, or inconsistent ratios around a cycle."""
-
-
 class NotSignCoherent(ArithmeticError):
     """A c-vector has entries of both signs (or none).  Sign-coherence is a
     theorem (Gross-Hacking-Keel-Kontsevich), so this signals a bug."""
-
-
-def skew_symmetrizer(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Minimal positive integers d with d_i b_ij = -d_j b_ji for a square
-    integer matrix with zero diagonal; raises NotSkewSymmetrizable if none
-    exist."""
-    n = len(rows)
-    for i in range(n):
-        if rows[i][i] != 0:
-            raise NotSkewSymmetrizable(
-                f"diagonal entry b[{i}][{i}] = {rows[i][i]} nonzero"
-            )
-        for j in range(n):
-            if (rows[i][j] == 0) != (rows[j][i] == 0):
-                raise NotSkewSymmetrizable(f"zero pattern broken at ({i},{j})")
-            if rows[i][j] * rows[j][i] > 0:
-                raise NotSkewSymmetrizable(f"entries at ({i},{j}) share a sign")
-    d: list[Fraction | None] = [None] * n
-    for seed in range(n):
-        if d[seed] is not None:
-            continue
-        d[seed] = Fraction(1)
-        component = [seed]
-        queue = [seed]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if i == j or rows[i][j] == 0:
-                    continue
-                candidate = -d[i] * rows[i][j] / rows[j][i]
-                if d[j] is None:
-                    d[j] = candidate
-                    component.append(j)
-                    queue.append(j)
-                elif d[j] != candidate:
-                    raise NotSkewSymmetrizable(
-                        f"not skew-symmetrizable at edge ({i},{j})"
-                    )
-        from math import gcd, lcm
-
-        scale = lcm(*(d[i].denominator for i in component))
-        values = [int(d[i] * scale) for i in component]
-        g = 0
-        for v in values:
-            g = gcd(g, v)
-        for i, v in zip(component, values):
-            d[i] = Fraction(v // g)
-    return tuple(int(x) for x in d)
 
 
 @dataclass(frozen=True)
@@ -125,7 +71,7 @@ class ExchangeMatrix:
         object.__setattr__(self, "rows", rows)
         m = len(rows)
         if m < self.n or any(len(r) != self.n for r in rows):
-            raise ValueError(f"need an m>=n matrix with {self.n} columns")
+            raise NotSkewSymmetrizable(f"need an m>=n matrix with {self.n} columns")
         skew_symmetrizer([r[: self.n] for r in rows[: self.n]])
         if m > self.n and matrix_rank(rows) != self.n:
             raise ValueError("extended exchange matrix must have full column rank")

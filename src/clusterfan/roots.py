@@ -165,6 +165,16 @@ class RootSystem:
             out.append(self.index[image])
         return tuple(out)
 
+    def word_perm(self, word: Sequence[int]) -> tuple[int, ...]:
+        """The product s_{w1} ... s_{wk} of simple reflections as a
+        permutation of the root indices (position r holds the index of the
+        image of root r)."""
+        perm = tuple(range(len(self.roots)))
+        for i in word:
+            s = self.simple_perm(i)
+            perm = tuple(perm[x] for x in s)
+        return perm
+
     def longest_element(self) -> tuple[int, ...]:
         """The longest Weyl group element w0 as a permutation of the root
         indices (position r holds the index of w0(root r)).
@@ -297,10 +307,7 @@ def coxeter_data(rs: RootSystem) -> CoxeterData:
     exponents.sort()
 
     plus, minus = cartan_mod.bipartition(rs.cartan)
-    perm = tuple(range(len(rs.roots)))
-    for i in list(plus) + list(minus):
-        s = rs.simple_perm(i)
-        perm = tuple(s[perm[r]] for r in range(len(perm)))
+    perm = rs.word_perm(sorted(plus) + sorted(minus))
     order = 1
     power = perm
     identity = tuple(range(len(rs.roots)))

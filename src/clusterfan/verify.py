@@ -1,11 +1,11 @@
 """The acceptance battery: thirteen numbered checks shared by the `verify`
 CLI command and the test suite.
 
-Every check recomputes its claims from scratch and raises on the first
-discrepancy; the runner turns exceptions into FAIL lines so a broken
-criterion is reported rather than hidden.  All detail strings are
-deterministic (no timing, no addresses), which is what the final
-determinism check relies on.
+Every check recomputes its claims from scratch and raises VerificationError
+(through `check`, which python -O keeps) on the first discrepancy; the
+runner turns exceptions into FAIL lines so a broken criterion is reported
+rather than hidden.  All detail strings are deterministic (no timing, no
+addresses), which is what the final determinism check relies on.
 """
 
 from __future__ import annotations
@@ -26,10 +26,8 @@ from .cartan import (
 from .roots import RootSystem, coxeter_data, root_system
 from .coxeter import (
     WeylGroup,
-    absolute_interval,
     build_group,
     count_reduced_words,
-    coxeter_element,
     hasse_dot,
     stanley_formula,
     weak_order,
@@ -61,7 +59,6 @@ from .assoc import (
     polytope_json,
     polytope_off,
     refinement_check,
-    support_function,
     tau_orbits,
     tau_order,
     wall_pairing,
@@ -97,6 +94,17 @@ FACET_TABLE = {
 }
 
 
+class VerificationError(Exception):
+    """A criterion found a discrepancy."""
+
+
+def check(condition: bool, message) -> None:
+    """Raise VerificationError(message) unless condition holds.  Unlike
+    the assert statement, this survives python -O."""
+    if not condition:
+        raise VerificationError(message)
+
+
 @dataclass
 class CriterionResult:
     number: int
@@ -128,11 +136,11 @@ def criterion_rank2_periodicity() -> str:
     lengths = {}
     for name, expected in (("A2", 5), ("B2", 6), ("G2", 8)):
         count, _ = _chain_texts(name)
-        assert count == expected, f"{name} chain closed after {count} seeds"
+        check(count == expected, f"{name} chain closed after {count} seeds")
         lengths[name] = count
     _, variables = _chain_texts("A2")
     texts = [v.fraction_text() for v in variables]
-    assert texts == ["x", "y", "(y+1)/x", "(x+y+1)/(xy)", "(x+1)/y"], texts
+    check(texts == ["x", "y", "(y+1)/x", "(x+y+1)/(xy)", "(x+1)/y"], texts)
     return (
         "periods A2:5 B2:6 G2:8; A2 chain x, y, (y+1)/x, (x+y+1)/(xy), (x+1)/y"
     )
@@ -147,7 +155,7 @@ def _abel6_chain() -> list[LaurentPoly]:
         nxt = (chain[-1] ** exponent + one).exact_div(chain[-2])
         chain.append(nxt)
         exponent = 3 - exponent
-    assert chain[6] == x and chain[7] == y, "window recurrence must be 6-periodic"
+    check(chain[6] == x and chain[7] == y, "window recurrence must be 6-periodic")
     return chain[:6]
 
 
@@ -156,7 +164,7 @@ def criterion_laurent_positivity() -> str:
     for name in ("A2", "B2", "G2"):
         _, variables = _chain_texts(name)
         report = observe_positivity(variables)
-        assert report["all_positive"], report
+        check(report["all_positive"], report)
         total += report["variables"]
     x, y = LaurentPoly.ring(("x", "y"))
     one = LaurentPoly.one(("x", "y"))
@@ -169,9 +177,9 @@ def criterion_laurent_positivity() -> str:
         (x**2 + y + one).exact_div(x * y),
         (x**2 + one).exact_div(y),
     ]
-    assert window == expected, [v.fraction_text() for v in window]
+    check(window == expected, [v.fraction_text() for v in window])
     report = observe_positivity(window)
-    assert report["all_positive"], report
+    check(report["all_positive"], report)
     total += report["variables"]
     return f"{total} variables, all Laurent with positive integer coefficients"
 
@@ -188,16 +196,16 @@ def criterion_cartan_table() -> str:
         "G2": [[2, -3], [-1, 2]],
     }
     for name, rows in printed.items():
-        assert validate_finite_type(rows), name
-        assert dynkin_name(classify(rows)) == name, name
+        check(validate_finite_type(rows), name)
+        check(dynkin_name(classify(rows)) == name, name)
     affine = [[2, -2], [-2, 2]]
-    assert not validate_finite_type(affine)
+    check(not validate_finite_type(affine), "[[2,-2],[-2,2]] passed as finite type")
     try:
         classify(affine)
     except UnrecognizedDiagram:
         pass
     else:
-        raise AssertionError("the affine rank-2 matrix must be rejected")
+        raise VerificationError("the affine rank-2 matrix must be rejected")
     return f"{len(printed)} matrices classified, [[2,-2],[-2,2]] rejected"
 
 
@@ -207,11 +215,11 @@ def criterion_group_data(extended: bool = False) -> str:
         rs = _rs(name)
         data = coxeter_data(rs)
         positives, h, exponents, order = GROUP_TABLE[name]
-        assert rs.num_positive == positives, name
-        assert data.coxeter_number == h, name
-        assert tuple(data.exponents) == exponents, name
-        assert data.group_order == order, name
-        assert len(_grp(name).elements) == order, name
+        check(rs.num_positive == positives, name)
+        check(data.coxeter_number == h, name)
+        check(tuple(data.exponents) == exponents, name)
+        check(data.group_order == order, name)
+        check(len(_grp(name).elements) == order, name)
     return f"{len(names)} types match on positives, h, exponents, |W|"
 
 
@@ -220,9 +228,9 @@ def criterion_reduced_words() -> str:
     for rank in (1, 2, 3, 4):
         group = _grp(f"A{rank}")
         count = count_reduced_words(group, group.w0)
-        assert count == stanley_formula(rank), (rank, count)
+        check(count == stanley_formula(rank), (rank, count))
         counts[rank] = count
-    assert counts[3] == 16 and counts[4] == 768
+    check(counts[3] == 16 and counts[4] == 768, counts)
     return "reduced word counts A1..A4: " + " ".join(
         str(counts[r]) for r in (1, 2, 3, 4)
     )
@@ -234,7 +242,7 @@ def _pentagon() -> LabeledTriangulation:
 
 def criterion_polygon_oracle() -> str:
     counts = [len(enumerate_triangulations(n)) for n in (1, 2, 3)]
-    assert counts == [2, 5, 14], counts
+    check(counts == [2, 5, 14], counts)
 
     commuted = 0
     for n in range(1, 5):
@@ -243,7 +251,7 @@ def criterion_polygon_oracle() -> str:
             matrix = adjacency_matrix(lt)
             for k in range(1, n + 1):
                 flipped = adjacency_matrix(lt.flip(k))
-                assert flipped.rows == matrix.mutate(k - 1).rows, (tri, k)
+                check(flipped.rows == matrix.mutate(k - 1).rows, (tri, k))
                 commuted += 1
 
     lt = _pentagon()
@@ -265,22 +273,20 @@ def criterion_polygon_oracle() -> str:
         right = value_of((p, q)) * value_of((r, s)) + value_of(
             (q, r)
         ) * value_of((p, s))
-        assert left == right, (old, new)
+        check(left == right, (old, new))
         relations += 1
         current = current.flip(k)
-    assert current.underlying() == lt.underlying()
-    assert current.diagonals == (lt.diagonals[1], lt.diagonals[0])
-    assert relations == 5
+    check(current.underlying() == lt.underlying(), "the flip cycle left the pentagon")
+    check(current.diagonals == (lt.diagonals[1], lt.diagonals[0]), current.diagonals)
+    check(relations == 5, relations)
 
     for n in range(1, 5):
         for tri in enumerate_triangulations(n):
             ptolemy_values(tri, *standard_chart(tri))
 
-    plucker = {n: plucker_verify(n) for n in range(1, 5)}
-    assert all(
-        report["identity_holds"] and report["all_equal_minors"]
-        for report in plucker.values()
-    )
+    for n in range(1, 5):
+        report = plucker_verify(n)
+        check(report["identity_holds"] and report["all_equal_minors"], (n, report))
     return (
         f"counts 2/5/14; {commuted} flip-mutation checks; pentagon cycle closes"
         f" after 5 relations; monodromy-free n<=4; Plucker n<=4"
@@ -297,13 +303,13 @@ def criterion_cluster_complexes(extended: bool = False) -> str:
     for name in names:
         data = _complex(name)
         rs = _rs(name)
-        assert len(data.facets) == n_phi(rs) == FACET_TABLE[name], name
-        assert data.h_vector == narayana(rs), name
+        check(len(data.facets) == n_phi(rs) == FACET_TABLE[name], name)
+        check(data.h_vector == narayana(rs), name)
         counts[name] = len(data.facets)
     a3 = _complex("A3")
-    assert a3.f_vector == (1, 9, 21, 14) and a3.h_vector == (1, 6, 6, 1)
+    check((a3.f_vector, a3.h_vector) == ((1, 9, 21, 14), (1, 6, 6, 1)), "A3")
     b3 = _complex("B3")
-    assert b3.f_vector == (1, 12, 30, 20) and b3.h_vector == (1, 9, 9, 1)
+    check((b3.f_vector, b3.h_vector) == ((1, 12, 30, 20), (1, 9, 9, 1)), "B3")
     return "facets " + " ".join(f"{k}:{counts[k]}" for k in sorted(counts))
 
 
@@ -313,11 +319,12 @@ def criterion_tau_machinery() -> str:
         ap = almost_positive(_rs(name))
         for sign in (1, -1):
             for idx in ap.indices:
-                assert ap.tau(sign, ap.tau(sign, idx)) == idx
+                check(ap.tau(sign, ap.tau(sign, idx)) == idx, (name, sign, idx))
         for orbit in tau_orbits(ap):
-            assert any(
-                ap.negative_simple(idx) is not None for idx in orbit
-            ), f"{name} orbit misses -Pi"
+            check(
+                any(ap.negative_simple(idx) is not None for idx in orbit),
+                f"{name} orbit misses -Pi",
+            )
         orders[name] = tau_order(ap)
 
     rs = _rs("A2")
@@ -329,41 +336,33 @@ def criterion_tau_machinery() -> str:
     chain = [(-1, 0)]
     for sign in (1, -1, 1, -1):
         chain.append(step(sign, chain[-1]))
-    assert chain == [(-1, 0), (1, 0), (1, 1), (0, 1), (0, -1)], chain
-    assert step(-1, (-1, 0)) == (-1, 0) and step(1, (0, -1)) == (0, -1)
+    check(chain == [(-1, 0), (1, 0), (1, 1), (0, 1), (0, -1)], chain)
+    check(step(-1, (-1, 0)) == (-1, 0) and step(1, (0, -1)) == (0, -1), "fixed points")
     return "orders " + " ".join(f"{k}:{orders[k]}" for k in sorted(orders))
 
 
-def _polytope(name: str):
-    data = _complex(name)
-    support = support_function(data.ap)
-    return build_polytope(data, support), support
-
-
 def criterion_polytopes() -> str:
-    def negated_simple_values(poly, support):
+    def negated_simple_values(poly):
         rs = poly.ap.rs
-        return [
-            support(rs.negate(rs.simple_index[i])) for i in range(rs.n)
-        ]
+        return [poly.support(rs.negate(rs.simple_index[i])) for i in range(rs.n)]
 
-    a3, support_a3 = _polytope("A3")
-    values = negated_simple_values(a3, support_a3)
-    assert values == [Fraction(3, 2), Fraction(2), Fraction(3, 2)], values
-    assert len(a3.vertices) == 14
+    a3 = build_polytope(_complex("A3"))
+    values = negated_simple_values(a3)
+    check(values == [Fraction(3, 2), Fraction(2), Fraction(3, 2)], values)
+    check(len(a3.vertices) == 14, len(a3.vertices))
 
-    c3, support_c3 = _polytope("C3")
-    values = negated_simple_values(c3, support_c3)
-    assert values == [Fraction(5, 2), Fraction(4), Fraction(9, 2)], values
-    assert len(c3.vertices) == 20
+    c3 = build_polytope(_complex("C3"))
+    values = negated_simple_values(c3)
+    check(values == [Fraction(5, 2), Fraction(4), Fraction(9, 2)], values)
+    check(len(c3.vertices) == 20, len(c3.vertices))
 
-    a2, _ = _polytope("A2")
-    assert len(a2.vertices) == 5
+    a2 = build_polytope(_complex("A2"))
+    check(len(a2.vertices) == 5, len(a2.vertices))
 
     for poly in (a2, a3, c3):
-        assert len(poly.facets) == len(set(poly.vertices))
+        check(len(poly.facets) == len(set(poly.vertices)), poly.ap.rs.dynkin)
         for facet in poly.facets:
-            assert len(facet) == poly.ap.rs.n
+            check(len(facet) == poly.ap.rs.n, facet)
     return (
         "A3 constants 3/2,2 with 14 vertices; C3 constants 5/2,4,9/2 with 20;"
         " A2 pentagon; all simple"
@@ -374,12 +373,12 @@ def criterion_fan_checks() -> str:
     wall_totals = {}
     for name in QUICK_TYPES:
         report = wall_pairing(_complex(name))
-        assert report["all_paired"], name
+        check(report["all_paired"], name)
         wall_totals[name] = report["walls"]
     regions = {}
     for name in ("A2", "A3", "B2", "B3", "G2"):
         report = refinement_check(_complex(name), _grp(name))
-        assert report["regions"] == GROUP_TABLE[name][3], name
+        check(report["regions"] == GROUP_TABLE[name][3], name)
         regions[name] = report["regions"]
     return (
         "walls " + " ".join(f"{k}:{wall_totals[k]}" for k in sorted(wall_totals))
@@ -397,12 +396,9 @@ def criterion_enumerative() -> str:
     }
     rows_by_type = {}
     for name in spot:
-        group = _grp(name)
-        interval = absolute_interval(group, coxeter_element(group))
-        rows = enumeration_report(_rs(name), group, interval)
-        assert all(row["match"] for row in rows), [
-            row for row in rows if not row["match"]
-        ]
+        rows = enumeration_report(_rs(name), _grp(name))
+        mismatches = [row for row in rows if not row["match"]]
+        check(not mismatches, mismatches)
         rows_by_type[name] = rows
         total, profile = spot[name]
         totals = {
@@ -411,13 +407,13 @@ def criterion_enumerative() -> str:
             if row["k"] == "total"
         }
         for interpretation, observed in totals.items():
-            assert observed == total, (name, interpretation, observed)
+            check(observed == total, (name, interpretation, observed))
         antichain_profile = tuple(
             row["observed"]
             for row in rows
             if row["interpretation"] == "antichains" and row["k"] != "total"
         )
-        assert antichain_profile == profile, (name, antichain_profile)
+        check(antichain_profile == profile, (name, antichain_profile))
     torus = {
         name: next(
             row["observed"]
@@ -426,7 +422,7 @@ def criterion_enumerative() -> str:
         )
         for name in ("A2", "B2")
     }
-    assert torus == {"A2": 5, "B2": 6}
+    check(torus == {"A2": 5, "B2": 6}, torus)
     checked = sum(len(rows) for rows in rows_by_type.values())
     return (
         f"{checked} rows agree; totals A2:5 A3:14 B2:6 B3:20 G2:8;"
@@ -436,18 +432,18 @@ def criterion_enumerative() -> str:
 
 def criterion_wiring() -> str:
     graph = wiring.enumerate_classes(3)
-    assert len(graph.classes) == 34
+    check(len(graph.classes) == 34, len(graph.classes))
     degrees = sorted(graph.degree(i) for i in range(34))
-    assert degrees == [3] * 16 + [4] * 18
+    check(degrees == [3] * 16 + [4] * 18, degrees)
     checked = wiring.verify_move_identities(graph)
     report = wiring.gl3_cell()
-    assert report["cluster_variable_count"] == 16
-    assert report["cluster_count"] == 50
-    assert report["detected_type"] == "D4"
-    assert report["wiring_clusters_embedded"] == 34
-    assert report["jacobian_rank"] == 9
+    check(report["cluster_variable_count"] == 16, "cluster_variable_count")
+    check(report["cluster_count"] == 50, "cluster_count")
+    check(report["detected_type"] == "D4", "detected_type")
+    check(report["wiring_clusters_embedded"] == 34, "wiring_clusters_embedded")
+    check(report["jacobian_rank"] == 9, "jacobian_rank")
     first, second = wiring.hidden_polynomials()
-    assert report["hidden_variables"] == [first.text(), second.text()]
+    check(report["hidden_variables"] == [first.text(), second.text()], "hidden")
     return (
         f"34 classes (18x4+16x3), {checked} move identities;"
         " GL3: 16 variables, 50 clusters, type D4"
@@ -458,10 +454,8 @@ def deterministic_artifacts(rng_seed: int = 11) -> str:
     """Seeded and exported text whose bytes must not vary between runs."""
     pieces = []
     for name in ("A2", "B2"):
-        group = _grp(name)
-        interval = absolute_interval(group, coxeter_element(group))
-        pieces.append(report_csv(enumeration_report(_rs(name), group, interval)))
-    a3, _ = _polytope("A3")
+        pieces.append(report_csv(enumeration_report(_rs(name), _grp(name))))
+    a3 = build_polytope(_complex("A3"))
     pieces.append(polytope_json(a3))
     pieces.append(polytope_off(a3))
     pieces.append(
@@ -477,7 +471,7 @@ def deterministic_artifacts(rng_seed: int = 11) -> str:
 def criterion_determinism(rng_seed: int = 11) -> str:
     first = deterministic_artifacts(rng_seed)
     second = deterministic_artifacts(rng_seed)
-    assert first == second, "artifacts differ between identical runs"
+    check(first == second, "artifacts differ between identical runs")
     return f"{len(first.encode())} bytes of seeded artifacts reproduced exactly"
 
 

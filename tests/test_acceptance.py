@@ -61,6 +61,30 @@ def test_criterion_13_determinism():
           f"{len(first.stdout)} byte report reproduced")
 
 
+SABOTAGE = """
+import sys
+from clusterfan import verify
+print("optimize", sys.flags.optimize)
+verify.GROUP_TABLE["A3"] = (7, 4, (1, 2, 3), 24)
+verify.FACET_TABLE["A3"] = 15
+for fn in (verify.criterion_group_data, verify.criterion_cluster_complexes):
+    try:
+        fn()
+    except verify.VerificationError as exc:
+        print("FAIL", exc)
+    else:
+        print("PASS")
+"""
+
+
+def test_wrong_tables_fail_without_asserts():
+    # python -O strips assert statements; the criteria must not depend on them
+    command = [sys.executable, "-O", "-c", SABOTAGE]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    lines = result.stdout.splitlines()
+    assert lines == ["optimize 1", "FAIL A3", "FAIL A3"], result.stderr
+
+
 def test_full_quick_battery_green():
     results = verify.run_battery()
     report = verify.render_report(results)

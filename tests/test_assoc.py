@@ -168,7 +168,7 @@ def test_a2_polytope_is_the_pentagon():
     rs = root_system("A2")
     ap = almost_positive(rs)
     data = cluster_complex(compatibility(ap))
-    poly = build_polytope(data, support_function(ap))
+    poly = build_polytope(data)
     assert sorted(poly.vertices) == [
         (Fraction(-1), Fraction(-1)),
         (Fraction(-1), Fraction(1)),
@@ -183,7 +183,7 @@ def test_polytope_vertex_counts(name, vertices):
     rs = root_system(name)
     ap = almost_positive(rs)
     data = cluster_complex(compatibility(ap))
-    poly = build_polytope(data, support_function(ap))
+    poly = build_polytope(data)
     assert len(poly.vertices) == vertices
     assert len(set(poly.vertices)) == vertices
 
@@ -192,7 +192,7 @@ def test_polytope_simple_three_edges_per_vertex():
     rs = root_system("A3")
     ap = almost_positive(rs)
     data = cluster_complex(compatibility(ap))
-    poly = build_polytope(data, support_function(ap))
+    poly = build_polytope(data)
     degree = {v: 0 for v in range(len(poly.vertices))}
     for a, b in poly.edges():
         degree[a] += 1
@@ -240,7 +240,7 @@ def test_polytope_json_structure():
     rs = root_system("A2")
     ap = almost_positive(rs)
     data = cluster_complex(compatibility(ap))
-    poly = build_polytope(data, support_function(ap))
+    poly = build_polytope(data)
     payload = json.loads(polytope_json(poly))
     assert len(payload["facets"]) == 5
     assert len(payload["vertices"]) == 5
@@ -251,7 +251,7 @@ def test_polytope_off_header():
     rs = root_system("A3")
     ap = almost_positive(rs)
     data = cluster_complex(compatibility(ap))
-    poly = build_polytope(data, support_function(ap))
+    poly = build_polytope(data)
     text = polytope_off(poly)
     lines = text.splitlines()
     assert lines[0] == "OFF"
@@ -263,6 +263,6 @@ def test_polytope_off_rejects_wrong_rank():
     rs = root_system("A2")
     ap = almost_positive(rs)
     data = cluster_complex(compatibility(ap))
-    poly = build_polytope(data, support_function(ap))
+    poly = build_polytope(data)
     with pytest.raises(ValueError):
         polytope_off(poly)

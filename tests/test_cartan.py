@@ -12,6 +12,7 @@ from clusterfan.cartan import (
     dynkin_name,
     parse_cartan_text,
     parse_type_name,
+    skew_symmetrizer,
     standard_cartan,
     symmetrizer,
     validate_finite_type,
@@ -130,6 +131,12 @@ def test_b_matrix_is_skew_symmetrizable():
         for j in range(n):
             sign = 1 if i in plus else -1
             assert b[i][j] == (0 if i == j else sign * rows[i][j])
+    for name in (
+        "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4",
+        "D4", "D5", "F4", "G2", "E6", "E7", "E8", "A2+B2",
+    ):
+        rows = cartan_for_type(name)
+        assert skew_symmetrizer(b_matrix(rows)) == symmetrizer(rows), name
 
 
 def test_parse_cartan_text_both_forms():

@@ -90,9 +90,7 @@ def test_shi_region_rank_limit():
 def test_enumeration_report_all_match():
     for name in ("A2", "B2", "G2"):
         rs = root_system(name)
-        group = build_group(rs)
-        interval = absolute_interval(group, coxeter_element(group))
-        rows = enumeration_report(rs, group, interval)
+        rows = enumeration_report(rs, build_group(rs))
         assert rows, "report must not be empty"
         assert all(row["match"] for row in rows)
         interpretations = {row["interpretation"] for row in rows}

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from clusterfan.cli import main
+from clusterfan.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -172,6 +172,10 @@ def test_assoc_e7_builds_no_weyl_group(capsys):
         ("assoc", "[[2, 1], [-1, 2]]", "assoc: off-diagonal a[0][1] = 1 is positive"),
         ("mutate", "[[0, 1], [1, 0]]", "mutate: entries at (0,1) share a sign"),
         ("mutate", "[[2, 1], [-1, 2]]", "mutate: diagonal entry b[0][0] = 2 nonzero"),
+        ("roots", "[]", "roots: matrix must be a nonempty list of nonempty rows"),
+        ("assoc", "[]", "assoc: matrix must be a nonempty list of nonempty rows"),
+        ("mutate", "[]", "mutate: matrix must be a nonempty list of nonempty rows"),
+        ("mutate", "[[0, 1, 1], [-1, 0, 1]]", "mutate: need an m>=n matrix with 3 columns"),
     ],
 )
 def test_bad_matrix_file_exits_2(capsys, tmp_path, command, matrix, message):
@@ -261,6 +265,17 @@ def test_verify_quick(capsys):
     assert code == 0
     assert "criterion 01" in out
     assert "13/13 criteria passed" in out
+
+
+def test_verify_quick_and_extended_are_exclusive(capsys):
+    parser = build_parser()
+    assert parser.parse_args(["verify"]).extended is False
+    assert parser.parse_args(["verify", "--quick"]).extended is False
+    assert parser.parse_args(["verify", "--extended"]).extended is True
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--quick", "--extended"])
+    assert info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_verify_rng_seed_changes_nothing_structural(capsys):
