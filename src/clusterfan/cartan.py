@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Real
 from typing import Sequence
 
 from .linalg import leading_principal_minors
@@ -39,7 +40,21 @@ class UnrecognizedDiagram(ValueError):
 
 
 def as_entries(rows: Sequence[Sequence[int]]) -> Entries:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    """Rows as tuples of ints; raises NotCartanShape on an entry that is not
+    an integral number (an integral float such as 2.0 is accepted)."""
+    return tuple(
+        tuple(x if type(x) is int else _integer(x) for x in row) for row in rows
+    )
+
+
+def _integer(x) -> int:
+    try:
+        value = int(x)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if isinstance(x, bool) or not isinstance(x, Real) or value != x:
+        raise NotCartanShape(f"entry {x!r} is not an integer")
+    return value
 
 
 def check_shape(rows: Sequence[Sequence[int]]) -> Entries:

@@ -4,8 +4,9 @@ Subcommands map one-to-one onto the library layers: roots, group, mutate,
 assoc, catalan, wiring, and verify.  Output is deterministic for a fixed
 seed.  Exit codes: 0 success, 1 verification failure, 2 usage error
 (including a type name or matrix that is not a finite irreducible type where
-one is needed, and a matrix file that is empty, not a Cartan matrix or, for
-mutate, not an m-by-n matrix, m >= n, with a skew-symmetrizable top part),
+one is needed, and a matrix file that is empty, has an entry that is not an
+integer, is not a Cartan matrix or, for mutate, is not an m-by-n matrix,
+m >= n, with a skew-symmetrizable top part and full column rank),
 3 budget exceeded or, for mutate, an exchange matrix of infinite type.
 """
 
@@ -39,6 +40,7 @@ from .mutation import (
     ExchangeMatrix,
     Inconclusive,
     MutationBudgetExceeded,
+    NotFullRank,
     detect_finite_type,
     explore,
     graph_to_dict,
@@ -290,6 +292,7 @@ def main(argv=None) -> int:
         NotCartanShape,
         NotSymmetrizable,
         NotSkewSymmetrizable,
+        NotFullRank,
     ) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

@@ -7,21 +7,24 @@ in direction k replaces the k-th cluster variable via the exchange relation
 (product over positive column entries plus product over negative ones,
 divided exactly by the old variable) and transforms the matrix.
 
-The exchange graph is found by BFS over integer data.  Beside its matrix,
-every seed carries its C-matrix and its g-vectors (Fomin-Zelevinsky,
-Cluster algebras IV; Nakanishi-Zelevinsky, tropical dualities), which
-mutate by integer operations alone.  Seeds are identified by their sorted
-g-vectors together with the matrix permuted the same way, and each cluster
-variable is computed in the Laurent ring once, when its g-vector first
-appears.  The Laurent-level canonical form (`canonical_key`) sorts the
-cluster by text instead; the two keys agree whenever the initial cluster is
-algebraically independent, as the generators from `initial_seed` are.
+One breadth-first walk of the exchange graph, on integer data, serves both
+exploration and finite-type detection.  Beside its matrix, every seed
+carries its C-matrix and its g-vectors (Fomin-Zelevinsky, Cluster algebras
+IV; Nakanishi-Zelevinsky, tropical dualities), which mutate by integer
+operations alone.  Seeds are identified by their sorted g-vectors together
+with the matrix permuted the same way.  `explore` computes each cluster
+variable in the Laurent ring once, when its g-vector first appears.  The
+Laurent-level canonical form (`canonical_key`) sorts the cluster by text
+instead; the two keys agree whenever the initial cluster is algebraically
+independent, as the generators from `initial_seed` are.
+`detect_finite_type` walks the coefficient-free graph and reads the
+2-finite criterion (Fomin-Zelevinsky, Cluster algebras II) off the seed
+matrices, which make up the whole mutation class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Sequence
 
 from . import cartan as cartan_mod
@@ -45,6 +48,10 @@ class Inconclusive(RuntimeError):
 
 class NotAlmostPositive(ValueError):
     """A denominator vector is neither a positive root nor a negated simple."""
+
+
+class NotFullRank(ValueError):
+    """An extended exchange matrix (m > n) whose columns are dependent."""
 
 
 class NotSignCoherent(ArithmeticError):
@@ -74,7 +81,7 @@ class ExchangeMatrix:
             raise NotSkewSymmetrizable(f"need an m>=n matrix with {self.n} columns")
         skew_symmetrizer([r[: self.n] for r in rows[: self.n]])
         if m > self.n and matrix_rank(rows) != self.n:
-            raise ValueError("extended exchange matrix must have full column rank")
+            raise NotFullRank("extended exchange matrix must have full column rank")
 
     @property
     def m(self) -> int:
@@ -249,18 +256,50 @@ class MutationGraph:
         return list(self.variables.values())
 
 
-def explore(seed: Seed, budget: int = 10**5) -> MutationGraph:
-    """BFS over the exchange graph, keyed by g-vectors.
+def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
+    """BFS over the exchange graph of the seed with extended matrix `rows`,
+    on integer data alone: `tropical_mutate` moves each seed's matrix,
+    C-matrix and g-vectors (I at the start), checking every c-vector for
+    sign-coherence, and `_g_key` identifies seeds, numbered in order of
+    discovery.  Yields (u, k, v, image, new) per mutation of seed u in
+    direction k, where image is the tropical data of seed v and new says
+    whether v was met just now.  Raises MutationBudgetExceeded, with
+    `partial` attached, if more than `budget` seeds appear."""
+    n = len(rows[0])
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    tropical = [(rows, identity, identity)]
+    index = {_g_key(rows, identity): 0}
+    frontier = [0]
+    while frontier:
+        fresh = []
+        for u in frontier:
+            rows, c_rows, gvectors = tropical[u]
+            for k in range(n):
+                image = tropical_mutate(rows, c_rows, gvectors, k)
+                key = _g_key(image[0], image[2])
+                v = index.get(key)
+                new = v is None
+                if new:
+                    v = len(tropical)
+                    if v >= budget:
+                        raise MutationBudgetExceeded(
+                            f"exchange graph exceeded {budget} seeds", partial
+                        )
+                    index[key] = v
+                    tropical.append(image)
+                    fresh.append(v)
+                yield u, k, v, image, new
+        frontier = fresh
 
-    Each seed is tracked with its C-matrix and g-vectors (both I at the
-    start, with `seed` as the initial seed); `tropical_mutate` moves them
-    by integer operations, and every c-vector met is checked for
-    sign-coherence.  A seed is known by its sorted g-vectors and permuted
-    matrix (frozen rows included).  This key agrees with `canonical_key`
-    when the cluster of `seed` is algebraically independent, which holds
-    for `initial_seed`.  A cluster variable is computed by `seed_mutate`
-    only when an unseen seed brings an unseen g-vector; every stored seed
-    must still have distinct variables (ValueError otherwise).
+
+def explore(seed: Seed, budget: int = 10**5) -> MutationGraph:
+    """BFS over the exchange graph from `seed`, on integer data (`_walk`).
+
+    The g-vector key agrees with `canonical_key` when the cluster of `seed`
+    is algebraically independent, which holds for `initial_seed`.  A
+    cluster variable is computed by `seed_mutate` only when a new seed
+    brings an unseen g-vector; every stored seed must still have distinct
+    variables (ValueError otherwise).
 
     Raises MutationBudgetExceeded (with the partial graph attached) if more
     than `budget` seeds appear.
@@ -272,43 +311,22 @@ def explore(seed: Seed, budget: int = 10**5) -> MutationGraph:
     record = MutationGraph([seed], [], {}, False)
     for v in seed.cluster:
         record.variables.setdefault(v.text(), v)
-    tropical = [(seed.matrix.rows, identity, identity)]
-    index = {_g_key(seed.matrix.rows, identity): 0}
-    frontier = [0]
-    while frontier:
-        fresh = []
-        for u in frontier:
-            rows, c_rows, gvectors = tropical[u]
-            for k in range(n):
-                image = tropical_mutate(rows, c_rows, gvectors, k)
-                key = _g_key(image[0], image[2])
-                v = index.get(key)
-                if v is None:
-                    v = len(record.seeds)
-                    if v >= budget:
-                        raise MutationBudgetExceeded(
-                            f"exchange graph exceeded {budget} seeds", partial=record
-                        )
-                    index[key] = v
-                    g = image[2][k]
-                    parent = record.seeds[u]
-                    if g in values:
-                        cluster = list(parent.cluster)
-                        cluster[k] = values[g]
-                        new = Seed(
-                            ExchangeMatrix(image[0], n), tuple(cluster), parent.frozen
-                        )
-                    else:
-                        new = seed_mutate(parent, k)
-                        values[g] = new.cluster[k]
-                        record.variables.setdefault(values[g].text(), values[g])
-                    _check_distinct(new.cluster)
-                    record.seeds.append(new)
-                    tropical.append(image)
-                    fresh.append(v)
-                if u <= v:
-                    record.edges.append((u, k, v))
-        frontier = fresh
+    for u, k, v, (rows, _, gvectors), new in _walk(seed.matrix.rows, budget, record):
+        if new:
+            g = gvectors[k]
+            parent = record.seeds[u]
+            if g in values:
+                cluster = list(parent.cluster)
+                cluster[k] = values[g]
+                child = Seed(ExchangeMatrix(rows, n), tuple(cluster), parent.frozen)
+            else:
+                child = seed_mutate(parent, k)
+                values[g] = child.cluster[k]
+                record.variables.setdefault(values[g].text(), values[g])
+            _check_distinct(child.cluster)
+            record.seeds.append(child)
+        if u <= v:
+            record.edges.append((u, k, v))
     record.closed = True
     return record
 
@@ -343,17 +361,6 @@ def alternating_chain(
 # -- finite type detection ----------------------------------------------------
 
 
-def _principal_canonical(rows: tuple[tuple[int, ...], ...]) -> tuple:
-    n = len(rows)
-    best = None
-    for perm in permutations(range(n)):
-        flat = tuple(rows[perm[i]][perm[j]] for i in range(n) for j in range(n))
-        for candidate in (flat, tuple(-x for x in flat)):
-            if best is None or candidate < best:
-                best = candidate
-    return best
-
-
 def _cartan_companion(rows: tuple[tuple[int, ...], ...]):
     """If every row is uniformly signed off the diagonal, build the Cartan
     matrix candidate 2I - |B| and return it, else None."""
@@ -372,40 +379,32 @@ def detect_finite_type(
 ) -> DynkinType | None:
     """Classify the mutation class of a square exchange matrix.
 
-    Returns the Dynkin type if the class contains a bipartite matrix built
-    from a finite-type Cartan matrix, None if some class member has an entry
-    pair with |b_ij b_ji| > 3 (an infinite-type witness), and raises
-    Inconclusive if the budget runs out first.
+    Walks the coefficient-free exchange graph (`_walk`), whose seed
+    matrices make up the mutation class.  Returns None at the first one
+    with an entry pair |b_ij b_ji| > 3 (an infinite-type witness); once the
+    walk closes, returns the Dynkin type of the first one that is built
+    from a finite-type Cartan matrix.  Raises Inconclusive if more than
+    `budget` seeds appear first.
     """
     if isinstance(rows, ExchangeMatrix):
         rows = rows.principal()
     start = tuple(tuple(int(x) for x in r) for r in rows)
     skew_symmetrizer(start)  # validates shape
     n = len(start)
-    seen = {_principal_canonical(start)}
-    frontier = [start]
     matrices = [start]
-    while frontier:
-        fresh = []
-        for matrix in frontier:
-            for k in range(n):
-                image = matrix_mutate(matrix, k)
-                if any(
-                    abs(image[i][j] * image[j][i]) > 3
-                    for i in range(n)
-                    for j in range(i + 1, n)
-                ):
-                    return None
-                key = _principal_canonical(image)
-                if key not in seen:
-                    seen.add(key)
-                    if len(seen) > budget:
-                        raise Inconclusive(
-                            f"mutation class exceeded {budget} matrices"
-                        )
-                    fresh.append(image)
-                    matrices.append(image)
-        frontier = fresh
+    try:
+        for _, _, _, (image, _, _), new in _walk(start, budget):
+            if not new:
+                continue
+            if any(
+                abs(image[i][j] * image[j][i]) > 3
+                for i in range(n)
+                for j in range(i + 1, n)
+            ):
+                return None
+            matrices.append(image)
+    except MutationBudgetExceeded:
+        raise Inconclusive(f"mutation class exceeded {budget} seeds") from None
     for matrix in matrices:
         candidate = _cartan_companion(matrix)
         if candidate is None:

@@ -363,8 +363,9 @@ def ptolemy_expand(
 
 def plucker_verify(n: int) -> dict:
     """Check the three-term minor identity for a symbolic 2-row matrix and
-    confirm that Ptolemy propagation started from minor values stays on
-    minors for every diagonal of the (n+3)-gon."""
+    whether Ptolemy propagation started from minor values stays on minors
+    for every diagonal of the (n+3)-gon.  The verdicts are reported under
+    "identity_holds" and "all_equal_minors"; nothing is asserted."""
     if n > 5:
         raise ValueError("symbolic minor check capped at n=5")
     m = n + 3
@@ -376,27 +377,26 @@ def plucker_verify(n: int) -> dict:
         return a[k] * b[l] - a[l] * b[k]
 
     quadruples = 0
+    identity_holds = True
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(j + 1, m):
                 for l in range(k + 1, m):
                     lhs = minor(i, k) * minor(j, l)
                     rhs = minor(i, j) * minor(k, l) + minor(i, l) * minor(j, k)
-                    assert lhs == rhs, (i, j, k, l)
+                    identity_holds = identity_holds and lhs == rhs
                     quadruples += 1
 
     fan = Triangulation(m, tuple((0, j) for j in range(2, m - 1)))
     diag_vals = {d: minor(*d) for d in fan.diagonals}
     side_vals = {s: minor(*s) for s in polygon_sides(m)}
     values = ptolemy_values(fan, diag_vals, side_vals)
-    mismatches = [d for d, v in values.items() if v != minor(*d)]
-    assert not mismatches, mismatches
     return {
         "n": n,
         "quadruples_checked": quadruples,
-        "identity_holds": True,
+        "identity_holds": identity_holds,
         "diagonals_checked": len(values),
-        "all_equal_minors": True,
+        "all_equal_minors": all(v == minor(*d) for d, v in values.items()),
     }
 
 

@@ -40,6 +40,10 @@ class NoMoveAvailable(ValueError):
     """The requested chamber cannot be flipped in this diagram's class."""
 
 
+class MoveIdentityFailed(ArithmeticError):
+    """A move's three-term identity A*C + B*D = Y*Z does not hold."""
+
+
 def parse_word(text: str) -> tuple[Letter, ...]:
     """Parse an interleaved word such as "T2 t1 t2 T1 T2 t1"."""
     letters = []
@@ -391,16 +395,17 @@ def enumerate_classes(n: int) -> MoveGraph:
 
 def verify_move_identities(graph: MoveGraph) -> int:
     """Check A*C + B*D = Y*Z on one witness per move found anywhere in the
-    enumeration; returns the number of checks performed."""
+    enumeration; returns the number of checks performed and raises
+    MoveIdentityFailed at the first identity that does not hold."""
     checked = 0
     for cls in graph.classes:
         for word in cls.words:
             d = DoubleWiringDiagram(graph.n, word)
             for move in word_moves(word):
-                record = check_move_identity(d, move)
-                assert record["holds"], (
-                    f"identity failed at {word_text(word)} move {move}"
-                )
+                if not check_move_identity(d, move)["holds"]:
+                    raise MoveIdentityFailed(
+                        f"identity failed at {word_text(word)} move {move}"
+                    )
                 checked += 1
     return checked
 

@@ -63,15 +63,41 @@ def test_criterion_13_determinism():
 
 SABOTAGE = """
 import sys
-from clusterfan import verify
+from clusterfan import polygon, verify, wiring
 print("optimize", sys.flags.optimize)
 verify.GROUP_TABLE["A3"] = (7, 4, (1, 2, 3), 24)
 verify.FACET_TABLE["A3"] = 15
-for fn in (verify.criterion_group_data, verify.criterion_cluster_complexes):
+
+# one wrong Ptolemy value, met only inside polygon.plucker_verify
+ptolemy_values = polygon.ptolemy_values
+def wrong_ptolemy(*args):
+    values = ptolemy_values(*args)
+    edge = max(values)
+    values[edge] = values[edge] + values[edge]
+    return values
+polygon.ptolemy_values = wrong_ptolemy
+
+# one failing move identity: the first move checked gets Z = Y
+move_chambers = wiring.move_chambers
+sabotaged = []
+def wrong_chambers(d, move):
+    record = move_chambers(d, move)
+    if not sabotaged:
+        sabotaged.append(move)
+        record["Z"] = record["Y"]
+    return record
+wiring.move_chambers = wrong_chambers
+
+for fn in (
+    verify.criterion_group_data,
+    verify.criterion_cluster_complexes,
+    verify.criterion_polygon_oracle,
+    verify.criterion_wiring,
+):
     try:
         fn()
-    except verify.VerificationError as exc:
-        print("FAIL", exc)
+    except Exception as exc:
+        print("FAIL", type(exc).__name__, exc)
     else:
         print("PASS")
 """
@@ -82,7 +108,13 @@ def test_wrong_tables_fail_without_asserts():
     command = [sys.executable, "-O", "-c", SABOTAGE]
     result = subprocess.run(command, capture_output=True, text=True, timeout=300)
     lines = result.stdout.splitlines()
-    assert lines == ["optimize 1", "FAIL A3", "FAIL A3"], result.stderr
+    assert lines[:3] == [
+        "optimize 1", "FAIL VerificationError A3", "FAIL VerificationError A3"
+    ], result.stderr
+    assert lines[3].startswith("FAIL VerificationError (1, "), lines
+    assert "'all_equal_minors': False" in lines[3], lines
+    assert lines[4].startswith("FAIL MoveIdentityFailed identity failed at"), lines
+    assert len(lines) == 5, lines
 
 
 def test_full_quick_battery_green():

@@ -176,6 +176,13 @@ def test_assoc_e7_builds_no_weyl_group(capsys):
         ("assoc", "[]", "assoc: matrix must be a nonempty list of nonempty rows"),
         ("mutate", "[]", "mutate: matrix must be a nonempty list of nonempty rows"),
         ("mutate", "[[0, 1, 1], [-1, 0, 1]]", "mutate: need an m>=n matrix with 3 columns"),
+        ("roots", "[[2, -1.5], [-1, 2]]", "roots: entry -1.5 is not an integer"),
+        ("roots", '[["a"]]', "roots: entry 'a' is not an integer"),
+        (
+            "mutate",
+            "[[0, 1, 0], [-1, 0, 1], [0, -1, 0], [1, 0, -1]]",
+            "mutate: extended exchange matrix must have full column rank",
+        ),
     ],
 )
 def test_bad_matrix_file_exits_2(capsys, tmp_path, command, matrix, message):

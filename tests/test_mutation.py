@@ -1,13 +1,24 @@
 """Seed mutation: rank-2 chains, Laurentness, finite-type detection."""
 
 import json
+import random
+from itertools import permutations
 
 import pytest
 
-from clusterfan.cartan import b_matrix, cartan_for_type, dynkin_name
+from clusterfan.cartan import (
+    NotCartanShape,
+    NotSymmetrizable,
+    b_matrix,
+    cartan_for_type,
+    classify,
+    dynkin_name,
+    validate_finite_type,
+)
 from clusterfan.laurent import LaurentPoly, parse_laurent
 from clusterfan.mutation import (
     ExchangeMatrix,
+    Inconclusive,
     MutationBudgetExceeded,
     MutationGraph,
     NotAlmostPositive,
@@ -19,6 +30,7 @@ from clusterfan.mutation import (
     graph_to_dict,
     graph_to_dot,
     initial_seed,
+    _cartan_companion,
     matrix_mutate,
     observe_positivity,
     seed_from_dict,
@@ -148,7 +160,7 @@ def test_denominator_root_rejects_garbage():
 
 
 @pytest.mark.parametrize(
-    "name", ["A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"]
+    "name", ["A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "A2+B2"]
 )
 def test_detect_finite_type_from_b_matrix(name):
     rows = b_matrix(cartan_for_type(name))
@@ -313,3 +325,106 @@ def test_explore_rejects_repeated_initial_variables():
     )
     with pytest.raises(ValueError, match="distinct"):
         explore(seed)
+
+
+# -- finite-type detection against the matrix-class oracle ---------------------
+
+
+def _least_relabeling(rows):
+    """The least flattening of rows over all n! relabelings and negation."""
+    n = len(rows)
+    best = None
+    for perm in permutations(range(n)):
+        flat = tuple(rows[perm[i]][perm[j]] for i in range(n) for j in range(n))
+        for candidate in (flat, tuple(-x for x in flat)):
+            if best is None or candidate < best:
+                best = candidate
+    return best
+
+
+def matrix_class_detect(rows, budget=10**4):
+    """Reference detection: BFS over the mutation class of the matrix, each
+    member known by its least relabeling, with the verdict rules of
+    detect_finite_type (budget counted in matrix classes)."""
+    start = tuple(tuple(r) for r in rows)
+    n = len(start)
+    seen = {_least_relabeling(start)}
+    frontier = [start]
+    matrices = [start]
+    while frontier:
+        fresh = []
+        for matrix in frontier:
+            for k in range(n):
+                image = matrix_mutate(matrix, k)
+                if any(
+                    abs(image[i][j] * image[j][i]) > 3
+                    for i in range(n)
+                    for j in range(i + 1, n)
+                ):
+                    return None
+                key = _least_relabeling(image)
+                if key not in seen:
+                    seen.add(key)
+                    if len(seen) > budget:
+                        raise Inconclusive("budget")
+                    fresh.append(image)
+                    matrices.append(image)
+        frontier = fresh
+    for matrix in matrices:
+        candidate = _cartan_companion(matrix)
+        if candidate is None:
+            continue
+        try:
+            if validate_finite_type(candidate):
+                return classify(candidate)
+        except (NotCartanShape, NotSymmetrizable):
+            continue
+    raise Inconclusive("no finite Cartan companion")
+
+
+def random_exchange_matrix(rng, n):
+    """b_ij = c_ij d_j and b_ji = -c_ij d_i for a random symmetrizer d, so
+    that d_i b_ij = -d_j b_ji.  About 1.5 edges per vertex keep both
+    finite and infinite types common up to rank 5."""
+    d = [rng.choice((1, 1, 2, 3)) for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 1.5 / n:
+                c = rng.choice((-2, -1, -1, 1, 1, 2))
+                rows[i][j], rows[j][i] = c * d[j], -c * d[i]
+    return rows
+
+
+def test_detection_matches_oracle_on_random_matrices():
+    rng = random.Random(2024)
+    verdicts = set()
+    for _ in range(600):
+        n = rng.randint(2, 5)
+        rows = random_exchange_matrix(rng, n)
+        expected = matrix_class_detect(rows)
+        assert detect_finite_type(rows) == expected, rows
+        verdicts.add((n, expected is None))
+    # both verdicts occur at every rank
+    assert len(verdicts) == 8
+
+
+FINITE_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "C5",
+    "D4", "D5", "G2", "F4", "A1+A1", "A1+A2", "A2+B2", "A1+G2", "A1+A1+A1",
+]
+
+
+@pytest.mark.parametrize("name", FINITE_TYPES)
+def test_detection_matches_oracle_across_the_mutation_class(name):
+    rng = random.Random(name)
+    rows = b_matrix(cartan_for_type(name))
+    n = len(rows)
+    for _ in range(rng.randint(5, 15)):
+        rows = matrix_mutate(rows, rng.randrange(n))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    sign = rng.choice((1, -1))
+    rows = [[sign * rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    assert detect_finite_type(rows) == matrix_class_detect(rows)
+    assert dynkin_name(detect_finite_type(rows)) == name
