@@ -163,7 +163,7 @@ def require_finite_type(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return symmetrizer(entries)
 
 
-def _components(entries: Entries) -> list[list[int]]:
+def components(entries: Entries) -> list[list[int]]:
     n = len(entries)
     seen = [False] * n
     out = []
@@ -262,7 +262,7 @@ def classify(rows: Sequence[Sequence[int]]) -> DynkinType:
     (family letter, rank) factors, e.g. (("A", 2),) or (("A", 1), ("A", 1))."""
     entries = check_shape(rows)
     require_finite_type(entries)
-    factors = [_classify_component(entries, comp) for comp in _components(entries)]
+    factors = [_classify_component(entries, comp) for comp in components(entries)]
     return tuple(sorted(factors))
 
 
@@ -276,7 +276,7 @@ def bipartition(rows: Sequence[Sequence[int]]) -> tuple[frozenset[int], frozense
     entries = check_shape(rows)
     n = len(entries)
     color: list[int | None] = [None] * n
-    for comp in _components(entries):
+    for comp in components(entries):
         color[comp[0]] = 0
         queue = [comp[0]]
         while queue:

@@ -37,33 +37,20 @@ def count_antichains(poset: RootPoset) -> tuple[int, tuple[int, ...]]:
     return sum(sizes), tuple(sizes)
 
 
+class CountCheckFailed(RuntimeError):
+    """An enumeration broke one of its own structural invariants."""
+
+
 def nc_lattice_stats(interval: AbsoluteInterval) -> dict:
     """Element and rank counts of the interval below a Coxeter element in
     absolute order (the noncrossing partition lattice of the type)."""
     total = len(interval.elements)
-    assert sum(interval.rank_counts) == total
-    assert interval.rank_counts[0] == 1
+    if sum(interval.rank_counts) != total or interval.rank_counts[0] != 1:
+        raise CountCheckFailed(
+            f"rank counts {interval.rank_counts} do not partition {total} elements"
+            " with one bottom"
+        )
     return {"total": total, "rank_counts": interval.rank_counts}
-
-
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.groups = size
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-            self.groups -= 1
 
 
 # largest torus (points mod h+1) whose orbits are counted
@@ -75,10 +62,13 @@ def torus_orbits(
 ) -> int:
     """Number of Weyl orbits on the coordinate lattice modulo h+1.
 
-    A simple reflection acts on a coordinate vector by subtracting its Cartan
-    row pairing from one coordinate, everything mod h+1, so the whole orbit
-    structure is finite arithmetic.  With generators="all" the union-find is
-    re-run with every reflection, which must not change the partition.
+    A point is coded by its base-(h+1) digits.  A reflection changes only the
+    coordinates where its matrix row differs from the identity (for a simple
+    reflection, one coordinate, by a sparse Cartan row), so each image code
+    is the point's code plus delta * (h+1)^i per changed coordinate i.
+    Orbits are walked with a stack over a bytearray of visited codes.  With
+    generators="all" every reflection is used, which must not change the
+    count.
     """
     n = rs.n
     h = coxeter_data(rs).coxeter_number
@@ -88,32 +78,47 @@ def torus_orbits(
         raise BudgetExceeded(f"torus has {size} points, budget {budget}")
 
     if generators == "simple":
-        matrices = [rs.reflection_matrix(rs.simple_index[i]) for i in range(n)]
+        roots = rs.simple_index
     elif generators == "all":
-        matrices = [
-            rs.reflection_matrix(i)
-            for i in range(len(rs.roots))
-            if rs.is_positive(i)
-        ]
+        roots = range(rs.num_positive)
     else:
         raise ValueError("generators must be 'simple' or 'all'")
+    # per reflection: (i, mod**i, nonzero entries of row i) for each row i
+    # that is not the identity row
+    moves = []
+    for root in roots:
+        matrix = rs.reflection_matrix(root)
+        moves.append(
+            [
+                (i, mod**i, [(j, a) for j, a in enumerate(row) if a])
+                for i, row in enumerate(matrix)
+                if any(a != (i == j) for j, a in enumerate(row))
+            ]
+        )
 
-    uf = _UnionFind(size)
+    visited = bytearray(size)
+    orbits = 0
     point = [0] * n
-    for code in range(size):
-        value = code
-        for i in range(n):
-            point[i] = value % mod
-            value //= mod
-        for matrix in matrices:
-            image = 0
-            weight = 1
+    for start in range(size):
+        if visited[start]:
+            continue
+        orbits += 1
+        visited[start] = 1
+        stack = [start]
+        while stack:
+            code = stack.pop()
+            value = code
             for i in range(n):
-                coordinate = sum(matrix[i][j] * point[j] for j in range(n)) % mod
-                image += coordinate * weight
-                weight *= mod
-            uf.union(code, image)
-    return uf.groups
+                value, point[i] = divmod(value, mod)
+            for move in moves:
+                image = code
+                for i, weight, row in move:
+                    coordinate = sum(a * point[j] for j, a in row) % mod
+                    image += (coordinate - point[i]) * weight
+                if not visited[image]:
+                    visited[image] = 1
+                    stack.append(image)
+    return orbits
 
 
 # -- Shi arrangement, rank <= 3 ------------------------------------------------------
@@ -171,7 +176,8 @@ def _split(region: _Region, normal: tuple[Fraction, ...], n: int) -> list[_Regio
         )
         if strict:
             out.append(_Region(constraints, vertices))
-    assert len(out) == 2, "a genuinely cut region must leave two full pieces"
+    if len(out) != 2:
+        raise CountCheckFailed("a genuinely cut region must leave two full pieces")
     return out
 
 

@@ -74,10 +74,16 @@ FORMATS = {
 }
 
 
-def _entries_from_args(parser: argparse.ArgumentParser, args) -> Entries:
+def _entries_from_args(
+    parser: argparse.ArgumentParser, args, exchange: bool = False
+) -> Entries:
+    """The matrix named by --type or read from --matrix-file.  With exchange
+    set, `matrix:` text holds an exchange matrix, not a Cartan matrix."""
     if args.matrix_file:
         with open(args.matrix_file) as handle:
             text = handle.read().strip()
+        if exchange and text.startswith("matrix:"):
+            text = text[len("matrix:"):].strip()
         try:
             rows = json.loads(text)
         except json.JSONDecodeError:
@@ -136,7 +142,7 @@ def cmd_group(parser, args) -> tuple[int, str]:
 
 
 def cmd_mutate(parser, args) -> tuple[int, str]:
-    entries = _entries_from_args(parser, args)
+    entries = _entries_from_args(parser, args, exchange=True)
     rows = entries if args.matrix_file else b_matrix(entries)
     # a malformed file fails here, with exit 2, before detection or exploration
     matrix = ExchangeMatrix(rows, len(rows[0]))

@@ -2,9 +2,13 @@
 
 Elements are tuples: position r holds the index of the image of root r.
 Multiplication w*v composes as functions, (w*v)(r) = w(v(r)), so extending a
-word on the right means acting first by the new letter.  Lengths, reduced
-words, the two partial orders (weak and absolute) and the longest element
-are all computed from this permutation action.
+word on the right means acting first by the new letter.  The group is built
+by one breadth-first search from the identity, so element indices run in
+length order, and the search keeps its right Cayley table: `right[u][i]` is
+the index of u*s_i.  Lengths, reduced words, the weak order, the absolute
+order and the longest element are all read from this table and the
+permutation action.  The weak order's lattice property is checked on
+down-sets stored as int bitmasks, one bit per element.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from operator import itemgetter
 from typing import Sequence
 
-from .roots import RootSystem
+from .roots import RootSystem, weyl_group_order
 from . import cartan as cartan_mod
 
 Perm = tuple[int, ...]
@@ -29,55 +34,62 @@ class LatticeCheckFailed(RuntimeError):
     """A meet computation found no unique maximal common lower bound."""
 
 
+class GroupCheckFailed(RuntimeError):
+    """Two independent computations of the same group datum disagree."""
+
+
 class NotCoxeterElement(ValueError):
     """The element is not a product of all simple reflections in any order."""
 
 
 class WeylGroup:
     def __init__(self, rs: RootSystem, budget: int = 10**6):
+        order = weyl_group_order(rs)
+        if order > budget:
+            raise BudgetExceeded(
+                f"group has {order} elements, over the budget of {budget}"
+            )
         self.rs = rs
         self.n = rs.n
-        size = len(rs.roots)
-        self.identity: Perm = tuple(range(size))
+        self.identity: Perm = tuple(range(len(rs.roots)))
         self.generators: list[Perm] = [rs.simple_perm(i) for i in range(rs.n)]
 
+        # breadth-first over the elements list itself: index order is
+        # length order, and row u of the Cayley table is filled when u is
+        # dequeued
+        kernels = [itemgetter(*g) for g in self.generators]
         elements: list[Perm] = [self.identity]
         index: dict[Perm, int] = {self.identity: 0}
         lengths: list[int] = [0]
-        frontier = [self.identity]
-        depth = 0
-        while frontier:
-            depth += 1
-            fresh: list[Perm] = []
-            for p in frontier:
-                for g in self.generators:
-                    q = tuple(p[g[r]] for r in range(size))
-                    if q not in index:
-                        index[q] = len(elements)
-                        elements.append(q)
-                        lengths.append(depth)
-                        fresh.append(q)
-                        if len(elements) > budget:
-                            raise BudgetExceeded(
-                                f"group exceeded budget of {budget} elements"
-                            )
-            frontier = fresh
+        right: list[tuple[int, ...]] = []
+        for u, p in enumerate(elements):
+            row = []
+            for kernel in kernels:
+                q = kernel(p)
+                v = index.get(q)
+                if v is None:
+                    v = index[q] = len(elements)
+                    elements.append(q)
+                    lengths.append(lengths[u] + 1)
+                row.append(v)
+            right.append(tuple(row))
         self.elements = elements
         self.element_index = index
         self.length = lengths
+        self.right = right
 
+        if len(elements) != order:
+            raise GroupCheckFailed(
+                f"search found {len(elements)} elements, the exponents give {order}"
+            )
         # Cayley depth must agree with the inversion count
         npos = rs.num_positive
         for p, l in zip(elements, lengths):
-            inversions = sum(1 for b in range(npos) if p[b] >= npos)
-            assert inversions == l, "BFS depth must equal inversion count"
-
-        longest = max(range(len(elements)), key=lambda i: self.length[i])
-        assert (
-            sum(1 for i in range(len(elements)) if self.length[i] == self.length[longest])
-            == 1
-        ), "longest element must be unique"
-        self.w0 = longest
+            if sum(map(npos.__le__, p[:npos])) != l:
+                raise GroupCheckFailed("BFS depth must equal inversion count")
+        if lengths.count(lengths[-1]) != 1:
+            raise GroupCheckFailed("longest element must be unique")
+        self.w0 = len(elements) - 1
 
         self._reflections: dict[int, int] | None = None
         self._words: dict[int, tuple[int, ...]] = {}
@@ -89,7 +101,7 @@ class WeylGroup:
 
     def mult(self, u: int, v: int) -> int:
         pu, pv = self.elements[u], self.elements[v]
-        return self.element_index[tuple(pu[pv[r]] for r in range(len(pu)))]
+        return self.element_index[tuple(map(pu.__getitem__, pv))]
 
     def inverse(self, u: int) -> int:
         p = self.elements[u]
@@ -103,13 +115,12 @@ class WeylGroup:
 
     def times_generator(self, u: int, i: int) -> int:
         """Right multiplication by s_i."""
-        p, g = self.elements[u], self.generators[i]
-        return self.element_index[tuple(p[g[r]] for r in range(len(p)))]
+        return self.right[u][i]
 
     def generator_times(self, i: int, u: int) -> int:
         """Left multiplication by s_i."""
-        p, g = self.elements[u], self.generators[i]
-        return self.element_index[tuple(g[p[r]] for r in range(len(p)))]
+        g = self.generators[i]
+        return self.element_index[tuple(map(g.__getitem__, self.elements[u]))]
 
     def right_descents(self, u: int) -> list[int]:
         p = self.elements[u]
@@ -164,8 +175,8 @@ class WeylGroup:
                 negated = sum(1 for b in range(npos) if p[b] == self.rs.negate(b))
                 if negated == 1 and self.mult(idx, idx) == 0:
                     intrinsic.add(idx)
-            assert by_sigma == intrinsic, "reflection characterizations disagree"
-            assert len(by_sigma) == npos
+            if by_sigma != intrinsic or len(by_sigma) != npos:
+                raise GroupCheckFailed("reflection characterizations disagree")
             self._reflections = table
         return self._reflections
 
@@ -178,18 +189,13 @@ def build_group(rs: RootSystem, budget: int = 10**6) -> WeylGroup:
 
 
 def count_reduced_words(group: WeylGroup, u: int) -> int:
-    """Number of reduced words, by summing over right descents."""
-    counts: dict[int, int] = {0: 1}
-    order = sorted(range(len(group.elements)), key=lambda i: group.length[i])
-    for idx in order:
-        if idx == 0:
-            continue
-        total = 0
-        for i in group.right_descents(idx):
-            total += counts[group.times_generator(idx, i)]
-        counts[idx] = total
-        if idx == u:
-            break
+    """Number of reduced words: the sum of the counts of the elements one
+    right descent below, taken in index order, which is length order."""
+    length, right = group.length, group.right
+    counts = [1]
+    for v in range(1, u + 1):
+        lv = length[v]
+        counts.append(sum(counts[w] for w in right[v] if length[w] < lv))
     return counts[u]
 
 
@@ -202,7 +208,8 @@ def stanley_formula(n: int) -> int:
     denominator = 1
     for k, odd in enumerate(range(1, 2 * n, 2)):
         denominator *= odd ** (n - k)
-    assert numerator % denominator == 0
+    if numerator % denominator:
+        raise GroupCheckFailed(f"Stanley's formula is not integral for n = {n}")
     return numerator // denominator
 
 
@@ -212,60 +219,62 @@ def stanley_formula(n: int) -> int:
 @dataclass(frozen=True)
 class WeakOrderData:
     covers: tuple[tuple[int, int, int], ...]  # (lower, generator, upper)
+    down: tuple[int, ...]  # bit t of down[u] is set iff t <= u
     checked_pairs: int
     exhaustive: bool
 
 
 SAMPLE_SEED = 7
+EXHAUSTIVE_LIMIT = 4000
+
+
+def bitset_meet(down: Sequence[int], a: int, b: int) -> int:
+    """The meet of a and b in a poset whose elements are indexed along a
+    linear extension, given the down-set bitmask of every element.
+
+    The common lower bounds are down[a] & down[b]; the highest of them is
+    the only candidate, and it is the meet iff its own down-set is all of
+    them.  Raises LatticeCheckFailed otherwise (also when there is no
+    common lower bound: best is then -1, the last element).
+    """
+    common = down[a] & down[b]
+    best = common.bit_length() - 1
+    if down[best] != common:
+        raise LatticeCheckFailed(f"no unique maximal lower bound for ({a},{b})")
+    return best
 
 
 def weak_order(group: WeylGroup) -> WeakOrderData:
     """Right weak order: covers u < u s_i when the length goes up.
 
-    Performs the lattice check: every pair has a unique maximal common lower
-    bound that dominates all others.  Exhaustive up to 1000 elements,
-    sampling 2000 pairs (seeded by SAMPLE_SEED) above.  Raises
-    LatticeCheckFailed on any failure.
+    Performs the lattice check: every pair has a meet (`bitset_meet`).
+    Exhaustive up to EXHAUSTIVE_LIMIT elements, sampling 2000 pairs (seeded
+    by SAMPLE_SEED) above.  Raises LatticeCheckFailed on any failure.
     """
     size = len(group.elements)
+    length = group.length
     covers = []
-    for u in range(size):
-        for i in range(group.n):
-            v = group.times_generator(u, i)
-            if group.length[v] == group.length[u] + 1:
+    down = [1 << u for u in range(size)]
+    # index order is length order, so down[u] is complete when u is reached
+    for u, row in enumerate(group.right):
+        above = length[u] + 1
+        for i, v in enumerate(row):
+            if length[v] == above:
                 covers.append((u, i, v))
+                down[v] |= down[u]
 
-    def leq(a: int, b: int) -> bool:
-        gap = group.length[b] - group.length[a]
-        if gap < 0:
-            return False
-        link = group.mult(group.inverse(a), b)
-        return group.length[link] == gap
-
-    def meet(a: int, b: int) -> int:
-        lower = [t for t in range(size) if leq(t, a) and leq(t, b)]
-        best = max(lower, key=lambda t: group.length[t])
-        ties = [t for t in lower if group.length[t] == group.length[best]]
-        if len(ties) != 1:
-            raise LatticeCheckFailed(f"no unique maximal lower bound for ({a},{b})")
-        for t in lower:
-            if not leq(t, best):
-                raise LatticeCheckFailed(
-                    f"common lower bound {t} incomparable with meet of ({a},{b})"
-                )
-        return best
-
-    exhaustive = size <= 1000
+    exhaustive = size <= EXHAUSTIVE_LIMIT
     if exhaustive:
-        pairs = [(a, b) for a in range(size) for b in range(a + 1, size)]
+        for a in range(size):
+            for b in range(a + 1, size):
+                bitset_meet(down, a, b)
+        checked = size * (size - 1) // 2
     else:
         rng = random.Random(SAMPLE_SEED)
-        pairs = [
-            (rng.randrange(size), rng.randrange(size)) for _ in range(2000)
-        ]
-    for a, b in pairs:
-        meet(a, b)
-    return WeakOrderData(tuple(covers), len(pairs), exhaustive)
+        for _ in range(2000):
+            bitset_meet(down, rng.randrange(size), rng.randrange(size))
+        checked = 2000
+    return WeakOrderData(tuple(covers), tuple(down), checked, exhaustive)
 
 
 def hasse_dot(group: WeylGroup, data: WeakOrderData) -> str:
@@ -332,8 +341,10 @@ def absolute_interval(group: WeylGroup, c: int) -> AbsoluteInterval:
                     distance[v] = distance[u] + 1
                     fresh.append(v)
         frontier = fresh
-    assert all(d >= 0 for d in distance)
-    assert distance[c] == group.n, "Coxeter element must have reflection length n"
+    if min(distance) < 0 or distance[c] != group.n:
+        raise GroupCheckFailed(
+            "reflections must generate W and give c reflection length n"
+        )
 
     members = []
     ranks = []

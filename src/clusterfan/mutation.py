@@ -62,7 +62,8 @@ class NotSignCoherent(ArithmeticError):
 @dataclass(frozen=True)
 class ExchangeMatrix:
     """An m-by-n extended exchange matrix; the top n-by-n principal part must
-    be skew-symmetrizable.
+    be skew-symmetrizable, and every entry must be an integer (an integral
+    float such as 2.0 is accepted, 1.9 is refused).
 
     A genuinely extended matrix (m > n) must in addition have full column
     rank, so that the frozen rows pin down the coefficients.  Square matrices
@@ -74,7 +75,10 @@ class ExchangeMatrix:
     n: int
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
+        try:
+            rows = cartan_mod.as_entries(self.rows)
+        except cartan_mod.NotCartanShape as exc:
+            raise NotSkewSymmetrizable(str(exc)) from None
         object.__setattr__(self, "rows", rows)
         m = len(rows)
         if m < self.n or any(len(r) != self.n for r in rows):

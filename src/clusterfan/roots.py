@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import prod
+from typing import Iterable, Sequence
 
 from . import cartan as cartan_mod
 from .cartan import DynkinType, Entries
@@ -282,29 +283,49 @@ class CoxeterData:
     group_order: int
 
 
+def _exponents(heights: Iterable[int]) -> list[int]:
+    """Exponents of an irreducible system, as the dual partition of the
+    height histogram of its positive roots."""
+    histogram: dict[int, int] = {}
+    for height in heights:
+        histogram[height] = histogram.get(height, 0) + 1
+    exponents: list[int] = []
+    for h in range(1, max(histogram) + 1):
+        multiplicity = histogram.get(h, 0) - histogram.get(h + 1, 0)
+        assert multiplicity >= 0, "height histogram must be non-increasing"
+        exponents.extend([h] * multiplicity)
+    return exponents
+
+
+def weyl_group_order(rs: RootSystem) -> int:
+    """|W| as the product of (e_i + 1) over the exponents of every
+    irreducible component, read off the root heights without building the
+    group.  A positive root's support lies in one component."""
+    component = {}
+    for k, nodes in enumerate(cartan_mod.components(rs.cartan)):
+        component.update(dict.fromkeys(nodes, k))
+    heights: dict[int, list[int]] = {}
+    for root in rs.positive_roots():
+        first = next(i for i, c in enumerate(root.coords) if c)
+        heights.setdefault(component[first], []).append(root.height)
+    return prod(e + 1 for part in heights.values() for e in _exponents(part))
+
+
 def coxeter_data(rs: RootSystem) -> CoxeterData:
     """Coxeter number, exponents and Weyl group order of an irreducible
     system.
 
     Exponents come from the dual partition of the height histogram of the
     positive roots; the Coxeter number is the order of a bipartite Coxeter
-    element as a permutation of the roots.  The classical cross-identities
-    n h = 2 |positives| and |W| = prod(e_i + 1) are asserted.
+    element as a permutation of the roots; |W| = prod(e_i + 1).  The
+    classical cross-identities n h = 2 |positives| and sum(e_i) = |positives|
+    are asserted.
     """
     if len(rs.dynkin) != 1:
         raise NotIrreducible(
             f"coxeter_data needs an irreducible system, got {cartan_mod.dynkin_name(rs.dynkin)}"
         )
-    histogram: dict[int, int] = {}
-    for root in rs.positive_roots():
-        histogram[root.height] = histogram.get(root.height, 0) + 1
-    max_height = max(histogram)
-    exponents: list[int] = []
-    for h in range(1, max_height + 1):
-        multiplicity = histogram.get(h, 0) - histogram.get(h + 1, 0)
-        assert multiplicity >= 0, "height histogram must be non-increasing"
-        exponents.extend([h] * multiplicity)
-    exponents.sort()
+    exponents = _exponents(root.height for root in rs.positive_roots())
 
     plus, minus = cartan_mod.bipartition(rs.cartan)
     perm = rs.word_perm(sorted(plus) + sorted(minus))
@@ -315,13 +336,10 @@ def coxeter_data(rs: RootSystem) -> CoxeterData:
         power = tuple(perm[power[r]] for r in range(len(power)))
         order += 1
 
-    group_order = 1
-    for e in exponents:
-        group_order *= e + 1
     assert len(exponents) == rs.n
     assert rs.n * order == 2 * rs.num_positive
     assert sum(exponents) == rs.num_positive
-    return CoxeterData(order, tuple(exponents), group_order)
+    return CoxeterData(order, tuple(exponents), weyl_group_order(rs))
 
 
 @dataclass(frozen=True)

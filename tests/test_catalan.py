@@ -1,6 +1,10 @@
 """Four independent enumerations agreeing with the exponent product formula:
 root poset antichains, noncrossing partition lattices, torus orbit counts,
-and positive Shi regions."""
+and positive Shi regions.
+
+The first torus orbit count (a union-find over every point, joined to its
+image under each full reflection matrix) is kept below as the oracle for
+the bytearray walk."""
 
 import pytest
 
@@ -18,7 +22,39 @@ from clusterfan.coxeter import (
     build_group,
     coxeter_element,
 )
-from clusterfan.roots import RootPoset, root_system
+from clusterfan.roots import RootPoset, coxeter_data, root_system
+
+
+def union_find_torus_orbits(rs, generators):
+    mod = coxeter_data(rs).coxeter_number + 1
+    n = rs.n
+    size = mod**n
+    if generators == "simple":
+        matrices = [rs.reflection_matrix(rs.simple_index[i]) for i in range(n)]
+    else:
+        matrices = [rs.reflection_matrix(i) for i in range(rs.num_positive)]
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    weights = [mod**i for i in range(n)]
+    groups = size
+    for code in range(size):
+        point = [code // w % mod for w in weights]
+        for matrix in matrices:
+            image = sum(
+                sum(map(int.__mul__, row, point)) % mod * w
+                for row, w in zip(matrix, weights)
+            )
+            a, b = find(code), find(image)
+            if a != b:
+                parent[a] = b
+                groups -= 1
+    return groups
 
 TOTALS = {"A2": 5, "A3": 14, "B2": 6, "B3": 20, "G2": 8}
 PROFILES = {
@@ -68,6 +104,15 @@ def test_torus_orbits_all_reflections_agree():
         simple = torus_orbits(root_system(name), generators="simple")
         full = torus_orbits(root_system(name), generators="all")
         assert simple == full
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4"]
+)
+@pytest.mark.parametrize("generators", ["simple", "all"])
+def test_torus_orbits_match_union_find(name, generators):
+    rs = root_system(name)
+    assert torus_orbits(rs, generators) == union_find_torus_orbits(rs, generators)
 
 
 def test_torus_orbits_budget():

@@ -111,6 +111,27 @@ def test_mutate_matrix_file_uses_raw_exchange_matrix(capsys, tmp_path):
     assert "seeds 5" in out
 
 
+def test_mutate_matrix_file_accepts_matrix_text(capsys, tmp_path):
+    path = tmp_path / "b.txt"
+    path.write_text("matrix:[[0,1],[-1,0]]")
+    code, out, _ = run(capsys, "mutate", "--matrix-file", str(path))
+    assert code == 0
+    assert out.splitlines() == ["seeds 5", "variables 5", "closed True", "detected A2"]
+
+
+@pytest.mark.parametrize("command", ["group", "catalan"])
+def test_oversized_group_exits_3_at_once(capsys, command):
+    # |W(E7)| = 2,903,040 is read off the exponents, before any element is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--type", "E7")
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert out == ""
+    assert err.strip().splitlines() == [
+        "budget exceeded: group has 2903040 elements, over the budget of 1000000"
+    ]
+
+
 def test_mutate_budget_exit_code(capsys):
     code, out, err = run(capsys, "mutate", "--type", "A3", "--budget-seeds", "2")
     assert code == 3
@@ -178,6 +199,8 @@ def test_assoc_e7_builds_no_weyl_group(capsys):
         ("mutate", "[[0, 1, 1], [-1, 0, 1]]", "mutate: need an m>=n matrix with 3 columns"),
         ("roots", "[[2, -1.5], [-1, 2]]", "roots: entry -1.5 is not an integer"),
         ("roots", '[["a"]]', "roots: entry 'a' is not an integer"),
+        ("roots", "matrix:[[0,1],[-1,0]]", "roots: diagonal entry a[0][0] = 0, expected 2"),
+        ("group", "matrix:[[0,1],[-1,0]]", "group: diagonal entry a[0][0] = 0, expected 2"),
         (
             "mutate",
             "[[0, 1, 0], [-1, 0, 1], [0, -1, 0], [1, 0, -1]]",

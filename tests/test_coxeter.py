@@ -1,11 +1,21 @@
-"""Weyl groups as permutation groups on roots: orders, words, weak order."""
+"""Weyl groups as permutation groups on roots: orders, words, weak order.
+
+The first group construction (a frontier BFS composing permutation tuples),
+the reduced-word count over sorted lengths and right descents, and the
+weak-order meet found by scanning all of W with a multiplying `leq` are kept
+below as oracles for the table- and bitset-based versions.
+"""
+
+import time
 
 import pytest
 
 from clusterfan.coxeter import (
     BudgetExceeded,
+    LatticeCheckFailed,
     NotCoxeterElement,
     absolute_interval,
+    bitset_meet,
     build_group,
     count_reduced_words,
     coxeter_element,
@@ -14,6 +24,78 @@ from clusterfan.coxeter import (
     weak_order,
 )
 from clusterfan.roots import root_system
+
+
+class OracleGroup:
+    """The group by a frontier BFS with tuple products, and the weak order
+    by a scan over all elements."""
+
+    def __init__(self, rs):
+        self.rs = rs
+        size = len(rs.roots)
+        identity = tuple(range(size))
+        self.generators = [rs.simple_perm(i) for i in range(rs.n)]
+        self.elements = [identity]
+        self.index = {identity: 0}
+        self.length = [0]
+        frontier = [identity]
+        depth = 0
+        while frontier:
+            depth += 1
+            fresh = []
+            for p in frontier:
+                for g in self.generators:
+                    q = tuple(p[g[r]] for r in range(size))
+                    if q not in self.index:
+                        self.index[q] = len(self.elements)
+                        self.elements.append(q)
+                        self.length.append(depth)
+                        fresh.append(q)
+            frontier = fresh
+
+    def mult(self, u, v):
+        pu, pv = self.elements[u], self.elements[v]
+        return self.index[tuple(pu[pv[r]] for r in range(len(pu)))]
+
+    def inverse(self, u):
+        inv = [0] * len(self.elements[u])
+        for r, image in enumerate(self.elements[u]):
+            inv[image] = r
+        return self.index[tuple(inv)]
+
+    def times_generator(self, u, i):
+        p, g = self.elements[u], self.generators[i]
+        return self.index[tuple(p[g[r]] for r in range(len(p)))]
+
+    def right_descents(self, u):
+        p, npos = self.elements[u], self.rs.num_positive
+        return [i for i, s in enumerate(self.rs.simple_index) if p[s] >= npos]
+
+    def count_reduced_words(self, u):
+        counts = {0: 1}
+        order = sorted(range(len(self.elements)), key=lambda i: self.length[i])
+        for idx in order:
+            if idx == 0:
+                continue
+            counts[idx] = sum(
+                counts[self.times_generator(idx, i)] for i in self.right_descents(idx)
+            )
+            if idx == u:
+                break
+        return counts[u]
+
+    def leq(self, a, b):
+        gap = self.length[b] - self.length[a]
+        if gap < 0:
+            return False
+        return self.length[self.mult(self.inverse(a), b)] == gap
+
+    def meet(self, a, b):
+        lower = [t for t in range(len(self.elements)) if self.leq(t, a) and self.leq(t, b)]
+        best = max(lower, key=lambda t: self.length[t])
+        assert sum(self.length[t] == self.length[best] for t in lower) == 1
+        assert all(self.leq(t, best) for t in lower)
+        return best
 
 GROUP_ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "A4": 120, "A5": 720,
@@ -150,3 +232,73 @@ def test_absolute_interval_rejects_non_coxeter():
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         build_group(root_system("A4"), budget=20)
+
+
+def test_oversized_group_refused_before_the_search():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="2903040 elements"):
+        build_group(root_system("E7"))
+    with pytest.raises(BudgetExceeded, match="48 elements"):
+        build_group(root_system("A2+B2"), budget=47)
+    assert time.perf_counter() - start < 5
+    assert len(build_group(root_system("A2+B2"), budget=48)) == 48
+
+
+@pytest.mark.parametrize("name", ["A1", "A3", "B3", "C3", "G2", "A1+A2", "D4"])
+def test_group_matches_frontier_bfs(name):
+    group = build_group(root_system(name))
+    oracle = OracleGroup(group.rs)
+    assert group.elements == oracle.elements
+    assert group.length == oracle.length
+    for u in range(len(group)):
+        for i in range(group.n):
+            assert group.right[u][i] == oracle.times_generator(u, i)
+            assert group.times_generator(u, i) == group.right[u][i]
+    for u in range(0, len(group), 7):
+        for v in range(0, len(group), 5):
+            assert group.mult(u, v) == oracle.mult(u, v)
+
+
+@pytest.mark.parametrize("name", ["B3", "A4"])
+def test_reduced_word_counts_match_oracle(name):
+    group = build_group(root_system(name))
+    oracle = OracleGroup(group.rs)
+    for u in range(len(group)):
+        assert count_reduced_words(group, u) == oracle.count_reduced_words(u)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "A4", "C3"])
+def test_bitset_meets_match_scan(name):
+    group = build_group(root_system(name))
+    oracle = OracleGroup(group.rs)
+    data = weak_order(group)
+    size = len(group)
+    assert data.exhaustive and data.checked_pairs == size * (size - 1) // 2
+    for a in range(size):
+        for b in range(a, size):
+            assert bitset_meet(data.down, a, b) == oracle.meet(a, b), (a, b)
+
+
+def test_bitset_meet_rejects_a_bowtie():
+    # 0 < 1, 2 < 3, 4 < 5: the minimal upper pair 3, 4 has two maximal
+    # common lower bounds, 1 and 2
+    below = {0: [], 1: [0], 2: [0], 3: [1, 2], 4: [1, 2], 5: [3, 4]}
+    down = [0] * 6
+    for u in range(6):
+        down[u] = 1 << u
+        for t in below[u]:
+            down[u] |= down[t]
+    assert bitset_meet(down, 1, 2) == 0
+    assert bitset_meet(down, 3, 5) == 3
+    with pytest.raises(LatticeCheckFailed):
+        bitset_meet(down, 3, 4)
+    # two elements with no common lower bound at all
+    with pytest.raises(LatticeCheckFailed):
+        bitset_meet([0b01, 0b10], 0, 1)
+
+
+def test_weak_order_exhaustive_up_to_4000_elements():
+    data = weak_order(build_group(root_system("D5")))
+    assert data.exhaustive
+    assert data.checked_pairs == 1920 * 1919 // 2
+    assert len(data.covers) == 1920 * 5 // 2

@@ -8,6 +8,7 @@ import pytest
 
 from clusterfan.cartan import (
     NotCartanShape,
+    NotSkewSymmetrizable,
     NotSymmetrizable,
     b_matrix,
     cartan_for_type,
@@ -51,6 +52,15 @@ def test_exchange_matrix_rejects_non_skew_symmetrizable():
         ExchangeMatrix(((0, 1), (1, 0)), 2)
     with pytest.raises(ValueError):
         ExchangeMatrix(((1, 0), (0, 1)), 2)
+
+
+def test_exchange_matrix_rejects_fractional_entries():
+    with pytest.raises(NotSkewSymmetrizable, match="1.9 is not an integer"):
+        seed_from_dict({"n": 2, "btilde": [[0, 1.9], [-1, 0]], "cluster": ["x", "y"]})
+    with pytest.raises(NotSkewSymmetrizable):
+        ExchangeMatrix(((0, 1), (-1, 0), (0.5, 1)), 2)
+    # integral floats are still integers
+    assert ExchangeMatrix(((0, 1.0), (-1, 0)), 2).rows == ((0, 1), (-1, 0))
 
 
 def test_seed_mutation_is_involutive():
