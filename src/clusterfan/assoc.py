@@ -14,13 +14,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from . import cartan as cartan_mod
 from .coxeter import WeylGroup
-from .linalg import SingularMatrix, det, solve_linear
+from .linalg import SingularMatrix, adjugate, clear_denominators, det, solve_linear
 from .roots import RootSystem, coxeter_data, weight_data
 
 
@@ -420,21 +421,23 @@ def build_polytope(complex_data: ClusterComplexData) -> AssociahedronPolytope:
 
 def _cone_solver(
     columns: Sequence[Sequence[Fraction | int]],
-) -> Callable[[Sequence[Fraction]], tuple[Fraction, ...]]:
-    """Exact barycentric solver for the simplicial cone spanned by n
-    vectors: maps a vector to its coefficients over them."""
+) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """Sign-exact barycentric solver for the simplicial cone spanned by n
+    vectors: maps an integer vector to integers with the signs of its
+    coefficients over them.  A positive multiple of a column, of the vector
+    or of a row of the inverse matrix keeps every sign, so the columns are
+    cleared of denominators and the inverse is replaced by the integer
+    adjugate times the sign of the determinant."""
     n = len(columns)
-    matrix = [[columns[j][i] for j in range(n)] for i in range(n)]
-    inverse_cols = [
-        solve_linear(matrix, [1 if i == k else 0 for i in range(n)])
-        for k in range(n)
-    ]
+    scaled = [clear_denominators(column) for column in columns]
+    adjugate_rows, determinant = adjugate(
+        [[scaled[j][i] for j in range(n)] for i in range(n)]
+    )
+    sign = 1 if determinant > 0 else -1
+    rows = [[sign * a for a in row] for row in adjugate_rows]
 
-    def solve(vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(
-            sum(inverse_cols[k][j] * vector[k] for k in range(n))
-            for j in range(n)
-        )
+    def solve(vector: Sequence[int]) -> tuple[int, ...]:
+        return tuple(sum(map(operator.mul, row, vector)) for row in rows)
 
     return solve
 
@@ -469,9 +472,9 @@ def coverage_check(
     ]
     covered_once = 0
     for _ in range(samples):
-        vector = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
+        vector = [rng.randint(-9, 9) for _ in range(n)]
         if not any(vector):
-            vector[0] = Fraction(1)
+            vector[0] = 1
         hits = 0
         interior = False
         for solve in solvers:
@@ -515,8 +518,9 @@ def refinement_check(
     ]
 
     def members(vector: Sequence[Fraction]) -> set[int]:
+        scaled = clear_denominators(vector)
         return {
-            c for c, solve in enumerate(solvers) if all(x >= 0 for x in solve(vector))
+            c for c, solve in enumerate(solvers) if all(x >= 0 for x in solve(scaled))
         }
 
     per_cone: dict[int, int] = {}

@@ -9,14 +9,15 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import lcm
+from operator import mul
 
 from .assoc import n_phi, narayana
 from .cartan import dynkin_name
 from .coxeter import AbsoluteInterval, BudgetExceeded, WeylGroup
 from .coxeter import absolute_interval, coxeter_element
-from .linalg import SingularMatrix, solve_linear
+from .linalg import SingularMatrix, solve_fraction_free
 from .roots import RootPoset, RootSystem, coxeter_data
 
 
@@ -126,90 +127,104 @@ def torus_orbits(
 
 @dataclass(frozen=True)
 class _Region:
-    """An open region, described by strict inequalities a.t < b and carrying
-    the vertex set of its closure for fast side tests."""
+    """A region of the arrangement inside the box: the closed integer
+    inequalities a.t <= b that cut it out, and the vertices of its closure
+    as reduced homogeneous integer points (x, d), d > 0, standing for
+    t = x / d."""
 
-    constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-    vertices: tuple[tuple[Fraction, ...], ...]
+    constraints: tuple[tuple[tuple[int, ...], int], ...]
+    vertices: tuple[tuple[tuple[int, ...], int], ...]
 
 
-def _enumerate_vertices(
-    constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...], n: int
-) -> tuple[tuple[Fraction, ...], ...]:
-    vertices = set()
-    for subset in combinations(range(len(constraints)), n):
-        matrix = [list(constraints[i][0]) for i in subset]
-        rhs = [constraints[i][1] for i in subset]
+def _excess(constraint: tuple[tuple[int, ...], int], point) -> int:
+    """d * (a.t - b) at the point t = x / d, d > 0: its sign tells on which
+    side of the constraint's hyperplane the point lies."""
+    (a, b), (x, d) = constraint, point
+    return sum(map(mul, a, x)) - b * d
+
+
+def _vertices_on(region: _Region, cut: tuple[tuple[int, ...], int], n: int) -> set:
+    """The vertices that the hyperplane a.t = b of `cut` adds to either piece
+    of the region: each solves the cut together with n - 1 of the region's
+    constraints and satisfies all of them."""
+    normal, level = cut
+    found = set()
+    for subset in combinations(region.constraints, n - 1):
         try:
-            point = solve_linear(matrix, rhs)
+            point = solve_fraction_free(
+                [a for a, _ in subset] + [normal], [b for _, b in subset] + [level]
+            )
         except SingularMatrix:
             continue
-        if all(
-            sum(a * t for a, t in zip(coeffs, point)) <= b
-            for coeffs, b in constraints
-        ):
-            vertices.add(tuple(point))
-    return tuple(sorted(vertices))
+        if all(_excess(c, point) <= 0 for c in region.constraints):
+            found.add(point)
+    return found
 
 
-def _split(region: _Region, normal: tuple[Fraction, ...], n: int) -> list[_Region]:
-    values = [
-        sum(a * t for a, t in zip(normal, v)) - 1 for v in region.vertices
-    ]
-    if all(v <= 0 for v in values) or all(v >= 0 for v in values):
+def _centroid_inside(constraints, vertices, n: int) -> bool:
+    """Whether the centroid of the vertices satisfies every constraint
+    strictly, that is, whether they span a full-dimensional piece."""
+    scale = lcm(*(d for _, d in vertices))
+    total = tuple(sum(x[i] * (scale // d) for x, d in vertices) for i in range(n))
+    centroid = (total, scale * len(vertices))
+    return all(_excess(c, centroid) < 0 for c in constraints)
+
+
+def _split(region: _Region, normal: tuple[int, ...], n: int) -> list[_Region]:
+    """Cut the region by the hyperplane normal.t = 1.  Each closed piece's
+    vertices are the region's vertices on its side, the hyperplane included,
+    plus the vertices on the hyperplane, which both pieces share and which
+    are solved once."""
+    below, above = (normal, 1), (tuple(-a for a in normal), -1)
+    sides = [_excess(below, v) for v in region.vertices]
+    if all(side <= 0 for side in sides) or all(side >= 0 for side in sides):
         return [region]
+    shared = _vertices_on(region, below, n)
     out = []
-    for side in (
-        (normal, Fraction(1)),
-        (tuple(-a for a in normal), Fraction(-1)),
-    ):
-        constraints = region.constraints + (side,)
-        vertices = _enumerate_vertices(constraints, n)
-        if not vertices:
-            continue
-        centroid = [
-            sum(v[i] for v in vertices) / len(vertices) for i in range(n)
-        ]
-        strict = all(
-            sum(a * t for a, t in zip(coeffs, centroid)) < b
-            for coeffs, b in constraints
+    for cut, sign in ((below, 1), (above, -1)):
+        constraints = region.constraints + (cut,)
+        vertices = shared.union(
+            v for v, side in zip(region.vertices, sides) if sign * side <= 0
         )
-        if strict:
-            out.append(_Region(constraints, vertices))
+        if _centroid_inside(constraints, vertices, n):
+            out.append(_Region(constraints, tuple(sorted(vertices))))
     if len(out) != 2:
         raise CountCheckFailed("a genuinely cut region must leave two full pieces")
     return out
 
 
-def shi_positive_regions(rs: RootSystem) -> int:
-    """Count the regions of the doubled arrangement that lie in the cone
-    where all simple-root pairings are positive.
+def shi_regions(rs: RootSystem) -> list[_Region]:
+    """The regions of the doubled arrangement that lie in the cone where all
+    simple-root pairings are positive, in a fixed order.
 
     In the coordinates t_i = (pairing of x with the i-th simple root) the
     positive cone is the open orthant, the zero hyperplanes miss it, and the
     level-one hyperplane of a root is the locus (root coordinates).t = 1.
     Regions are grown by inserting hyperplanes one at a time inside the box
-    0 < t_i < 2(h+1), which contains every vertex of the arrangement.
+    0 < t_i < 2(h+1), which contains every vertex of the arrangement.  All
+    constraints have integer coefficients and right-hand sides 0, 1, -1 or
+    2(h+1), and vertices are integer homogeneous points, so every side test
+    is an integer dot product.
     """
     n = rs.n
     if n > 3:
         raise ValueError("exact region enumeration supported through rank 3")
-    h = coxeter_data(rs).coxeter_number
-    bound = Fraction(2 * (h + 1))
-    base: list[tuple[tuple[Fraction, ...], Fraction]] = []
+    bound = 2 * (coxeter_data(rs).coxeter_number + 1)
+    box = []
     for i in range(n):
-        base.append(
-            (tuple(Fraction(-1 if j == i else 0) for j in range(n)), Fraction(0))
-        )
-        base.append(
-            (tuple(Fraction(1 if j == i else 0) for j in range(n)), bound)
-        )
-    start = tuple(base)
-    regions = [_Region(start, _enumerate_vertices(start, n))]
+        unit = tuple(int(j == i) for j in range(n))
+        box.append((tuple(-a for a in unit), 0))
+        box.append((unit, bound))
+    corners = sorted((corner, 1) for corner in product((0, bound), repeat=n))
+    regions = [_Region(tuple(box), tuple(corners))]
     for root in rs.positive_roots():
-        normal = tuple(Fraction(c) for c in root.coords)
-        regions = [r for region in regions for r in _split(region, normal, n)]
-    return len(regions)
+        regions = [r for region in regions for r in _split(region, root.coords, n)]
+    return regions
+
+
+def shi_positive_regions(rs: RootSystem) -> int:
+    """Count the positive regions of the Shi arrangement (see shi_regions)."""
+    return len(shi_regions(rs))
 
 
 # -- the consolidated report ----------------------------------------------------------

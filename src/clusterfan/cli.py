@@ -78,10 +78,14 @@ def _entries_from_args(
     parser: argparse.ArgumentParser, args, exchange: bool = False
 ) -> Entries:
     """The matrix named by --type or read from --matrix-file.  With exchange
-    set, `matrix:` text holds an exchange matrix, not a Cartan matrix."""
+    set, the result is an exchange matrix: a type named by --type or by
+    `type:` text gives its bipartite exchange matrix, while `matrix:` text
+    and JSON rows hold the exchange matrix itself."""
     if args.matrix_file:
         with open(args.matrix_file) as handle:
             text = handle.read().strip()
+        if exchange and text.startswith("type:"):
+            return b_matrix(parse_cartan_text(text))
         if exchange and text.startswith("matrix:"):
             text = text[len("matrix:"):].strip()
         try:
@@ -94,7 +98,8 @@ def _entries_from_args(
             raise NotCartanShape("matrix must be a nonempty list of nonempty rows")
         return as_entries(rows)
     if args.type:
-        return cartan_for_type(args.type)
+        entries = cartan_for_type(args.type)
+        return b_matrix(entries) if exchange else entries
     parser.error("one of --type or --matrix-file is required")
 
 
@@ -142,8 +147,7 @@ def cmd_group(parser, args) -> tuple[int, str]:
 
 
 def cmd_mutate(parser, args) -> tuple[int, str]:
-    entries = _entries_from_args(parser, args, exchange=True)
-    rows = entries if args.matrix_file else b_matrix(entries)
+    rows = _entries_from_args(parser, args, exchange=True)
     # a malformed file fails here, with exit 2, before detection or exploration
     matrix = ExchangeMatrix(rows, len(rows[0]))
     # an infinite exchange graph would only end at the seed budget, long

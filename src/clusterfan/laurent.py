@@ -8,22 +8,23 @@ lexicographically on the exponent vector.  The text form produced by
 format is deliberately rigid.
 
 Exact division is the workhorse for exchange relations: ``exact_div`` shifts
-numerator and denominator into honest polynomials, runs single-divisor
-division over the rationals, and demands a zero remainder and an integral
-quotient.
+numerator and denominator into honest polynomials and runs single-divisor
+division over the integers, stopping at the first quotient coefficient that
+is not an integer and demanding a zero remainder.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 
 class NonExactDivision(ArithmeticError):
     """Raised when a Laurent division leaves a remainder or a non-integer
-    quotient.  The offending remainder (a LaurentPoly, zero when the quotient
-    exists but is not integral) is attached as ``remainder``."""
+    quotient.  The integer remainder (a LaurentPoly) is attached as
+    ``remainder`` when the division ran to the end; it is None when the
+    division stopped at a quotient coefficient that is not an integer."""
 
     def __init__(self, message: str, remainder: "LaurentPoly | None" = None):
         super().__init__(message)
@@ -75,6 +76,19 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    @classmethod
+    def _make(
+        cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], int]
+    ) -> "LaurentPoly":
+        """Build a result of ring arithmetic without validation.  The caller
+        guarantees exponent tuples of the right length and nonzero int
+        coefficients only: ``==`` and ``hash`` compare the term dicts."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -133,10 +147,9 @@ class LaurentPoly:
 
     def min_exponents(self) -> tuple[int, ...]:
         """Componentwise minimum exponent over all terms (zero poly -> zeros)."""
-        n = len(self.variables)
         if not self._terms:
-            return (0,) * n
-        return tuple(min(e[i] for e in self._terms) for i in range(n))
+            return (0,) * len(self.variables)
+        return tuple(map(min, zip(*self._terms)))
 
     def coefficients(self) -> list[int]:
         return [c for _, c in self.terms()]
@@ -157,25 +170,33 @@ class LaurentPoly:
             return LaurentPoly.constant(self.variables, other)
         return NotImplemented
 
+    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other, dropping every coefficient that cancels."""
+        terms = dict(self._terms)
+        for exps, coeff in other._terms.items():
+            value = terms.get(exps, 0) + sign * coeff
+            if value:
+                terms[exps] = value
+            else:
+                del terms[exps]
+        return LaurentPoly._make(self.variables, terms)
+
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            terms[exps] = terms.get(exps, 0) + coeff
-        return LaurentPoly(self.variables, terms)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.variables, {e: -c for e, c in self._terms.items()})
+        return LaurentPoly._make(self.variables, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
@@ -187,9 +208,9 @@ class LaurentPoly:
         terms: dict[tuple[int, ...], int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return LaurentPoly(self.variables, terms)
+        return LaurentPoly._make(self.variables, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -217,9 +238,14 @@ class LaurentPoly:
     def shift(self, exponents: Sequence[int]) -> "LaurentPoly":
         """Multiply by the monomial with the given exponent vector."""
         exponents = tuple(exponents)
-        return LaurentPoly(
+        if len(exponents) != len(self.variables):
+            raise ValueError(
+                f"exponent vector {exponents!r} does not match"
+                f" {len(self.variables)} variables"
+            )
+        return LaurentPoly._make(
             self.variables,
-            {tuple(a + b for a, b in zip(e, exponents)): c for e, c in self._terms.items()},
+            {tuple(map(add, e, exponents)): c for e, c in self._terms.items()},
         )
 
     def __eq__(self, other) -> bool:
@@ -239,12 +265,14 @@ class LaurentPoly:
     # -- division ----------------------------------------------------------
 
     def exact_div(self, divisor: "LaurentPoly | int") -> "LaurentPoly":
-        """Exact Laurent division.
+        """Exact Laurent division, over the integers.
 
         Both operands are shifted by their componentwise minimum exponents to
-        honest polynomials, then divided with graded-lex leading terms.  A
-        nonzero remainder or a quotient with fractional coefficients raises
-        NonExactDivision.
+        honest polynomials, then divided with graded-lex leading terms.  The
+        leading terms of the working polynomial strictly decrease, so every
+        quotient monomial is met once.  A quotient coefficient that the
+        divisor's leading coefficient does not divide raises NonExactDivision
+        at once; so does a nonzero remainder, once the division has run out.
         """
         divisor = self._coerce(divisor)
         if divisor is NotImplemented:
@@ -256,63 +284,41 @@ class LaurentPoly:
 
         num_shift = self.min_exponents()
         den_shift = divisor.min_exponents()
-        back = tuple(a - b for a, b in zip(num_shift, den_shift))
-        work: dict[tuple[int, ...], Fraction] = {
-            tuple(a - b for a, b in zip(e, num_shift)): Fraction(c)
-            for e, c in self._terms.items()
-        }
-        den: dict[tuple[int, ...], int] = {
-            tuple(a - b for a, b in zip(e, den_shift)): c
-            for e, c in divisor._terms.items()
-        }
+        back = tuple(map(sub, num_shift, den_shift))
+        work = {tuple(map(sub, e, num_shift)): c for e, c in self._terms.items()}
+        den = {tuple(map(sub, e, den_shift)): c for e, c in divisor._terms.items()}
         lead_den = max(den, key=_grlex_key)
-        lead_den_coeff = den[lead_den]
+        lead_den_coeff = den.pop(lead_den)
 
-        quotient: dict[tuple[int, ...], Fraction] = {}
-        remainder: dict[tuple[int, ...], Fraction] = {}
+        quotient: dict[tuple[int, ...], int] = {}
+        remainder: dict[tuple[int, ...], int] = {}
         while work:
             lead = max(work, key=_grlex_key)
             coeff = work.pop(lead)
-            step = tuple(a - b for a, b in zip(lead, lead_den))
-            if any(e < 0 for e in step):
-                remainder[lead] = coeff
+            step = tuple(map(sub, lead, lead_den))
+            if min(step, default=0) < 0:
+                remainder[tuple(map(add, lead, back))] = coeff
                 continue
-            factor = coeff / lead_den_coeff
-            quotient[step] = quotient.get(step, Fraction(0)) + factor
+            factor, rest = divmod(coeff, lead_den_coeff)
+            if rest:
+                raise NonExactDivision(
+                    f"quotient of ({self}) by ({divisor}) has fractional coefficients"
+                )
+            quotient[tuple(map(add, step, back))] = factor
             for e, c in den.items():
-                if e == lead_den:
-                    continue
-                target = tuple(a + b for a, b in zip(step, e))
-                val = work.get(target, Fraction(0)) - factor * c
-                if val:
-                    work[target] = val
+                target = tuple(map(add, step, e))
+                value = work.get(target, 0) - factor * c
+                if value:
+                    work[target] = value
                 else:
-                    work.pop(target, None)
+                    del work[target]
 
         if remainder:
-            scale = 1
-            for c in remainder.values():
-                scale = scale * c.denominator // gcd(scale, c.denominator)
-            rem = LaurentPoly(
-                self.variables,
-                {
-                    tuple(a + b for a, b in zip(e, back)): int(c * scale)
-                    for e, c in remainder.items()
-                },
-            )
-            note = "" if scale == 1 else f" (remainder scaled by {scale})"
             raise NonExactDivision(
-                f"({self}) is not divisible by ({divisor}){note}", remainder=rem
+                f"({self}) is not divisible by ({divisor})",
+                remainder=LaurentPoly._make(self.variables, remainder),
             )
-        if any(c.denominator != 1 for c in quotient.values()):
-            raise NonExactDivision(
-                f"quotient of ({self}) by ({divisor}) has fractional coefficients",
-                remainder=LaurentPoly.zero(self.variables),
-            )
-        return LaurentPoly(
-            self.variables,
-            {tuple(a + b for a, b in zip(e, back)): c.numerator for e, c in quotient.items()},
-        )
+        return LaurentPoly._make(self.variables, quotient)
 
     # -- substitution ------------------------------------------------------
 

@@ -3,14 +3,18 @@
 Everything funnels through fraction-free (Bareiss) elimination on
 integer-scaled rows: each row of a rational matrix is multiplied by the lcm
 of its denominators, which preserves rank and, for solving, the solution set
-of the augmented system.  Intermediate entries stay integers; the exactness
-of each Bareiss division step is asserted.
+of the augmented system.  Intermediate entries stay integers.  Each Bareiss
+division step and each back-substitution step must be exact; one that is not
+raises InexactElimination, a check that holds under any interpreter flag.
+Callers with integer data can stay in the integers: `solve_fraction_free`
+returns a solution as a reduced homogeneous point and `adjugate` returns the
+adjugate with the determinant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Sequence
 
 Rows = Sequence[Sequence[Fraction | int]]
@@ -18,6 +22,11 @@ Rows = Sequence[Sequence[Fraction | int]]
 
 class SingularMatrix(ValueError):
     """Raised when a square system has no unique solution."""
+
+
+class InexactElimination(ArithmeticError):
+    """An integer division that fraction-free elimination guarantees exact
+    left a remainder: a bug in the elimination, never bad input."""
 
 
 def _scaled_int_row(row: Sequence[Fraction | int]) -> tuple[list[int], int]:
@@ -30,8 +39,14 @@ def _scaled_int_row(row: Sequence[Fraction | int]) -> tuple[list[int], int]:
     return [int(f * scale) for f in fracs], scale
 
 
+def clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
+    """The positive integer multiple of a rational row by the lcm of its
+    denominators."""
+    return _scaled_int_row(row)[0]
+
+
 def _scaled_int_rows(rows: Rows) -> list[list[int]]:
-    return [_scaled_int_row(row)[0] for row in rows]
+    return [clear_denominators(row) for row in rows]
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int, list[int]]:
@@ -59,7 +74,10 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, list[int]]:
             for c in range(col + 1, n):
                 value = rows[row][col] * rows[r][c] - rows[r][col] * rows[row][c]
                 q, rem = divmod(value, prev)
-                assert rem == 0, "Bareiss division must be exact"
+                if rem:
+                    raise InexactElimination(
+                        f"Bareiss step {value} / {prev} left remainder {rem}"
+                    )
                 rows[r][c] = q
             rows[r][col] = 0
         prev = rows[row][col]
@@ -92,33 +110,77 @@ def det(rows: Rows) -> Fraction:
     return Fraction(sign * work[n - 1][n - 1], prod(scale for _, scale in scaled))
 
 
+def _solve_rows(work: list[list[int]]) -> tuple[int, int, list[list[int]]]:
+    """Solve A X = B from the integer rows [A | B] (n rows, n + r columns),
+    which are overwritten.  Returns (sign, D, N) with X = N / D, where D is
+    the last Bareiss pivot and sign * D = det A.  By Cramer's rule D times
+    any solution entry is an integer, so back substitution runs on the
+    numerators N over D.  Raises SingularMatrix."""
+    n = len(work)
+    rank, sign, pivots = _bareiss(work)
+    if rank < n or pivots != list(range(n)):
+        raise SingularMatrix(f"matrix of rank {rank} < {n} has no unique solution")
+    denominator = work[n - 1][n - 1]
+    numerators = [[0] * (len(work[0]) - n) for _ in range(n)]
+    for col in range(len(work[0]) - n):
+        for i in range(n - 1, -1, -1):
+            acc = denominator * work[i][n + col]
+            for j in range(i + 1, n):
+                acc -= work[i][j] * numerators[j][col]
+            numerators[i][col], rem = divmod(acc, work[i][i])
+            if rem:
+                raise InexactElimination(
+                    f"back substitution {acc} / {work[i][i]} left remainder {rem}"
+                )
+    return sign, denominator, numerators
+
+
+def _square(matrix: Rows, rhs_length: int | None = None) -> int:
+    n = len(matrix)
+    if any(len(r) != n for r in matrix):
+        raise ValueError("solving needs a square matrix")
+    if rhs_length is not None and rhs_length != n:
+        raise ValueError(f"rhs length {rhs_length} does not match matrix size {n}")
+    return n
+
+
 def solve_linear(matrix: Rows, rhs: Sequence[Fraction | int]) -> list[Fraction]:
     """Solve a square rational system exactly.
 
     Raises SingularMatrix when the matrix has no inverse.
     """
-    n = len(matrix)
-    if any(len(r) != n for r in matrix):
-        raise ValueError("solve_linear needs a square matrix")
-    if len(rhs) != n:
-        raise ValueError(f"rhs length {len(rhs)} does not match matrix size {n}")
+    _square(matrix, len(rhs))
     augmented = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    work = _scaled_int_rows(augmented)
-    rank, _, pivots = _bareiss(work)
-    if rank < n or pivots != list(range(n)):
-        raise SingularMatrix(f"matrix of rank {rank} < {n} has no unique solution")
-    # By Cramer's rule the last pivot D (the determinant of the row-swapped
-    # integer matrix) times any solution entry is an integer, so back
-    # substitution can run on the numerators over D.
-    denominator = work[n - 1][n - 1]
-    numerators = [0] * n
-    for i in range(n - 1, -1, -1):
-        acc = denominator * work[i][n]
-        for j in range(i + 1, n):
-            acc -= work[i][j] * numerators[j]
-        numerators[i], rem = divmod(acc, work[i][i])
-        assert rem == 0, "back substitution over the last pivot must be exact"
-    return [Fraction(x, denominator) for x in numerators]
+    _, denominator, numerators = _solve_rows(_scaled_int_rows(augmented))
+    return [Fraction(x, denominator) for x, in numerators]
+
+
+def solve_fraction_free(
+    matrix: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> tuple[tuple[int, ...], int]:
+    """Solve a square integer system without leaving the integers.
+
+    Returns the solution as a reduced homogeneous point (x, d): the solution
+    is x / d, d > 0 and gcd(x, d) = 1, so equal solutions give equal
+    points.  Raises SingularMatrix when the matrix has no inverse.
+    """
+    _square(matrix, len(rhs))
+    work = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    _, denominator, numerators = _solve_rows(work)
+    common = gcd(denominator, *(x for x, in numerators))
+    if denominator < 0:
+        common = -common
+    return tuple(x // common for x, in numerators), denominator // common
+
+
+def adjugate(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """The adjugate and the determinant of an invertible integer matrix,
+    so that matrix * adjugate = determinant * identity.  Raises
+    SingularMatrix when the determinant is zero."""
+    n = _square(matrix)
+    work = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(matrix)]
+    sign, denominator, numerators = _solve_rows(work)
+    return [[sign * x for x in row] for row in numerators], sign * denominator
 
 
 def leading_principal_minors(rows: Sequence[Sequence[int]]) -> list[Fraction]:

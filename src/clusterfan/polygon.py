@@ -31,6 +31,11 @@ class MonodromyDetected(RuntimeError):
     """
 
 
+class PolygonCheckFailed(RuntimeError):
+    """A triangulation or labeling broke one of its own structural
+    invariants (a face count, an apex count, a coverage count)."""
+
+
 def polygon_sides(m: int) -> tuple[Edge, ...]:
     return tuple((i, i + 1) for i in range(m - 1)) + ((0, m - 1),)
 
@@ -94,23 +99,28 @@ class Triangulation:
                 for c in range(b + 1, self.m):
                     if (a, c) in present and (b, c) in present:
                         out.append((a, b, c))
-        assert len(out) == self.m - 2
+        if len(out) != self.m - 2:
+            raise PolygonCheckFailed(
+                f"{len(out)} triangles in an {self.m}-gon, expected {self.m - 2}"
+            )
         return out
 
     def quad_around(self, d: Edge) -> tuple[int, int, int, int]:
         """The four vertices of the quadrilateral formed by the two triangles
-        on either side of the diagonal d, in cyclic (= sorted) order."""
+        on either side of the diagonal d, in cyclic (= sorted) order.  The
+        apexes are the common neighbours of d's endpoints: every 3-cycle of
+        non-crossing edges bounds a face, and a diagonal borders two faces."""
         if d not in self.diagonals:
             raise NotADiagonal(f"{d} not in triangulation")
         a, b = d
+        present = self.edges()
         apexes = [
             v
-            for (p, q, r) in self.triangles()
-            if a in (p, q, r) and b in (p, q, r)
-            for v in (p, q, r)
-            if v not in (a, b)
+            for v in range(self.m)
+            if (min(a, v), max(a, v)) in present and (min(b, v), max(b, v)) in present
         ]
-        assert len(apexes) == 2
+        if len(apexes) != 2:
+            raise PolygonCheckFailed(f"diagonal {d} borders {len(apexes)} triangles")
         return tuple(sorted([a, b, *apexes]))  # type: ignore[return-value]
 
     def to_json(self) -> list[list[int]]:
@@ -281,9 +291,11 @@ def ptolemy_values(
     """Values of every diagonal of the polygon, computed from the values on
     one triangulation by propagating the exchange relation across flips.
 
-    Every diagonal is reached along many flip paths; whenever a value is
-    recomputed it must agree with the stored one, otherwise MonodromyDetected
-    is raised.
+    Every diagonal is reached along many flip paths.  The first path to
+    reach a diagonal divides its exchange relation; every later one checks
+    the relation by multiplying back, stored * value(d) == product, which in
+    the Laurent ring (an integral domain) is the same test without a
+    division.  A mismatch raises MonodromyDetected.
     """
     values: dict[Edge, LaurentPoly] = {
         tuple(sorted(d)): v for d, v in diagonal_values.items()
@@ -304,19 +316,23 @@ def ptolemy_values(
         tri = queue.pop()
         for d in tri.diagonals:
             e, product = _quad_relation(tri, d, value_of)
-            candidate = product.exact_div(values[d])
             stored = values.get(e)
             if stored is None:
-                values[e] = candidate
-            elif stored != candidate:
+                values[e] = product.exact_div(values[d])
+            elif stored * values[d] != product:
                 raise MonodromyDetected(
-                    f"diagonal {e}: {stored.text()} != {candidate.text()}"
+                    f"diagonal {e}: {stored.text()}"
+                    f" != ({product.text()}) / ({values[d].text()})"
                 )
-            moved = flip_edge(tri, d)
-            if moved.diagonals not in seen:
-                seen.add(moved.diagonals)
-                queue.append(moved)
-    assert len(values) == len(all_diagonals(start.m))
+            diagonals = tuple(sorted([x for x in tri.diagonals if x != d] + [e]))
+            if diagonals not in seen:
+                seen.add(diagonals)
+                queue.append(Triangulation(tri.m, diagonals))
+    if len(values) != len(all_diagonals(start.m)):
+        raise PolygonCheckFailed(
+            f"propagation reached {len(values)} of"
+            f" {len(all_diagonals(start.m))} diagonals"
+        )
     return values
 
 
@@ -441,13 +457,20 @@ def snake_and_compatibility(n: int) -> SnakeLabeling:
             coords = tuple(-1 if j == i else 0 for j in range(n))
         else:
             crossed = [i for i, s in enumerate(snake) if crossing(d, s)]
-            assert crossed, f"non-snake diagonal {d} crosses nothing"
+            if not crossed or crossed != list(range(crossed[0], crossed[-1] + 1)):
+                raise PolygonCheckFailed(
+                    f"non-snake diagonal {d} crosses the snake diagonals {crossed},"
+                    " not one nonempty run"
+                )
             lo, hi = crossed[0], crossed[-1]
-            assert crossed == list(range(lo, hi + 1)), (d, crossed)
             coords = tuple(1 if lo <= j <= hi else 0 for j in range(n))
         root_of[d] = coords
     diagonal_of = {r: d for d, r in root_of.items()}
-    assert len(diagonal_of) == len(root_of) == n * (n + 3) // 2
+    if not len(diagonal_of) == len(root_of) == n * (n + 3) // 2:
+        raise PolygonCheckFailed(
+            f"{len(root_of)} diagonals labeled by {len(diagonal_of)} roots,"
+            f" expected {n * (n + 3) // 2} of each"
+        )
     return SnakeLabeling(n, root_of, diagonal_of)
 
 
@@ -490,7 +513,10 @@ class SymTriangulation:
             orbits.append(orbit)
         orbits.sort()
         diameters = [o for o in orbits if len(o) == 1]
-        assert len(diameters) == 1
+        if len(diameters) != 1:
+            raise PolygonCheckFailed(
+                f"symmetric triangulation with {len(diameters)} diameters"
+            )
         return SymTriangulation(tri, tuple(orbits))
 
     @property
@@ -529,7 +555,10 @@ def symmetric_orbit_classes(n: int) -> list[tuple[Edge, ...]]:
         e = _antipode_edge(d, m)
         classes.add((d,) if d == e else tuple(sorted((d, e))))
     out = sorted(classes)
-    assert len(out) == n * (n + 1)
+    if len(out) != n * (n + 1):
+        raise PolygonCheckFailed(
+            f"{len(out)} antipodal orbit classes, expected {n * (n + 1)}"
+        )
     return out
 
 

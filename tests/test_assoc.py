@@ -1,12 +1,18 @@
 """Almost-positive roots, the tau involutions, cluster complexes, and the
-generalized associahedron as an exact rational polytope."""
+generalized associahedron as an exact rational polytope.
+
+The first cone solver, which returned a vector's rational coefficients over
+a cone's columns, is kept below as the oracle for the sign-only integer
+solver."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from clusterfan.assoc import (
+    _cone_solver,
     almost_positive,
     build_polytope,
     cluster_complex,
@@ -24,7 +30,7 @@ from clusterfan.assoc import (
     wall_pairing,
 )
 from clusterfan.coxeter import build_group
-from clusterfan.linalg import det
+from clusterfan.linalg import clear_denominators, det, solve_linear
 from clusterfan.roots import root_system
 
 
@@ -216,6 +222,48 @@ def test_coverage_check_complete():
     report = coverage_check(complex_for("B3"), samples=200, rng_seed=5)
     assert report["complete"]
     assert report["interior_hits"] > 0
+
+
+def fraction_cone_solver(columns):
+    n = len(columns)
+    matrix = [[columns[j][i] for j in range(n)] for i in range(n)]
+    inverse_cols = [
+        solve_linear(matrix, [1 if i == k else 0 for i in range(n)]) for k in range(n)
+    ]
+
+    def solve(vector):
+        return tuple(sum(inverse_cols[k][j] * vector[k] for k in range(n)) for j in range(n))
+
+    return solve
+
+
+def signs(values):
+    return tuple((v > 0) - (v < 0) for v in values)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "B3", "C3"])
+def test_cone_solver_signs_match_fraction_oracle(name):
+    data = complex_for(name)
+    roots = data.ap.rs.roots
+    n = data.ap.n
+    rng = random.Random(7)
+    checked = 0
+    for facet in data.facets:
+        # each column also gets a random positive rational scale: the cone
+        # stays the same and so must every sign
+        scales = [Fraction(rng.randint(1, 4), rng.randint(1, 4)) for _ in facet]
+        columns = [
+            [c * scale for c in roots[idx].coords] for idx, scale in zip(facet, scales)
+        ]
+        solvers = (_cone_solver(columns), _cone_solver([roots[idx].coords for idx in facet]))
+        oracle = fraction_cone_solver(columns)
+        for _ in range(20):
+            vector = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)]
+            expected = signs(oracle(vector))
+            scaled = clear_denominators(vector)
+            assert all(signs(solve(scaled)) == expected for solve in solvers)
+            checked += 1
+    assert checked == 20 * len(data.facets)
 
 
 def test_refinement_by_coxeter_fan():

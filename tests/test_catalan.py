@@ -4,7 +4,12 @@ and positive Shi regions.
 
 The first torus orbit count (a union-find over every point, joined to its
 image under each full reflection matrix) is kept below as the oracle for
-the bytearray walk."""
+the bytearray walk.  So is the first Shi region growth, which solved every
+n-subset of a piece's constraints over the rationals, as the oracle for the
+integer growth that solves only the vertices a new hyperplane adds."""
+
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -14,6 +19,7 @@ from clusterfan.catalan import (
     nc_lattice_stats,
     report_csv,
     shi_positive_regions,
+    shi_regions,
     torus_orbits,
 )
 from clusterfan.coxeter import (
@@ -22,6 +28,7 @@ from clusterfan.coxeter import (
     build_group,
     coxeter_element,
 )
+from clusterfan.linalg import SingularMatrix, solve_linear
 from clusterfan.roots import RootPoset, coxeter_data, root_system
 
 
@@ -125,6 +132,64 @@ def test_torus_orbits_budget():
 @pytest.mark.parametrize("name", sorted(TOTALS))
 def test_shi_positive_region_counts(name):
     assert shi_positive_regions(root_system(name)) == TOTALS[name]
+
+
+def fraction_vertices(constraints, n):
+    vertices = set()
+    for subset in combinations(range(len(constraints)), n):
+        matrix = [list(constraints[i][0]) for i in subset]
+        rhs = [constraints[i][1] for i in subset]
+        try:
+            point = solve_linear(matrix, rhs)
+        except SingularMatrix:
+            continue
+        if all(sum(a * t for a, t in zip(coeffs, point)) <= b for coeffs, b in constraints):
+            vertices.add(tuple(point))
+    return tuple(sorted(vertices))
+
+
+def fraction_split(region, normal, n):
+    constraints, vertices = region
+    values = [sum(a * t for a, t in zip(normal, v)) - 1 for v in vertices]
+    if all(v <= 0 for v in values) or all(v >= 0 for v in values):
+        return [region]
+    out = []
+    for side in ((normal, Fraction(1)), (tuple(-a for a in normal), Fraction(-1))):
+        pieces = constraints + (side,)
+        corners = fraction_vertices(pieces, n)
+        centroid = [sum(v[i] for v in corners) / len(corners) for i in range(n)]
+        if all(sum(a * t for a, t in zip(c, centroid)) < b for c, b in pieces):
+            out.append((pieces, corners))
+    assert len(out) == 2
+    return out
+
+
+def fraction_shi_regions(rs):
+    """(constraints, vertices) per region, all rational, in growth order."""
+    n = rs.n
+    bound = Fraction(2 * (coxeter_data(rs).coxeter_number + 1))
+    box = []
+    for i in range(n):
+        box.append((tuple(Fraction(-(j == i)) for j in range(n)), Fraction(0)))
+        box.append((tuple(Fraction(int(j == i)) for j in range(n)), bound))
+    regions = [(tuple(box), fraction_vertices(tuple(box), n))]
+    for root in rs.positive_roots():
+        normal = tuple(Fraction(c) for c in root.coords)
+        regions = [r for region in regions for r in fraction_split(region, normal, n)]
+    return regions
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "G2"])
+def test_shi_regions_match_fraction_oracle(name):
+    rs = root_system(name)
+    regions = shi_regions(rs)
+    oracle = fraction_shi_regions(rs)
+    assert len(regions) == len(oracle)
+    for region, (constraints, vertices) in zip(regions, oracle):
+        assert region.constraints == constraints
+        rational = {tuple(Fraction(c, d) for c in x) for x, d in region.vertices}
+        assert rational == set(vertices)
+        assert len(region.vertices) == len(vertices)
 
 
 def test_shi_region_rank_limit():

@@ -119,6 +119,18 @@ def test_mutate_matrix_file_accepts_matrix_text(capsys, tmp_path):
     assert out.splitlines() == ["seeds 5", "variables 5", "closed True", "detected A2"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_mutate_matrix_file_type_text_matches_type(capsys, tmp_path, fmt):
+    # `type:` text names a Dynkin type, so mutate explores its bipartite
+    # exchange matrix, exactly as --type does
+    path = tmp_path / "a3.txt"
+    path.write_text("type:A3")
+    from_file = run(capsys, "mutate", "--matrix-file", str(path), "--format", fmt)
+    from_type = run(capsys, "mutate", "--type", "A3", "--format", fmt)
+    assert from_file == from_type
+    assert from_file[0] == 0
+
+
 @pytest.mark.parametrize("command", ["group", "catalan"])
 def test_oversized_group_exits_3_at_once(capsys, command):
     # |W(E7)| = 2,903,040 is read off the exponents, before any element is built

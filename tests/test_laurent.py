@@ -1,6 +1,8 @@
 """Exact Laurent arithmetic and the fraction-free linear algebra kernel."""
 
 import doctest
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,9 +11,11 @@ from clusterfan import laurent
 from clusterfan.laurent import LaurentPoly, NonExactDivision, parse_laurent
 from clusterfan.linalg import (
     SingularMatrix,
+    adjugate,
     det,
     leading_principal_minors,
     matrix_rank,
+    solve_fraction_free,
     solve_linear,
     transpose,
 )
@@ -138,6 +142,58 @@ def test_solve_linear_exact():
     assert solution == [Fraction(1), Fraction(3)]
     with pytest.raises(SingularMatrix):
         solve_linear([[1, 1], [2, 2]], [1, 2])
+
+
+def test_solve_fraction_free_gives_reduced_points():
+    assert solve_fraction_free([[2, 1], [1, 3]], [5, 10]) == ((1, 3), 1)
+    # x = -1/4, y = 1/2 over the common denominator 4
+    assert solve_fraction_free([[0, 2], [4, 0]], [1, -1]) == ((-1, 2), 4)
+    assert solve_fraction_free([[-2]], [4]) == ((-2,), 1)
+    with pytest.raises(SingularMatrix):
+        solve_fraction_free([[1, 1], [2, 2]], [1, 2])
+
+
+def test_adjugate_and_determinant():
+    assert adjugate([[2, 1], [1, 3]]) == ([[3, -1], [-1, 2]], 5)
+    assert adjugate([[0, 1], [1, 0]]) == ([[0, -1], [-1, 0]], -1)
+    with pytest.raises(SingularMatrix):
+        adjugate([[1, 2], [2, 4]])
+
+
+NON_INTEGER_ELIMINATION = """
+import sys
+from fractions import Fraction
+from clusterfan import linalg
+print("optimize", sys.flags.optimize)
+# a Bareiss step divides exactly only on integer rows
+try:
+    linalg._bareiss([[Fraction(1, 2), 1], [1, 1]])
+except linalg.InexactElimination as exc:
+    print("FAIL", exc)
+# a corrupted right-hand side after elimination breaks back substitution
+bareiss = linalg._bareiss
+def corrupt(rows):
+    result = bareiss(rows)
+    rows[0][-1] += 1
+    return result
+linalg._bareiss = corrupt
+try:
+    linalg.solve_linear([[2, 1], [1, 3]], [5, 10])
+except linalg.InexactElimination as exc:
+    print("FAIL", exc)
+"""
+
+
+def test_inexact_elimination_fails_without_asserts():
+    # python -O strips assert statements; the exactness checks must not be
+    # asserts
+    command = [sys.executable, "-O", "-c", NON_INTEGER_ELIMINATION]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert result.stdout.splitlines() == [
+        "optimize 1",
+        "FAIL Bareiss step -1/2 / 1 left remainder 1/2",
+        "FAIL back substitution 15 / 2 left remainder 1",
+    ], result.stderr
 
 
 def test_leading_principal_minors():

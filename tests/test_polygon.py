@@ -1,5 +1,13 @@
 """Polygon triangulations, flips, Ptolemy propagation, and the two polygon
-models (snake labeling for type A, centrally symmetric for type B)."""
+models (snake labeling for type A, centrally symmetric for type B).
+
+The first Ptolemy propagation, which divided every exchange relation it met
+and compared the quotient with the stored value, is kept below as the oracle
+for the multiply-back check, and so is the first quad lookup, which scanned
+every triangle of the triangulation."""
+
+import subprocess
+import sys
 
 import networkx as nx
 import pytest
@@ -158,6 +166,109 @@ def test_ptolemy_expand_single_target():
     fan = Triangulation(5, ((0, 2), (0, 3)))
     value = ptolemy_expand(fan, (1, 3))
     assert value.fraction_text() == "(y2*q2+q1*q3)/y1"
+
+
+def triangle_scan_quad_around(tri, d):
+    a, b = d
+    apexes = [
+        v
+        for (p, q, r) in tri.triangles()
+        if a in (p, q, r) and b in (p, q, r)
+        for v in (p, q, r)
+        if v not in (a, b)
+    ]
+    assert len(apexes) == 2
+    return tuple(sorted([a, b, *apexes]))
+
+
+def divide_and_compare_ptolemy_values(start, diagonal_values, side_values):
+    values = dict(diagonal_values)
+
+    def value_of(edge):
+        return side_values[edge] if edge in side_values else values[edge]
+
+    seen = {start.diagonals}
+    queue = [start]
+    while queue:
+        tri = queue.pop()
+        for d in tri.diagonals:
+            p, q, r, s = triangle_scan_quad_around(tri, d)
+            e = (q, s) if d == (p, r) else (p, r)
+            product = value_of((p, q)) * value_of((r, s)) + value_of((q, r)) * value_of((p, s))
+            candidate = product.exact_div(values[d])
+            if e in values:
+                assert values[e] == candidate, e
+            values[e] = candidate
+            moved = Triangulation(tri.m, tuple(x for x in tri.diagonals if x != d) + (e,))
+            if moved.diagonals not in seen:
+                seen.add(moved.diagonals)
+                queue.append(moved)
+    return values
+
+
+def test_quad_around_matches_triangle_scan():
+    checked = 0
+    for n in range(1, 5):
+        for tri in enumerate_triangulations(n):
+            for d in tri.diagonals:
+                assert tri.quad_around(d) == triangle_scan_quad_around(tri, d)
+                checked += 1
+    assert checked == 1 * 2 + 2 * 5 + 3 * 14 + 4 * 42
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ptolemy_values_match_divide_and_compare_oracle(n):
+    for tri in enumerate_triangulations(n):
+        diag_vals, side_vals = standard_chart(tri)
+        expected = divide_and_compare_ptolemy_values(tri, diag_vals, side_vals)
+        assert ptolemy_values(tri, diag_vals, side_vals) == expected
+
+
+def test_octagon_ptolemy_values_match_divide_and_compare_oracle():
+    fan = Triangulation(8, tuple((0, j) for j in range(2, 7)))
+    diag_vals, side_vals = standard_chart(fan)
+    values = ptolemy_values(fan, diag_vals, side_vals)
+    assert len(values) == len(all_diagonals(8))
+    assert values == divide_and_compare_ptolemy_values(fan, diag_vals, side_vals)
+
+
+POLYGON_CHECKS = """
+import sys
+from clusterfan import polygon
+print("optimize", sys.flags.optimize)
+pentagon = polygon.Triangulation(5, ((0, 2), (0, 3)))
+# a hexagon 'triangulation' with a diagonal taken away leaves a quadrilateral
+broken = polygon.Triangulation(6, ((0, 2), (0, 3), (0, 4)))
+object.__setattr__(broken, "diagonals", ((0, 2), (0, 4)))
+# propagation is told of one diagonal more than it can reach
+all_diagonals = polygon.all_diagonals
+polygon.all_diagonals = lambda m: all_diagonals(m) + ((0, 0),)
+checks = (
+    lambda: broken.triangles(),
+    lambda: broken.quad_around((0, 4)),
+    lambda: polygon.ptolemy_values(pentagon, *polygon.standard_chart(pentagon)),
+)
+for check in checks:
+    try:
+        check()
+    except polygon.PolygonCheckFailed as exc:
+        print("FAIL", exc)
+    else:
+        print("PASS")
+"""
+
+
+def test_polygon_checks_fail_without_asserts():
+    # python -O strips assert statements; the structural checks must not be
+    # asserts
+    command = [sys.executable, "-O", "-c", POLYGON_CHECKS]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert result.stdout.splitlines() == [
+        "optimize 1",
+        "FAIL 2 triangles in an 6-gon, expected 4",
+        "FAIL diagonal (0, 4) borders 1 triangles",
+        "FAIL propagation reached 5 of 6 diagonals",
+    ], result.stderr
 
 
 def test_monodromy_check_fires_on_corrupted_relation(monkeypatch):

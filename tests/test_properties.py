@@ -1,17 +1,30 @@
 """Property tests: mutation is an involution on matrices, tropical data and
 seeds, c-vectors stay sign-coherent, g-vectors are the degrees of the
-cluster variables, exact division inverts multiplication, and the linear
-algebra gives the same answers on int rows as on Fraction rows."""
+cluster variables, Laurent polynomials form a ring, exact division inverts
+multiplication and agrees with division over the rationals, and the linear
+algebra gives the same answers on int rows as on Fraction rows.
+
+The first Laurent division, which divided over the rationals and then
+demanded an integral quotient, is kept below as the oracle for the
+division over the integers."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clusterfan.cartan import b_matrix, cartan_for_type
-from clusterfan.laurent import LaurentPoly
-from clusterfan.linalg import SingularMatrix, det, matrix_rank, solve_linear
+from clusterfan.laurent import LaurentPoly, NonExactDivision
+from clusterfan.linalg import (
+    SingularMatrix,
+    adjugate,
+    det,
+    matrix_rank,
+    solve_fraction_free,
+    solve_linear,
+)
 from clusterfan.mutation import (
     c_vector_sign,
     initial_seed,
@@ -114,6 +127,106 @@ def test_exact_division_inverts_multiplication(data):
     assert (p * q).exact_div(q) == p
 
 
+def no_zero_terms(*polys):
+    return all(0 not in p._terms.values() for p in polys)
+
+
+@quick
+@given(st.data())
+def test_laurent_ring_axioms(data):
+    names = ("x", "y", "z")[: data.draw(st.integers(1, 3))]
+    p, q, r = (data.draw(laurent_polys(names)) for _ in range(3))
+    zero, one = LaurentPoly.zero(names), LaurentPoly.one(names)
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p + q == q + p and hash(p + q) == hash(q + p)
+    assert p * q == q * p and hash(p * q) == hash(q * p)
+    assert p * (q + r) == p * q + p * r
+    assert (p + q) * r == p * r + q * r
+    assert p - p == zero and (p - p).is_zero()
+    assert p + zero == p and zero + p == p
+    assert p * one == p and one * p == p
+    assert (p * zero).is_zero()
+    assert (p + q) - q == p and hash((p + q) - q) == hash(p)
+    assert -(-p) == p and p - q == p + (-q)
+
+
+@quick
+@given(st.data())
+def test_laurent_operations_store_no_zero_coefficient(data):
+    names = ("x", "y", "z")[: data.draw(st.integers(1, 3))]
+    p = data.draw(laurent_polys(names))
+    q = data.draw(laurent_polys(names, nonzero=True))
+    shift = data.draw(st.tuples(*[st.integers(-2, 2) for _ in names]))
+    # the cross terms of (p + q) * (p - q) cancel
+    difference_of_squares = (p + q) * (p - q)
+    results = [p + q, p - q, q - p, -p, p * q, p.shift(shift), p - p, difference_of_squares]
+    results.append((p * q).exact_div(q))
+    assert no_zero_terms(*results)
+    assert difference_of_squares == p * p - q * q
+
+
+def fraction_exact_div(numerator, divisor):
+    """Division over the rationals with graded-lex leading terms; raises
+    NonExactDivision on a remainder or a fractional quotient."""
+    num_shift = numerator.min_exponents()
+    den_shift = divisor.min_exponents()
+    work = {
+        tuple(a - b for a, b in zip(e, num_shift)): Fraction(c) for e, c in numerator.terms()
+    }
+    den = {tuple(a - b for a, b in zip(e, den_shift)): c for e, c in divisor.terms()}
+    grlex = lambda e: (sum(e), e)
+    lead_den = max(den, key=grlex)
+    quotient = {}
+    remainder = {}
+    while work:
+        lead = max(work, key=grlex)
+        coeff = work.pop(lead)
+        step = tuple(a - b for a, b in zip(lead, lead_den))
+        if any(e < 0 for e in step):
+            remainder[lead] = coeff
+            continue
+        factor = coeff / den[lead_den]
+        quotient[step] = quotient.get(step, Fraction(0)) + factor
+        for e, c in den.items():
+            if e != lead_den:
+                target = tuple(a + b for a, b in zip(step, e))
+                work[target] = work.get(target, Fraction(0)) - factor * c
+                if not work[target]:
+                    del work[target]
+    if remainder or any(c.denominator != 1 for c in quotient.values()):
+        raise NonExactDivision("not exact over the integers")
+    back = tuple(a - b for a, b in zip(num_shift, den_shift))
+    return LaurentPoly(
+        numerator.variables,
+        {tuple(a + b for a, b in zip(e, back)): c for e, c in quotient.items()},
+    )
+
+
+@quick
+@given(st.data())
+def test_exact_div_agrees_with_fraction_division(data):
+    # p * q is divisible by q; a non-monic divisor k * q, or an added r,
+    # makes most pairs fail, some with a remainder and some with a
+    # fractional quotient
+    names = ("x", "y", "z")[: data.draw(st.integers(1, 3))]
+    p = data.draw(laurent_polys(names, nonzero=True))
+    q = data.draw(laurent_polys(names, nonzero=True))
+    r = data.draw(st.one_of(st.just(LaurentPoly.zero(names)), laurent_polys(names)))
+    k = data.draw(st.sampled_from((1, -1, 2, 3)))
+    numerator, divisor = p * q + r, k * q
+    try:
+        expected = fraction_exact_div(numerator, divisor)
+    except NonExactDivision:
+        with pytest.raises(NonExactDivision):
+            numerator.exact_div(divisor)
+    else:
+        quotient = numerator.exact_div(divisor)
+        assert quotient == expected
+        assert quotient * divisor == numerator
+        assert no_zero_terms(quotient)
+
+
 @st.composite
 def int_systems(draw):
     """A small square integer matrix, sometimes singular, and a right-hand
@@ -145,4 +258,12 @@ def test_int_rows_agree_with_fraction_rows(system):
         solution = solve_linear(rows, rhs)
         assert solution == solve_linear(fraction_rows, as_fractions(rhs))
         assert all(type(x) is Fraction for x in solution)
+        point, denominator = solve_fraction_free(rows, rhs)
+        assert [Fraction(x, denominator) for x in point] == solution
+        assert denominator == lcm(*(x.denominator for x in solution))
+        adj, determinant = adjugate(rows)
+        assert determinant == det(rows)
+        assert [
+            [sum(a * b for a, b in zip(row, col)) for col in zip(*adj)] for row in rows
+        ] == [[determinant * (i == j) for j in range(len(rows))] for i in range(len(rows))]
         assert [sum(a * x for a, x in zip(row, solution)) for row in rows] == rhs
