@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 from . import cartan as cartan_mod
 from .coxeter import WeylGroup
 from .linalg import SingularMatrix, adjugate, clear_denominators, det, solve_linear
-from .roots import RootSystem, coxeter_data, weight_data
+from .roots import NotIrreducible, RootSystem, catalan_number, coxeter_data, weight_data
 
 
 class OrbitEscape(RuntimeError):
@@ -39,11 +39,17 @@ class NonUnimodularCluster(RuntimeError):
 
 
 class InequalityViolation(RuntimeError):
-    """A polytope vertex landed on or outside a facet it should avoid."""
+    """A polytope vertex missed a facet of its own cluster, or landed on or
+    outside a facet it should avoid."""
 
 
 class SingularClusterSystem(RuntimeError):
     """The linear system of one cluster's facet equalities was singular."""
+
+
+class AssocCheckFailed(RuntimeError):
+    """A structural invariant of the cluster complex, the polytope or the
+    fan failed: a bug, never bad input."""
 
 
 @dataclass(frozen=True)
@@ -92,8 +98,10 @@ def almost_positive(rs: RootSystem) -> AlmostPositive:
             else:
                 table[idx] = perm[idx]
         for idx, image in table.items():
-            assert image in position, "image stays almost positive"
-            assert table[image] == idx, "involution"
+            if image not in position or table[image] != idx:
+                raise AssocCheckFailed(
+                    f"tau must be an involution of the almost-positive roots, not at {idx}"
+                )
         return table
 
     plus, minus = parts
@@ -145,7 +153,8 @@ def tau_order(ap: AlmostPositive) -> int:
         w0[idx] == ap.rs.negate(idx) for idx in range(len(ap.rs.roots))
     )
     expected = (h + 2) // 2 if w0_is_minus_one else h + 2
-    assert order == expected, (order, expected)
+    if order != expected:
+        raise AssocCheckFailed(f"tau order {order}, the closed form gives {expected}")
     return order
 
 
@@ -191,7 +200,8 @@ def compatibility(ap: AlmostPositive) -> CompatibilityRelation:
                 sign = -sign
             if not verdicts:
                 raise OrbitEscape(f"pair {a},{b} never met a negated simple root")
-        assert all(v == verdicts[0] for v in verdicts), (a, b, verdicts)
+        if any(v != verdicts[0] for v in verdicts):
+            raise AssocCheckFailed(f"pair {a},{b} got disagreeing verdicts {verdicts}")
         return verdicts[0]
 
     pairs = set()
@@ -217,7 +227,8 @@ def _h_from_f(f_vector: Sequence[int], n: int) -> tuple[int, ...]:
         power = n - i
         for j in range(power + 1):
             coeffs[j] += f * math.comb(power, j) * (-1) ** (power - j)
-    assert all(c >= 0 for c in coeffs)
+    if any(c < 0 for c in coeffs):
+        raise AssocCheckFailed(f"f-vector {tuple(f_vector)} gives a negative h-vector")
     return tuple(reversed(coeffs))
 
 
@@ -247,8 +258,8 @@ def cluster_complex(rel: CompatibilityRelation) -> ClusterComplexData:
         if size == n:
             facets.append(tuple(ap.indices[p] for p in current))
             return
-        if size:
-            assert extensions, f"maximal face of size {size} < {n}"
+        if size and not extensions:
+            raise AssocCheckFailed(f"maximal face of size {size} < {n}: not pure")
         for p in sorted(greater):
             sizes[size + 1] += 1
             grow(
@@ -259,7 +270,8 @@ def cluster_complex(rel: CompatibilityRelation) -> ClusterComplexData:
 
     grow([], frozenset(range(count)), frozenset(range(count)))
     f_vector = tuple(sizes)
-    assert f_vector[n] == len(facets)
+    if f_vector[n] != len(facets):
+        raise AssocCheckFailed(f"f_{n - 1} = {f_vector[n]} but {len(facets)} facets")
     for facet in facets:
         matrix = [ap.rs.roots[idx].coords for idx in facet]
         if abs(det(matrix)) != 1:
@@ -268,14 +280,12 @@ def cluster_complex(rel: CompatibilityRelation) -> ClusterComplexData:
 
 
 def n_phi(rs: RootSystem) -> int:
-    """The product formula over the exponents."""
-    data = coxeter_data(rs)
-    h = data.coxeter_number
-    total = Fraction(1)
-    for e in data.exponents:
-        total *= Fraction(e + h + 1, e + 1)
-    assert total.denominator == 1
-    return int(total)
+    """The product formula over the exponents of an irreducible system."""
+    if len(rs.dynkin) != 1:
+        raise NotIrreducible(
+            f"n_phi needs an irreducible system, got {cartan_mod.dynkin_name(rs.dynkin)}"
+        )
+    return catalan_number(rs)
 
 
 _FIXED_NARAYANA = {
@@ -304,13 +314,15 @@ def narayana(rs: RootSystem) -> tuple[int, ...]:
     elif family == "D":
         middle = []
         for k in range(1, n):
-            term = Fraction(n, n - 1) * math.comb(n - 1, k - 1) * math.comb(n - 1, k)
-            assert term.denominator == 1
-            middle.append(math.comb(n, k) ** 2 - int(term))
+            term, rem = divmod(n * math.comb(n - 1, k - 1) * math.comb(n - 1, k), n - 1)
+            if rem:
+                raise AssocCheckFailed(f"D{n} Narayana term {k} is not integral")
+            middle.append(math.comb(n, k) ** 2 - term)
         out = (1, *middle, 1)
     else:
         out = _FIXED_NARAYANA[f"{family}{n}"]
-    assert sum(out) == n_phi(rs)
+    if sum(out) != n_phi(rs):
+        raise AssocCheckFailed(f"Narayana numbers {out} do not sum to N(Phi)")
     return out
 
 
@@ -338,16 +350,19 @@ def support_function(ap: AlmostPositive) -> SupportFunctionF:
     for i in range(rs.n):
         image = w0[rs.simple_index[i]]
         i_star = rs.roots[rs.negate(image)].coords.index(1)
-        assert rho[i] == rho[i_star], "seed must be (-w0)-invariant"
+        if rho[i] != rho[i_star]:
+            raise AssocCheckFailed(f"seed is not (-w0)-invariant at node {i}")
     for j in range(rs.n):
         column = sum(rho[i] * rs.cartan[i][j] for i in range(rs.n))
-        assert column > 0, f"column {j} fails strict positivity"
+        if column <= 0:
+            raise AssocCheckFailed(f"column {j} fails strict positivity")
 
     values: dict[int, Fraction] = {}
     for orbit in tau_orbits(ap):
         anchors = [ap.negative_simple(idx) for idx in orbit]
         seeds = {rho[i] for i in anchors if i is not None}
-        assert seeds, f"orbit {orbit} misses the negated simples"
+        if not seeds:
+            raise OrbitEscape(f"orbit {orbit} misses the negated simples")
         if len(seeds) > 1:
             raise OrbitConflict(f"orbit {orbit} received values {seeds}")
         value = seeds.pop()
@@ -403,14 +418,16 @@ def build_polytope(complex_data: ClusterComplexData) -> AssociahedronPolytope:
         for idx, bound in bounds.items():
             pairing = sum(c * x for c, x in zip(rs.roots[idx].coords, numerators))
             if idx in in_facet:
-                assert pairing == bound * common
+                if pairing != bound * common:
+                    raise InequalityViolation(f"vertex of {facet} misses facet {idx}")
             elif pairing >= bound * common:
                 raise InequalityViolation(
                     f"vertex of {facet} pairs to {Fraction(pairing, common * scale)}"
                     f" against root {idx}"
                 )
         vertices.append(tuple(x / scale for x in scaled))
-    assert len(set(vertices)) == len(vertices), "vertices must be distinct"
+    if len(set(vertices)) != len(vertices):
+        raise AssocCheckFailed("two clusters share a vertex")
     return AssociahedronPolytope(
         ap, support, complex_data.facets, tuple(vertices)
     )
@@ -483,9 +500,11 @@ def coverage_check(
                 hits += 1
                 if all(c > 0 for c in coeffs):
                     interior = True
-        assert hits >= 1, f"vector {vector} escaped the fan"
+        if not hits:
+            raise AssocCheckFailed(f"vector {vector} escaped the fan")
         if interior:
-            assert hits == 1, f"interior vector {vector} hit {hits} cones"
+            if hits != 1:
+                raise AssocCheckFailed(f"interior vector {vector} hit {hits} cones")
             covered_once += 1
     return {"samples": samples, "interior_hits": covered_once, "complete": True}
 
@@ -529,10 +548,12 @@ def refinement_check(
         common = members(rays[0])
         for ray in rays[1:]:
             common &= members(ray)
-        assert len(common) == 1, f"chamber {w} lies in cones {common}"
+        if len(common) != 1:
+            raise AssocCheckFailed(f"chamber {w} lies in cones {common}")
         home = common.pop()
         per_cone[home] = per_cone.get(home, 0) + 1
-    assert sum(per_cone.values()) == len(group)
+    if sum(per_cone.values()) != len(group):
+        raise AssocCheckFailed("chambers must be counted once each")
     return {
         "cones_used": len(per_cone),
         "cones_total": len(complex_data.facets),

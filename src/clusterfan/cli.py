@@ -195,7 +195,7 @@ def cmd_assoc(parser, args) -> tuple[int, str]:
 
 def cmd_catalan(parser, args) -> tuple[int, str]:
     rs = root_system(_entries_from_args(parser, args))
-    rows = enumeration_report(rs, build_group(rs))
+    rows = enumeration_report(rs)
     mismatches = [row for row in rows if not row["match"]]
     code = 1 if mismatches else 0
     if args.format == "csv":

@@ -5,10 +5,16 @@ Multiplication w*v composes as functions, (w*v)(r) = w(v(r)), so extending a
 word on the right means acting first by the new letter.  The group is built
 by one breadth-first search from the identity, so element indices run in
 length order, and the search keeps its right Cayley table: `right[u][i]` is
-the index of u*s_i.  Lengths, reduced words, the weak order, the absolute
-order and the longest element are all read from this table and the
-permutation action.  The weak order's lattice property is checked on
-down-sets stored as int bitmasks, one bit per element.
+the index of u*s_i.  Lengths, reduced words, the weak order and the
+longest element are all read from this table and the permutation action.
+The weak order's lattice property is checked on down-sets stored as int
+bitmasks, one bit per element.
+
+The noncrossing interval [1, c] in absolute order needs no group.  By
+Carter's lemma the reflection length of w is rank(w - 1) on simple-root
+coordinates, so the interval is walked down from the bipartite Coxeter
+element c one reflection length at a time, and no element outside it is
+ever built.
 """
 
 from __future__ import annotations
@@ -16,11 +22,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from operator import itemgetter
 from typing import Sequence
 
-from .roots import RootSystem, weyl_group_order
+from .linalg import matrix_rank
+from .roots import RootSystem, catalan_number, weyl_group_order
 from . import cartan as cartan_mod
 
 Perm = tuple[int, ...]
@@ -36,10 +42,6 @@ class LatticeCheckFailed(RuntimeError):
 
 class GroupCheckFailed(RuntimeError):
     """Two independent computations of the same group datum disagree."""
-
-
-class NotCoxeterElement(ValueError):
-    """The element is not a product of all simple reflections in any order."""
 
 
 class WeylGroup:
@@ -91,7 +93,6 @@ class WeylGroup:
             raise GroupCheckFailed("longest element must be unique")
         self.w0 = len(elements) - 1
 
-        self._reflections: dict[int, int] | None = None
         self._words: dict[int, tuple[int, ...]] = {}
 
     # -- basic operations ----------------------------------------------------
@@ -154,31 +155,6 @@ class WeylGroup:
         for i in reversed(self.reduced_word(u)):
             vec = self.rs.reflect_rational(i, vec)
         return vec
-
-    # -- reflections -----------------------------------------------------------
-
-    def reflections(self) -> dict[int, int]:
-        """Map from positive-root index to the reflection through that root.
-
-        Verified against the intrinsic characterization: the reflections are
-        exactly the involutions sending exactly one positive root to its own
-        negative.
-        """
-        if self._reflections is None:
-            npos = self.rs.num_positive
-            table = {
-                b: self.element_index[self.rs.reflection_perm(b)] for b in range(npos)
-            }
-            by_sigma = set(table.values())
-            intrinsic = set()
-            for idx, p in enumerate(self.elements):
-                negated = sum(1 for b in range(npos) if p[b] == self.rs.negate(b))
-                if negated == 1 and self.mult(idx, idx) == 0:
-                    intrinsic.add(idx)
-            if by_sigma != intrinsic or len(by_sigma) != npos:
-                raise GroupCheckFailed("reflection characterizations disagree")
-            self._reflections = table
-        return self._reflections
 
 
 def build_group(rs: RootSystem, budget: int = 10**6) -> WeylGroup:
@@ -296,63 +272,70 @@ def hasse_dot(group: WeylGroup, data: WeakOrderData) -> str:
 
 # -- absolute order -------------------------------------------------------------
 
-
-def coxeter_element(group: WeylGroup, order: Sequence[int] | None = None) -> int:
-    """Product of all simple reflections, by default in bipartite order
-    (plus part first, each part ascending)."""
-    if order is None:
-        plus, minus = cartan_mod.bipartition(group.rs.cartan)
-        order = sorted(plus) + sorted(minus)
-    if sorted(order) != list(range(group.n)):
-        raise ValueError(f"{order!r} is not an ordering of the {group.n} generators")
-    return group.element_index[group.rs.word_perm(order)]
+# largest noncrossing interval walked; Cat(E7) = 4160 fits, Cat(E8) = 25080 not
+INTERVAL_BUDGET = 10**4
 
 
 @dataclass(frozen=True)
 class AbsoluteInterval:
-    coxeter: int
-    elements: tuple[int, ...]
+    coxeter: Perm
+    elements: tuple[Perm, ...]  # in rank order, the identity first
     ranks: tuple[int, ...]  # aligned with elements
     rank_counts: tuple[int, ...]  # index = reflection length
 
 
-def absolute_interval(group: WeylGroup, c: int) -> AbsoluteInterval:
-    """The interval [identity, c] in absolute order, with reflection-length
-    ranks.  c must be a Coxeter element."""
-    target = group.elements[c]
-    if not any(
-        group.rs.word_perm(order) == target for order in permutations(range(group.n))
-    ):
-        raise NotCoxeterElement(
-            "element is not a product of all simple reflections in any order"
-        )
+def coxeter_element(rs: RootSystem) -> Perm:
+    """The bipartite Coxeter element: the product of all simple reflections,
+    plus part first, each part ascending."""
+    plus, minus = cartan_mod.bipartition(rs.cartan)
+    return rs.word_perm(sorted(plus) + sorted(minus))
 
-    reflection_elems = sorted(set(group.reflections().values()))
-    size = len(group.elements)
-    distance = [-1] * size
-    distance[0] = 0
-    frontier = [0]
-    while frontier:
-        fresh = []
-        for u in frontier:
-            for t in reflection_elems:
-                v = group.mult(u, t)
-                if distance[v] < 0:
-                    distance[v] = distance[u] + 1
-                    fresh.append(v)
-        frontier = fresh
-    if min(distance) < 0 or distance[c] != group.n:
-        raise GroupCheckFailed(
-            "reflections must generate W and give c reflection length n"
-        )
 
-    members = []
-    ranks = []
-    for w in range(size):
-        if distance[w] + distance[group.mult(group.inverse(w), c)] == group.n:
-            members.append(w)
-            ranks.append(distance[w])
-    counts = [0] * (group.n + 1)
-    for r in ranks:
-        counts[r] += 1
-    return AbsoluteInterval(c, tuple(members), tuple(ranks), tuple(counts))
+def reflection_length(rs: RootSystem, w: Perm) -> int:
+    """l_T(w) = rank(w - 1) (Carter's lemma): column j of w - 1 is the
+    coordinate vector of w(alpha_j) minus the j-th unit vector."""
+    columns = [rs.roots[w[s]].coords for s in rs.simple_index]
+    return matrix_rank(
+        [[columns[j][i] - (i == j) for j in range(rs.n)] for i in range(rs.n)]
+    )
+
+
+def absolute_interval(rs: RootSystem) -> AbsoluteInterval:
+    """The interval [1, c] in absolute order below the bipartite Coxeter
+    element c, with reflection-length ranks.
+
+    The walk starts at c and goes down one reflection length at a time: the
+    children of u are the products u*t over the reflections t with
+    l_T(u*t) = l_T(u) - 1.  Every element below c is below one a rank
+    higher, so the levels are exactly the ranks of the interval.  Its size,
+    Cat(W), is read off the exponents first; over INTERVAL_BUDGET the walk is
+    refused with BudgetExceeded.  Raises GroupCheckFailed unless
+    l_T(c) = n and the bottom level is the identity alone.
+    """
+    size = catalan_number(rs)
+    if size > INTERVAL_BUDGET:
+        raise BudgetExceeded(
+            f"noncrossing interval has {size} elements,"
+            f" over the budget of {INTERVAL_BUDGET}"
+        )
+    c = coxeter_element(rs)
+    if reflection_length(rs, c) != rs.n:
+        raise GroupCheckFailed("the Coxeter element must have reflection length n")
+    reflections = [rs.reflection_perm(b) for b in range(rs.num_positive)]
+    levels = [[c]]
+    for rank in range(rs.n - 1, -1, -1):
+        lengths: dict[Perm, int] = {}
+        for u in levels[-1]:
+            for t in reflections:
+                v = tuple(map(u.__getitem__, t))
+                if v not in lengths:
+                    lengths[v] = reflection_length(rs, v)
+        levels.append([v for v, length in lengths.items() if length == rank])
+    if levels[-1] != [tuple(range(len(rs.roots)))]:
+        raise GroupCheckFailed("the walk down from c must end at the identity alone")
+
+    levels.reverse()
+    elements = tuple(w for level in levels for w in level)
+    ranks = tuple(rank for rank, level in enumerate(levels) for _ in level)
+    counts = tuple(len(level) for level in levels)
+    return AbsoluteInterval(c, elements, ranks, counts)

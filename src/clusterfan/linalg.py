@@ -115,8 +115,10 @@ def _solve_rows(work: list[list[int]]) -> tuple[int, int, list[list[int]]]:
     which are overwritten.  Returns (sign, D, N) with X = N / D, where D is
     the last Bareiss pivot and sign * D = det A.  By Cramer's rule D times
     any solution entry is an integer, so back substitution runs on the
-    numerators N over D.  Raises SingularMatrix."""
+    numerators N over D; the empty system has D = 1.  Raises SingularMatrix."""
     n = len(work)
+    if not n:
+        return 1, 1, []
     rank, sign, pivots = _bareiss(work)
     if rank < n or pivots != list(range(n)):
         raise SingularMatrix(f"matrix of rank {rank} < {n} has no unique solution")

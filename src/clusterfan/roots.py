@@ -28,6 +28,11 @@ class NotIrreducible(ValueError):
     """A computation defined for irreducible systems got a composite one."""
 
 
+class RootCheckFailed(RuntimeError):
+    """A root datum broke an identity that holds for every finite
+    crystallographic root system: a bug, never bad input."""
+
+
 @dataclass(frozen=True)
 class Root:
     coords: tuple[int, ...]
@@ -89,12 +94,14 @@ class RootSystem:
                 for j in range(self.n):
                     if coords[j]:
                         pairing += coords[i] * coords[j] * self.symmetrizer[i] * self.cartan[i][j]
-        assert pairing > 0 and pairing % 2 == 0
+        if pairing <= 0 or pairing % 2:
+            raise RootCheckFailed(f"root {coords} has squared length {pairing}")
         half = pairing // 2
         coroot = []
         for i in range(self.n):
             num = coords[i] * self.symmetrizer[i]
-            assert num % half == 0, "coroot coordinates must be integers"
+            if num % half:
+                raise RootCheckFailed(f"coroot of {coords} is not integral")
             coroot.append(num // half)
         return Root(coords, tuple(coroot), half)
 
@@ -129,8 +136,12 @@ class RootSystem:
             if coords[i]:
                 acc = sum(self.cartan[i][j] * beta.coords[j] for j in range(self.n))
                 total += coords[i] * self.symmetrizer[i] * acc
-        assert total % beta.length_half_square == 0
-        return total // beta.length_half_square
+        pairing, rem = divmod(total, beta.length_half_square)
+        if rem:
+            raise RootCheckFailed(
+                f"pairing of {tuple(coords)} with root {root_idx} is not integral"
+            )
+        return pairing
 
     def reflection_matrix(self, root_idx: int) -> list[list[int]]:
         """Integer matrix of the reflection through a root, acting on
@@ -292,15 +303,15 @@ def _exponents(heights: Iterable[int]) -> list[int]:
     exponents: list[int] = []
     for h in range(1, max(histogram) + 1):
         multiplicity = histogram.get(h, 0) - histogram.get(h + 1, 0)
-        assert multiplicity >= 0, "height histogram must be non-increasing"
+        if multiplicity < 0:
+            raise RootCheckFailed("height histogram must be non-increasing")
         exponents.extend([h] * multiplicity)
     return exponents
 
 
-def weyl_group_order(rs: RootSystem) -> int:
-    """|W| as the product of (e_i + 1) over the exponents of every
-    irreducible component, read off the root heights without building the
-    group.  A positive root's support lies in one component."""
+def _component_exponents(rs: RootSystem) -> list[list[int]]:
+    """The exponents of every irreducible component, read off the root
+    heights.  A positive root's support lies in one component."""
     component = {}
     for k, nodes in enumerate(cartan_mod.components(rs.cartan)):
         component.update(dict.fromkeys(nodes, k))
@@ -308,7 +319,28 @@ def weyl_group_order(rs: RootSystem) -> int:
     for root in rs.positive_roots():
         first = next(i for i, c in enumerate(root.coords) if c)
         heights.setdefault(component[first], []).append(root.height)
-    return prod(e + 1 for part in heights.values() for e in _exponents(part))
+    return [_exponents(part) for part in heights.values()]
+
+
+def weyl_group_order(rs: RootSystem) -> int:
+    """|W| as the product of (e_i + 1) over the exponents of every
+    irreducible component, without building the group."""
+    return prod(e + 1 for part in _component_exponents(rs) for e in part)
+
+
+def catalan_number(rs: RootSystem) -> int:
+    """Cat(W), the product over every irreducible component of
+    prod (e_i + h + 1) / (e_i + 1), where h - 1 is the largest exponent.
+    It counts the antichains of the root poset and the noncrossing
+    partitions, among others."""
+    total = 1
+    for part in _component_exponents(rs):
+        h = max(part) + 1
+        count, rem = divmod(prod(e + h + 1 for e in part), prod(e + 1 for e in part))
+        if rem:
+            raise RootCheckFailed(f"Catalan product over exponents {part} is not integral")
+        total *= count
+    return total
 
 
 def coxeter_data(rs: RootSystem) -> CoxeterData:
@@ -319,7 +351,7 @@ def coxeter_data(rs: RootSystem) -> CoxeterData:
     positive roots; the Coxeter number is the order of a bipartite Coxeter
     element as a permutation of the roots; |W| = prod(e_i + 1).  The
     classical cross-identities n h = 2 |positives| and sum(e_i) = |positives|
-    are asserted.
+    are checked (RootCheckFailed).
     """
     if len(rs.dynkin) != 1:
         raise NotIrreducible(
@@ -336,9 +368,12 @@ def coxeter_data(rs: RootSystem) -> CoxeterData:
         power = tuple(perm[power[r]] for r in range(len(power)))
         order += 1
 
-    assert len(exponents) == rs.n
-    assert rs.n * order == 2 * rs.num_positive
-    assert sum(exponents) == rs.num_positive
+    if len(exponents) != rs.n:
+        raise RootCheckFailed(f"{len(exponents)} exponents for rank {rs.n}")
+    if rs.n * order != 2 * rs.num_positive:
+        raise RootCheckFailed(f"n h = {rs.n * order} != 2 |positives| {2 * rs.num_positive}")
+    if sum(exponents) != rs.num_positive:
+        raise RootCheckFailed(f"exponents sum to {sum(exponents)}, not |positives|")
     return CoxeterData(order, tuple(exponents), weyl_group_order(rs))
 
 

@@ -396,7 +396,7 @@ def criterion_enumerative() -> str:
     }
     rows_by_type = {}
     for name in spot:
-        rows = enumeration_report(_rs(name), _grp(name))
+        rows = enumeration_report(_rs(name))
         mismatches = [row for row in rows if not row["match"]]
         check(not mismatches, mismatches)
         rows_by_type[name] = rows
@@ -454,7 +454,7 @@ def deterministic_artifacts(rng_seed: int = 11) -> str:
     """Seeded and exported text whose bytes must not vary between runs."""
     pieces = []
     for name in ("A2", "B2"):
-        pieces.append(report_csv(enumeration_report(_rs(name), _grp(name))))
+        pieces.append(report_csv(enumeration_report(_rs(name))))
     a3 = build_polytope(_complex("A3"))
     pieces.append(polytope_json(a3))
     pieces.append(polytope_off(a3))

@@ -7,6 +7,8 @@ solver."""
 
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -314,3 +316,44 @@ def test_polytope_off_rejects_wrong_rank():
     poly = build_polytope(data)
     with pytest.raises(ValueError):
         polytope_off(poly)
+
+
+ASSOC_CHECKS = """
+import dataclasses, sys
+from clusterfan import assoc
+from clusterfan.roots import root_system
+print("optimize", sys.flags.optimize)
+ap = assoc.almost_positive(root_system("A2"))
+rel = assoc.compatibility(ap)
+# a tau that moves every root one place along the almost-positive order
+# no longer preserves compatibility, so the verdicts along a pair's orbit
+# disagree
+tau = assoc.AlmostPositive.tau
+def shifted(self, sign, idx):
+    position = (self.position[tau(self, sign, idx)] + 1) % len(self.indices)
+    return self.indices[position]
+assoc.AlmostPositive.tau = shifted
+try:
+    assoc.compatibility(ap)
+except assoc.AssocCheckFailed as exc:
+    print("FAIL", str(exc).split(" [")[0])
+assoc.AlmostPositive.tau = tau
+# dropping every pair of -alpha_1 leaves it a maximal face of size 1
+pairs = frozenset(pair for pair in rel.pairs if 0 not in pair)
+try:
+    assoc.cluster_complex(dataclasses.replace(rel, pairs=pairs))
+except assoc.AssocCheckFailed as exc:
+    print("FAIL", exc)
+"""
+
+
+def test_assoc_checks_fail_without_asserts():
+    # python -O strips assert statements; the verdict-agreement and purity
+    # checks must not be asserts
+    command = [sys.executable, "-O", "-c", ASSOC_CHECKS]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert result.stdout.splitlines() == [
+        "optimize 1",
+        "FAIL pair 4,3 got disagreeing verdicts",
+        "FAIL maximal face of size 1 < 2: not pure",
+    ], result.stderr

@@ -16,18 +16,12 @@ import pytest
 from clusterfan.catalan import (
     count_antichains,
     enumeration_report,
-    nc_lattice_stats,
     report_csv,
     shi_positive_regions,
     shi_regions,
     torus_orbits,
 )
-from clusterfan.coxeter import (
-    BudgetExceeded,
-    absolute_interval,
-    build_group,
-    coxeter_element,
-)
+from clusterfan.coxeter import BudgetExceeded, absolute_interval
 from clusterfan.linalg import SingularMatrix, solve_linear
 from clusterfan.roots import RootPoset, coxeter_data, root_system
 
@@ -88,11 +82,9 @@ def test_antichains_d4():
 
 @pytest.mark.parametrize("name", sorted(TOTALS))
 def test_noncrossing_totals_and_rank_profiles(name):
-    group = build_group(root_system(name))
-    interval = absolute_interval(group, coxeter_element(group))
-    stats = nc_lattice_stats(interval)
-    assert stats["total"] == TOTALS[name]
-    assert stats["rank_counts"] == PROFILES[name]
+    interval = absolute_interval(root_system(name))
+    assert len(interval.elements) == TOTALS[name]
+    assert interval.rank_counts == PROFILES[name]
 
 
 @pytest.mark.parametrize("name", sorted(TOTALS))
@@ -200,7 +192,7 @@ def test_shi_region_rank_limit():
 def test_enumeration_report_all_match():
     for name in ("A2", "B2", "G2"):
         rs = root_system(name)
-        rows = enumeration_report(rs, build_group(rs))
+        rows = enumeration_report(rs)
         assert rows, "report must not be empty"
         assert all(row["match"] for row in rows)
         interpretations = {row["interpretation"] for row in rows}
@@ -212,10 +204,11 @@ def test_enumeration_report_all_match():
         }
 
 
-def test_enumeration_report_without_interval():
-    rows = enumeration_report(root_system("A2"))
-    interpretations = {row["interpretation"] for row in rows}
-    assert "noncrossing" not in interpretations
+@pytest.mark.parametrize("name", ["A1", "A2", "C4", "D5"])
+def test_enumeration_report_always_has_noncrossing_rows(name):
+    rs = root_system(name)
+    rows = [r for r in enumeration_report(rs) if r["interpretation"] == "noncrossing"]
+    assert [r["k"] for r in rows] == ["total", *range(rs.n + 1)]
     assert all(row["match"] for row in rows)
 
 

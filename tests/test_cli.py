@@ -131,17 +131,31 @@ def test_mutate_matrix_file_type_text_matches_type(capsys, tmp_path, fmt):
     assert from_file[0] == 0
 
 
-@pytest.mark.parametrize("command", ["group", "catalan"])
-def test_oversized_group_exits_3_at_once(capsys, command):
-    # |W(E7)| = 2,903,040 is read off the exponents, before any element is built
+@pytest.mark.parametrize(
+    "command,name,message",
+    [
+        # |W(E7)| = 2,903,040 is read off the exponents, before any element
+        # is built
+        pytest.param(
+            "group", "E7", "group has 2903040 elements, over the budget of 1000000",
+            id="group",
+        ),
+        # catalan builds no group; Cat(E8) = 25,080 is read off the exponents,
+        # before the noncrossing interval is walked or anything is counted
+        pytest.param(
+            "catalan", "E8",
+            "noncrossing interval has 25080 elements, over the budget of 10000",
+            id="catalan",
+        ),
+    ],
+)
+def test_oversized_group_exits_3_at_once(capsys, command, name, message):
     start = time.perf_counter()
-    code, out, err = run(capsys, command, "--type", "E7")
+    code, out, err = run(capsys, command, "--type", name)
     assert time.perf_counter() - start < 5
     assert code == 3
     assert out == ""
-    assert err.strip().splitlines() == [
-        "budget exceeded: group has 2903040 elements, over the budget of 1000000"
-    ]
+    assert err.strip().splitlines() == [f"budget exceeded: {message}"]
 
 
 def test_mutate_budget_exit_code(capsys):

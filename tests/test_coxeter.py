@@ -1,29 +1,42 @@
-"""Weyl groups as permutation groups on roots: orders, words, weak order.
+"""Weyl groups as permutation groups on roots: orders, words, weak order,
+and the noncrossing interval in absolute order.
 
 The first group construction (a frontier BFS composing permutation tuples),
 the reduced-word count over sorted lengths and right descents, and the
 weak-order meet found by scanning all of W with a multiplying `leq` are kept
-below as oracles for the table- and bitset-based versions.
+below as oracles for the table- and bitset-based versions.  So is the first
+absolute interval, a BFS over all of W with every reflection (the
+reflections checked against their intrinsic characterization), as the oracle
+for the group-free walk down from c.
 """
 
+import subprocess
+import sys
 import time
+from itertools import permutations
 
 import pytest
 
+from clusterfan.assoc import narayana
+from clusterfan.cartan import bipartition
 from clusterfan.coxeter import (
     BudgetExceeded,
     LatticeCheckFailed,
-    NotCoxeterElement,
     absolute_interval,
     bitset_meet,
     build_group,
     count_reduced_words,
     coxeter_element,
     hasse_dot,
+    reflection_length,
     stanley_formula,
     weak_order,
 )
 from clusterfan.roots import root_system
+
+
+class NotCoxeterElement(ValueError):
+    """The element is not a product of all simple reflections in any order."""
 
 
 class OracleGroup:
@@ -96,6 +109,55 @@ class OracleGroup:
         assert sum(self.length[t] == self.length[best] for t in lower) == 1
         assert all(self.leq(t, best) for t in lower)
         return best
+
+    def reflections(self):
+        """Positive-root index -> reflection, checked against the intrinsic
+        characterization: the involutions sending exactly one positive root
+        to its own negative."""
+        rs, npos = self.rs, self.rs.num_positive
+        table = {b: self.index[rs.reflection_perm(b)] for b in range(npos)}
+        intrinsic = {
+            idx
+            for idx, p in enumerate(self.elements)
+            if sum(p[b] == rs.negate(b) for b in range(npos)) == 1
+            and self.mult(idx, idx) == 0
+        }
+        assert set(table.values()) == intrinsic and len(intrinsic) == npos
+        return table
+
+    def coxeter_element(self, order=None):
+        if order is None:
+            plus, minus = bipartition(self.rs.cartan)
+            order = sorted(plus) + sorted(minus)
+        return self.index[self.rs.word_perm(order)]
+
+    def absolute_interval(self, c):
+        """{element: reflection length} over [1, c], from reflection-length
+        distances over all of W."""
+        n = self.rs.n
+        if not any(
+            self.rs.word_perm(order) == self.elements[c] for order in permutations(range(n))
+        ):
+            raise NotCoxeterElement(self.elements[c])
+        reflections = sorted(set(self.reflections().values()))
+        distance = [-1] * len(self.elements)
+        distance[0] = 0
+        frontier = [0]
+        while frontier:
+            fresh = []
+            for u in frontier:
+                for t in reflections:
+                    v = self.mult(u, t)
+                    if distance[v] < 0:
+                        distance[v] = distance[u] + 1
+                        fresh.append(v)
+            frontier = fresh
+        assert min(distance) >= 0 and distance[c] == n
+        return {
+            self.elements[w]: distance[w]
+            for w in range(len(self.elements))
+            if distance[w] + distance[self.mult(self.inverse(w), c)] == n
+        }
 
 GROUP_ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "A4": 120, "A5": 720,
@@ -172,12 +234,12 @@ def test_descent_sets():
 
 def test_reflections_biject_with_positive_roots():
     for name in ("A3", "B3", "G2"):
-        group = build_group(root_system(name))
-        refl = group.reflections()
-        assert len(refl) == group.rs.num_positive
+        oracle = OracleGroup(root_system(name))
+        refl = oracle.reflections()
+        assert len(refl) == oracle.rs.num_positive
         for idx, t in refl.items():
-            assert group.mult(t, t) == 0
-            assert group.apply(t, idx) == group.rs.negate(idx)
+            assert oracle.mult(t, t) == 0
+            assert oracle.elements[t][idx] == oracle.rs.negate(idx)
 
 
 def test_weak_order_lattice_and_cover_count():
@@ -207,26 +269,99 @@ def test_hasse_dot_output():
 
 
 def test_coxeter_element_and_absolute_interval():
-    group = build_group(root_system("A3"))
-    c = coxeter_element(group)
-    interval = absolute_interval(group, c)
+    rs = root_system("A3")
+    interval = absolute_interval(rs)
+    # the bipartite Coxeter element s1 s3 s2
+    assert interval.coxeter == coxeter_element(rs) == rs.word_perm([0, 2, 1])
+    assert reflection_length(rs, interval.coxeter) == 3
     # noncrossing partition counts for A3: ranks 1,6,6,1 totalling 14
     assert interval.rank_counts == (1, 6, 6, 1)
+    assert interval.elements[0] == tuple(range(len(rs.roots)))
+    assert interval.elements[-1] == interval.coxeter
+    assert list(interval.ranks) == sorted(interval.ranks)
+    assert len(set(interval.elements)) == 14
 
 
 def test_coxeter_element_custom_order():
-    group = build_group(root_system("A2"))
-    c1 = coxeter_element(group, order=[0, 1])
-    c2 = coxeter_element(group, order=[1, 0])
+    oracle = OracleGroup(root_system("A2"))
+    c1 = oracle.coxeter_element(order=[0, 1])
+    c2 = oracle.coxeter_element(order=[1, 0])
     assert c1 != c2
-    assert absolute_interval(group, c1).rank_counts == (1, 3, 1)
-    assert absolute_interval(group, c2).rank_counts == (1, 3, 1)
+    for c in (c1, c2):
+        ranks = sorted(oracle.absolute_interval(c).values())
+        assert ranks == [0, 1, 1, 1, 2]
 
 
 def test_absolute_interval_rejects_non_coxeter():
-    group = build_group(root_system("A2"))
+    oracle = OracleGroup(root_system("A2"))
     with pytest.raises(NotCoxeterElement):
-        absolute_interval(group, 0)
+        oracle.absolute_interval(0)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4", "A1+A2"],
+)
+def test_absolute_interval_matches_group_bfs(name):
+    rs = root_system(name)
+    interval = absolute_interval(rs)
+    oracle = OracleGroup(rs)
+    assert interval.coxeter == oracle.elements[oracle.coxeter_element()]
+    expected = oracle.absolute_interval(oracle.coxeter_element())
+    assert dict(zip(interval.elements, interval.ranks)) == expected
+    assert len(interval.elements) == len(expected)
+    counts = [0] * (rs.n + 1)
+    for rank in expected.values():
+        counts[rank] += 1
+    assert interval.rank_counts == tuple(counts)
+
+
+@pytest.mark.parametrize("name", ["D5", "B5", "E6"])
+def test_absolute_interval_ranks_are_narayana(name):
+    rs = root_system(name)
+    assert absolute_interval(rs).rank_counts == narayana(rs)
+
+
+def test_oversized_interval_refused_before_the_walk():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="25080 elements, over the budget of 10000"):
+        absolute_interval(root_system("E8"))
+    assert time.perf_counter() - start < 5
+
+
+SABOTAGED_WALK = """
+import sys
+from clusterfan import coxeter
+from clusterfan.roots import root_system
+print("optimize", sys.flags.optimize)
+rs = root_system("A3")
+length = coxeter.reflection_length
+# a rank helper that gives c reflection length 0
+coxeter.reflection_length = lambda rs, w: 0
+try:
+    coxeter.absolute_interval(rs)
+except coxeter.GroupCheckFailed as exc:
+    print("FAIL", exc)
+coxeter.reflection_length = length
+# reflections that all act as the identity: the walk never gets below c
+rs.reflection_perm = lambda b: tuple(range(len(rs.roots)))
+try:
+    coxeter.absolute_interval(rs)
+except coxeter.GroupCheckFailed as exc:
+    print("FAIL", exc)
+"""
+
+
+def test_sabotaged_walk_fails_without_asserts():
+    # python -O strips assert statements; the interval checks must not be
+    # asserts
+    command = [sys.executable, "-O", "-c", SABOTAGED_WALK]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert result.stdout.splitlines() == [
+        "optimize 1",
+        "FAIL the Coxeter element must have reflection length n",
+        "FAIL the walk down from c must end at the identity alone",
+    ], result.stderr
 
 
 def test_budget_exceeded():

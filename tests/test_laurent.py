@@ -149,6 +149,9 @@ def test_solve_fraction_free_gives_reduced_points():
     # x = -1/4, y = 1/2 over the common denominator 4
     assert solve_fraction_free([[0, 2], [4, 0]], [1, -1]) == ((-1, 2), 4)
     assert solve_fraction_free([[-2]], [4]) == ((-2,), 1)
+    # the empty system has the empty solution, as det([]) is 1
+    assert solve_fraction_free([], []) == ((), 1)
+    assert solve_linear([], []) == []
     with pytest.raises(SingularMatrix):
         solve_fraction_free([[1, 1], [2, 2]], [1, 2])
 
@@ -156,6 +159,8 @@ def test_solve_fraction_free_gives_reduced_points():
 def test_adjugate_and_determinant():
     assert adjugate([[2, 1], [1, 3]]) == ([[3, -1], [-1, 2]], 5)
     assert adjugate([[0, 1], [1, 0]]) == ([[0, -1], [-1, 0]], -1)
+    assert adjugate([]) == ([], 1)
+    assert det([]) == 1
     with pytest.raises(SingularMatrix):
         adjugate([[1, 2], [2, 4]])
 
