@@ -8,6 +8,8 @@ one is needed, and a matrix file that is empty, has an entry that is not an
 integer, is not a Cartan matrix or, for mutate, is not an m-by-n matrix,
 m >= n, with a skew-symmetrizable top part and full column rank),
 3 budget exceeded or, for mutate, an exchange matrix of infinite type.
+mutate walks the exchange graph once, under --budget-seeds alone; text
+output prints counts only and computes no Laurent polynomial.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from .mutation import (
     ExchangeMatrix,
     Inconclusive,
     MutationBudgetExceeded,
+    NotFiniteType,
     NotFullRank,
-    detect_finite_type,
+    exchange_counts,
     explore,
     graph_to_dict,
     graph_to_dot,
@@ -58,10 +61,6 @@ from .assoc import (
 from .catalan import enumeration_report, report_csv
 from . import wiring
 from .verify import render_report, run_battery
-
-
-class NotFiniteType(RuntimeError):
-    """mutate was handed an exchange matrix of infinite type."""
 
 
 FORMATS = {
@@ -148,29 +147,25 @@ def cmd_group(parser, args) -> tuple[int, str]:
 
 def cmd_mutate(parser, args) -> tuple[int, str]:
     rows = _entries_from_args(parser, args, exchange=True)
-    # a malformed file fails here, with exit 2, before detection or exploration
+    # a malformed file fails here, with exit 2, before the walk
     matrix = ExchangeMatrix(rows, len(rows[0]))
-    # an infinite exchange graph would only end at the seed budget, long
-    # after the Laurent polynomials have grown huge; refuse it up front
-    detected = detect_finite_type(matrix)
-    if detected is None:
-        raise NotFiniteType(
-            "exchange matrix is not of finite type; its exchange graph is infinite"
-        )
+    # one walk of the exchange graph, refused at the first infinite-type
+    # witness; text needs only counts, so no Laurent values are built
+    if args.format == "text":
+        seeds, variables, detected = exchange_counts(matrix.rows, args.budget_seeds)
+        lines = [
+            f"seeds {seeds}",
+            f"variables {variables}",
+            "closed True",
+            f"detected {dynkin_name(detected)}",
+        ]
+        return 0, "\n".join(lines)
     names = [f"x{i+1}" for i in range(matrix.n)]
     frozen = [f"c{i+1}" for i in range(matrix.m - matrix.n)]
     record = explore(initial_seed(rows, names, frozen), budget=args.budget_seeds)
     if args.format == "dot":
         return 0, graph_to_dot(record)
-    if args.format == "json":
-        return 0, json.dumps(graph_to_dict(record), indent=2, sort_keys=True)
-    lines = [
-        f"seeds {len(record.seeds)}",
-        f"variables {len(record.variables)}",
-        f"closed {record.closed}",
-        f"detected {dynkin_name(detected)}",
-    ]
-    return 0, "\n".join(lines)
+    return 0, json.dumps(graph_to_dict(record), indent=2, sort_keys=True)
 
 
 def cmd_assoc(parser, args) -> tuple[int, str]:

@@ -17,9 +17,10 @@ variable in the Laurent ring once, when its g-vector first appears.  The
 Laurent-level canonical form (`canonical_key`) sorts the cluster by text
 instead; the two keys agree whenever the initial cluster is algebraically
 independent, as the generators from `initial_seed` are.
-`detect_finite_type` walks the coefficient-free graph and reads the
-2-finite criterion (Fomin-Zelevinsky, Cluster algebras II) off the seed
-matrices, which make up the whole mutation class.
+The walk stops at the first seed matrix with |b_ij b_ji| > 3 (the 2-finite
+criterion, Fomin-Zelevinsky, Cluster algebras II); once it closes, its seed
+matrices, the whole mutation class, give the Dynkin type.  `exchange_counts`
+counts cluster variables as distinct g-vectors, with no Laurent arithmetic.
 """
 
 from __future__ import annotations
@@ -34,12 +35,20 @@ from .linalg import matrix_rank
 from .roots import RootSystem
 
 
-class MutationBudgetExceeded(RuntimeError):
-    """Exploration hit its seed budget; the partial record is attached."""
+class _WalkStopped(RuntimeError):
+    """The exchange-graph walk stopped early; the partial record is attached."""
 
     def __init__(self, message: str, partial: "MutationGraph | None" = None):
         super().__init__(message)
         self.partial = partial
+
+
+class MutationBudgetExceeded(_WalkStopped):
+    """Exploration hit its seed budget."""
+
+
+class NotFiniteType(_WalkStopped):
+    """A seed matrix has an entry pair |b_ij b_ji| > 3: the graph is infinite."""
 
 
 class Inconclusive(RuntimeError):
@@ -255,9 +264,17 @@ class MutationGraph:
     edges: list[tuple[int, int, int]]  # (seed index, direction, seed index)
     variables: dict[str, LaurentPoly]  # canonical text -> value
     closed: bool
+    detected: DynkinType | None = None  # set once the walk closes
 
     def cluster_variables(self) -> list[LaurentPoly]:
         return list(self.variables.values())
+
+
+def _check_witness(rows: Sequence[Sequence[int]], n: int, partial) -> None:
+    """Raise NotFiniteType if the top n-by-n block has |b_ij b_ji| > 3."""
+    if any(abs(rows[i][j] * rows[j][i]) > 3 for i in range(n) for j in range(i + 1, n)):
+        message = "exchange matrix is not of finite type; its exchange graph is infinite"
+        raise NotFiniteType(message, partial)
 
 
 def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
@@ -267,9 +284,11 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
     sign-coherence, and `_g_key` identifies seeds, numbered in order of
     discovery.  Yields (u, k, v, image, new) per mutation of seed u in
     direction k, where image is the tropical data of seed v and new says
-    whether v was met just now.  Raises MutationBudgetExceeded, with
-    `partial` attached, if more than `budget` seeds appear."""
+    whether v was met just now.  Raises, with `partial` attached,
+    MutationBudgetExceeded if more than `budget` seeds appear and
+    NotFiniteType at the first seed, the start included, with a witness."""
     n = len(rows[0])
+    _check_witness(rows, n, partial)
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     tropical = [(rows, identity, identity)]
     index = {_g_key(rows, identity): 0}
@@ -289,6 +308,7 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
                         raise MutationBudgetExceeded(
                             f"exchange graph exceeded {budget} seeds", partial
                         )
+                    _check_witness(image[0], n, partial)
                     index[key] = v
                     tropical.append(image)
                     fresh.append(v)
@@ -305,8 +325,8 @@ def explore(seed: Seed, budget: int = 10**5) -> MutationGraph:
     brings an unseen g-vector; every stored seed must still have distinct
     variables (ValueError otherwise).
 
-    Raises MutationBudgetExceeded (with the partial graph attached) if more
-    than `budget` seeds appear.
+    Raises MutationBudgetExceeded or NotFiniteType as `_walk` does, with
+    the partial graph attached; a closed graph has its Dynkin type set.
     """
     n = seed.matrix.n
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
@@ -332,7 +352,24 @@ def explore(seed: Seed, budget: int = 10**5) -> MutationGraph:
         if u <= v:
             record.edges.append((u, k, v))
     record.closed = True
+    record.detected = _classify(s.matrix.principal() for s in record.seeds)
     return record
+
+
+def exchange_counts(
+    rows: Sequence[Sequence[int]], budget: int = 10**5
+) -> tuple[int, int, DynkinType]:
+    """Seeds, cluster variables (distinct g-vectors, the initial ones
+    included) and Dynkin type of the exchange graph of `rows`, from one
+    `_walk` and no Laurent arithmetic.  Raises as `_walk` does."""
+    n = len(rows[0])
+    gvectors = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    matrices = [rows[:n]]
+    for _, k, _, (image, _, moved), new in _walk(rows, budget):
+        if new:
+            gvectors.add(moved[k])
+            matrices.append(image[:n])
+    return len(matrices), len(gvectors), _classify(matrices)
 
 
 def alternating_chain(
@@ -383,32 +420,26 @@ def detect_finite_type(
 ) -> DynkinType | None:
     """Classify the mutation class of a square exchange matrix.
 
-    Walks the coefficient-free exchange graph (`_walk`), whose seed
-    matrices make up the mutation class.  Returns None at the first one
-    with an entry pair |b_ij b_ji| > 3 (an infinite-type witness); once the
-    walk closes, returns the Dynkin type of the first one that is built
-    from a finite-type Cartan matrix.  Raises Inconclusive if more than
-    `budget` seeds appear first.
+    Walks the coefficient-free exchange graph (`exchange_counts`), whose
+    seed matrices make up the mutation class.  Returns None at the first
+    infinite-type witness and, once the walk closes, the Dynkin type.
+    Raises Inconclusive if more than `budget` seeds appear first.
     """
     if isinstance(rows, ExchangeMatrix):
         rows = rows.principal()
     start = tuple(tuple(int(x) for x in r) for r in rows)
     skew_symmetrizer(start)  # validates shape
-    n = len(start)
-    matrices = [start]
     try:
-        for _, _, _, (image, _, _), new in _walk(start, budget):
-            if not new:
-                continue
-            if any(
-                abs(image[i][j] * image[j][i]) > 3
-                for i in range(n)
-                for j in range(i + 1, n)
-            ):
-                return None
-            matrices.append(image)
+        return exchange_counts(start, budget)[2]
+    except NotFiniteType:
+        return None
     except MutationBudgetExceeded:
         raise Inconclusive(f"mutation class exceeded {budget} seeds") from None
+
+
+def _classify(matrices: Iterable[Sequence[Sequence[int]]]) -> DynkinType:
+    """Dynkin type of the first square matrix built from a finite-type
+    Cartan matrix (Inconclusive if there is none)."""
     for matrix in matrices:
         candidate = _cartan_companion(matrix)
         if candidate is None:

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .laurent import LaurentPoly
 from .linalg import matrix_rank
-from .mutation import Seed, detect_finite_type, explore, initial_seed
+from .mutation import Seed, explore, initial_seed
 from .cartan import dynkin_name
 
 THICK = "T"
@@ -42,6 +42,12 @@ class NoMoveAvailable(ValueError):
 
 class MoveIdentityFailed(ArithmeticError):
     """A move's three-term identity A*C + B*D = Y*Z does not hold."""
+
+
+class WiringCheckFailed(RuntimeError):
+    """A diagram, its exchange seed or the GL(3) report broke one of its own
+    structural invariants (a chamber count, an exchange relation, the
+    match between cluster variables and minors)."""
 
 
 def parse_word(text: str) -> tuple[Letter, ...]:
@@ -130,8 +136,8 @@ def _sweep(d: DoubleWiringDiagram) -> list[tuple[tuple[int, ...], tuple[int, ...
         rows = thick if family == THICK else thin
         rows[height - 1], rows[height] = rows[height], rows[height - 1]
         slices.append((tuple(thick), tuple(thin)))
-    assert slices[-1][0] == tuple(range(1, d.n + 1))
-    assert slices[-1][1] == tuple(range(d.n, 0, -1))
+    if slices[-1] != (tuple(range(1, d.n + 1)), tuple(range(d.n, 0, -1))):
+        raise WiringCheckFailed(f"the sweep ends at {slices[-1]}, not at both reversals")
     return slices
 
 
@@ -165,13 +171,17 @@ def chambers(d: DoubleWiringDiagram) -> tuple[Chamber, ...]:
             found.append(
                 Chamber(level, start, end, label, 0 < start and end < last)
             )
-    assert len(found) == d.n * d.n
+    if len(found) != d.n * d.n:
+        raise WiringCheckFailed(f"{len(found)} chambers, expected {d.n * d.n}")
     return tuple(found)
 
 
 def chamber_collection(d: DoubleWiringDiagram) -> frozenset[Label]:
     labels = frozenset(c.label for c in chambers(d))
-    assert len(labels) == d.n * d.n, "chamber labels must be distinct"
+    if len(labels) != d.n * d.n:
+        raise WiringCheckFailed(
+            f"{len(labels)} distinct chamber labels, expected {d.n * d.n}"
+        )
     return labels
 
 
@@ -388,7 +398,10 @@ def enumerate_classes(n: int) -> MoveGraph:
                     sorted(chamber_collection(DoubleWiringDiagram(n, moved)))
                 )
                 j = index[key]
-                assert j != i, "a local move must change the collection"
+                if j == i:
+                    raise WiringCheckFailed(
+                        f"a move of {word_text(word)} keeps its collection"
+                    )
                 edges.add((min(i, j), max(i, j)))
     return MoveGraph(n, classes, sorted(edges))
 
@@ -421,11 +434,17 @@ def local_move(d: DoubleWiringDiagram, label: Label) -> dict:
         fresh = []
         for word in frontier:
             candidate = DoubleWiringDiagram(d.n, word)
-            assert chamber_collection(candidate) == collection
+            if chamber_collection(candidate) != collection:
+                raise WiringCheckFailed(
+                    f"sliding reached {word_text(word)} in another class"
+                )
             for move in word_moves(word):
                 record = check_move_identity(candidate, move)
                 if record["Y"] == label:
-                    assert record["holds"]
+                    if not record["holds"]:
+                        raise MoveIdentityFailed(
+                            f"identity failed at {word_text(word)} move {move}"
+                        )
                     return record
             for p in range(len(word) - 1):
                 (f1, h1), (f2, h2) = word[p], word[p + 1]
@@ -490,13 +509,12 @@ def _seed_from_class(
             record = move_chambers(d, move)
             plus = frozenset({record["A"], record["C"]})
             minus = frozenset({record["B"], record["D"]} - {None})
-            found = relations.setdefault(record["Y"], (plus, minus))
-            assert found == (plus, minus), (
-                "inconsistent exchange relations for one chamber"
-            )
-    assert set(relations) == set(bounded), (
-        "every bounded chamber must admit a move in this class"
-    )
+            if relations.setdefault(record["Y"], (plus, minus)) != (plus, minus):
+                raise WiringCheckFailed(
+                    f"two exchange relations for chamber {label_text(record['Y'])}"
+                )
+    if set(relations) != set(bounded):
+        raise WiringCheckFailed("every bounded chamber must admit a move in this class")
     order = bounded + unbounded
     row_of = {label: i for i, label in enumerate(order)}
     k = len(bounded)
@@ -519,7 +537,8 @@ def _seed_from_class(
             rows[i][j] == -rows[j][i] for i in range(k) for j in range(k)
         ):
             consistent.append(rows)
-    assert consistent, "no sign choice makes the principal part skew-symmetric"
+    if not consistent:
+        raise WiringCheckFailed("no sign choice makes the principal part skew-symmetric")
     rows = consistent[0]
     seed = initial_seed(
         rows,
@@ -537,7 +556,6 @@ def gl3_cell(budget: int = 10**4, rng_seed: int = 29) -> dict:
     start = graph.class_of(FOUR_MOVE_WORD)
     seed, bounded, unbounded = _seed_from_class(graph, start)
     record = explore(seed, budget=budget)
-    assert record.closed
 
     substitution = {
         chamber_name(label): minor_poly(label[0], label[1], 3)
@@ -559,16 +577,24 @@ def gl3_cell(budget: int = 10**4, rng_seed: int = 29) -> dict:
     for variable in record.cluster_variables():
         image = variable.substitute_laurent(substitution)
         numerator, denominators = image.separate()
-        assert not any(denominators), "cluster variables must be polynomials"
         text = numerator.text()
+        if any(denominators):
+            raise WiringCheckFailed(f"cluster variable {text} is not a polynomial")
         if text in hidden_texts:
             matched_hidden.append(text)
+        elif text not in all_minors:
+            raise WiringCheckFailed(f"unrecognized cluster variable {text}")
+        elif text in frozen_texts:
+            raise WiringCheckFailed(f"frozen minor {text} appeared as mutable")
         else:
-            assert text in all_minors, f"unrecognized cluster variable {text}"
-            assert text not in frozen_texts, "frozen minor appeared as mutable"
             matched_minors.append(all_minors[text])
-    assert len(matched_hidden) == len(hidden_texts) == 2
-    assert len(matched_minors) + len(frozen_texts) == len(all_minors)
+    if not len(matched_hidden) == len(hidden_texts) == 2:
+        raise WiringCheckFailed(f"{len(matched_hidden)} hidden variables, expected 2")
+    if len(matched_minors) + len(frozen_texts) != len(all_minors):
+        raise WiringCheckFailed(
+            f"{len(matched_minors)} mutable and {len(frozen_texts)} frozen minors,"
+            f" expected {len(all_minors)} in all"
+        )
 
     cluster_sets = set()
     for s in record.seeds:
@@ -577,7 +603,10 @@ def gl3_cell(budget: int = 10**4, rng_seed: int = 29) -> dict:
                 v.substitute_laurent(substitution).text() for v in s.cluster
             )
         )
-    assert len(cluster_sets) == len(record.seeds)
+    if len(cluster_sets) != len(record.seeds):
+        raise WiringCheckFailed(
+            f"{len(record.seeds)} seeds give {len(cluster_sets)} distinct clusters"
+        )
     embedded = 0
     for cls in graph.classes:
         rep = cls.representative()
@@ -586,12 +615,12 @@ def gl3_cell(budget: int = 10**4, rng_seed: int = 29) -> dict:
             for c in chambers(rep)
             if c.bounded
         )
-        assert texts in cluster_sets, "wiring cluster missing from the graph"
+        if texts not in cluster_sets:
+            raise WiringCheckFailed("wiring cluster missing from the graph")
         embedded += 1
-    assert embedded < len(cluster_sets), "the embedding should be strict"
+    if embedded >= len(cluster_sets):
+        raise WiringCheckFailed("the embedding should be strict")
 
-    detected = detect_finite_type(seed.matrix)
-    assert detected is not None
     rank = jacobian_rank(graph.classes[start].representative(), rng_seed)
 
     return {
@@ -600,7 +629,7 @@ def gl3_cell(budget: int = 10**4, rng_seed: int = 29) -> dict:
         "isotopy_classes": len(graph.classes),
         "cluster_variable_count": len(record.variables),
         "cluster_count": len(record.seeds),
-        "detected_type": dynkin_name(detected),
+        "detected_type": dynkin_name(record.detected),
         "frozen_minors": sorted(label_text(label) for label in unbounded),
         "minor_variables": sorted(
             label_text(pair) for pair in matched_minors

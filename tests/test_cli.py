@@ -164,6 +164,26 @@ def test_mutate_budget_exit_code(capsys):
     assert "budget exceeded" in err
 
 
+def test_mutate_budget_seeds_is_the_only_budget(capsys):
+    # F4+F4 has 11,025 seeds, more than detection alone used to allow
+    code, out, err = run(capsys, "mutate", "--type", "F4+F4", "--budget-seeds", "20000")
+    assert code == 0, err
+    assert out.splitlines() == [
+        "seeds 11025", "variables 56", "closed True", "detected F4+F4"
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_mutate_budget_one_below_the_seed_count(capsys, fmt):
+    # D4 has 50 seeds
+    code, out, err = run(
+        capsys, "mutate", "--type", "D4", "--budget-seeds", "49", "--format", fmt
+    )
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["budget exceeded: exchange graph exceeded 49 seeds"]
+
+
 def test_mutate_infinite_type_fails_fast(capsys, tmp_path):
     # the rank-2 matrix with b12 b21 = -6 has an infinite exchange graph,
     # and the seed budget alone would not stop the growth of its variables

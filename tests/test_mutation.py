@@ -2,9 +2,12 @@
 
 import json
 import random
+import time
 from itertools import permutations
 
 import pytest
+
+from clusterfan import cli, mutation, wiring
 
 from clusterfan.cartan import (
     NotCartanShape,
@@ -23,10 +26,12 @@ from clusterfan.mutation import (
     MutationBudgetExceeded,
     MutationGraph,
     NotAlmostPositive,
+    NotFiniteType,
     alternating_chain,
     canonical_key,
     denominator_root,
     detect_finite_type,
+    exchange_counts,
     explore,
     graph_to_dict,
     graph_to_dot,
@@ -295,18 +300,18 @@ def test_explore_matches_laurent_oracle(name, frozen):
     assert graph_bytes(explore(seed)) == graph_bytes(laurent_explore(seed))
 
 
-@pytest.mark.parametrize(
-    "name,frozen,perm,sign",
-    [
-        ("A3", [(1, 0, 2)], (2, 0, 1), -1),
-        ("B3", [(0, -1, 1), (2, 0, 0)], (1, 2, 0), 1),
-        ("C3", "principal", (2, 1, 0), -1),
-        ("D4", [(1, -2, 0, 1), (0, 1, 0, -1)], (3, 1, 0, 2), -1),
-        ("G2", [(-2, 1)], (1, 0), -1),
-        ("A4", [(0, 1, -1, 2), (1, 0, 0, -1)], (2, 3, 1, 0), 1),
-        ("B4", "none", (3, 0, 2, 1), -1),
-    ],
-)
+RELABELED_CASES = [
+    ("A3", [(1, 0, 2)], (2, 0, 1), -1),
+    ("B3", [(0, -1, 1), (2, 0, 0)], (1, 2, 0), 1),
+    ("C3", "principal", (2, 1, 0), -1),
+    ("D4", [(1, -2, 0, 1), (0, 1, 0, -1)], (3, 1, 0, 2), -1),
+    ("G2", [(-2, 1)], (1, 0), -1),
+    ("A4", [(0, 1, -1, 2), (1, 0, 0, -1)], (2, 3, 1, 0), 1),
+    ("B4", "none", (3, 0, 2, 1), -1),
+]
+
+
+@pytest.mark.parametrize("name,frozen,perm,sign", RELABELED_CASES)
 def test_explore_matches_oracle_on_relabeled_inputs(name, frozen, perm, sign):
     seed = seed_of(relabeled(exchange_rows(name, frozen), perm, sign))
     assert graph_bytes(explore(seed)) == graph_bytes(laurent_explore(seed))
@@ -327,6 +332,87 @@ def test_e6_exchange_graph():
     seed = seed_of(exchange_rows("E6"))
     graph = explore(seed)
     assert (len(graph.seeds), len(graph.edges), len(graph.variables)) == (833, 2499, 42)
+
+
+# -- one walk per question: counts without Laurent values ----------------------
+
+
+def counts_matching_explore(rows):
+    """exchange_counts(rows), checked against explore and detection."""
+    record = explore(seed_of(rows))
+    counts = exchange_counts(rows)
+    assert counts == (len(record.seeds), len(record.variables), record.detected)
+    n = len(rows[0])
+    assert record.detected == detect_finite_type([row[:n] for row in rows[:n]])
+    return counts
+
+
+@pytest.mark.parametrize(
+    "name,frozen",
+    [
+        (name, frozen)
+        for name in ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3",
+                     "D4", "D5", "G2", "F4", "E6")
+        for frozen in ("none", "principal")
+    ],
+)
+def test_counts_match_explore(name, frozen):
+    # distinct g-vectors are distinct cluster variables
+    _, _, detected = counts_matching_explore(exchange_rows(name, frozen))
+    assert dynkin_name(detected) == name
+
+
+@pytest.mark.parametrize("name,frozen,perm,sign", RELABELED_CASES)
+def test_counts_match_explore_on_relabeled_inputs(name, frozen, perm, sign):
+    counts_matching_explore(relabeled(exchange_rows(name, frozen), perm, sign))
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The start matrix of every exchange-graph walk taken."""
+    calls = []
+    original = mutation._walk
+
+    def counted(rows, *args, **kwargs):
+        calls.append(rows)
+        return original(rows, *args, **kwargs)
+
+    monkeypatch.setattr(mutation, "_walk", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_mutate_walks_once(walks, capsys, fmt):
+    assert cli.main(["mutate", "--type", "D4", "--format", fmt]) == 0
+    assert len(walks) == 1
+    assert capsys.readouterr().out
+
+
+def test_gl3_cell_walks_once(walks):
+    assert wiring.gl3_cell()["detected_type"] == "D4"
+    assert len(walks) == 1
+
+
+INFINITE_TYPES = [
+    ((0, 2, -2), (-2, 0, 2), (2, -2, 0)),  # Markov quiver
+    ((0, 2), (-3, 0)),
+    # an acyclic triangle (affine A); the witness is one mutation away
+    ((0, 1, 1), (-1, 0, 1), (-1, -1, 0)),
+]
+
+
+@pytest.mark.parametrize("rows", INFINITE_TYPES)
+def test_explore_refuses_infinite_type_at_the_first_witness(rows):
+    start = time.perf_counter()
+    with pytest.raises(NotFiniteType, match="not of finite type") as info:
+        explore(seed_of(rows))
+    assert time.perf_counter() - start < 1
+    partial = info.value.partial
+    assert partial is not None and not partial.closed and partial.detected is None
+    assert partial.seeds[0].matrix.rows == rows
+    with pytest.raises(NotFiniteType):
+        exchange_counts(rows)
+    assert detect_finite_type(rows) is None
 
 
 def test_explore_rejects_repeated_initial_variables():

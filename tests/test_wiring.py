@@ -1,6 +1,9 @@
 """Double wiring diagrams: chamber minors, local moves, the three-term
 determinant identity, and the totally positive cell report."""
 
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 
@@ -269,3 +272,46 @@ def test_gl3_report_json_stable():
     text = report_json(report)
     assert text == report_json(gl3_cell())
     assert '"detected_type": "D4"' in text
+
+
+WIRING_CHECKS = """
+import sys
+from clusterfan import wiring
+print("optimize", sys.flags.optimize)
+chambers, explore = wiring.chambers, wiring.explore
+def duplicated(d):
+    # one chamber listed twice in place of another leaves 8 distinct labels
+    return chambers(d)[:-1] + chambers(d)[:1]
+def doubled(seed, budget):
+    # the exchange graph comes back with its first seed repeated
+    record = explore(seed, budget)
+    record.seeds.append(record.seeds[0])
+    return record
+four_move = wiring.diagram(wiring.FOUR_MOVE_WORD)
+checks = (
+    ("chambers", duplicated, lambda: wiring.chamber_collection(four_move)),
+    ("explore", doubled, wiring.gl3_cell),
+)
+for name, sabotage, check in checks:
+    original = getattr(wiring, name)
+    setattr(wiring, name, sabotage)
+    try:
+        check()
+    except wiring.WiringCheckFailed as exc:
+        print("FAIL", exc)
+    else:
+        print("PASS")
+    setattr(wiring, name, original)
+"""
+
+
+def test_wiring_checks_fail_without_asserts():
+    # python -O strips assert statements; the structural checks must not be
+    # asserts
+    command = [sys.executable, "-O", "-c", WIRING_CHECKS]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert result.stdout.splitlines() == [
+        "optimize 1",
+        "FAIL 8 distinct chamber labels, expected 9",
+        "FAIL 51 seeds give 50 distinct clusters",
+    ], result.stderr
