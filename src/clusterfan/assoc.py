@@ -26,8 +26,8 @@ from .roots import NotIrreducible, RootSystem, catalan_number, coxeter_data, wei
 
 
 class OrbitEscape(RuntimeError):
-    """Alternating the involutions failed to reach a negated simple root
-    within the theoretical bound; indicates a bug, not bad input."""
+    """An orbit of pairs under the involutions holds no negated simple root;
+    indicates a bug, not bad input."""
 
 
 class OrbitConflict(RuntimeError):
@@ -171,44 +171,46 @@ class CompatibilityRelation:
 
 
 def compatibility(ap: AlmostPositive) -> CompatibilityRelation:
-    """Decide compatibility for every pair by alternating the involutions
-    until a member is a negated simple root, then reading off the support
-    rule.  Every intermediate verdict along both alternation starts must
-    agree; a disagreement or a pair that never reaches a negated simple root
-    is a fatal inconsistency."""
-    rs = ap.rs
-    # 2 |positive roots| / rank is the Coxeter number for an irreducible
-    # system; twice (that + 2) bounds the size of any dihedral orbit.
-    cap = 2 * (2 * rs.num_positive // rs.n + 2)
+    """Decide compatibility on the orbits of pairs under the two involutions,
+    acting diagonally, each pair visited once.  The support rule is read off
+    every pair of an orbit that holds a negated simple root; those verdicts
+    must agree, and an orbit without such a pair is a fatal inconsistency."""
+    rs, indices = ap.rs, ap.indices
+    size = len(indices)
+    taus = [[ap.position[ap.tau(sign, idx)] for idx in indices] for sign in (1, -1)]
+    simple = [ap.negative_simple(idx) for idx in indices]
+    coords = [rs.roots[idx].coords for idx in indices]
 
-    def support_verdicts(a: int, b: int) -> list[bool]:
+    def support_verdicts(p: int, q: int) -> list[bool]:
         out = []
-        for x, y in ((a, b), (b, a)):
-            i = ap.negative_simple(x)
+        for x, y in ((p, q), (q, p)):
+            i = simple[x]
             if i is not None:
-                out.append(rs.roots[y].coords[i] == 0)
+                out.append(coords[y][i] == 0)
         return out
 
-    def decide(a: int, b: int) -> bool:
+    seen = bytearray(size * size)  # p * size + q for the pair p < q
+    pairs: set[tuple[int, int]] = set()
+    for start in itertools.combinations(range(size), 2):
+        if seen[start[0] * size + start[1]]:
+            continue
+        seen[start[0] * size + start[1]] = 1
+        orbit = [start]
         verdicts: list[bool] = []
-        for first in (1, -1):
-            x, y = a, b
-            sign = first
-            for _ in range(cap + 1):
-                verdicts.extend(support_verdicts(x, y))
-                x, y = ap.tau(sign, x), ap.tau(sign, y)
-                sign = -sign
-            if not verdicts:
-                raise OrbitEscape(f"pair {a},{b} never met a negated simple root")
+        for p, q in orbit:
+            verdicts.extend(support_verdicts(p, q))
+            for tau in taus:
+                a, b = sorted((tau[p], tau[q]))
+                if not seen[a * size + b]:
+                    seen[a * size + b] = 1
+                    orbit.append((a, b))
+        a, b = indices[start[0]], indices[start[1]]
+        if not verdicts:
+            raise OrbitEscape(f"pair {a},{b} never met a negated simple root")
         if any(v != verdicts[0] for v in verdicts):
             raise AssocCheckFailed(f"pair {a},{b} got disagreeing verdicts {verdicts}")
-        return verdicts[0]
-
-    pairs = set()
-    for p in range(len(ap.indices)):
-        for q in range(p + 1, len(ap.indices)):
-            if decide(ap.indices[p], ap.indices[q]):
-                pairs.add((p, q))
+        if verdicts[0]:
+            pairs.update(orbit)
     return CompatibilityRelation(ap, frozenset(pairs))
 
 

@@ -136,7 +136,7 @@ def cmd_group(parser, args) -> tuple[int, str]:
         return 0, hasse_dot(group, weak_order(group))
     stats = {
         "type": dynkin_name(rs.dynkin),
-        "order": len(group.elements),
+        "order": len(group),
         "longest_length": group.length[group.w0],
         "reduced_words_of_w0": count_reduced_words(group, group.w0),
     }

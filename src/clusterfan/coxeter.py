@@ -1,14 +1,33 @@
-"""Weyl groups as explicit permutation groups on the roots.
+"""Weyl groups: a Cayley table found on the orbit of rho, and root
+permutations built from it on demand.
 
-Elements are tuples: position r holds the index of the image of root r.
-Multiplication w*v composes as functions, (w*v)(r) = w(v(r)), so extending a
-word on the right means acting first by the new letter.  The group is built
-by one breadth-first search from the identity, so element indices run in
-length order, and the search keeps its right Cayley table: `right[u][i]` is
-the index of u*s_i.  Lengths, reduced words, the weak order and the
-longest element are all read from this table and the permutation action.
-The weak order's lattice property is checked on down-sets stored as int
-bitmasks, one bit per element.
+W acts simply transitively on the orbit of the regular weight rho, so the
+search keys element u by mu = u^-1 rho in fundamental-weight coordinates.
+The n coordinates are packed into one int, each in a field of fixed width
+with a bias; |mu_k| <= h - 1 fits the width derived from the number of
+positive roots.  Right multiplication by s_i is mu -> s_i mu = mu - mu_i
+alpha_i, one subtraction on the packed int, where alpha_i is column i of the
+Cartan matrix packed the same way.  The search is breadth-first from the
+identity, so element indices run in length order, and it keeps its right
+Cayley table: `right[u][i]` is the index of u*s_i.  Lengths, reduced
+words, the weak order and the longest element are all read from this table.
+
+Three checks hold the search to the group, none of them an assert: it finds
+exactly |W| elements with a unique longest one; on every edge the length
+moves by the sign of mu_i, since u(alpha_i) > 0 exactly when mu_i > 0 (by
+induction from the identity, BFS depth is then the inversion count); and the
+length counts equal the Poincare polynomial prod [e_i + 1]_q over the
+exponents, which are read off the root heights, not off the search.
+
+Elements as permutations of the roots are built only when something reads
+`elements` or `element_index`: position r holds the index of the image of
+root r, and each element is its discoverer's permutation composed with s_i,
+walked along `right` in index order.  Their inversion counts are then
+checked against the lengths.  `len(group.elements)` reads the table alone.
+Multiplication w*v composes as functions, (w*v)(r) = w(v(r)), so extending
+a word on the right means acting first by the new letter.  The weak order's
+lattice property is checked on down-sets stored as int bitmasks, one bit per
+element.
 
 The noncrossing interval [1, c] in absolute order needs no group.  By
 Carter's lemma the reflection length of w is rank(w - 1) on simple-root
@@ -20,13 +39,16 @@ ever built.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 from operator import itemgetter
-from typing import Sequence
 
 from .linalg import matrix_rank
-from .roots import RootSystem, catalan_number, weyl_group_order
+from .roots import RootSystem, _component_exponents, catalan_number
 from . import cartan as cartan_mod
 
 Perm = tuple[int, ...]
@@ -44,9 +66,46 @@ class GroupCheckFailed(RuntimeError):
     """Two independent computations of the same group datum disagree."""
 
 
+def _packed_columns(cartan: Sequence[Sequence[int]], width: int) -> list[int]:
+    """alpha_i in fundamental-weight coordinates, <alpha_i, alpha_k^vee> =
+    cartan[k][i], packed one field of `width` bits per coordinate."""
+    n = len(cartan)
+    return [sum(cartan[k][i] << (k * width) for k in range(n)) for i in range(n)]
+
+
+def _poincare_polynomial(exponents: Sequence[int]) -> list[int]:
+    """Coefficients of prod (1 + q + ... + q^e) over the exponents."""
+    coeffs = [1]
+    for e in exponents:
+        out = [0] * (len(coeffs) + e)
+        for d, c in enumerate(coeffs):
+            for t in range(d, d + e + 1):
+                out[t] += c
+        coeffs = out
+    return coeffs
+
+
+class _Elements(Sequence):
+    """The elements as root permutations, in index order.  Its length is the
+    group order; the permutations are built on the first item read."""
+
+    def __init__(self, group: WeylGroup):
+        self._group = group
+
+    def __len__(self) -> int:
+        return len(self._group.right)
+
+    def __getitem__(self, u):
+        return self._group._perms[u]
+
+    def __eq__(self, other) -> bool:
+        return self._group._perms == other
+
+
 class WeylGroup:
     def __init__(self, rs: RootSystem, budget: int = 10**6):
-        order = weyl_group_order(rs)
+        exponents = [e for part in _component_exponents(rs) for e in part]
+        order = prod(e + 1 for e in exponents)
         if order > budget:
             raise BudgetExceeded(
                 f"group has {order} elements, over the budget of {budget}"
@@ -56,63 +115,110 @@ class WeylGroup:
         self.identity: Perm = tuple(range(len(rs.roots)))
         self.generators: list[Perm] = [rs.simple_perm(i) for i in range(rs.n)]
 
-        # breadth-first over the elements list itself: index order is
-        # length order, and row u of the Cayley table is filled when u is
-        # dequeued
-        kernels = [itemgetter(*g) for g in self.generators]
-        elements: list[Perm] = [self.identity]
-        index: dict[Perm, int] = {self.identity: 0}
-        lengths: list[int] = [0]
+        # |mu_k| <= h - 1 <= 2 |positives| - 1 leaves every biased field
+        # inside [0, 2^width), so the packed subtraction never borrows
+        # across fields of a weight in the orbit
+        width = (4 * rs.num_positive + 4).bit_length()
+        bias = 1 << (width - 1)
+        mask = (1 << width) - 1
+        steps = list(zip(range(0, rs.n * width, width), _packed_columns(rs.cartan, width)))
+        rho = sum((1 + bias) << shift for shift, _ in steps)
+
+        # breadth-first over the codes list itself: index order is length
+        # order, and row u of the Cayley table is filled when u is dequeued
+        codes = [rho]
+        index = {rho: 0}
+        lengths = [0]
         right: list[tuple[int, ...]] = []
-        for u, p in enumerate(elements):
+        for u, code in enumerate(codes):
+            lu = lengths[u]
             row = []
-            for kernel in kernels:
-                q = kernel(p)
-                v = index.get(q)
+            for i, (shift, alpha) in enumerate(steps):
+                m = ((code >> shift) & mask) - bias
+                image = code - m * alpha
+                v = index.get(image)
                 if v is None:
-                    v = index[q] = len(elements)
-                    elements.append(q)
-                    lengths.append(lengths[u] + 1)
+                    v = index[image] = len(codes)
+                    if v == order:
+                        raise GroupCheckFailed(
+                            f"search found more than the {order} elements the exponents give"
+                        )
+                    codes.append(image)
+                    lengths.append(lu + 1)
+                if lengths[v] != (lu + 1 if m > 0 else lu - 1):
+                    raise GroupCheckFailed(
+                        f"length must move by the sign of mu_{i + 1} = {m} from element {u}"
+                    )
                 row.append(v)
             right.append(tuple(row))
-        self.elements = elements
-        self.element_index = index
         self.length = lengths
         self.right = right
 
-        if len(elements) != order:
+        if len(codes) != order:
             raise GroupCheckFailed(
-                f"search found {len(elements)} elements, the exponents give {order}"
+                f"search found {len(codes)} elements, the exponents give {order}"
             )
-        # Cayley depth must agree with the inversion count
-        npos = rs.num_positive
-        for p, l in zip(elements, lengths):
-            if sum(map(npos.__le__, p[:npos])) != l:
-                raise GroupCheckFailed("BFS depth must equal inversion count")
         if lengths.count(lengths[-1]) != 1:
             raise GroupCheckFailed("longest element must be unique")
-        self.w0 = len(elements) - 1
+        counts = Counter(lengths)
+        poincare = _poincare_polynomial(exponents)
+        if [counts[l] for l in range(len(poincare))] != poincare:
+            raise GroupCheckFailed(
+                f"length counts must be the Poincare polynomial {poincare} of the exponents"
+            )
+        self.w0 = len(codes) - 1
 
         self._words: dict[int, tuple[int, ...]] = {}
+
+    # -- root permutations, built on demand ----------------------------------
+
+    @property
+    def elements(self) -> Sequence[Perm]:
+        return _Elements(self)
+
+    @cached_property
+    def _perms(self) -> list[Perm]:
+        """Every element as a root permutation: the first time v turns up in
+        `right`, read in index order, it is u*s_i for its discoverer u."""
+        kernels = [itemgetter(*g) for g in self.generators]
+        perms = [self.identity]
+        for u, row in enumerate(self.right):
+            p = perms[u]
+            for kernel, v in zip(kernels, row):
+                if v == len(perms):
+                    perms.append(kernel(p))
+        # Cayley depth must agree with the inversion count
+        npos = self.rs.num_positive
+        for p, l in zip(perms, self.length):
+            if sum(map(npos.__le__, p[:npos])) != l:
+                raise GroupCheckFailed("BFS depth must equal inversion count")
+        return perms
+
+    @cached_property
+    def element_index(self) -> dict[Perm, int]:
+        index = {p: u for u, p in enumerate(self._perms)}
+        if len(index) != len(self._perms):
+            raise GroupCheckFailed("distinct elements must have distinct permutations")
+        return index
 
     # -- basic operations ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.right)
 
     def mult(self, u: int, v: int) -> int:
-        pu, pv = self.elements[u], self.elements[v]
+        pu, pv = self._perms[u], self._perms[v]
         return self.element_index[tuple(map(pu.__getitem__, pv))]
 
     def inverse(self, u: int) -> int:
-        p = self.elements[u]
+        p = self._perms[u]
         inv = [0] * len(p)
         for r, image in enumerate(p):
             inv[image] = r
         return self.element_index[tuple(inv)]
 
     def apply(self, u: int, root_idx: int) -> int:
-        return self.elements[u][root_idx]
+        return self._perms[u][root_idx]
 
     def times_generator(self, u: int, i: int) -> int:
         """Right multiplication by s_i."""
@@ -121,10 +227,10 @@ class WeylGroup:
     def generator_times(self, i: int, u: int) -> int:
         """Left multiplication by s_i."""
         g = self.generators[i]
-        return self.element_index[tuple(map(g.__getitem__, self.elements[u]))]
+        return self.element_index[tuple(map(g.__getitem__, self._perms[u]))]
 
     def right_descents(self, u: int) -> list[int]:
-        p = self.elements[u]
+        p = self._perms[u]
         npos = self.rs.num_positive
         return [i for i, s in enumerate(self.rs.simple_index) if p[s] >= npos]
 
@@ -227,7 +333,7 @@ def weak_order(group: WeylGroup) -> WeakOrderData:
     Exhaustive up to EXHAUSTIVE_LIMIT elements, sampling 2000 pairs (seeded
     by SAMPLE_SEED) above.  Raises LatticeCheckFailed on any failure.
     """
-    size = len(group.elements)
+    size = len(group)
     length = group.length
     covers = []
     down = [1 << u for u in range(size)]
@@ -262,7 +368,7 @@ def hasse_dot(group: WeylGroup, data: WeakOrderData) -> str:
         return "e" if not word else "".join(str(i + 1) for i in word)
 
     lines = ["digraph weak_order {", "  rankdir=BT;"]
-    for u in range(len(group.elements)):
+    for u in range(len(group)):
         lines.append(f'  n{u} [label="{label(u)}"];')
     for lower, i, upper in data.covers:
         lines.append(f'  n{lower} -> n{upper} [label="{i + 1}"];')

@@ -111,23 +111,24 @@ def matrix_mutate(
     rows: Sequence[Sequence[int]], k: int
 ) -> tuple[tuple[int, ...], ...]:
     """Matrix mutation in direction k (0-based): entries in row or column k
-    flip sign; an entry b_ij with b_ik b_kj > 0 moves by |b_ik| b_kj."""
-    m = len(rows)
+    flip sign; an entry b_ij with b_ik b_kj > 0 moves by |b_ik| b_kj.  A row
+    with b_ik = 0 is unchanged and kept as it is."""
     n = len(rows[0])
     if not 0 <= k < n:
         raise ValueError(f"direction {k} out of range for {n} columns")
+    pivot = rows[k]
     out = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            b = rows[i][j]
-            if i == k or j == k:
-                row.append(-b)
-            elif rows[i][k] * rows[k][j] > 0:
-                row.append(b + abs(rows[i][k]) * rows[k][j])
-            else:
-                row.append(b)
-        out.append(tuple(row))
+    for i, row in enumerate(rows):
+        b_ik = row[k]
+        if i == k:
+            out.append(tuple(-b for b in row))
+        elif b_ik == 0:
+            out.append(tuple(row))
+        else:
+            step = abs(b_ik)
+            new = [b + step * p if b_ik * p > 0 else b for b, p in zip(row, pivot)]
+            new[k] = -b_ik
+            out.append(tuple(new))
     return tuple(out)
 
 

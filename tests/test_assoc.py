@@ -3,7 +3,9 @@ generalized associahedron as an exact rational polytope.
 
 The first cone solver, which returned a vector's rational coefficients over
 a cone's columns, is kept below as the oracle for the sign-only integer
-solver."""
+solver.  So is the first compatibility test, which walked both alternation
+starts of every pair for 2(h+2)+1 steps, as the oracle for the walk over
+orbits of pairs."""
 
 import json
 import random
@@ -119,6 +121,52 @@ def test_negated_simples_pairwise_compatible():
     for i, a in enumerate(negatives):
         for b in negatives[i + 1 :]:
             assert rel.compatible(a, b)
+
+
+def decide_pairs(ap):
+    """Compatible position pairs, each decided on its own by alternating the
+    involutions from both starts and reading the support rule wherever a
+    member is a negated simple root."""
+    rs = ap.rs
+    cap = 2 * (2 * rs.num_positive // rs.n + 2)
+
+    def support_verdicts(a, b):
+        out = []
+        for x, y in ((a, b), (b, a)):
+            i = ap.negative_simple(x)
+            if i is not None:
+                out.append(rs.roots[y].coords[i] == 0)
+        return out
+
+    def decide(a, b):
+        verdicts = []
+        for first in (1, -1):
+            x, y = a, b
+            sign = first
+            for _ in range(cap + 1):
+                verdicts.extend(support_verdicts(x, y))
+                x, y = ap.tau(sign, x), ap.tau(sign, y)
+                sign = -sign
+            assert verdicts, (a, b)
+        assert all(v == verdicts[0] for v in verdicts), (a, b)
+        return verdicts[0]
+
+    return {
+        (p, q)
+        for p in range(len(ap.indices))
+        for q in range(p + 1, len(ap.indices))
+        if decide(ap.indices[p], ap.indices[q])
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "C5",
+     "D4", "D5", "G2", "F4", "E6", "E7", "E8", "A2+B2", "A1+A1+A1"],
+)
+def test_compatibility_orbits_match_per_pair_walk(name):
+    ap = almost_positive(root_system(name))
+    assert compatibility(ap).pairs == decide_pairs(ap)
 
 
 FACET_COUNTS = {

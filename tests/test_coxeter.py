@@ -13,10 +13,12 @@ for the group-free walk down from c.
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
+from clusterfan import cli
 from clusterfan.assoc import narayana
 from clusterfan.cartan import bipartition
 from clusterfan.coxeter import (
@@ -437,3 +439,108 @@ def test_weak_order_exhaustive_up_to_4000_elements():
     assert data.exhaustive
     assert data.checked_pairs == 1920 * 1919 // 2
     assert len(data.covers) == 1920 * 5 // 2
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A3", "B3", "C3", "G2", "A1+A2", "D4", "A2+B2", "A1+A1+A1"]
+)
+def test_orbit_search_matches_frontier_bfs(name):
+    group = build_group(root_system(name))
+    oracle = OracleGroup(group.rs)
+    assert group.length == oracle.length
+    assert group.right == [
+        tuple(oracle.times_generator(u, i) for i in range(group.n))
+        for u in range(len(oracle.elements))
+    ]
+    assert group.w0 == max(range(len(oracle.elements)), key=oracle.length.__getitem__)
+
+
+# exponents by component, written out rather than read off the root heights
+EXPONENTS = {
+    "A3": (1, 2, 3), "B3": (1, 3, 5), "G2": (1, 5), "D4": (1, 3, 3, 5),
+    "F4": (1, 5, 7, 11), "E6": (1, 4, 5, 7, 8, 11), "A2+B2": (1, 2, 1, 3),
+    "A1+A1+A1": (1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPONENTS))
+def test_length_counts_are_the_poincare_polynomial(name):
+    coeffs = [1]
+    for e in EXPONENTS[name]:
+        coeffs = [
+            sum(coeffs[d - t] for t in range(e + 1) if 0 <= d - t < len(coeffs))
+            for d in range(len(coeffs) + e)
+        ]
+    counts = Counter(build_group(root_system(name)).length)
+    assert [counts[l] for l in range(len(coeffs))] == coeffs
+    assert sum(counts.values()) == sum(coeffs)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_group_output_builds_no_permutations(fmt, monkeypatch, capsys):
+    built = []
+
+    def recording(rs, budget=10**6):
+        built.append(build_group(rs, budget))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_group", recording)
+    assert cli.main(["group", "--type", "E6", "--format", fmt]) == 0
+    assert "51840" in capsys.readouterr().out
+    (group,) = built
+    assert len(group.elements) == len(group) == 51840
+    assert "_perms" not in vars(group) and "element_index" not in vars(group)
+    # reading one element builds them all, checked against the lengths
+    assert group.elements[group.w0] == group.rs.longest_element()
+    assert "_perms" in vars(group)
+
+
+SABOTAGED_SEARCH = """
+import sys
+from clusterfan import coxeter
+from clusterfan.roots import root_system
+print("optimize", sys.flags.optimize)
+# alpha_1 with one more in its second coordinate: steps along s_1 leave the
+# orbit of rho
+columns = coxeter._packed_columns
+def sabotaged(cartan, width):
+    packed = columns(cartan, width)
+    packed[0] += 1 << width
+    return packed
+coxeter._packed_columns = sabotaged
+try:
+    coxeter.build_group(root_system("A3"))
+except coxeter.GroupCheckFailed as exc:
+    print("FAIL", exc)
+coxeter._packed_columns = columns
+# exponents 1, 1, 5 give |W| = 24 as A3's 1, 2, 3 do, but another polynomial
+exponents = coxeter._component_exponents
+coxeter._component_exponents = lambda rs: [[1, 1, 5]]
+try:
+    coxeter.build_group(root_system("A3"))
+except coxeter.GroupCheckFailed as exc:
+    print("FAIL", exc)
+coxeter._component_exponents = exponents
+# generators that act as the identity: every permutation built is the
+# identity, with no inversions
+group = coxeter.build_group(root_system("A2"))
+group.generators = [group.identity] * group.n
+try:
+    group.elements[0]
+except coxeter.GroupCheckFailed as exc:
+    print("FAIL", exc)
+"""
+
+
+def test_sabotaged_search_fails_without_asserts():
+    # python -O strips assert statements; the group checks must not be
+    # asserts
+    command = [sys.executable, "-O", "-c", SABOTAGED_SEARCH]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert result.stdout.splitlines() == [
+        "optimize 1",
+        "FAIL length must move by the sign of mu_1 = 0 from element 4",
+        "FAIL length counts must be the Poincare polynomial"
+        " [1, 3, 4, 4, 4, 4, 3, 1] of the exponents",
+        "FAIL BFS depth must equal inversion count",
+    ], result.stderr

@@ -52,6 +52,51 @@ def test_matrix_mutation_is_involutive():
         assert matrix_mutate(matrix_mutate(rows, k), k) == rows
 
 
+def entrywise_mutate(rows, k):
+    """Matrix mutation entry by entry, the rule as stated."""
+    out = []
+    for i in range(len(rows)):
+        row = []
+        for j in range(len(rows[0])):
+            b = rows[i][j]
+            if i == k or j == k:
+                row.append(-b)
+            elif rows[i][k] * rows[k][j] > 0:
+                row.append(b + abs(rows[i][k]) * rows[k][j])
+            else:
+                row.append(b)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def random_extended_matrix(rng):
+    """A random skew-symmetrizable n x n block, d_i b_ij = -d_j b_ji, over
+    0-3 random frozen rows; zeros are common so that rows are skipped."""
+    n = rng.randint(1, 6)
+    d = [rng.choice((1, 1, 2, 3)) for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = rng.choice((0, 0, 0, 1, -1, 2, -2))
+            rows[i][j], rows[j][i] = c * d[j], -c * d[i]
+    rows += [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    return tuple(tuple(row) for row in rows)
+
+
+def test_matrix_mutation_matches_entrywise_rule():
+    rng = random.Random(500)
+    for _ in range(500):
+        rows = random_extended_matrix(rng)
+        for k in range(len(rows[0])):
+            image = matrix_mutate(rows, k)
+            assert image == entrywise_mutate(rows, k), (rows, k)
+            # rows with b_ik = 0 are the same objects
+            for i, row in enumerate(rows):
+                if i != k and row[k] == 0:
+                    assert image[i] is row
+    assert matrix_mutate([[0, 1], [-1, 0]], 0) == ((0, -1), (1, 0))
+
+
 def test_exchange_matrix_rejects_non_skew_symmetrizable():
     with pytest.raises(ValueError):
         ExchangeMatrix(((0, 1), (1, 0)), 2)
