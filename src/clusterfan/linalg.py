@@ -190,13 +190,3 @@ def leading_principal_minors(rows: Sequence[Sequence[int]]) -> list[Fraction]:
     n = len(rows)
     return [det([row[: k + 1] for row in list(rows)[: k + 1]]) for k in range(n)]
 
-
-def mat_vec(rows: Rows, vec: Sequence[Fraction | int]) -> list[Fraction]:
-    return [
-        sum((Fraction(a) * Fraction(x) for a, x in zip(row, vec)), Fraction(0))
-        for row in rows
-    ]
-
-
-def transpose(rows: Rows) -> list[list]:
-    return [list(col) for col in zip(*rows)]

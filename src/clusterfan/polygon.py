@@ -4,13 +4,15 @@ Vertices of an m-gon are numbered 0..m-1 counterclockwise.  Edges are sorted
 pairs; two diagonals cross exactly when their endpoints strictly interleave
 around the polygon.  The module provides triangulation enumeration, diagonal
 flips with label tracking, the signed edge-adjacency matrix of a labeled
-triangulation, Ptolemy-style expansion of diagonal values, the snake labeling
-of diagonals by almost-positive roots, and the centrally symmetric model
-whose flip graph realizes the type-B cluster combinatorics.
+triangulation, Ptolemy expansion of diagonal values by a sweep over the
+exchange relations of the C(m, 4) quadrilaterals, the snake labeling of
+diagonals by almost-positive roots, and the centrally symmetric model whose
+flip graph realizes the type-B cluster combinatorics.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .laurent import LaurentPoly
@@ -268,19 +270,14 @@ def adjacency_matrix(lt: LabeledTriangulation) -> ExchangeMatrix:
 # -- Ptolemy expansion -------------------------------------------------------------
 
 
-def _quad_relation(
-    tri: Triangulation,
-    d: Edge,
-    value_of,
-) -> tuple[Edge, LaurentPoly]:
-    """The flip of d exchanges it for the other quad diagonal e, with
-    d*e = (one pair of opposite quad sides) + (the other pair)."""
-    p, q, r, s = tri.quad_around(d)
-    e = (q, s) if d == (p, r) else (p, r)
-    product = value_of((p, q)) * value_of((r, s)) + value_of((q, r)) * value_of(
+def _quad_relation(quad: tuple[int, int, int, int], value_of) -> LaurentPoly:
+    """The exchange relation of the quadrilateral p < q < r < s: its
+    diagonals (p, r) and (q, s) multiply to (one pair of opposite sides)
+    + (the other pair).  Returns that right-hand side."""
+    p, q, r, s = quad
+    return value_of((p, q)) * value_of((r, s)) + value_of((q, r)) * value_of(
         (p, s)
     )
-    return e, product
 
 
 def ptolemy_values(
@@ -289,13 +286,18 @@ def ptolemy_values(
     side_values: Mapping[Edge, LaurentPoly],
 ) -> dict[Edge, LaurentPoly]:
     """Values of every diagonal of the polygon, computed from the values on
-    one triangulation by propagating the exchange relation across flips.
+    one triangulation by sweeping the exchange relations of the polygon's
+    C(m, 4) quadrilaterals.
 
-    Every diagonal is reached along many flip paths.  The first path to
-    reach a diagonal divides its exchange relation; every later one checks
-    the relation by multiplying back, stored * value(d) == product, which in
-    the Laurent ring (an integral domain) is the same test without a
-    division.  A mismatch raises MonodromyDetected.
+    Every flip exchanges the two diagonals of one quadrilateral, and every
+    4-subset of vertices is the quadrilateral of some flip, so these are all
+    the exchange relations there are.  The sweep repeats until no relation
+    is left waiting.  A quadrilateral whose four sides and one diagonal have
+    values defines the other diagonal by one exact division.  One whose six
+    edges all have values is checked by multiplying back, value(p, r) *
+    value(q, s) == product, which in the Laurent ring (an integral domain) is
+    the same test without a division.  A mismatch raises MonodromyDetected.
+    Each relation is evaluated once.
     """
     values: dict[Edge, LaurentPoly] = {
         tuple(sorted(d)): v for d, v in diagonal_values.items()
@@ -305,29 +307,31 @@ def ptolemy_values(
     sides = {tuple(sorted(s)): v for s, v in side_values.items()}
     if set(sides) != set(polygon_sides(start.m)):
         raise ValueError("side values must cover every side")
+    known = {**sides, **values}
 
-    def value_of(edge: Edge) -> LaurentPoly:
-        edge = tuple(sorted(edge))
-        return sides[edge] if edge in sides else values[edge]
-
-    seen = {start.diagonals}
-    queue = [start]
-    while queue:
-        tri = queue.pop()
-        for d in tri.diagonals:
-            e, product = _quad_relation(tri, d, value_of)
-            stored = values.get(e)
+    waiting = list(combinations(range(start.m), 4))
+    while waiting:
+        still_waiting = []
+        for quad in waiting:
+            p, q, r, s = quad
+            d, e = ((p, r), (q, s)) if (p, r) in known else ((q, s), (p, r))
+            if d not in known or not all(
+                side in known for side in ((p, q), (q, r), (r, s), (p, s))
+            ):
+                still_waiting.append(quad)
+                continue
+            product = _quad_relation(quad, known.__getitem__)
+            stored = known.get(e)
             if stored is None:
-                values[e] = product.exact_div(values[d])
-            elif stored * values[d] != product:
+                known[e] = values[e] = product.exact_div(known[d])
+            elif stored * known[d] != product:
                 raise MonodromyDetected(
                     f"diagonal {e}: {stored.text()}"
-                    f" != ({product.text()}) / ({values[d].text()})"
+                    f" != ({product.text()}) / ({known[d].text()})"
                 )
-            diagonals = tuple(sorted([x for x in tri.diagonals if x != d] + [e]))
-            if diagonals not in seen:
-                seen.add(diagonals)
-                queue.append(Triangulation(tri.m, diagonals))
+        if len(still_waiting) == len(waiting):
+            break
+        waiting = still_waiting
     if len(values) != len(all_diagonals(start.m)):
         raise PolygonCheckFailed(
             f"propagation reached {len(values)} of"

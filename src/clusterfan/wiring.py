@@ -574,12 +574,13 @@ def gl3_cell(budget: int = 10**4, rng_seed: int = 29) -> dict:
 
     matched_minors = []
     matched_hidden = []
+    image_text = {}  # cluster variable -> text of its image in the minors
     for variable in record.cluster_variables():
-        image = variable.substitute_laurent(substitution)
-        numerator, denominators = image.separate()
+        numerator, denominators = variable.substitute_laurent(substitution).separate()
         text = numerator.text()
         if any(denominators):
             raise WiringCheckFailed(f"cluster variable {text} is not a polynomial")
+        image_text[variable] = text
         if text in hidden_texts:
             matched_hidden.append(text)
         elif text not in all_minors:
@@ -596,13 +597,7 @@ def gl3_cell(budget: int = 10**4, rng_seed: int = 29) -> dict:
             f" expected {len(all_minors)} in all"
         )
 
-    cluster_sets = set()
-    for s in record.seeds:
-        cluster_sets.add(
-            frozenset(
-                v.substitute_laurent(substitution).text() for v in s.cluster
-            )
-        )
+    cluster_sets = {frozenset(image_text[v] for v in s.cluster) for s in record.seeds}
     if len(cluster_sets) != len(record.seeds):
         raise WiringCheckFailed(
             f"{len(record.seeds)} seeds give {len(cluster_sets)} distinct clusters"

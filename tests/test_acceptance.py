@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +134,5 @@ def test_full_extended_battery_green():
     by_number = {r.number: r for r in results}
     assert "13 types" in by_number[4].detail
     assert "E6:833" in by_number[7].detail
+    expected = (Path(__file__).parent / "data" / "verify-extended-seed11.txt").read_text()
+    assert verify.render_report(results, extended=True) + "\n" == expected

@@ -2,10 +2,13 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from clusterfan.cli import build_parser, main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -337,10 +340,11 @@ def test_out_flag_writes_file(capsys, tmp_path):
 
 
 def test_verify_quick(capsys):
-    code, out, _ = run(capsys, "verify", "--quick")
+    code, out, _ = run(capsys, "verify", "--quick", "--rng-seed", "11")
     assert code == 0
     assert "criterion 01" in out
     assert "13/13 criteria passed" in out
+    assert out == (DATA / "verify-quick-seed11.txt").read_text()
 
 
 def test_verify_quick_and_extended_are_exclusive(capsys):

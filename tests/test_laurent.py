@@ -17,7 +17,6 @@ from clusterfan.linalg import (
     matrix_rank,
     solve_fraction_free,
     solve_linear,
-    transpose,
 )
 
 
@@ -204,7 +203,3 @@ def test_inexact_elimination_fails_without_asserts():
 def test_leading_principal_minors():
     cartan = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
     assert leading_principal_minors(cartan) == [2, 3, 4]
-
-
-def test_transpose():
-    assert transpose([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]

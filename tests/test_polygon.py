@@ -6,6 +6,8 @@ and compared the quotient with the stored value, is kept below as the oracle
 for the multiply-back check, and so is the first quad lookup, which scanned
 every triangle of the triangulation."""
 
+import itertools
+import math
 import subprocess
 import sys
 
@@ -273,7 +275,8 @@ def test_polygon_checks_fail_without_asserts():
 
 def test_monodromy_check_fires_on_corrupted_relation(monkeypatch):
     # consistency of propagation is a theorem, so the defensive check can
-    # only be exercised by corrupting one exchange relation
+    # only be exercised by corrupting one exchange relation: here the one
+    # that defines the diagonal (1, 4)
     from clusterfan import polygon as polygon_mod
 
     fan = Triangulation(5, ((0, 2), (0, 3)))
@@ -281,17 +284,84 @@ def test_monodromy_check_fires_on_corrupted_relation(monkeypatch):
     original = polygon_mod._quad_relation
     hits = []
 
-    def corrupt(tri, d, value_of):
-        e, product = original(tri, d, value_of)
-        if e == (1, 4) and not hits:
-            hits.append(e)
+    def corrupt(quad, value_of):
+        product = original(quad, value_of)
+        p, q, r, s = quad
+        if (1, 4) in ((p, r), (q, s)) and not hits:
+            hits.append(quad)
             # scale by a unit so every later division stays exact
             product = product * value_of((0, 1))
-        return e, product
+        return product
 
     monkeypatch.setattr(polygon_mod, "_quad_relation", corrupt)
     with pytest.raises(MonodromyDetected):
         ptolemy_values(fan, diag_vals, side_vals)
+    assert hits
+
+
+def test_monodromy_check_fires_on_corrupted_checking_relation(monkeypatch):
+    # the last relation evaluated comes after every division, so it can only
+    # check values already stored; corrupting it must still be caught
+    from clusterfan import polygon as polygon_mod
+
+    fan = Triangulation(7, ((0, 2), (0, 3), (0, 4), (0, 5)))
+    diag_vals, side_vals = standard_chart(fan)
+    original_relation = polygon_mod._quad_relation
+    original_div = LaurentPoly.exact_div
+    calls = []
+    divisions = []
+
+    def exact_div(self, divisor):
+        divisions.append(divisor)
+        return original_div(self, divisor)
+
+    def corrupt(quad, value_of):
+        product = original_relation(quad, value_of)
+        calls.append(quad)
+        if len(calls) == math.comb(7, 4):
+            assert len(divisions) == len(all_diagonals(7)) - 4
+            product = product * value_of((0, 1))
+        return product
+
+    monkeypatch.setattr(LaurentPoly, "exact_div", exact_div)
+    monkeypatch.setattr(polygon_mod, "_quad_relation", corrupt)
+    with pytest.raises(MonodromyDetected):
+        ptolemy_values(fan, diag_vals, side_vals)
+    assert len(calls) == math.comb(7, 4)
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+@pytest.mark.parametrize("start", ["fan", "snake"])
+def test_each_exchange_relation_evaluated_once(monkeypatch, m, start):
+    # one relation per 4-subset of vertices, and one division per diagonal
+    # that the starting triangulation does not already carry
+    from clusterfan import polygon as polygon_mod
+
+    if start == "fan":
+        tri = Triangulation(m, tuple((0, j) for j in range(2, m - 1)))
+    else:
+        tri = Triangulation(m, snake_diagonals(m - 3))
+    diag_vals, side_vals = standard_chart(tri)
+    original_relation = polygon_mod._quad_relation
+    original_div = LaurentPoly.exact_div
+    quads = []
+    divisions = []
+
+    def relation(quad, value_of):
+        quads.append(quad)
+        return original_relation(quad, value_of)
+
+    def exact_div(self, divisor):
+        divisions.append(divisor)
+        return original_div(self, divisor)
+
+    monkeypatch.setattr(polygon_mod, "_quad_relation", relation)
+    monkeypatch.setattr(LaurentPoly, "exact_div", exact_div)
+    values = ptolemy_values(tri, diag_vals, side_vals)
+    assert len(values) == len(all_diagonals(m))
+    assert len(quads) == math.comb(m, 4)
+    assert sorted(quads) == list(itertools.combinations(range(m), 4))
+    assert len(divisions) == len(all_diagonals(m)) - (m - 3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -267,6 +267,22 @@ def test_gl3_cell_report():
     }
 
 
+def test_gl3_cell_substitutes_each_cluster_variable_once(monkeypatch):
+    # 50 seeds of 4 cluster variables each hold only 16 distinct variables
+    original = LaurentPoly.substitute_laurent
+    images = []
+
+    def substitute_laurent(self, values):
+        images.append(self)
+        return original(self, values)
+
+    monkeypatch.setattr(LaurentPoly, "substitute_laurent", substitute_laurent)
+    report = gl3_cell()
+    assert report["cluster_count"] == 50
+    assert report["cluster_variable_count"] == 16
+    assert len(images) == len(set(images)) == 16
+
+
 def test_gl3_report_json_stable():
     report = gl3_cell()
     text = report_json(report)
