@@ -6,8 +6,11 @@ roots to one involving a negated simple root, which decides compatibility;
 the clique complex of the compatibility graph is the cluster complex; a
 tau-invariant support function turns it into an explicit simple polytope
 whose normal fan refines into the Coxeter fan after one linear change of
-coordinates.  Everything is exact: vertices are rational, determinants are
-integers, counts are compared to the product formula over the exponents.
+coordinates.  Everything is exact: one walk across the walls of the complex
+keeps each cluster's dual basis as an integer matrix, changed by one integer
+pivot per flip, so every cluster is a basis of the root lattice and every
+vertex is rational; counts are compared to the product formula over the
+exponents.
 """
 from __future__ import annotations
 
@@ -15,13 +18,15 @@ import itertools
 import json
 import math
 import operator
+from bisect import bisect, bisect_left
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from . import cartan as cartan_mod
 from .coxeter import WeylGroup
-from .linalg import SingularMatrix, adjugate, clear_denominators, det, solve_linear
+from .linalg import adjugate, clear_denominators
 from .roots import NotIrreducible, RootSystem, catalan_number, coxeter_data, weight_data
 
 
@@ -35,16 +40,14 @@ class OrbitConflict(RuntimeError):
 
 
 class NonUnimodularCluster(RuntimeError):
-    """A cluster's roots do not form a basis of the root lattice."""
+    """A flip's entering root has a coefficient other than -1 on the leaving
+    root: the new cluster is not a basis of the root lattice, or it lies on
+    the same side of the wall as the old one."""
 
 
 class InequalityViolation(RuntimeError):
     """A polytope vertex missed a facet of its own cluster, or landed on or
     outside a facet it should avoid."""
-
-
-class SingularClusterSystem(RuntimeError):
-    """The linear system of one cluster's facet equalities was singular."""
 
 
 class AssocCheckFailed(RuntimeError):
@@ -220,6 +223,10 @@ class ClusterComplexData:
     facets: tuple[tuple[int, ...], ...]  # root indices, each of size n
     f_vector: tuple[int, ...]
     h_vector: tuple[int, ...]
+    # Per position p, the positions q compatible with it, as the bits top - q
+    # where top is the last position.  Read this way, a set of positions is
+    # the larger the earlier it comes in lexicographic order.
+    masks: tuple[int, ...]
 
 
 def _h_from_f(f_vector: Sequence[int], n: int) -> tuple[int, ...]:
@@ -235,24 +242,25 @@ def _h_from_f(f_vector: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 def cluster_complex(rel: CompatibilityRelation) -> ClusterComplexData:
-    """All pairwise-compatible root sets, by backtracking.  The complex must
-    be pure of dimension n-1 and every facet must be a lattice basis."""
+    """All pairwise-compatible root sets, by backtracking over the bitmasks
+    of compatible positions, in lexicographic position order.  The complex
+    must be pure of dimension n-1.  The wall walk `_flips` then certifies a
+    complete simplicial fan of unimodular cones: every wall lies in exactly
+    two facets, adjacent cones lie on opposite sides of it, and the signs of
+    one generic vector against the dual bases count the h-vector, whose
+    h_0 = 1 puts that vector in exactly one cone."""
     ap = rel.ap
     n = ap.n
-    count = len(ap.indices)
-    neighbors = [
-        frozenset(
-            q
-            for q in range(count)
-            if q != p and (min(p, q), max(p, q)) in rel.pairs
-        )
-        for p in range(count)
-    ]
+    top = len(ap.indices) - 1
+    masks = [0] * (top + 1)
+    for p, q in rel.pairs:
+        masks[p] |= 1 << (top - q)
+        masks[q] |= 1 << (top - p)
     sizes = [0] * (n + 1)
     sizes[0] = 1
     facets: list[tuple[int, ...]] = []
 
-    def grow(current: list[int], greater: frozenset[int], extensions: frozenset[int]):
+    def grow(current: list[int], greater: int, extensions: int):
         """greater drives duplicate-free enumeration; extensions holds every
         vertex compatible with the whole current face, which is what purity
         is about."""
@@ -262,23 +270,135 @@ def cluster_complex(rel: CompatibilityRelation) -> ClusterComplexData:
             return
         if size and not extensions:
             raise AssocCheckFailed(f"maximal face of size {size} < {n}: not pure")
-        for p in sorted(greater):
-            sizes[size + 1] += 1
-            grow(
-                current + [p],
-                frozenset(q for q in greater if q > p and q in neighbors[p]),
-                extensions & neighbors[p],
-            )
+        sizes[size + 1] += greater.bit_count()
+        while greater:
+            bit = greater.bit_length() - 1
+            greater ^= 1 << bit
+            p = top - bit
+            grow(current + [p], greater & masks[p], extensions & masks[p])
 
-    grow([], frozenset(range(count)), frozenset(range(count)))
+    everything = (2 << top) - 1
+    grow([], everything, everything)
     f_vector = tuple(sizes)
     if f_vector[n] != len(facets):
         raise AssocCheckFailed(f"f_{n - 1} = {f_vector[n]} but {len(facets)} facets")
-    for facet in facets:
-        matrix = [ap.rs.roots[idx].coords for idx in facet]
-        if abs(det(matrix)) != 1:
-            raise NonUnimodularCluster(f"facet {facet} has determinant {det(matrix)}")
-    return ClusterComplexData(ap, tuple(facets), f_vector, _h_from_f(f_vector, n))
+    data = ClusterComplexData(
+        ap, tuple(facets), f_vector, _h_from_f(f_vector, n), tuple(masks)
+    )
+    rising = [0] * (n + 1)
+    for _, columns in _flips(data):
+        rising[sum(_lex_sign(column) < 0 for column in columns)] += 1
+    if tuple(rising) != data.h_vector:
+        raise AssocCheckFailed(
+            f"a generic vector meets the cones with h-vector {tuple(rising)},"
+            f" the f-vector gives {data.h_vector}"
+        )
+    return data
+
+
+def _lex_sign(column: Sequence[int]) -> int:
+    """The sign of x . column for x = (1, e, e^2, ...) and every small enough
+    e > 0: a generic vector, fixed once for all clusters, that pairs to zero
+    with no nonzero column."""
+    for entry in column:
+        if entry:
+            return 1 if entry > 0 else -1
+    raise AssocCheckFailed("a dual basis vector is zero")
+
+
+def _pivot(columns: list[list[int]], j: int, gamma: Sequence[int]) -> list[list[int]]:
+    """The dual basis after the root at slot j leaves and gamma enters at the
+    same slot, given gamma . D_j = -1: D'_j = -D_j and
+    D'_k = D_k + (gamma . D_k) D_j."""
+    leaving = columns[j]
+    out = []
+    for k, column in enumerate(columns):
+        if k == j:
+            out.append([-x for x in leaving])
+            continue
+        c = sum(map(operator.mul, gamma, column))
+        out.append([x + c * y for x, y in zip(column, leaving)] if c else column)
+    return out
+
+
+def _flips(data: ClusterComplexData):
+    """Walk the facets breadth-first across their walls and yield each once,
+    as (its index in data.facets, its dual basis D): integer columns with
+    root i of the facet paired to column k as delta_ik.
+
+    The walk starts at the negated simple roots, where D = -I.  Across the
+    wall opposite slot j, the entering root gamma is the one position left
+    in the intersection of the other n-1 compatibility masks besides the
+    leaving root; none or two or more mean the wall does not lie in exactly
+    two clusters.  gamma . D_j = -1 says at once that gamma lies on the other
+    side of the wall and that the new cluster is again a lattice basis; the
+    new D is one integer pivot away (`_pivot`), so B . D = I with D integral
+    holds on every cluster reached.  Every flip must land on a facet of the
+    complex, and the walk must reach all of them."""
+    ap, masks = data.ap, data.masks
+    n, top = ap.n, len(ap.indices) - 1
+    coords = [ap.rs.roots[idx].coords for idx in ap.indices]
+    # A facet's key has the bits of its positions, as in the masks.  The
+    # facets come in lexicographic order, so their negated keys ascend and
+    # bisection finds a key's facet.
+    keys = [
+        -sum(1 << (top - ap.position[idx]) for idx in facet) for facet in data.facets
+    ]
+    everything = (2 << top) - 1
+    key = everything ^ (everything >> n)  # the negated simples, positions 0..n-1
+    if keys[0] != -key:
+        raise AssocCheckFailed("the negated simple roots do not form the first facet")
+    seen = bytearray(len(keys))
+    seen[0] = 1
+    reached = 1
+    # A queued facet is its index, its key and its dual basis as one flat
+    # list.  Lists, unlike the small tuples the walk would otherwise make by
+    # the thousand, are not kept on the interpreter's free lists once freed.
+    queue = deque([(0, key, [-int(i == k) for k in range(n) for i in range(n)])])
+    while queue:
+        i, key, flat = queue.popleft()
+        columns = [flat[k : k + n] for k in range(0, n * n, n)]
+        positions = []
+        rest = key
+        while rest:
+            bit = rest.bit_length() - 1
+            positions.append(top - bit)
+            rest ^= 1 << bit
+        # the masks of the slots after j, intersected outside the facet
+        after = [everything ^ key]
+        for q in reversed(positions[1:]):
+            after.append(after[-1] & masks[q])
+        before = -1  # the masks of the slots before j
+        for j, p in enumerate(positions):
+            common = before & after[n - 1 - j]
+            before &= masks[p]
+            if not common or common & (common - 1):
+                wall = tuple(ap.indices[q] for q in positions if q != p)
+                raise AssocCheckFailed(
+                    f"wall {wall} lies in {1 + common.bit_count()} clusters, not 2"
+                )
+            q = top - (common.bit_length() - 1)
+            gamma = coords[q]
+            c = sum(map(operator.mul, gamma, columns[j]))
+            if c != -1:
+                raise NonUnimodularCluster(
+                    f"root {ap.indices[q]} enters facet {data.facets[i]} at slot {j}"
+                    f" with coefficient {c}, not -1"
+                )
+            new_key = key ^ (1 << (top - p)) | common
+            target = bisect_left(keys, -new_key)
+            if target == len(keys) or keys[target] != -new_key:
+                raise AssocCheckFailed(f"a flip of facet {data.facets[i]} left the complex")
+            if seen[target]:
+                continue
+            seen[target] = 1
+            reached += 1
+            new_columns = _pivot(columns, j, gamma)
+            new_columns.insert(bisect(positions, q) - (q > p), new_columns.pop(j))
+            queue.append((target, new_key, [x for col in new_columns for x in col]))
+        yield i, columns
+    if reached != len(keys):
+        raise AssocCheckFailed(f"the wall walk reached {reached} of {len(keys)} facets")
 
 
 def n_phi(rs: RootSystem) -> int:
@@ -397,37 +517,35 @@ class AssociahedronPolytope:
 
 def build_polytope(complex_data: ClusterComplexData) -> AssociahedronPolytope:
     """One vertex per cluster, cut out by the support function of the
-    complex's almost-positive roots."""
+    complex's almost-positive roots.  Scaled by one common denominator, the
+    support values b become integers, and the vertex of a cluster is
+    sum_k b_k D_k over the dual basis D that the wall walk keeps for it: an
+    integer point, `scale` times the vertex.  Every vertex is then paired
+    with every almost-positive root as an integer dot product: equal to the
+    bound on its own cluster, strictly below it on every other root."""
     ap = complex_data.ap
     rs = ap.rs
     support = support_function(ap)
-    # Scaled by one common denominator, the support values become integers
-    # and each system an integer one whose solution is `scale` times the
-    # vertex.  Over the lcm of that solution's denominators, every pairing
-    # below is an integer dot product.
     scale = math.lcm(*(support(idx).denominator for idx in ap.indices))
     bounds = {idx: int(support(idx) * scale) for idx in ap.indices}
-    vertices = []
-    for facet in complex_data.facets:
-        matrix = [list(rs.roots[idx].coords) for idx in facet]
-        try:
-            scaled = solve_linear(matrix, [bounds[idx] for idx in facet])
-        except SingularMatrix as exc:
-            raise SingularClusterSystem(f"cluster {facet}: {exc}") from exc
-        common = math.lcm(*(x.denominator for x in scaled))
-        numerators = [x.numerator * (common // x.denominator) for x in scaled]
+    inequalities = [(rs.roots[idx].coords, idx, bounds[idx]) for idx in ap.indices]
+    vertices: list = [None] * len(complex_data.facets)
+    for i, columns in _flips(complex_data):
+        facet = complex_data.facets[i]
+        b = [bounds[idx] for idx in facet]
+        point = [sum(map(operator.mul, b, row)) for row in zip(*columns)]
         in_facet = set(facet)
-        for idx, bound in bounds.items():
-            pairing = sum(c * x for c, x in zip(rs.roots[idx].coords, numerators))
+        for coords, idx, bound in inequalities:
+            pairing = sum(map(operator.mul, coords, point))
             if idx in in_facet:
-                if pairing != bound * common:
+                if pairing != bound:
                     raise InequalityViolation(f"vertex of {facet} misses facet {idx}")
-            elif pairing >= bound * common:
+            elif pairing >= bound:
                 raise InequalityViolation(
-                    f"vertex of {facet} pairs to {Fraction(pairing, common * scale)}"
+                    f"vertex of {facet} pairs to {Fraction(pairing, scale)}"
                     f" against root {idx}"
                 )
-        vertices.append(tuple(x / scale for x in scaled))
+        vertices[i] = tuple(Fraction(x, scale) for x in point)
     if len(set(vertices)) != len(vertices):
         raise AssocCheckFailed("two clusters share a vertex")
     return AssociahedronPolytope(

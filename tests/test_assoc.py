@@ -5,9 +5,13 @@ The first cone solver, which returned a vector's rational coefficients over
 a cone's columns, is kept below as the oracle for the sign-only integer
 solver.  So is the first compatibility test, which walked both alternation
 starts of every pair for 2(h+2)+1 steps, as the oracle for the walk over
-orbits of pairs."""
+orbits of pairs.  So are the first cluster complex, which backtracked over
+frozensets and took a determinant of every facet, and the first polytope,
+which solved one linear system per vertex, as the oracles for the bitmask
+backtracking and the wall walk with its integer pivots."""
 
 import json
+import math
 import random
 import subprocess
 import sys
@@ -15,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+from clusterfan import assoc, linalg
 from clusterfan.assoc import (
     _cone_solver,
     almost_positive,
@@ -206,6 +211,97 @@ def test_facets_unimodular():
             assert abs(det(rows)) == 1
 
 
+def oracle_complex(rel):
+    """Facets in lexicographic position order, by backtracking over frozensets
+    of compatible positions, each facet checked by its determinant; and the
+    f-vector counted on the way."""
+    ap = rel.ap
+    n, count = ap.n, len(ap.indices)
+    neighbors = [
+        frozenset(q for q in range(count) if (min(p, q), max(p, q)) in rel.pairs)
+        for p in range(count)
+    ]
+    sizes = [1] + [0] * n
+    facets = []
+
+    def grow(current, greater):
+        if len(current) == n:
+            facets.append(tuple(ap.indices[p] for p in current))
+            return
+        for p in sorted(greater):
+            sizes[len(current) + 1] += 1
+            grow(current + [p], frozenset(q for q in greater if q > p and q in neighbors[p]))
+
+    grow([], frozenset(range(count)))
+    for facet in facets:
+        assert abs(det([ap.rs.roots[idx].coords for idx in facet])) == 1, facet
+    return tuple(facets), tuple(sizes)
+
+
+def oracle_h_vector(f_vector):
+    """h_k = sum_i (-1)^(k-i) C(n-i, k-i) f_(i-1)."""
+    n = len(f_vector) - 1
+    return tuple(
+        sum((-1) ** (k - i) * math.comb(n - i, k - i) * f_vector[i] for i in range(k + 1))
+        for k in range(n + 1)
+    )
+
+
+def oracle_vertices(data):
+    """One linear system per cluster: its roots paired with the vertex give
+    their support values."""
+    rs = data.ap.rs
+    support = support_function(data.ap)
+    return tuple(
+        tuple(
+            solve_linear(
+                [list(rs.roots[idx].coords) for idx in facet], [support(idx) for idx in facet]
+            )
+        )
+        for facet in data.facets
+    )
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "C3", "C4", "C5",
+     "D4", "D5", "D6", "F4", "G2", "E6", "E7", "A1+A2", "B2+G2", "A1+A1+A1"],
+)
+def test_wall_walk_matches_determinant_and_solve_oracles(name):
+    rel = compatibility(almost_positive(root_system(name)))
+    data = cluster_complex(rel)
+    facets, f_vector = oracle_complex(rel)
+    assert data.facets == facets
+    assert data.f_vector == f_vector
+    assert data.h_vector == oracle_h_vector(f_vector)
+    assert build_polytope(data).vertices == oracle_vertices(data)
+
+
+def test_e8_complex_matches_narayana():
+    rs = root_system("E8")
+    data = cluster_complex(compatibility(almost_positive(rs)))
+    assert len(data.facets) == n_phi(rs) == 25080
+    assert data.h_vector == narayana(rs)
+
+
+def test_assoc_needs_no_determinant_or_solve(monkeypatch):
+    # the root system checks its Cartan matrix by determinants, so it is
+    # built before they are refused
+    rel = compatibility(almost_positive(root_system("E6")))
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the associahedron layer called a determinant or a solve")
+
+    for module in (linalg, assoc):
+        for name in ("det", "solve_linear"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    with pytest.raises(RuntimeError):
+        linalg.det([[1]])
+    data = cluster_complex(rel)
+    poly = build_polytope(data)
+    assert len(data.facets) == len(poly.vertices) == 833
+
+
 def test_support_function_constants():
     rs = root_system("A3")
     ap = almost_positive(rs)
@@ -392,16 +488,63 @@ try:
     assoc.cluster_complex(dataclasses.replace(rel, pairs=pairs))
 except assoc.AssocCheckFailed as exc:
     print("FAIL", exc)
+# one extra pair, -alpha_2 with the highest root, puts a chord into the
+# pentagon: the complex stays pure, but -alpha_2 lies in three clusters
+pairs = rel.pairs | {(1, 4)}
+try:
+    assoc.cluster_complex(dataclasses.replace(rel, pairs=pairs))
+except assoc.AssocCheckFailed as exc:
+    print("FAIL", exc)
+# a pivot that keeps the leaving root's dual vector instead of negating it
+pivot = assoc._pivot
+def unsigned(columns, j, gamma):
+    out = pivot(columns, j, gamma)
+    out[j] = columns[j]
+    return out
+assoc._pivot = unsigned
+try:
+    assoc.cluster_complex(rel)
+except assoc.NonUnimodularCluster as exc:
+    print("FAIL NonUnimodularCluster", exc)
+assoc._pivot = pivot
+data = assoc.cluster_complex(rel)
+# a facet listed twice: the walk reaches one copy only
+twice = dataclasses.replace(data, facets=data.facets + data.facets[-1:])
+try:
+    list(assoc._flips(twice))
+except assoc.AssocCheckFailed as exc:
+    print("FAIL", exc)
+# every other facet left out: flips land outside the listed facets
+try:
+    list(assoc._flips(dataclasses.replace(data, facets=data.facets[::2])))
+except assoc.AssocCheckFailed as exc:
+    print("FAIL", exc)
+# a sign rule that calls every coordinate negative puts every cone in the
+# last bin of the h-vector count
+sign = assoc._lex_sign
+assoc._lex_sign = lambda column: -1
+try:
+    assoc.cluster_complex(rel)
+except assoc.AssocCheckFailed as exc:
+    print("FAIL", exc)
+assoc._lex_sign = sign
 """
 
 
 def test_assoc_checks_fail_without_asserts():
-    # python -O strips assert statements; the verdict-agreement and purity
-    # checks must not be asserts
+    # python -O strips assert statements; the verdict-agreement, purity,
+    # wall, pivot, reach, landing and h-vector checks must not be asserts
     command = [sys.executable, "-O", "-c", ASSOC_CHECKS]
     result = subprocess.run(command, capture_output=True, text=True, timeout=60)
     assert result.stdout.splitlines() == [
         "optimize 1",
         "FAIL pair 4,3 got disagreeing verdicts",
         "FAIL maximal face of size 1 < 2: not pure",
+        "FAIL wall (3,) lies in 3 clusters, not 2",
+        "FAIL NonUnimodularCluster root 4 enters facet (3, 1) at slot 1"
+        " with coefficient 1, not -1",
+        "FAIL the wall walk reached 5 of 6 facets",
+        "FAIL a flip of facet (4, 3) left the complex",
+        "FAIL a generic vector meets the cones with h-vector (0, 0, 5),"
+        " the f-vector gives (1, 3, 1)",
     ], result.stderr
