@@ -224,7 +224,7 @@ def cmd_wiring(parser, args) -> tuple[int, str]:
 
 
 def cmd_verify(parser, args) -> tuple[int, str]:
-    results = run_battery(extended=args.extended, rng_seed=args.rng_seed)
+    results = run_battery(extended=args.extended)
     text = render_report(results, extended=args.extended)
     return (0 if all(r.passed for r in results) else 1), text
 

@@ -42,7 +42,6 @@ import random
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import prod
 from operator import itemgetter
@@ -253,14 +252,6 @@ class WeylGroup:
         result = tuple(word)
         self._words[u] = result
         return result
-
-    def act_rational(self, u: int, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Apply an element to a rational coordinate vector over the simple
-        roots, letter by letter."""
-        vec = tuple(Fraction(v) for v in vector)
-        for i in reversed(self.reduced_word(u)):
-            vec = self.rs.reflect_rational(i, vec)
-        return vec
 
 
 def build_group(rs: RootSystem, budget: int = 10**6) -> WeylGroup:

@@ -7,8 +7,8 @@ of the augmented system.  Intermediate entries stay integers.  Each Bareiss
 division step and each back-substitution step must be exact; one that is not
 raises InexactElimination, a check that holds under any interpreter flag.
 Callers with integer data can stay in the integers: `solve_fraction_free`
-returns a solution as a reduced homogeneous point and `adjugate` returns the
-adjugate with the determinant.
+returns a solution as a reduced homogeneous point.  Cone membership needs no
+solve here: the wall walk in `assoc` keeps an integer dual basis per cluster.
 """
 
 from __future__ import annotations
@@ -173,16 +173,6 @@ def solve_fraction_free(
     if denominator < 0:
         common = -common
     return tuple(x // common for x, in numerators), denominator // common
-
-
-def adjugate(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """The adjugate and the determinant of an invertible integer matrix,
-    so that matrix * adjugate = determinant * identity.  Raises
-    SingularMatrix when the determinant is zero."""
-    n = _square(matrix)
-    work = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(matrix)]
-    sign, denominator, numerators = _solve_rows(work)
-    return [[sign * x for x in row] for row in numerators], sign * denominator
 
 
 def leading_principal_minors(rows: Sequence[Sequence[int]]) -> list[Fraction]:

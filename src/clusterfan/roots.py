@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 from . import cartan as cartan_mod
 from .cartan import DynkinType, Entries
-from .linalg import solve_linear
 
 
 class ClosureBudgetExceeded(RuntimeError):
@@ -109,11 +108,6 @@ class RootSystem:
 
     def reflect_coords(self, i: int, coords: Sequence[int]) -> tuple[int, ...]:
         """Apply the simple reflection s_i to a coordinate vector."""
-        out = list(coords)
-        out[i] = coords[i] - sum(self.cartan[i][j] * coords[j] for j in range(self.n))
-        return tuple(out)
-
-    def reflect_rational(self, i: int, coords: Sequence[Fraction]) -> tuple[Fraction, ...]:
         out = list(coords)
         out[i] = coords[i] - sum(self.cartan[i][j] * coords[j] for j in range(self.n))
         return tuple(out)
@@ -377,26 +371,13 @@ def coxeter_data(rs: RootSystem) -> CoxeterData:
     return CoxeterData(order, tuple(exponents), weyl_group_order(rs))
 
 
-@dataclass(frozen=True)
-class WeightData:
-    fundamental_weights: tuple[tuple[Fraction, ...], ...]
-    coroot_half_sum: tuple[Fraction, ...]
-
-
-def weight_data(rs: RootSystem) -> WeightData:
-    """Fundamental weights (in simple-root coordinates) and the half-sum of
-    the positive coroots (in simple-coroot coordinates)."""
-    n = rs.n
-    weights = []
-    for i in range(n):
-        rhs = [1 if j == i else 0 for j in range(n)]
-        weights.append(tuple(solve_linear(rs.cartan, rhs)))
-    total = [Fraction(0)] * n
+def coroot_half_sum(rs: RootSystem) -> tuple[Fraction, ...]:
+    """The half-sum of the positive coroots, in simple-coroot coordinates."""
+    total = [0] * rs.n
     for idx in range(rs.num_positive):
         for i, c in enumerate(rs.roots[idx].coroot_coords):
             total[i] += c
-    half = tuple(t / 2 for t in total)
-    return WeightData(tuple(weights), half)
+    return tuple(Fraction(t, 2) for t in total)
 
 
 def to_json_dict(rs: RootSystem) -> dict:

@@ -451,7 +451,7 @@ def criterion_wiring() -> str:
     )
 
 
-def deterministic_artifacts(rng_seed: int = 11) -> str:
+def deterministic_artifacts() -> str:
     """Seeded and exported text whose bytes must not vary between runs."""
     pieces = []
     for name in ("A2", "B2"):
@@ -459,9 +459,7 @@ def deterministic_artifacts(rng_seed: int = 11) -> str:
     a3 = build_polytope(_complex("A3"))
     pieces.append(polytope_json(a3))
     pieces.append(polytope_off(a3))
-    pieces.append(
-        repr(fan_checks(_complex("A2"), _grp("A2"), rng_seed=rng_seed))
-    )
+    pieces.append(repr(fan_checks(_complex("A2"), _grp("A2"))))
     seed = initial_seed(b_matrix(cartan_for_type("A2")), ("x", "y"))
     pieces.append(graph_to_dot(explore(seed)))
     pieces.append(hasse_dot(_grp("A2"), weak_order(_grp("A2"))))
@@ -469,14 +467,14 @@ def deterministic_artifacts(rng_seed: int = 11) -> str:
     return "\n".join(pieces)
 
 
-def criterion_determinism(rng_seed: int = 11) -> str:
-    first = deterministic_artifacts(rng_seed)
-    second = deterministic_artifacts(rng_seed)
+def criterion_determinism() -> str:
+    first = deterministic_artifacts()
+    second = deterministic_artifacts()
     check(first == second, "artifacts differ between identical runs")
     return f"{len(first.encode())} bytes of seeded artifacts reproduced exactly"
 
 
-def run_battery(extended: bool = False, rng_seed: int = 11) -> list[CriterionResult]:
+def run_battery(extended: bool = False) -> list[CriterionResult]:
     plan = [
         (1, "rank2-periodicity", criterion_rank2_periodicity),
         (2, "laurent-positivity", criterion_laurent_positivity),
@@ -490,7 +488,7 @@ def run_battery(extended: bool = False, rng_seed: int = 11) -> list[CriterionRes
         (10, "fan-checks", criterion_fan_checks),
         (11, "enumerative", criterion_enumerative),
         (12, "wiring", criterion_wiring),
-        (13, "determinism", lambda: criterion_determinism(rng_seed)),
+        (13, "determinism", criterion_determinism),
     ]
     results = []
     for number, name, fn in plan:

@@ -2,8 +2,11 @@
 generalized associahedron as an exact rational polytope.
 
 The first cone solver, which returned a vector's rational coefficients over
-a cone's columns, is kept below as the oracle for the sign-only integer
-solver.  So is the first compatibility test, which walked both alternation
+a cone's columns, is kept below as the oracle for the wall walk's integer
+dual bases.  So is the first refinement check, which pushed the cones
+through rational fundamental weights and reflected each chamber's rays
+letter by letter, as the oracle for the integer one.  So is the first
+compatibility test, which walked both alternation
 starts of every pair for 2(h+2)+1 steps, as the oracle for the walk over
 orbits of pairs.  So are the first cluster complex, which backtracked over
 frozensets and took a determinant of every facet, and the first polytope,
@@ -21,12 +24,11 @@ import pytest
 
 from clusterfan import assoc, linalg
 from clusterfan.assoc import (
-    _cone_solver,
+    AssocCheckFailed,
     almost_positive,
     build_polytope,
     cluster_complex,
     compatibility,
-    coverage_check,
     fan_checks,
     n_phi,
     narayana,
@@ -39,7 +41,7 @@ from clusterfan.assoc import (
     wall_pairing,
 )
 from clusterfan.coxeter import build_group
-from clusterfan.linalg import clear_denominators, det, solve_linear
+from clusterfan.linalg import det, solve_linear
 from clusterfan.roots import root_system
 
 
@@ -364,12 +366,6 @@ def test_wall_counts():
     assert wall_pairing(complex_for("A3"))["walls"] == 21
 
 
-def test_coverage_check_complete():
-    report = coverage_check(complex_for("B3"), samples=200, rng_seed=5)
-    assert report["complete"]
-    assert report["interior_hits"] > 0
-
-
 def fraction_cone_solver(columns):
     n = len(columns)
     matrix = [[columns[j][i] for j in range(n)] for i in range(n)]
@@ -389,27 +385,92 @@ def signs(values):
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B3", "C3"])
 def test_cone_solver_signs_match_fraction_oracle(name):
+    # the cone solver is the wall walk's dual basis: a vector's coefficients
+    # over a cluster are its pairings with the dual basis vectors
     data = complex_for(name)
     roots = data.ap.rs.roots
     n = data.ap.n
     rng = random.Random(7)
     checked = 0
-    for facet in data.facets:
+    for i, dual in assoc._flips(data):
+        facet = data.facets[i]
         # each column also gets a random positive rational scale: the cone
         # stays the same and so must every sign
         scales = [Fraction(rng.randint(1, 4), rng.randint(1, 4)) for _ in facet]
         columns = [
             [c * scale for c in roots[idx].coords] for idx, scale in zip(facet, scales)
         ]
-        solvers = (_cone_solver(columns), _cone_solver([roots[idx].coords for idx in facet]))
+        exact = fraction_cone_solver([roots[idx].coords for idx in facet])
         oracle = fraction_cone_solver(columns)
         for _ in range(20):
-            vector = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)]
-            expected = signs(oracle(vector))
-            scaled = clear_denominators(vector)
-            assert all(signs(solve(scaled)) == expected for solve in solvers)
+            vector = [rng.randint(-9, 9) for _ in range(n)]
+            coefficients = tuple(sum(x * d for x, d in zip(vector, col)) for col in dual)
+            assert coefficients == exact(vector)
+            assert signs(coefficients) == signs(oracle(vector))
             checked += 1
     assert checked == 20 * len(data.facets)
+
+
+def oracle_refinement(data, group):
+    """Every cluster cone pushed through alpha_i -> sigma_i omega_i over
+    Fractions, in simple-root coordinates, and each chamber's rays found by
+    reflecting the fundamental weights along a reduced word."""
+    ap = data.ap
+    rs, n = ap.rs, ap.n
+    plus, _ = ap.parts
+    weights = [solve_linear(rs.cartan, [int(j == i) for j in range(n)]) for i in range(n)]
+
+    def push(coords):
+        return [
+            sum((1 if i in plus else -1) * coords[i] * weights[i][j] for i in range(n))
+            for j in range(n)
+        ]
+
+    def reflect(i, vector):
+        out = list(vector)
+        out[i] = vector[i] - sum(rs.cartan[i][j] * vector[j] for j in range(n))
+        return out
+
+    solvers = [
+        fraction_cone_solver([push(rs.roots[idx].coords) for idx in facet])
+        for facet in data.facets
+    ]
+    members = {}
+    per_cone = {}
+    for w in range(len(group)):
+        common = set(range(len(solvers)))
+        for weight in weights:
+            ray = weight
+            for i in reversed(group.reduced_word(w)):
+                ray = reflect(i, ray)
+            key = tuple(ray)
+            if key not in members:
+                members[key] = {
+                    c for c, solve in enumerate(solvers) if all(x >= 0 for x in solve(ray))
+                }
+            common &= members[key]
+        if len(common) != 1:
+            raise AssocCheckFailed(f"chamber {w} lies in cones {common}")
+        home = common.pop()
+        per_cone[home] = per_cone.get(home, 0) + 1
+    return {
+        "cones_used": len(per_cone),
+        "cones_total": len(data.facets),
+        "regions": len(group),
+        "max_regions_in_cone": max(per_cone.values()),
+        "regions_per_cone": dict(sorted(per_cone.items())),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2",
+     "A1+A2", "B2+G2"],
+)
+def test_refinement_matches_fraction_oracle(name):
+    data = complex_for(name)
+    group = build_group(data.ap.rs)
+    assert refinement_check(data, group) == oracle_refinement(data, group)
 
 
 def test_refinement_by_coxeter_fan():
@@ -424,10 +485,11 @@ def test_refinement_by_coxeter_fan():
 def test_fan_checks_bundle():
     rs = root_system("A2")
     group = build_group(rs)
-    report = fan_checks(complex_for("A2"), group, samples=50)
+    report = fan_checks(complex_for("A2"), group)
+    assert list(report) == ["wall_pairing", "refinement"]
     assert report["wall_pairing"]["all_paired"]
-    assert report["coverage"]["complete"]
     assert report["refinement"]["regions"] == 6
+    assert list(fan_checks(complex_for("A2"))) == ["wall_pairing"]
 
 
 def test_polytope_json_structure():
@@ -528,12 +590,36 @@ try:
 except assoc.AssocCheckFailed as exc:
     print("FAIL", exc)
 assoc._lex_sign = sign
+# a support value doubled at alpha_2 (index 0) moves the vertex of a cluster
+# without alpha_2 onto the hyperplane of root 2
+support = assoc.support_function
+def doubled(ap):
+    function = support(ap)
+    values = dict(function.values)
+    values[0] *= 2
+    return dataclasses.replace(function, values=values)
+assoc.support_function = doubled
+try:
+    assoc.build_polytope(data)
+except assoc.InequalityViolation as exc:
+    print("FAIL InequalityViolation", exc)
+assoc.support_function = support
+# the lowest node of the plus part moved to the minus part: the pushed cones
+# no longer hold the chambers
+from clusterfan.coxeter import build_group
+plus, minus = ap.parts
+moved = dataclasses.replace(ap, parts=(plus - {min(plus)}, minus | {min(plus)}))
+try:
+    assoc.refinement_check(dataclasses.replace(data, ap=moved), build_group(ap.rs))
+except assoc.AssocCheckFailed as exc:
+    print("FAIL", exc)
 """
 
 
 def test_assoc_checks_fail_without_asserts():
     # python -O strips assert statements; the verdict-agreement, purity,
-    # wall, pivot, reach, landing and h-vector checks must not be asserts
+    # wall, pivot, reach, landing, h-vector, strict-inequality and
+    # refinement checks must not be asserts
     command = [sys.executable, "-O", "-c", ASSOC_CHECKS]
     result = subprocess.run(command, capture_output=True, text=True, timeout=60)
     assert result.stdout.splitlines() == [
@@ -547,4 +633,6 @@ def test_assoc_checks_fail_without_asserts():
         "FAIL a flip of facet (4, 3) left the complex",
         "FAIL a generic vector meets the cones with h-vector (0, 0, 5),"
         " the f-vector gives (1, 3, 1)",
+        "FAIL InequalityViolation vertex of (4, 0) pairs to 1 against root 2",
+        "FAIL chamber 5 lies in cones set()",
     ], result.stderr

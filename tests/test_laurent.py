@@ -11,7 +11,6 @@ from clusterfan import laurent
 from clusterfan.laurent import LaurentPoly, NonExactDivision, parse_laurent
 from clusterfan.linalg import (
     SingularMatrix,
-    adjugate,
     det,
     leading_principal_minors,
     matrix_rank,
@@ -149,19 +148,11 @@ def test_solve_fraction_free_gives_reduced_points():
     assert solve_fraction_free([[0, 2], [4, 0]], [1, -1]) == ((-1, 2), 4)
     assert solve_fraction_free([[-2]], [4]) == ((-2,), 1)
     # the empty system has the empty solution, as det([]) is 1
+    assert det([]) == 1
     assert solve_fraction_free([], []) == ((), 1)
     assert solve_linear([], []) == []
     with pytest.raises(SingularMatrix):
         solve_fraction_free([[1, 1], [2, 2]], [1, 2])
-
-
-def test_adjugate_and_determinant():
-    assert adjugate([[2, 1], [1, 3]]) == ([[3, -1], [-1, 2]], 5)
-    assert adjugate([[0, 1], [1, 0]]) == ([[0, -1], [-1, 0]], -1)
-    assert adjugate([]) == ([], 1)
-    assert det([]) == 1
-    with pytest.raises(SingularMatrix):
-        adjugate([[1, 2], [2, 4]])
 
 
 NON_INTEGER_ELIMINATION = """
