@@ -1,5 +1,4 @@
-"""Weyl groups: a Cayley table found on the orbit of rho, and root
-permutations built from it on demand.
+"""Weyl groups as integer Cayley tables, found on the orbit of rho.
 
 W acts simply transitively on the orbit of the regular weight rho, so the
 search keys element u by mu = u^-1 rho in fundamental-weight coordinates.
@@ -9,8 +8,8 @@ positive roots.  Right multiplication by s_i is mu -> s_i mu = mu - mu_i
 alpha_i, one subtraction on the packed int, where alpha_i is column i of the
 Cartan matrix packed the same way.  The search is breadth-first from the
 identity, so element indices run in length order, and it keeps its right
-Cayley table: `right[u][i]` is the index of u*s_i.  Lengths, reduced
-words, the weak order and the longest element are all read from this table.
+Cayley table: `right[u][i]` is the index of u*s_i.  Lengths, the weak order
+and the longest element are all read from this table.
 
 Three checks hold the search to the group, none of them an assert: it finds
 exactly |W| elements with a unique longest one; on every edge the length
@@ -19,21 +18,22 @@ induction from the identity, BFS depth is then the inversion count); and the
 length counts equal the Poincare polynomial prod [e_i + 1]_q over the
 exponents, which are read off the root heights, not off the search.
 
-Elements as permutations of the roots are built only when something reads
-`elements` or `element_index`: position r holds the index of the image of
-root r, and each element is its discoverer's permutation composed with s_i,
-walked along `right` in index order.  Their inversion counts are then
-checked against the lengths.  `len(group.elements)` reads the table alone.
-Multiplication w*v composes as functions, (w*v)(r) = w(v(r)), so extending
-a word on the right means acting first by the new letter.  The weak order's
-lattice property is checked on down-sets stored as int bitmasks, one bit per
-element.
+The left Cayley table, `left[u][i]` the index of s_i*u, is built on first
+use along the same discoverer chain: if v first turns up in `right`, read in
+index order, as p*s_j, then s_i*v = (s_i*p)*s_j, so row v is row p pushed
+through column j of `right`.  Two checks hold it to the group: every entry
+moves the length by exactly one, and s_i is an involution from the left,
+s_i*(s_i*u) = u.  The left descents of u are the i with s_i*u shorter than
+u, so the lexicographically minimal reduced word is one walk down the left
+table.  The weak order's lattice property is checked on down-sets stored as
+int bitmasks, one bit per element.
 
 The noncrossing interval [1, c] in absolute order needs no group.  By
 Carter's lemma the reflection length of w is rank(w - 1) on simple-root
 coordinates, so the interval is walked down from the bipartite Coxeter
 element c one reflection length at a time, and no element outside it is
-ever built.
+ever built.  Elements of the interval are permutations of the root indices:
+position r holds the index of the image of root r.
 """
 
 from __future__ import annotations
@@ -44,11 +44,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from operator import itemgetter
 
 from .linalg import matrix_rank
-from .roots import RootSystem, _component_exponents, catalan_number
-from . import cartan as cartan_mod
+from .roots import RootSystem, _component_exponents, catalan_number, coxeter_element
 
 Perm = tuple[int, ...]
 
@@ -84,23 +82,6 @@ def _poincare_polynomial(exponents: Sequence[int]) -> list[int]:
     return coeffs
 
 
-class _Elements(Sequence):
-    """The elements as root permutations, in index order.  Its length is the
-    group order; the permutations are built on the first item read."""
-
-    def __init__(self, group: WeylGroup):
-        self._group = group
-
-    def __len__(self) -> int:
-        return len(self._group.right)
-
-    def __getitem__(self, u):
-        return self._group._perms[u]
-
-    def __eq__(self, other) -> bool:
-        return self._group._perms == other
-
-
 class WeylGroup:
     def __init__(self, rs: RootSystem, budget: int = 10**6):
         exponents = [e for part in _component_exponents(rs) for e in part]
@@ -111,8 +92,6 @@ class WeylGroup:
             )
         self.rs = rs
         self.n = rs.n
-        self.identity: Perm = tuple(range(len(rs.roots)))
-        self.generators: list[Perm] = [rs.simple_perm(i) for i in range(rs.n)]
 
         # |mu_k| <= h - 1 <= 2 |positives| - 1 leaves every biased field
         # inside [0, 2^width), so the packed subtraction never borrows
@@ -167,91 +146,48 @@ class WeylGroup:
             )
         self.w0 = len(codes) - 1
 
-        self._words: dict[int, tuple[int, ...]] = {}
-
-    # -- root permutations, built on demand ----------------------------------
-
-    @property
-    def elements(self) -> Sequence[Perm]:
-        return _Elements(self)
-
-    @cached_property
-    def _perms(self) -> list[Perm]:
-        """Every element as a root permutation: the first time v turns up in
-        `right`, read in index order, it is u*s_i for its discoverer u."""
-        kernels = [itemgetter(*g) for g in self.generators]
-        perms = [self.identity]
-        for u, row in enumerate(self.right):
-            p = perms[u]
-            for kernel, v in zip(kernels, row):
-                if v == len(perms):
-                    perms.append(kernel(p))
-        # Cayley depth must agree with the inversion count
-        npos = self.rs.num_positive
-        for p, l in zip(perms, self.length):
-            if sum(map(npos.__le__, p[:npos])) != l:
-                raise GroupCheckFailed("BFS depth must equal inversion count")
-        return perms
-
-    @cached_property
-    def element_index(self) -> dict[Perm, int]:
-        index = {p: u for u, p in enumerate(self._perms)}
-        if len(index) != len(self._perms):
-            raise GroupCheckFailed("distinct elements must have distinct permutations")
-        return index
-
-    # -- basic operations ----------------------------------------------------
-
     def __len__(self) -> int:
         return len(self.right)
 
-    def mult(self, u: int, v: int) -> int:
-        pu, pv = self._perms[u], self._perms[v]
-        return self.element_index[tuple(map(pu.__getitem__, pv))]
+    @property
+    def elements(self) -> range:
+        """The element indices, in length order."""
+        return range(len(self))
 
-    def inverse(self, u: int) -> int:
-        p = self._perms[u]
-        inv = [0] * len(p)
-        for r, image in enumerate(p):
-            inv[image] = r
-        return self.element_index[tuple(inv)]
-
-    def apply(self, u: int, root_idx: int) -> int:
-        return self._perms[u][root_idx]
-
-    def times_generator(self, u: int, i: int) -> int:
-        """Right multiplication by s_i."""
-        return self.right[u][i]
-
-    def generator_times(self, i: int, u: int) -> int:
-        """Left multiplication by s_i."""
-        g = self.generators[i]
-        return self.element_index[tuple(map(g.__getitem__, self._perms[u]))]
-
-    def right_descents(self, u: int) -> list[int]:
-        p = self._perms[u]
-        npos = self.rs.num_positive
-        return [i for i, s in enumerate(self.rs.simple_index) if p[s] >= npos]
-
-    def left_descents(self, u: int) -> list[int]:
-        inv = self.inverse(u)
-        return self.right_descents(inv)
+    @cached_property
+    def left(self) -> list[tuple[int, ...]]:
+        """The left Cayley table: `left[u][i]` is the index of s_i*u.  The
+        first time v turns up in `right`, read in index order, it is p*s_j
+        for its discoverer p, and s_i*v = (s_i*p)*s_j."""
+        right, length = self.right, self.length
+        left = [right[0]]
+        for p, row in enumerate(right):
+            for j, v in enumerate(row):
+                if v == len(left):
+                    left.append(tuple(right[t][j] for t in left[p]))
+        for u, row in enumerate(left):
+            for i, v in enumerate(row):
+                if abs(length[v] - length[u]) != 1:
+                    raise GroupCheckFailed(
+                        f"s_{i + 1} from the left must move the length of element {u} by one"
+                    )
+                if left[v][i] != u:
+                    raise GroupCheckFailed(
+                        f"s_{i + 1} from the left must be an involution on element {u}"
+                    )
+        return left
 
     def reduced_word(self, u: int) -> tuple[int, ...]:
-        """Lexicographically minimal reduced word (0-based generator indices),
-        built greedily from the smallest left descent."""
-        cached = self._words.get(u)
-        if cached is not None:
-            return cached
+        """Lexicographically minimal reduced word (0-based generator indices):
+        at each step the smallest left descent is taken off."""
+        left, length = self.left, self.length
         word = []
-        current = u
-        while current != 0:
-            i = min(self.left_descents(current))
+        while u:
+            row, lu = left[u], length[u]
+            i = next(i for i, v in enumerate(row) if length[v] < lu)
             word.append(i)
-            current = self.generator_times(i, current)
-        result = tuple(word)
-        self._words[u] = result
-        return result
+            u = row[i]
+        return tuple(word)
 
 
 def build_group(rs: RootSystem, budget: int = 10**6) -> WeylGroup:
@@ -379,13 +315,6 @@ class AbsoluteInterval:
     elements: tuple[Perm, ...]  # in rank order, the identity first
     ranks: tuple[int, ...]  # aligned with elements
     rank_counts: tuple[int, ...]  # index = reflection length
-
-
-def coxeter_element(rs: RootSystem) -> Perm:
-    """The bipartite Coxeter element: the product of all simple reflections,
-    plus part first, each part ascending."""
-    plus, minus = cartan_mod.bipartition(rs.cartan)
-    return rs.word_perm(sorted(plus) + sorted(minus))
 
 
 def reflection_length(rs: RootSystem, w: Perm) -> int:

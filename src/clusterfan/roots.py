@@ -337,6 +337,13 @@ def catalan_number(rs: RootSystem) -> int:
     return total
 
 
+def coxeter_element(rs: RootSystem) -> tuple[int, ...]:
+    """The bipartite Coxeter element: the product of all simple reflections,
+    plus part first, each part ascending."""
+    plus, minus = cartan_mod.bipartition(rs.cartan)
+    return rs.word_perm(sorted(plus) + sorted(minus))
+
+
 def coxeter_data(rs: RootSystem) -> CoxeterData:
     """Coxeter number, exponents and Weyl group order of an irreducible
     system.
@@ -353,8 +360,7 @@ def coxeter_data(rs: RootSystem) -> CoxeterData:
         )
     exponents = _exponents(root.height for root in rs.positive_roots())
 
-    plus, minus = cartan_mod.bipartition(rs.cartan)
-    perm = rs.word_perm(sorted(plus) + sorted(minus))
+    perm = coxeter_element(rs)
     order = 1
     power = perm
     identity = tuple(range(len(rs.roots)))

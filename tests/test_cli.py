@@ -1,5 +1,6 @@
 """End-to-end runs of the command line front end through main()."""
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -82,6 +83,25 @@ def test_group_dot(capsys):
     code, out, _ = run(capsys, "group", "--type", "A2", "--format", "dot")
     assert code == 0
     assert out.startswith("digraph")
+
+
+# sha256 of `clusterfan group --type X --format dot` stdout, taken from the
+# permutation-based reduced words these labels were first printed with
+GROUP_DOT_SHA256 = {
+    "A3": "4e18758d07f5dc83aa99ff518046cb0e3249dbe6859aa443f6f839104ac4308d",
+    "B4": "3d23fe92ee028c41f733798849a81f80682545b689135545288481c162a8cf6a",
+    "D4": "84b1d2742a4217744d3684e97d6589608c114c3374bdf8f9b737c6f1c911c606",
+    "F4": "8d129fcac67acfa34f1b8218936fd4b0469399b7913d60dffb5418c6fb302d95",
+    "D5": "7087962e12a79d4786d9900ac7e10f19352e8e7daa5f2199826d237bcd5450d7",
+    "A1+A2": "ba0273a03e45174001d45d88dd1555da25faf1cd3a4e6fc6dcbebbf126a80ead",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_DOT_SHA256))
+def test_group_dot_bytes_are_pinned(capsys, name):
+    code, out, _ = run(capsys, "group", "--type", name, "--format", "dot")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GROUP_DOT_SHA256[name]
 
 
 def test_mutate_text(capsys):

@@ -1,13 +1,14 @@
-"""Weyl groups as permutation groups on roots: orders, words, weak order,
-and the noncrossing interval in absolute order.
+"""Weyl groups on their Cayley tables: orders, words, weak order, and the
+noncrossing interval in absolute order.
 
 The first group construction (a frontier BFS composing permutation tuples),
-the reduced-word count over sorted lengths and right descents, and the
-weak-order meet found by scanning all of W with a multiplying `leq` are kept
-below as oracles for the table- and bitset-based versions.  So is the first
-absolute interval, a BFS over all of W with every reflection (the
-reflections checked against their intrinsic characterization), as the oracle
-for the group-free walk down from c.
+the greedy reduced word over left descents found through the inverse
+permutation, the reduced-word count over sorted lengths and right descents,
+and the weak-order meet found by scanning all of W with a multiplying `leq`
+are kept below as oracles for the table- and bitset-based versions.  So is
+the first absolute interval, a BFS over all of W with every reflection (the
+reflections checked against their intrinsic characterization), as the
+oracle for the group-free walk down from c.
 """
 
 import subprocess
@@ -82,9 +83,26 @@ class OracleGroup:
         p, g = self.elements[u], self.generators[i]
         return self.index[tuple(p[g[r]] for r in range(len(p)))]
 
+    def generator_times(self, i, u):
+        g, p = self.generators[i], self.elements[u]
+        return self.index[tuple(g[p[r]] for r in range(len(p)))]
+
     def right_descents(self, u):
         p, npos = self.elements[u], self.rs.num_positive
         return [i for i, s in enumerate(self.rs.simple_index) if p[s] >= npos]
+
+    def left_descents(self, u):
+        return self.right_descents(self.inverse(u))
+
+    def reduced_word(self, u):
+        """Lexicographically minimal reduced word, built greedily from the
+        smallest left descent."""
+        word = []
+        while u != 0:
+            i = min(self.left_descents(u))
+            word.append(i)
+            u = self.generator_times(i, u)
+        return tuple(word)
 
     def count_reduced_words(self, u):
         counts = {0: 1}
@@ -179,8 +197,11 @@ def test_longest_element_length_is_num_positive():
         group = build_group(root_system(name))
         assert group.length[group.w0] == group.rs.num_positive
         assert max(group.length) == group.rs.num_positive
-        # w0 is an involution
-        assert group.mult(group.w0, group.w0) == 0
+        # w0 is an involution: w0 times its own word is the identity
+        u = group.w0
+        for i in group.reduced_word(group.w0):
+            u = group.right[u][i]
+        assert u == 0
 
 
 def test_w0_negates_all_roots_when_minus_one():
@@ -188,21 +209,21 @@ def test_w0_negates_all_roots_when_minus_one():
     for name, central in (("A1", True), ("A2", False), ("A3", False),
                           ("B2", True), ("B3", True), ("C3", True),
                           ("D4", True), ("F4", True), ("G2", True)):
-        group = build_group(root_system(name))
-        rs = group.rs
-        negates = all(group.apply(group.w0, idx) == rs.negate(idx)
-                      for idx in range(len(rs.roots)))
+        oracle = OracleGroup(root_system(name))
+        rs = oracle.rs
+        w0 = oracle.elements[build_group(rs).w0]
+        negates = all(w0[idx] == rs.negate(idx) for idx in range(len(rs.roots)))
         assert negates == central
 
 
 def test_reduced_word_is_reduced_and_correct():
     group = build_group(root_system("B3"))
-    for u in range(len(group.elements)):
+    for u in range(len(group)):
         word = group.reduced_word(u)
         assert len(word) == group.length[u]
         e = 0
         for i in word:
-            e = group.times_generator(e, i)
+            e = group.right[e][i]
         assert e == u
 
 
@@ -228,10 +249,18 @@ def test_reduced_word_count_b2_g2():
 
 
 def test_descent_sets():
-    group = build_group(root_system("A2"))
-    assert group.right_descents(0) == []
-    assert sorted(group.right_descents(group.w0)) == [0, 1]
-    assert sorted(group.left_descents(group.w0)) == [0, 1]
+    group = build_group(root_system("A3"))
+    oracle = OracleGroup(group.rs)
+    length = group.length
+
+    def descents(table, u):
+        return [i for i, v in enumerate(table[u]) if length[v] < length[u]]
+
+    assert descents(group.right, 0) == descents(group.left, 0) == []
+    assert descents(group.right, group.w0) == descents(group.left, group.w0) == [0, 1, 2]
+    for u in range(len(group)):
+        assert descents(group.right, u) == oracle.right_descents(u)
+        assert descents(group.left, u) == oracle.left_descents(u)
 
 
 def test_reflections_biject_with_positive_roots():
@@ -252,7 +281,7 @@ def test_weak_order_lattice_and_cover_count():
     # total cover count equals (number of elements) * n / 2 ... not in general,
     # so check the defining property instead
     for lo, i, hi in data.covers:
-        assert group.times_generator(lo, i) == hi
+        assert group.right[lo][i] == hi
         assert group.length[hi] == group.length[lo] + 1
     bottoms = {lo for lo, _, _ in data.covers}
     tops = {hi for _, _, hi in data.covers}
@@ -383,17 +412,30 @@ def test_oversized_group_refused_before_the_search():
 
 @pytest.mark.parametrize("name", ["A1", "A3", "B3", "C3", "G2", "A1+A2", "D4"])
 def test_group_matches_frontier_bfs(name):
+    # the equal numbering and the right table are checked in
+    # test_orbit_search_matches_frontier_bfs
     group = build_group(root_system(name))
     oracle = OracleGroup(group.rs)
-    assert group.elements == oracle.elements
-    assert group.length == oracle.length
-    for u in range(len(group)):
-        for i in range(group.n):
-            assert group.right[u][i] == oracle.times_generator(u, i)
-            assert group.times_generator(u, i) == group.right[u][i]
+    assert group.left == [
+        tuple(oracle.generator_times(i, u) for i in range(group.n))
+        for u in range(len(oracle.elements))
+    ]
+    # u*v walks u along the right table by a word of v
     for u in range(0, len(group), 7):
         for v in range(0, len(group), 5):
-            assert group.mult(u, v) == oracle.mult(u, v)
+            product = u
+            for i in group.reduced_word(v):
+                product = group.right[product][i]
+            assert product == oracle.mult(u, v)
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "D4", "F4", "D5", "A1+A2"])
+def test_reduced_word_matches_permutation_oracle(name):
+    group = build_group(root_system(name))
+    oracle = OracleGroup(group.rs)
+    assert group.length == oracle.length
+    for u in range(len(group)):
+        assert group.reduced_word(u) == oracle.reduced_word(u)
 
 
 @pytest.mark.parametrize("name", ["B3", "A4"])
@@ -478,6 +520,8 @@ def test_length_counts_are_the_poincare_polynomial(name):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_group_output_builds_no_permutations(fmt, monkeypatch, capsys):
+    # text and JSON read the right table alone; the left table is built
+    # only for reduced words
     built = []
 
     def recording(rs, budget=10**6):
@@ -489,10 +533,11 @@ def test_group_output_builds_no_permutations(fmt, monkeypatch, capsys):
     assert "51840" in capsys.readouterr().out
     (group,) = built
     assert len(group.elements) == len(group) == 51840
-    assert "_perms" not in vars(group) and "element_index" not in vars(group)
-    # reading one element builds them all, checked against the lengths
-    assert group.elements[group.w0] == group.rs.longest_element()
-    assert "_perms" in vars(group)
+    assert "left" not in vars(group)
+    # reading one word builds the whole left table, checked as it is built
+    word = group.reduced_word(group.w0)
+    assert group.rs.word_perm(word) == group.rs.longest_element()
+    assert "left" in vars(group)
 
 
 SABOTAGED_SEARCH = """
@@ -521,14 +566,16 @@ try:
 except coxeter.GroupCheckFailed as exc:
     print("FAIL", exc)
 coxeter._component_exponents = exponents
-# generators that act as the identity: every permutation built is the
-# identity, with no inversions
-group = coxeter.build_group(root_system("A2"))
-group.generators = [group.identity] * group.n
-try:
-    group.elements[0]
-except coxeter.GroupCheckFailed as exc:
-    print("FAIL", exc)
+# element 3 = s1 s2 of A2 with s1 s2 s1 read as the identity, then as s1:
+# the left table built along the right one first moves a length by other
+# than one, then stops being an involution
+for row in [(0, 1), (1, 1)]:
+    group = coxeter.build_group(root_system("A2"))
+    group.right[3] = row
+    try:
+        group.reduced_word(group.w0)
+    except coxeter.GroupCheckFailed as exc:
+        print("FAIL", exc)
 """
 
 
@@ -542,5 +589,6 @@ def test_sabotaged_search_fails_without_asserts():
         "FAIL length must move by the sign of mu_1 = 0 from element 4",
         "FAIL length counts must be the Poincare polynomial"
         " [1, 3, 4, 4, 4, 4, 3, 1] of the exponents",
-        "FAIL BFS depth must equal inversion count",
+        "FAIL s_1 from the left must move the length of element 4 by one",
+        "FAIL s_1 from the left must be an involution on element 4",
     ], result.stderr
