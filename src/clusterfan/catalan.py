@@ -4,10 +4,13 @@ orbits of the Weyl group on a discrete torus, and positive regions of the Shi
 arrangement.  The module computes each observation from scratch so that the
 cross-interpretation equalities are genuine checks, not restatements.
 
-No count builds the Weyl group.  The noncrossing partitions are the interval
-[1, c] in absolute order below a Coxeter element c; by Carter's lemma the
-reflection length is l_T(w) = rank(w - 1), and `coxeter.absolute_interval`
-walks the interval down from c on it, one reflection length at a time.
+The noncrossing partitions are the interval [1, c] in absolute order below a
+Coxeter element c; `coxeter.absolute_interval` walks it down from c one
+reflection length at a time, reading the children of u off the moved space
+im(u - 1), and builds no Weyl group.  Only the torus count builds the group:
+by Burnside's lemma the orbits are the mean number of fixed points, counted
+once per conjugacy class as the solutions of (w - 1) x = 0 modulo h+1.  The
+exponent product formula gives only the expected column.
 """
 from __future__ import annotations
 
@@ -20,9 +23,9 @@ from operator import mul
 
 from .assoc import n_phi, narayana
 from .cartan import dynkin_name
-from .coxeter import BudgetExceeded, absolute_interval
-from .linalg import SingularMatrix, solve_fraction_free
-from .roots import RootPoset, RootSystem, coxeter_data
+from .coxeter import absolute_interval, build_group, conjugacy_classes, moved_matrix
+from .linalg import SingularMatrix, kernel_size_mod, solve_fraction_free
+from .roots import RootPoset, RootSystem, coxeter_data, weyl_group_order
 
 
 def count_antichains(poset: RootPoset) -> tuple[int, tuple[int, ...]]:
@@ -46,71 +49,40 @@ class CountCheckFailed(RuntimeError):
     """An enumeration broke one of its own structural invariants."""
 
 
-# largest torus (points mod h+1) whose orbits are counted
-TORUS_BUDGET = 10**7
+# largest Weyl group whose torus orbits are counted; it selects the types
+# that the old walk over at most 10^7 torus points did (A7, B6, D6 and E6 in,
+# A8 and E7 out)
+TORUS_BUDGET = 10**5
 
 
-def torus_orbits(
-    rs: RootSystem, generators: str = "simple", budget: int = TORUS_BUDGET
-) -> int:
-    """Number of Weyl orbits on the coordinate lattice modulo h+1.
+def torus_orbits(rs: RootSystem, budget: int = TORUS_BUDGET) -> int:
+    """Number of Weyl orbits on the coordinate lattice modulo h+1, by
+    Burnside's lemma: the mean over W of the number of fixed points.
 
-    A point is coded by its base-(h+1) digits.  A reflection changes only the
-    coordinates where its matrix row differs from the identity (for a simple
-    reflection, one coordinate, by a sparse Cartan row), so each image code
-    is the point's code plus delta * (h+1)^i per changed coordinate i.
-    Orbits are walked with a stack over a bytearray of visited codes.  With
-    generators="all" every reflection is used, which must not change the
-    count.
+    The fixed points of w are the x in (Z/(h+1))^n with (w - 1) x = 0, a
+    class function, so it is counted once per conjugacy class, on w - 1 for
+    the class's shortest representative, by `kernel_size_mod`.
+    The group is built under `budget` elements (BudgetExceeded above it).
+    Raises CountCheckFailed unless every class size divides |W| and so does
+    the sum of size times fixed points.
     """
-    n = rs.n
-    h = coxeter_data(rs).coxeter_number
-    mod = h + 1
-    size = mod**n
-    if size > budget:
-        raise BudgetExceeded(f"torus has {size} points, budget {budget}")
-
-    if generators == "simple":
-        roots = rs.simple_index
-    elif generators == "all":
-        roots = range(rs.num_positive)
-    else:
-        raise ValueError("generators must be 'simple' or 'all'")
-    # per reflection: (i, mod**i, nonzero entries of row i) for each row i
-    # that is not the identity row
-    moves = []
-    for root in roots:
-        matrix = rs.reflection_matrix(root)
-        moves.append(
-            [
-                (i, mod**i, [(j, a) for j, a in enumerate(row) if a])
-                for i, row in enumerate(matrix)
-                if any(a != (i == j) for j, a in enumerate(row))
-            ]
+    group = build_group(rs, budget=budget)
+    order = len(group)
+    mod = coxeter_data(rs).coxeter_number + 1
+    total = 0
+    for rep, size in conjugacy_classes(group):
+        if order % size:
+            raise CountCheckFailed(
+                f"conjugacy class of element {rep} has {size} elements,"
+                f" which does not divide |W| = {order}"
+            )
+        moved = moved_matrix(rs, rs.word_perm(group.reduced_word(rep)))
+        total += size * kernel_size_mod(moved, mod)
+    orbits, rest = divmod(total, order)
+    if rest:
+        raise CountCheckFailed(
+            f"Burnside sum {total} over the classes is not a multiple of |W| = {order}"
         )
-
-    visited = bytearray(size)
-    orbits = 0
-    point = [0] * n
-    for start in range(size):
-        if visited[start]:
-            continue
-        orbits += 1
-        visited[start] = 1
-        stack = [start]
-        while stack:
-            code = stack.pop()
-            value = code
-            for i in range(n):
-                value, point[i] = divmod(value, mod)
-            for move in moves:
-                image = code
-                for i, weight, row in move:
-                    coordinate = sum(a * point[j] for j, a in row) % mod
-                    image += (coordinate - point[i]) * weight
-                if not visited[image]:
-                    visited[image] = 1
-                    stack.append(image)
     return orbits
 
 
@@ -259,8 +231,7 @@ def enumeration_report(rs: RootSystem) -> list[dict]:
     for k, size in enumerate(interval.rank_counts):
         add("noncrossing", k, size, expected_profile[k])
 
-    h = coxeter_data(rs).coxeter_number
-    if (h + 1) ** rs.n <= TORUS_BUDGET:
+    if weyl_group_order(rs) <= TORUS_BUDGET:
         add("torus_orbits", "total", torus_orbits(rs), expected_total)
 
     if rs.n <= 3:

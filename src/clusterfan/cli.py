@@ -7,15 +7,18 @@ seed.  Exit codes: 0 success, 1 verification failure, 2 usage error
 one is needed, and a matrix file that is empty, has an entry that is not an
 integer, is not a Cartan matrix or, for mutate, is not an m-by-n matrix,
 m >= n, with a skew-symmetrizable top part and full column rank),
-3 budget exceeded or, for mutate, an exchange matrix of infinite type.
-mutate walks the exchange graph once, under --budget-seeds alone; text
-output prints counts only and computes no Laurent polynomial.
+3 budget exceeded or, for mutate, an exchange matrix of infinite type,
+141 (128 + SIGPIPE, as a shell reports a writer killed by a closed pipe)
+when the reader closes stdout before the output is written.  mutate walks
+the exchange graph once, under --budget-seeds alone; text output prints
+counts only and computes no Laurent polynomial.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cartan import (
@@ -62,6 +65,9 @@ from .catalan import enumeration_report, report_csv
 from . import wiring
 from .verify import render_report, run_battery
 
+
+# exit code when the reader closes stdout early: 128 + SIGPIPE
+BROKEN_PIPE = 141
 
 FORMATS = {
     "roots": ("text", "json"),
@@ -304,8 +310,14 @@ def main(argv=None) -> int:
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text + "\n")
-    else:
-        print(text)
+        return code
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull so that the
+        # flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     return code
 
 

@@ -30,10 +30,17 @@ int bitmasks, one bit per element.
 
 The noncrossing interval [1, c] in absolute order needs no group.  By
 Carter's lemma the reflection length of w is rank(w - 1) on simple-root
-coordinates, so the interval is walked down from the bipartite Coxeter
-element c one reflection length at a time, and no element outside it is
+coordinates, and by Brady and Watt (A partial order on the orthogonal group,
+Comm. Algebra 2002) a reflection t lies below u exactly when its root lies
+in the moved space Mov(u) = im(u - 1).  So the interval is walked down from
+the bipartite Coxeter element c one reflection length at a time: one integer
+basis of the left kernel of u - 1 cuts out Mov(u), a dot product with each
+positive root picks the children u*t, and no element outside the interval is
 ever built.  Elements of the interval are permutations of the root indices:
 position r holds the index of the image of root r.
+
+The conjugacy classes are the components of the graph that joins u to
+s_i*u*s_i, read off the two Cayley tables.
 """
 
 from __future__ import annotations
@@ -44,8 +51,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
+from operator import mul
 
-from .linalg import matrix_rank
+from .linalg import left_kernel, matrix_rank
 from .roots import RootSystem, _component_exponents, catalan_number, coxeter_element
 
 Perm = tuple[int, ...]
@@ -190,6 +198,32 @@ class WeylGroup:
         return tuple(word)
 
 
+def conjugacy_classes(group: WeylGroup) -> list[tuple[int, int]]:
+    """(representative, size) per conjugacy class, in index order.  The
+    classes are the components of the graph joining u to s_i*u*s_i =
+    `left[right[u][i]][i]`, since every conjugation is a chain of those; the
+    representative is the class's first index, so one of its shortest
+    elements."""
+    left, right = group.left, group.right
+    seen = bytearray(len(group))
+    classes = []
+    for start in group.elements:
+        if seen[start]:
+            continue
+        seen[start] = 1
+        stack, size = [start], 1
+        while stack:
+            u = stack.pop()
+            for i, v in enumerate(right[u]):
+                w = left[v][i]
+                if not seen[w]:
+                    seen[w] = 1
+                    size += 1
+                    stack.append(w)
+        classes.append((start, size))
+    return classes
+
+
 def build_group(rs: RootSystem, budget: int = 10**6) -> WeylGroup:
     return WeylGroup(rs, budget=budget)
 
@@ -317,13 +351,16 @@ class AbsoluteInterval:
     rank_counts: tuple[int, ...]  # index = reflection length
 
 
-def reflection_length(rs: RootSystem, w: Perm) -> int:
-    """l_T(w) = rank(w - 1) (Carter's lemma): column j of w - 1 is the
-    coordinate vector of w(alpha_j) minus the j-th unit vector."""
+def moved_matrix(rs: RootSystem, w: Perm) -> list[list[int]]:
+    """w - 1 on simple-root coordinates: column j is the coordinate vector
+    of w(alpha_j) minus the j-th unit vector."""
     columns = [rs.roots[w[s]].coords for s in rs.simple_index]
-    return matrix_rank(
-        [[columns[j][i] - (i == j) for j in range(rs.n)] for i in range(rs.n)]
-    )
+    return [[columns[j][i] - (i == j) for j in range(rs.n)] for i in range(rs.n)]
+
+
+def reflection_length(rs: RootSystem, w: Perm) -> int:
+    """l_T(w) = rank(w - 1) (Carter's lemma)."""
+    return matrix_rank(moved_matrix(rs, w))
 
 
 def absolute_interval(rs: RootSystem) -> AbsoluteInterval:
@@ -331,12 +368,17 @@ def absolute_interval(rs: RootSystem) -> AbsoluteInterval:
     element c, with reflection-length ranks.
 
     The walk starts at c and goes down one reflection length at a time: the
-    children of u are the products u*t over the reflections t with
-    l_T(u*t) = l_T(u) - 1.  Every element below c is below one a rank
-    higher, so the levels are exactly the ranks of the interval.  Its size,
+    children of u are the products u*t_beta over the positive roots beta in
+    Mov(u) = im(u - 1), which are exactly the reflections t with
+    l_T(u*t) = l_T(u) - 1 (Brady-Watt).  A root lies in im(u - 1) when every
+    vector z of an integer basis of the left kernel of u - 1 has z.beta = 0,
+    so a permutation is composed only for a real child.  Every element below
+    c is below one a rank higher, so the levels are exactly the ranks of the
+    interval, taken in the order the walk first meets them.  Its size,
     Cat(W), is read off the exponents first; over INTERVAL_BUDGET the walk is
-    refused with BudgetExceeded.  Raises GroupCheckFailed unless
-    l_T(c) = n and the bottom level is the identity alone.
+    refused with BudgetExceeded.  Raises GroupCheckFailed unless l_T(c) = n,
+    every element of a level has the level's rank n - |basis|, and the
+    bottom level is the identity alone.
     """
     size = catalan_number(rs)
     if size > INTERVAL_BUDGET:
@@ -347,16 +389,22 @@ def absolute_interval(rs: RootSystem) -> AbsoluteInterval:
     c = coxeter_element(rs)
     if reflection_length(rs, c) != rs.n:
         raise GroupCheckFailed("the Coxeter element must have reflection length n")
+    roots = [root.coords for root in rs.positive_roots()]
     reflections = [rs.reflection_perm(b) for b in range(rs.num_positive)]
     levels = [[c]]
     for rank in range(rs.n - 1, -1, -1):
-        lengths: dict[Perm, int] = {}
+        children: dict[Perm, None] = {}
         for u in levels[-1]:
-            for t in reflections:
-                v = tuple(map(u.__getitem__, t))
-                if v not in lengths:
-                    lengths[v] = reflection_length(rs, v)
-        levels.append([v for v, length in lengths.items() if length == rank])
+            kernel = left_kernel(moved_matrix(rs, u))
+            if rs.n - len(kernel) != rank + 1:
+                raise GroupCheckFailed(
+                    f"an element of the level at rank {rank + 1} has"
+                    f" reflection length {rs.n - len(kernel)}"
+                )
+            for beta, t in zip(roots, reflections):
+                if all(sum(map(mul, z, beta)) == 0 for z in kernel):
+                    children[tuple(map(u.__getitem__, t))] = None
+        levels.append(list(children))
     if levels[-1] != [tuple(range(len(rs.roots)))]:
         raise GroupCheckFailed("the walk down from c must end at the identity alone")
 

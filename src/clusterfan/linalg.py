@@ -9,6 +9,13 @@ raises InexactElimination, a check that holds under any interpreter flag.
 Callers with integer data can stay in the integers: `solve_fraction_free`
 returns a solution as a reduced homogeneous point.  Cone membership needs no
 solve here: the wall walk in `assoc` keeps an integer dual basis per cluster.
+
+Two helpers stay in the integers by unimodular row operations instead, which
+divide nothing: Euclid's algorithm down each column brings integer rows to
+an echelon form.  `left_kernel` reads a left kernel basis off the echelon
+form of a matrix beside an identity block, and `kernel_size_mod` counts the
+solutions of A x = 0 modulo m from the echelon form of the columns of A
+together with m times the unit vectors.
 """
 
 from __future__ import annotations
@@ -180,3 +187,59 @@ def leading_principal_minors(rows: Sequence[Sequence[int]]) -> list[Fraction]:
     n = len(rows)
     return [det([row[: k + 1] for row in list(rows)[: k + 1]]) for k in range(n)]
 
+
+def _euclid_echelon(work: list[list[int]], width: int) -> list[int]:
+    """Bring the first `width` columns of the integer rows to echelon form in
+    place, by unimodular row operations only: swaps, and subtracting an
+    integer multiple of one row from another, Euclid's algorithm down each
+    column.  Returns the pivot column of each nonzero row, top down."""
+    pivots: list[int] = []
+    for col in range(width):
+        top = len(pivots)
+        while True:
+            live = [r for r in range(top, len(work)) if work[r][col]]
+            if not live:
+                break
+            pivot = min(live, key=lambda r: abs(work[r][col]))
+            work[top], work[pivot] = work[pivot], work[top]
+            lead, p = work[top], work[top][col]
+            cleared = True
+            for r in range(top + 1, len(work)):
+                q = work[r][col] // p
+                if q:
+                    work[r] = [a - q * b for a, b in zip(work[r], lead)]
+                cleared = cleared and not work[r][col]
+            if cleared:
+                pivots.append(col)
+                break
+    return pivots
+
+
+def left_kernel(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """An integer basis of the left kernel {z : z A = 0} of an integer
+    matrix A.  The echelon form U A of [A | I] has U unimodular; the rows of
+    U beside the zero rows of U A are the basis, and their number is the
+    number of rows of A minus its rank."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    work = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    rank = len(_euclid_echelon(work, n))
+    return [row[n:] for row in work[rank:]]
+
+
+def kernel_size_mod(rows: Sequence[Sequence[int]], modulus: int) -> int:
+    """The number of x in (Z/modulus)^k with A x = 0 modulo `modulus`, for an
+    integer matrix A with r rows and k columns.
+
+    With m = modulus, the image of A is (L + m Z^r) / m Z^r, L the lattice
+    spanned by the columns of A, so it has m^r / [Z^r : L + m Z^r] elements
+    and the count is m^(k - r) times that index.  The columns of A and m
+    times the unit vectors span L + m Z^r; as rows in echelon form they are
+    a basis, and the index is the product of their pivots."""
+    r = len(rows)
+    k = len(rows[0]) if r else 0
+    work = [list(column) for column in zip(*rows)]
+    work += [[modulus * (i == j) for j in range(r)] for i in range(r)]
+    pivots = _euclid_echelon(work, r)
+    index = prod(abs(work[i][col]) for i, col in enumerate(pivots))
+    return modulus**k * index // modulus**r

@@ -2,12 +2,17 @@
 root poset antichains, noncrossing partition lattices, torus orbit counts,
 and positive Shi regions.
 
-The first torus orbit count (a union-find over every point, joined to its
-image under each full reflection matrix) is kept below as the oracle for
-the bytearray walk.  So is the first Shi region growth, which solved every
-n-subset of a piece's constraints over the rationals, as the oracle for the
-integer growth that solves only the vertices a new hyperplane adds."""
+The torus orbits were first counted by a union-find over every point, joined
+to its image under each full reflection matrix, and then by a stack walk
+over a bytearray of visited points.  Both are kept below: the union-find as
+the oracle for the walk, and the walk as the oracle for the Burnside count
+over conjugacy classes.  So is the first Shi region growth, which solved
+every n-subset of a piece's constraints over the rationals, as the oracle
+for the integer growth that solves only the vertices a new hyperplane
+adds."""
 
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -57,6 +62,66 @@ def union_find_torus_orbits(rs, generators):
                 groups -= 1
     return groups
 
+
+def walk_torus_orbits(rs, generators="simple"):
+    """Number of Weyl orbits on the coordinate lattice modulo h+1, by a walk
+    over every point.
+
+    A point is coded by its base-(h+1) digits.  A reflection changes only the
+    coordinates where its matrix row differs from the identity (for a simple
+    reflection, one coordinate, by a sparse Cartan row), so each image code
+    is the point's code plus delta * (h+1)^i per changed coordinate i.
+    Orbits are walked with a stack over a bytearray of visited codes.  With
+    generators="all" every reflection is used, which must not change the
+    count.
+    """
+    n = rs.n
+    mod = coxeter_data(rs).coxeter_number + 1
+    size = mod**n
+    if generators == "simple":
+        roots = rs.simple_index
+    elif generators == "all":
+        roots = range(rs.num_positive)
+    else:
+        raise ValueError("generators must be 'simple' or 'all'")
+    # per reflection: (i, mod**i, nonzero entries of row i) for each row i
+    # that is not the identity row
+    moves = []
+    for root in roots:
+        matrix = rs.reflection_matrix(root)
+        moves.append(
+            [
+                (i, mod**i, [(j, a) for j, a in enumerate(row) if a])
+                for i, row in enumerate(matrix)
+                if any(a != (i == j) for j, a in enumerate(row))
+            ]
+        )
+
+    visited = bytearray(size)
+    orbits = 0
+    point = [0] * n
+    for start in range(size):
+        if visited[start]:
+            continue
+        orbits += 1
+        visited[start] = 1
+        stack = [start]
+        while stack:
+            code = stack.pop()
+            value = code
+            for i in range(n):
+                value, point[i] = divmod(value, mod)
+            for move in moves:
+                image = code
+                for i, weight, row in move:
+                    coordinate = sum(a * point[j] for j, a in row) % mod
+                    image += (coordinate - point[i]) * weight
+                if not visited[image]:
+                    visited[image] = 1
+                    stack.append(image)
+    return orbits
+
+
 TOTALS = {"A2": 5, "A3": 14, "B2": 6, "B3": 20, "G2": 8}
 PROFILES = {
     "A2": (1, 3, 1),
@@ -100,8 +165,8 @@ def test_torus_orbit_documented_moduli():
 
 def test_torus_orbits_all_reflections_agree():
     for name in ("A2", "B2", "G2"):
-        simple = torus_orbits(root_system(name), generators="simple")
-        full = torus_orbits(root_system(name), generators="all")
+        simple = walk_torus_orbits(root_system(name), generators="simple")
+        full = walk_torus_orbits(root_system(name), generators="all")
         assert simple == full
 
 
@@ -111,14 +176,71 @@ def test_torus_orbits_all_reflections_agree():
 @pytest.mark.parametrize("generators", ["simple", "all"])
 def test_torus_orbits_match_union_find(name, generators):
     rs = root_system(name)
-    assert torus_orbits(rs, generators) == union_find_torus_orbits(rs, generators)
+    assert walk_torus_orbits(rs, generators) == union_find_torus_orbits(rs, generators)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "D4", "D5"]
+    + ["F4", "G2"],
+)
+def test_burnside_matches_the_walk(name):
+    rs = root_system(name)
+    assert torus_orbits(rs) == walk_torus_orbits(rs)
+
+
+def test_burnside_e6():
+    # the walk would visit 13^6 = 4,826,809 points
+    assert torus_orbits(root_system("E6")) == 833
 
 
 def test_torus_orbits_budget():
-    with pytest.raises(BudgetExceeded):
-        torus_orbits(root_system("A3"), budget=10)
-    with pytest.raises(ValueError):
-        torus_orbits(root_system("A2"), generators="sideways")
+    # the budget counts group elements: |W(A3)| = 24
+    with pytest.raises(BudgetExceeded, match="24 elements, over the budget of 23"):
+        torus_orbits(root_system("A3"), budget=23)
+    assert torus_orbits(root_system("A3"), budget=24) == 14
+
+
+SABOTAGED_BURNSIDE = """
+import sys
+from clusterfan import catalan
+from clusterfan.roots import root_system
+print("optimize", sys.flags.optimize)
+rs = root_system("B2")
+count, classes = catalan.kernel_size_mod, catalan.conjugacy_classes
+# one fixed-point count off by one: the identity's, the first one counted
+calls = []
+def off_by_one(rows, m):
+    calls.append(rows)
+    return count(rows, m) + (len(calls) == 1)
+catalan.kernel_size_mod = off_by_one
+try:
+    catalan.torus_orbits(rs)
+except catalan.CountCheckFailed as exc:
+    print("FAIL", exc)
+catalan.kernel_size_mod = count
+# the identity's class swallows the next one: 1 + 2 elements, |W(B2)| = 8
+def merged(group):
+    (rep, size), (_, other), *rest = classes(group)
+    return [(rep, size + other), *rest]
+catalan.conjugacy_classes = merged
+try:
+    catalan.torus_orbits(rs)
+except catalan.CountCheckFailed as exc:
+    print("FAIL", exc)
+"""
+
+
+def test_sabotaged_burnside_fails_without_asserts():
+    # python -O strips assert statements; the Burnside checks must not be
+    # asserts
+    command = [sys.executable, "-O", "-c", SABOTAGED_BURNSIDE]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert result.stdout.splitlines() == [
+        "optimize 1",
+        "FAIL Burnside sum 49 over the classes is not a multiple of |W| = 8",
+        "FAIL conjugacy class of element 0 has 3 elements, which does not divide |W| = 8",
+    ], result.stderr
 
 
 @pytest.mark.parametrize("name", sorted(TOTALS))

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from clusterfan.cli import build_parser, main
+from clusterfan.cli import BROKEN_PIPE, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -163,8 +165,8 @@ def test_mutate_matrix_file_type_text_matches_type(capsys, tmp_path, fmt):
             "group", "E7", "group has 2903040 elements, over the budget of 1000000",
             id="group",
         ),
-        # catalan builds no group; Cat(E8) = 25,080 is read off the exponents,
-        # before the noncrossing interval is walked or anything is counted
+        # Cat(E8) = 25,080 is read off the exponents, before the noncrossing
+        # interval is walked or anything is counted
         pytest.param(
             "catalan", "E8",
             "noncrossing interval has 25080 elements, over the budget of 10000",
@@ -384,3 +386,18 @@ def test_verify_rng_seed_changes_nothing_structural(capsys):
     code2, out2, _ = run(capsys, "verify", "--quick", "--rng-seed", "11")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_closed_pipe_ends_quietly():
+    # the D5 Hasse diagram (about 190 kB) outgrows the pipe buffer, so the
+    # writer is still writing when the reader goes away after one line
+    command = [sys.executable, "-m", "clusterfan.cli", "group", "--type", "D5"]
+    proc = subprocess.Popen(
+        command + ["--format", "dot"], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.readline() == b"digraph weak_order {\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == BROKEN_PIPE
+    assert "Traceback" not in err and "Error" not in err, err
+    proc.stderr.close()

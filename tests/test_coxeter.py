@@ -8,7 +8,9 @@ and the weak-order meet found by scanning all of W with a multiplying `leq`
 are kept below as oracles for the table- and bitset-based versions.  So is
 the first absolute interval, a BFS over all of W with every reflection (the
 reflections checked against their intrinsic characterization), as the
-oracle for the group-free walk down from c.
+oracle for the group-free walk down from c, and the second one, which ran a
+rank computation on every candidate u*t, as the oracle for the walk that
+reads the children off Mov(u).
 """
 
 import subprocess
@@ -28,6 +30,7 @@ from clusterfan.coxeter import (
     absolute_interval,
     bitset_meet,
     build_group,
+    conjugacy_classes,
     count_reduced_words,
     coxeter_element,
     hasse_dot,
@@ -35,6 +38,7 @@ from clusterfan.coxeter import (
     stanley_formula,
     weak_order,
 )
+from clusterfan.roots import coxeter_element as root_coxeter_element
 from clusterfan.roots import root_system
 
 
@@ -178,6 +182,27 @@ class OracleGroup:
             for w in range(len(self.elements))
             if distance[w] + distance[self.mult(self.inverse(w), c)] == n
         }
+
+def rank_walk_absolute_interval(rs):
+    """(elements, ranks, rank_counts) of [1, c] from the walk down from c
+    that keeps each candidate u*t of reflection length one less than u."""
+    c = root_coxeter_element(rs)
+    reflections = [rs.reflection_perm(b) for b in range(rs.num_positive)]
+    levels = [[c]]
+    for rank in range(rs.n - 1, -1, -1):
+        lengths = {}
+        for u in levels[-1]:
+            for t in reflections:
+                v = tuple(map(u.__getitem__, t))
+                if v not in lengths:
+                    lengths[v] = reflection_length(rs, v)
+        levels.append([v for v, length in lengths.items() if length == rank])
+    assert levels[-1] == [tuple(range(len(rs.roots)))]
+    levels.reverse()
+    elements = tuple(w for level in levels for w in level)
+    ranks = tuple(rank for rank, level in enumerate(levels) for _ in level)
+    return elements, ranks, tuple(len(level) for level in levels)
+
 
 GROUP_ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "A4": 120, "A5": 720,
@@ -347,6 +372,20 @@ def test_absolute_interval_matches_group_bfs(name):
     assert interval.rank_counts == tuple(counts)
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "D4", "D5"]
+    + ["F4", "G2", "E6"],
+)
+def test_absolute_interval_matches_rank_walk(name):
+    rs = root_system(name)
+    interval = absolute_interval(rs)
+    elements, ranks, counts = rank_walk_absolute_interval(rs)
+    assert interval.elements == elements
+    assert interval.ranks == ranks
+    assert interval.rank_counts == counts
+
+
 @pytest.mark.parametrize("name", ["D5", "B5", "E6"])
 def test_absolute_interval_ranks_are_narayana(name):
     rs = root_system(name)
@@ -374,12 +413,23 @@ try:
 except coxeter.GroupCheckFailed as exc:
     print("FAIL", exc)
 coxeter.reflection_length = length
-# reflections that all act as the identity: the walk never gets below c
-rs.reflection_perm = lambda b: tuple(range(len(rs.roots)))
+# a kernel helper that loses one basis vector: below c every level reads
+# one rank too high
+kernel = coxeter.left_kernel
+coxeter.left_kernel = lambda rows: kernel(rows)[1:]
 try:
     coxeter.absolute_interval(rs)
 except coxeter.GroupCheckFailed as exc:
     print("FAIL", exc)
+coxeter.left_kernel = kernel
+# reflections that all act as the identity: the walk never gets below c
+for name in ("A3", "A1"):
+    rs = root_system(name)
+    rs.reflection_perm = lambda b: tuple(range(len(rs.roots)))
+    try:
+        coxeter.absolute_interval(rs)
+    except coxeter.GroupCheckFailed as exc:
+        print("FAIL", exc)
 """
 
 
@@ -391,8 +441,38 @@ def test_sabotaged_walk_fails_without_asserts():
     assert result.stdout.splitlines() == [
         "optimize 1",
         "FAIL the Coxeter element must have reflection length n",
+        "FAIL an element of the level at rank 2 has reflection length 3",
+        # on A3, c stays the only element of the level at rank 2
+        "FAIL an element of the level at rank 2 has reflection length 3",
+        # on A1 the level below c is the last, and it holds c
         "FAIL the walk down from c must end at the identity alone",
     ], result.stderr
+
+
+@pytest.mark.parametrize("name", ["A1", "A3", "B3", "G2", "D4", "A1+A2"])
+def test_conjugacy_classes_match_oracle(name):
+    group = build_group(root_system(name))
+    oracle = OracleGroup(group.rs)
+    size = len(oracle.elements)
+    expected = []
+    seen = set()
+    for u in range(size):
+        if u not in seen:
+            members = {
+                oracle.mult(oracle.mult(g, u), oracle.inverse(g)) for g in range(size)
+            }
+            seen |= members
+            expected.append((u, len(members)))
+    # the two number the elements alike (test_orbit_search_matches_frontier_bfs)
+    assert conjugacy_classes(group) == expected
+
+
+@pytest.mark.parametrize("name,count", [("B4", 20), ("D4", 13), ("F4", 25), ("E6", 25)])
+def test_conjugacy_class_counts(name, count):
+    group = build_group(root_system(name))
+    classes = conjugacy_classes(group)
+    assert len(classes) == count
+    assert sum(size for _, size in classes) == len(group)
 
 
 def test_budget_exceeded():

@@ -2,13 +2,17 @@
 seeds, c-vectors stay sign-coherent, g-vectors are the degrees of the
 cluster variables, Laurent polynomials form a ring, exact division inverts
 multiplication and agrees with division over the rationals, and the linear
-algebra gives the same answers on int rows as on Fraction rows.
+algebra gives the same answers on int rows as on Fraction rows.  The two
+unimodular eliminations are checked against brute force: the left kernel
+basis against the rank, and the count of solutions modulo m against every
+point of (Z/m)^k.
 
 The first Laurent division, which divided over the rationals and then
 demanded an integral quotient, is kept below as the oracle for the
 division over the integers."""
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -20,6 +24,8 @@ from clusterfan.laurent import LaurentPoly, NonExactDivision
 from clusterfan.linalg import (
     SingularMatrix,
     det,
+    kernel_size_mod,
+    left_kernel,
     matrix_rank,
     solve_fraction_free,
     solve_linear,
@@ -261,3 +267,33 @@ def test_int_rows_agree_with_fraction_rows(system):
         assert [Fraction(x, denominator) for x in point] == solution
         assert denominator == lcm(*(x.denominator for x in solution))
         assert [sum(a * x for a, x in zip(row, solution)) for row in rows] == rhs
+
+
+@st.composite
+def small_int_matrices(draw):
+    m, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.integers(-6, 6)
+    return draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+
+
+@quick
+@given(small_int_matrices())
+def test_left_kernel_is_a_basis(rows):
+    kernel = left_kernel(rows)
+    assert len(kernel) == len(rows) - matrix_rank(rows)
+    for z in kernel:
+        for j in range(len(rows[0])):
+            assert sum(a * row[j] for a, row in zip(z, rows)) == 0
+    if kernel:
+        assert matrix_rank(kernel) == len(kernel)
+
+
+@quick
+@given(small_int_matrices(), st.integers(1, 6))
+def test_kernel_size_mod_counts_every_point(rows, modulus):
+    k = len(rows[0])
+    brute = sum(
+        all(sum(map(int.__mul__, row, x)) % modulus == 0 for row in rows)
+        for x in product(range(modulus), repeat=k)
+    )
+    assert kernel_size_mod(rows, modulus) == brute
