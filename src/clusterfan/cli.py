@@ -215,7 +215,7 @@ def cmd_catalan(parser, args) -> tuple[int, str]:
 def cmd_wiring(parser, args) -> tuple[int, str]:
     if args.format == "dot":
         return 0, wiring.enumerate_classes(3).to_dot()
-    report = wiring.gl3_cell(rng_seed=args.rng_seed)
+    report = wiring.gl3_cell()
     if args.format == "json":
         return 0, wiring.report_json(report)
     keys = (
@@ -257,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="output format (availability depends on the command)",
             )
         p.add_argument("--out", help="write output to this file")
+        # accepted for existing command lines; nothing reads it
         p.add_argument("--rng-seed", type=int, default=11)
 
     handlers = {
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--quick", action="store_false", dest="extended")
     suite.add_argument("--extended", action="store_true")
     p.add_argument("--out", help="write the report to this file")
-    p.add_argument("--rng-seed", type=int, default=11)
+    p.add_argument("--rng-seed", type=int, default=11)  # accepted, unused
     p.set_defaults(handler=cmd_verify, format="text", extended=False)
     return parser
 

@@ -96,6 +96,18 @@ class ExchangeMatrix:
         if m > self.n and matrix_rank(rows) != self.n:
             raise NotFullRank("extended exchange matrix must have full column rank")
 
+    @classmethod
+    def _make(cls, rows: tuple[tuple[int, ...], ...], n: int) -> "ExchangeMatrix":
+        """Build, without validation, a matrix reached by mutation from a
+        validated one.  Mutation keeps a skew-symmetrizer (Fomin-Zelevinsky,
+        Cluster algebras I, Prop 4.5) and the rank of the extended matrix
+        (Berenstein-Fomin-Zelevinsky, Cluster algebras III, Lemma 3.2), so
+        such a matrix would pass; the caller passes rows as int tuples."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "n", n)
+        return self
+
     @property
     def m(self) -> int:
         return len(self.rows)
@@ -104,7 +116,7 @@ class ExchangeMatrix:
         return tuple(r[: self.n] for r in self.rows[: self.n])
 
     def mutate(self, k: int) -> "ExchangeMatrix":
-        return ExchangeMatrix(matrix_mutate(self.rows, k), self.n)
+        return ExchangeMatrix._make(matrix_mutate(self.rows, k), self.n)
 
 
 def matrix_mutate(
@@ -343,7 +355,7 @@ def explore(seed: Seed, budget: int = 10**5) -> MutationGraph:
             if g in values:
                 cluster = list(parent.cluster)
                 cluster[k] = values[g]
-                child = Seed(ExchangeMatrix(rows, n), tuple(cluster), parent.frozen)
+                child = Seed(ExchangeMatrix._make(rows, n), tuple(cluster), parent.frozen)
             else:
                 child = seed_mutate(parent, k)
                 values[g] = child.cluster[k]

@@ -250,10 +250,17 @@ class LabeledTriangulation:
 
 
 def adjacency_matrix(lt: LabeledTriangulation) -> ExchangeMatrix:
-    """The (2n+3)-by-n signed edge-adjacency matrix: rows indexed by all edge
-    labels, columns by diagonal labels; entry +1 when the column edge follows
-    the row edge in the clockwise traversal of a shared triangle, -1 for the
-    counterclockwise direction."""
+    """The (2n+3)-by-n signed edge-adjacency matrix (`adjacency_rows`),
+    validated as an extended exchange matrix."""
+    return ExchangeMatrix(adjacency_rows(lt), lt.n)
+
+
+def adjacency_rows(lt: LabeledTriangulation) -> tuple[tuple[int, ...], ...]:
+    """The rows of the (2n+3)-by-n signed edge-adjacency matrix: rows indexed
+    by all edge labels, columns by diagonal labels; entry +1 when the column
+    edge follows the row edge in the clockwise traversal of a shared
+    triangle, -1 for the counterclockwise direction.  Not validated: rows
+    equal to a mutation of a validated matrix need no check of their own."""
     n = lt.n
     rows = [[0] * n for _ in range(2 * n + 3)]
     for a, b, c in lt.underlying().triangles():
@@ -264,7 +271,7 @@ def adjacency_matrix(lt: LabeledTriangulation) -> ExchangeMatrix:
                 rows[i - 1][j - 1] += 1
             if i <= n:
                 rows[j - 1][i - 1] -= 1
-    return ExchangeMatrix(tuple(tuple(r) for r in rows), n)
+    return tuple(tuple(r) for r in rows)
 
 
 # -- Ptolemy expansion -------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -462,12 +462,20 @@ def local_move(d: DoubleWiringDiagram, label: Label) -> dict:
     raise NoMoveAvailable(f"no move flips chamber {label_text(label)}")
 
 
-def jacobian_rank(d: DoubleWiringDiagram, rng_seed: int = 29) -> int:
-    """Exact rank of the Jacobian of all chamber minors at a random rational
-    matrix with entries in [1, 97]."""
-    rng = random.Random(rng_seed)
-    names = [f"x{i}{j}" for i in range(1, d.n + 1) for j in range(1, d.n + 1)]
-    point = {name: Fraction(rng.randint(1, 97)) for name in names}
+def jacobian_rank(d: DoubleWiringDiagram) -> int:
+    """Exact rank of the Jacobian of all chamber minors at one fixed point,
+    the Pascal matrix x_ij = binomial(i+j-2, i-1), which is totally positive.
+
+    The rank at any point is at most the generic rank, which is at most the
+    number n*n of variables.  So a rank of n*n at this one point proves that
+    the chamber minors are algebraically independent; a smaller value
+    proves nothing either way."""
+    point = {
+        f"x{i}{j}": Fraction(math.comb(i + j - 2, i - 1))
+        for i in range(1, d.n + 1)
+        for j in range(1, d.n + 1)
+    }
+    names = list(point)
     rows = []
     for label in sorted(chamber_collection(d)):
         poly = minor_poly(label[0], label[1], d.n)
@@ -548,11 +556,13 @@ def _seed_from_class(
     return seed, bounded, unbounded
 
 
-def gl3_cell(budget: int = 10**4, rng_seed: int = 29) -> dict:
+def gl3_cell(budget: int = 10**4, graph: MoveGraph | None = None) -> dict:
     """Build the GL(3) double Bruhat cell cluster structure from wiring
     diagrams and cross-check it against the matrix minors.  Returns a
-    JSON-ready report."""
-    graph = enumerate_classes(3)
+    JSON-ready report.  `graph` is `enumerate_classes(3)`, computed here
+    unless the caller already has it."""
+    if graph is None:
+        graph = enumerate_classes(3)
     start = graph.class_of(FOUR_MOVE_WORD)
     seed, bounded, unbounded = _seed_from_class(graph, start)
     record = explore(seed, budget=budget)
@@ -616,7 +626,7 @@ def gl3_cell(budget: int = 10**4, rng_seed: int = 29) -> dict:
     if embedded >= len(cluster_sets):
         raise WiringCheckFailed("the embedding should be strict")
 
-    rank = jacobian_rank(graph.classes[start].representative(), rng_seed)
+    rank = jacobian_rank(graph.classes[start].representative())
 
     return {
         "n": 3,

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from clusterfan import verify
+from clusterfan import verify, wiring
+from clusterfan.cartan import dynkin_name
 
 CRITERIA = [
     (1, "rank2-periodicity", verify.criterion_rank2_periodicity, 1.0),
@@ -136,3 +137,30 @@ def test_full_extended_battery_green():
     assert "E6:833" in by_number[7].detail
     expected = (Path(__file__).parent / "data" / "verify-extended-seed11.txt").read_text()
     assert verify.render_report(results, extended=True) + "\n" == expected
+
+
+def test_quick_battery_builds_each_artifact_once(monkeypatch):
+    built = []
+    cluster_complex = verify.cluster_complex
+
+    def counted_complex(relation):
+        built.append(dynkin_name(relation.ap.rs.dynkin))
+        return cluster_complex(relation)
+
+    enumerations = []
+    enumerate_classes = wiring.enumerate_classes
+
+    def counted_classes(n):
+        enumerations.append(n)
+        return enumerate_classes(n)
+
+    monkeypatch.setattr(verify, "cluster_complex", counted_complex)
+    monkeypatch.setattr(wiring, "enumerate_classes", counted_classes)
+    verify._complex.cache_clear()
+    results = verify.run_battery()
+    assert all(r.passed for r in results), [r.line() for r in results]
+    # one complex per type, shared by criteria 07, 09, 10 and both builds of 13
+    assert sorted(built) == sorted(verify.QUICK_TYPES)
+    # criterion 12 enumerates once for itself and gl3_cell; each of
+    # criterion 13's two independent builds enumerates afresh
+    assert enumerations == [3, 3, 3]

@@ -27,6 +27,7 @@ from clusterfan.mutation import (
     MutationGraph,
     NotAlmostPositive,
     NotFiniteType,
+    NotFullRank,
     alternating_chain,
     canonical_key,
     denominator_root,
@@ -95,6 +96,53 @@ def test_matrix_mutation_matches_entrywise_rule():
                 if i != k and row[k] == 0:
                     assert image[i] is row
     assert matrix_mutate([[0, 1], [-1, 0]], 0) == ((0, -1), (1, 0))
+
+
+def test_mutated_matrices_pass_full_validation():
+    # mutate and explore build their matrices unchecked: mutation keeps a
+    # skew-symmetrizer and the rank of the extended matrix
+    rng = random.Random(77)
+    for _ in range(400):
+        rows = random_extended_matrix(rng)
+        try:
+            matrix = ExchangeMatrix(rows, len(rows[0]))
+        except NotFullRank:
+            continue
+        current = matrix
+        for _ in range(4):
+            for k in range(matrix.n):
+                image = current.mutate(k)
+                assert ExchangeMatrix(image.rows, matrix.n) == image, (current, k)
+            current = current.mutate(rng.randrange(matrix.n))
+
+
+def test_explored_seed_matrices_pass_full_validation():
+    rng = random.Random(78)
+    seeds = 0
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        rows = random_exchange_matrix(rng, n)
+        rows += [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+        try:
+            matrix = ExchangeMatrix(rows, n)
+        except NotFullRank:
+            continue
+        names = [f"x{i}" for i in range(n)]
+        frozen = [f"y{i}" for i in range(matrix.m - n)]
+        seed = initial_seed(matrix.rows, names, frozen)
+        try:
+            record = explore(seed, budget=40)
+        except (MutationBudgetExceeded, NotFiniteType) as stopped:
+            record = stopped.partial
+        for child in record.seeds:
+            assert ExchangeMatrix(child.matrix.rows, n) == child.matrix, matrix
+        seeds += len(record.seeds)
+    assert seeds > 500, seeds
+
+
+def test_exchange_matrix_rejects_dependent_columns():
+    with pytest.raises(NotFullRank):
+        ExchangeMatrix(((0, 1, 0), (-1, 0, 1), (0, -1, 0), (1, 0, -1)), 3)
 
 
 def test_exchange_matrix_rejects_non_skew_symmetrizable():

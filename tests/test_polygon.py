@@ -17,13 +17,14 @@ import pytest
 from clusterfan.assoc import almost_positive, cluster_complex, compatibility
 from clusterfan.cartan import b_matrix, cartan_for_type
 from clusterfan.laurent import LaurentPoly
-from clusterfan.mutation import explore, initial_seed
+from clusterfan.mutation import ExchangeMatrix, explore, initial_seed
 from clusterfan.polygon import (
     LabeledTriangulation,
     MonodromyDetected,
     NotADiagonal,
     Triangulation,
     adjacency_matrix,
+    adjacency_rows,
     all_diagonals,
     crossing,
     enumerate_symmetric,
@@ -140,6 +141,17 @@ def test_adjacency_matrix_shape_and_commutation():
             flipped = adjacency_matrix(lt.flip(k + 1))
             mutated = matrix.mutate(k)
             assert flipped.rows == mutated.rows
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_adjacency_rows_pass_full_validation(n):
+    # criterion 06 validates only the starting matrices; a flipped one is
+    # compared with the mutation of a validated matrix instead
+    for tri in enumerate_triangulations(n):
+        lt = LabeledTriangulation.default(tri)
+        for labeled in [lt] + [lt.flip(k) for k in range(1, n + 1)]:
+            rows = adjacency_rows(labeled)
+            assert ExchangeMatrix(rows, n).rows == rows
 
 
 def test_pentagon_ptolemy_expansions():
