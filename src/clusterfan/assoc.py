@@ -11,8 +11,10 @@ keeps each cluster's dual basis as an integer matrix, changed by one integer
 pivot per flip, so every cluster is a basis of the root lattice and every
 vertex is rational; counts are compared to the product formula over the
 exponents.  The dual bases are the one cone representation: a vector's
-coefficients over a cluster are its pairings with them, so the vertices and
-the refinement by the Coxeter fan both read them, and nothing is inverted.
+coefficients over a cluster are its pairings with them.  The complex stores
+them with the root entering across each wall, so the vertices, their
+convexity (one inequality per wall) and the refinement by the Coxeter fan
+all read them, nothing walks twice, and nothing is inverted.
 """
 from __future__ import annotations
 
@@ -20,14 +22,16 @@ import itertools
 import json
 import math
 import operator
-from bisect import bisect, bisect_left
+import struct
+from array import array
+from bisect import bisect
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import cartan as cartan_mod
-from .coxeter import WeylGroup
+from .coxeter import BudgetExceeded, WeylGroup
 from .roots import (
     NotIrreducible,
     RootSystem,
@@ -224,6 +228,11 @@ def compatibility(ap: AlmostPositive) -> CompatibilityRelation:
     return CompatibilityRelation(ap, frozenset(pairs))
 
 
+# the largest cluster complex built: Cat(E8) = 25,080 and Cat(A10) = 58,786
+# fit, Cat(A11) = 208,012 does not
+FACET_BUDGET = 60_000
+
+
 @dataclass(frozen=True)
 class ClusterComplexData:
     ap: AlmostPositive
@@ -234,6 +243,18 @@ class ClusterComplexData:
     # where top is the last position.  Read this way, a set of positions is
     # the larger the earlier it comes in lexicographic order.
     masks: tuple[int, ...]
+    # What the wall walk keeps of facet i: its dual basis D from offset
+    # i * n * n on, as n columns of n entries with root k of the facet
+    # paired to column l as delta_kl; and from offset i * n on, per slot j,
+    # the position of the root that enters across the wall opposite slot j.
+    duals: array  # signed bytes
+    entering: array  # unsigned shorts
+
+    def dual_basis(self, i: int) -> list[list[int]]:
+        """The columns of the dual basis of facet i."""
+        n = self.ap.n
+        flat = self.duals[i * n * n : (i + 1) * n * n].tolist()
+        return [flat[k : k + n] for k in range(0, n * n, n)]
 
 
 def _h_from_f(f_vector: Sequence[int], n: int) -> tuple[int, ...]:
@@ -251,12 +272,21 @@ def _h_from_f(f_vector: Sequence[int], n: int) -> tuple[int, ...]:
 def cluster_complex(rel: CompatibilityRelation) -> ClusterComplexData:
     """All pairwise-compatible root sets, by backtracking over the bitmasks
     of compatible positions, in lexicographic position order.  The complex
-    must be pure of dimension n-1.  The wall walk `_flips` then certifies a
+    must be pure of dimension n-1.  The wall walk `_walk` then certifies a
     complete simplicial fan of unimodular cones: every wall lies in exactly
     two facets, adjacent cones lie on opposite sides of it, and the signs of
     one generic vector against the dual bases count the h-vector, whose
-    h_0 = 1 puts that vector in exactly one cone."""
+    h_0 = 1 puts that vector in exactly one cone.  The complex keeps the
+    walk's dual bases and entering roots, so nothing walks again.
+
+    The number of facets, Cat(W), is read off the exponents first; over
+    FACET_BUDGET the complex is refused with BudgetExceeded."""
     ap = rel.ap
+    size = catalan_number(ap.rs)
+    if size > FACET_BUDGET:
+        raise BudgetExceeded(
+            f"cluster complex has {size} facets, over the budget of {FACET_BUDGET}"
+        )
     n = ap.n
     top = len(ap.indices) - 1
     masks = [0] * (top + 1)
@@ -289,31 +319,33 @@ def cluster_complex(rel: CompatibilityRelation) -> ClusterComplexData:
     f_vector = tuple(sizes)
     if f_vector[n] != len(facets):
         raise AssocCheckFailed(f"f_{n - 1} = {f_vector[n]} but {len(facets)} facets")
-    data = ClusterComplexData(
-        ap, tuple(facets), f_vector, _h_from_f(f_vector, n), tuple(masks)
-    )
-    rising = [0] * (n + 1)
-    for _, columns in _flips(data):
-        rising[sum(_lex_sign(column) < 0 for column in columns)] += 1
-    if tuple(rising) != data.h_vector:
+    h_vector = _h_from_f(f_vector, n)
+    duals, entering, rising = _walk(ap, masks, facets)
+    if tuple(rising) != h_vector:
         raise AssocCheckFailed(
             f"a generic vector meets the cones with h-vector {tuple(rising)},"
-            f" the f-vector gives {data.h_vector}"
+            f" the f-vector gives {h_vector}"
         )
-    return data
+    return ClusterComplexData(
+        ap, tuple(facets), f_vector, h_vector, tuple(masks), duals, entering
+    )
 
 
-def _lex_sign(column: Sequence[int]) -> int:
-    """The sign of x . column for x = (1, e, e^2, ...) and every small enough
-    e > 0: a generic vector, fixed once for all clusters, that pairs to zero
-    with no nonzero column."""
-    for entry in column:
-        if entry:
-            return 1 if entry > 0 else -1
-    raise AssocCheckFailed("a dual basis vector is zero")
+def _lex_negatives(columns: Sequence[tuple[int, ...]]) -> int:
+    """How many columns pair negatively with x = (1, e, e^2, ...) for every
+    small enough e > 0: a generic vector, fixed once for all clusters, that
+    pairs to zero with no nonzero column.  A column pairs with it as its
+    first nonzero entry, so negatively exactly when the column comes before
+    the zero column in lexicographic order."""
+    zero = (0,) * len(columns[0])
+    if zero in columns:
+        raise AssocCheckFailed("a dual basis vector is zero")
+    return sum(map(zero.__gt__, columns))
 
 
-def _pivot(columns: list[list[int]], j: int, gamma: Sequence[int]) -> list[list[int]]:
+def _pivot(
+    columns: Sequence[Sequence[int]], j: int, gamma: Sequence[int]
+) -> list[Sequence[int]]:
     """The dual basis after the root at slot j leaves and gamma enters at the
     same slot, given gamma . D_j = -1: D'_j = -D_j and
     D'_k = D_k + (gamma . D_k) D_j."""
@@ -328,10 +360,15 @@ def _pivot(columns: list[list[int]], j: int, gamma: Sequence[int]) -> list[list[
     return out
 
 
-def _flips(data: ClusterComplexData):
-    """Walk the facets breadth-first across their walls and yield each once,
-    as (its index in data.facets, its dual basis D): integer columns with
-    root i of the facet paired to column k as delta_ik.
+def _walk(
+    ap: AlmostPositive, masks: Sequence[int], facets: Sequence[tuple[int, ...]]
+) -> tuple[array, array, list[int]]:
+    """Walk the facets breadth-first across their walls and keep, laid out
+    as in ClusterComplexData, each facet's dual basis D (integer columns
+    with root i of the facet paired to column k as delta_ik) and the
+    position of the root entering at each slot.  The third result counts
+    the facets by how many columns of D pair negatively with the generic
+    vector of `_lex_negatives`.
 
     The walk starts at the negated simple roots, where D = -I.  Across the
     wall opposite slot j, the entering root gamma is the one position left
@@ -340,37 +377,41 @@ def _flips(data: ClusterComplexData):
     two clusters.  gamma . D_j = -1 says at once that gamma lies on the other
     side of the wall and that the new cluster is again a lattice basis; the
     new D is one integer pivot away (`_pivot`), so B . D = I with D integral
-    holds on every cluster reached.  Every flip must land on a facet of the
-    complex, and the walk must reach all of them."""
-    ap, masks = data.ap, data.masks
+    holds on every cluster reached.  Every flip must land on one of
+    `facets`, each listed in ascending position order, and the walk must
+    reach all of them.
+
+    An entry of D is a simple root's coefficient over a cluster.  The
+    largest under FACET_BUDGET is 6, on E8, so a signed byte holds it;
+    `struct` refuses with struct.error any that a byte could not hold."""
     n, top = ap.n, len(ap.indices) - 1
+    size = n * n
+    layout = struct.Struct(f"{size}b")  # one dual basis, column by column
     coords = [ap.rs.roots[idx].coords for idx in ap.indices]
-    # A facet's key has the bits of its positions, as in the masks.  The
-    # facets come in lexicographic order, so their negated keys ascend and
-    # bisection finds a key's facet.
-    keys = [
-        -sum(1 << (top - ap.position[idx]) for idx in facet) for facet in data.facets
-    ]
+    position = ap.position
+    # a facet's key has the bits of its positions, as in the masks
+    keys = [sum(1 << (top - position[idx]) for idx in facet) for facet in facets]
+    index = {key: i for i, key in enumerate(keys)}
     everything = (2 << top) - 1
-    key = everything ^ (everything >> n)  # the negated simples, positions 0..n-1
-    if keys[0] != -key:
+    if keys[0] != everything ^ (everything >> n):  # positions 0..n-1
         raise AssocCheckFailed("the negated simple roots do not form the first facet")
+    duals = array("b", [0]) * (len(keys) * size)
+    layout.pack_into(duals, 0, *[-int(i == k) for k in range(n) for i in range(n)])
+    entering = array("H", [0]) * (len(keys) * n)
+    rising = [0] * (n + 1)
     seen = bytearray(len(keys))
     seen[0] = 1
     reached = 1
-    # A queued facet is its index, its key and its dual basis as one flat
-    # list.  Lists, unlike the small tuples the walk would otherwise make by
-    # the thousand, are not kept on the interpreter's free lists once freed.
-    queue = deque([(0, key, [-int(i == k) for k in range(n) for i in range(n)])])
+    # A facet's dual basis is stored when the walk first reaches it, so the
+    # queue holds facet indices alone.
+    queue = deque([0])
     while queue:
-        i, key, flat = queue.popleft()
-        columns = [flat[k : k + n] for k in range(0, n * n, n)]
-        positions = []
-        rest = key
-        while rest:
-            bit = rest.bit_length() - 1
-            positions.append(top - bit)
-            rest ^= 1 << bit
+        i = queue.popleft()
+        key = keys[i]
+        flat = layout.unpack_from(duals, i * size)
+        columns = [flat[k : k + n] for k in range(0, size, n)]
+        rising[_lex_negatives(columns)] += 1
+        positions = [position[idx] for idx in facets[i]]
         # the masks of the slots after j, intersected outside the facet
         after = [everything ^ key]
         for q in reversed(positions[1:]):
@@ -385,27 +426,30 @@ def _flips(data: ClusterComplexData):
                     f"wall {wall} lies in {1 + common.bit_count()} clusters, not 2"
                 )
             q = top - (common.bit_length() - 1)
+            entering[i * n + j] = q
             gamma = coords[q]
             c = sum(map(operator.mul, gamma, columns[j]))
             if c != -1:
                 raise NonUnimodularCluster(
-                    f"root {ap.indices[q]} enters facet {data.facets[i]} at slot {j}"
+                    f"root {ap.indices[q]} enters facet {facets[i]} at slot {j}"
                     f" with coefficient {c}, not -1"
                 )
-            new_key = key ^ (1 << (top - p)) | common
-            target = bisect_left(keys, -new_key)
-            if target == len(keys) or keys[target] != -new_key:
-                raise AssocCheckFailed(f"a flip of facet {data.facets[i]} left the complex")
+            target = index.get(key ^ (1 << (top - p)) | common)
+            if target is None:
+                raise AssocCheckFailed(f"a flip of facet {facets[i]} left the complex")
             if seen[target]:
                 continue
             seen[target] = 1
             reached += 1
             new_columns = _pivot(columns, j, gamma)
             new_columns.insert(bisect(positions, q) - (q > p), new_columns.pop(j))
-            queue.append((target, new_key, [x for col in new_columns for x in col]))
-        yield i, columns
+            layout.pack_into(
+                duals, target * size, *[x for column in new_columns for x in column]
+            )
+            queue.append(target)
     if reached != len(keys):
         raise AssocCheckFailed(f"the wall walk reached {reached} of {len(keys)} facets")
+    return duals, entering, rising
 
 
 def n_phi(rs: RootSystem) -> int:
@@ -523,41 +567,62 @@ class AssociahedronPolytope:
 
 
 def build_polytope(complex_data: ClusterComplexData) -> AssociahedronPolytope:
-    """One vertex per cluster, cut out by the support function of the
+    """One vertex per cluster, cut out by the support function b of the
     complex's almost-positive roots.  Scaled by one common denominator, the
-    support values b become integers, and the vertex of a cluster is
-    sum_k b_k D_k over the dual basis D that the wall walk keeps for it: an
-    integer point, `scale` times the vertex.  Every vertex is then paired
-    with every almost-positive root as an integer dot product: equal to the
-    bound on its own cluster, strictly below it on every other root."""
+    support values become integers, and the vertex of a cluster F is
+    v_F = sum_k b_k D_k over the dual basis D stored with the complex: an
+    integer point, `scale` times the vertex.  Each root of F must pair with
+    it to its own bound.
+
+    That v_F lies strictly below b on every other root is checked one wall
+    at a time, the step of Chapoton-Fomin-Zelevinsky (math/0202004).  The
+    root gamma entering F across the wall opposite slot j has coefficients
+    c_k = gamma . D_k over F, with c_j = -1, so the check gamma . v_F <
+    b_gamma is their wall-crossing inequality
+    b_gamma + b_(beta_j) > sum_(k != j) c_k b_(beta_k).  It says that the
+    function which is linear on each cone and takes the value b_beta at
+    each ray beta is strictly convex across the wall.  The walk of
+    `cluster_complex` has certified that the cones form a complete
+    simplicial fan.  On a line that meets no cone of codimension two, the
+    function is then piecewise linear in one variable with a strict bend
+    at every break, so it is strictly convex along the line; such lines
+    are dense, so it is strictly convex everywhere.  It is therefore the
+    maximum of the linear functions x -> x . v_F, each attained on its own
+    cone alone.  A root rho outside F spans a ray of the fan outside the
+    cone of F, so rho . v_F < b_rho: every vertex lies strictly inside
+    every facet inequality but its own n."""
     ap = complex_data.ap
-    rs = ap.rs
+    n = ap.n
     support = support_function(ap)
     scale = math.lcm(*(support(idx).denominator for idx in ap.indices))
-    bounds = {idx: int(support(idx) * scale) for idx in ap.indices}
-    inequalities = [(rs.roots[idx].coords, idx, bounds[idx]) for idx in ap.indices]
-    vertices: list = [None] * len(complex_data.facets)
-    for i, columns in _flips(complex_data):
-        facet = complex_data.facets[i]
-        b = [bounds[idx] for idx in facet]
-        point = [sum(map(operator.mul, b, row)) for row in zip(*columns)]
-        in_facet = set(facet)
-        for coords, idx, bound in inequalities:
-            pairing = sum(map(operator.mul, coords, point))
-            if idx in in_facet:
-                if pairing != bound:
-                    raise InequalityViolation(f"vertex of {facet} misses facet {idx}")
-            elif pairing >= bound:
+    bounds = [int(support(idx) * scale) for idx in ap.indices]  # by position
+    coords = [ap.rs.roots[idx].coords for idx in ap.indices]
+    entering = complex_data.entering
+    points = []  # scale times the vertices
+    for i, facet in enumerate(complex_data.facets):
+        own = [ap.position[idx] for idx in facet]
+        b = [bounds[p] for p in own]
+        columns = complex_data.dual_basis(i)
+        point = tuple([sum(map(operator.mul, b, row)) for row in zip(*columns)])
+        for p in own:
+            if sum(map(operator.mul, coords[p], point)) != bounds[p]:
+                raise InequalityViolation(
+                    f"vertex of {facet} misses facet {ap.indices[p]}"
+                )
+        for q in entering[i * n : (i + 1) * n]:
+            pairing = sum(map(operator.mul, coords[q], point))
+            if pairing >= bounds[q]:
                 raise InequalityViolation(
                     f"vertex of {facet} pairs to {Fraction(pairing, scale)}"
-                    f" against root {idx}"
+                    f" against root {ap.indices[q]}"
                 )
-        vertices[i] = tuple(Fraction(x, scale) for x in point)
-    if len(set(vertices)) != len(vertices):
+        points.append(point)
+    if len(set(points)) != len(points):
         raise AssocCheckFailed("two clusters share a vertex")
-    return AssociahedronPolytope(
-        ap, support, complex_data.facets, tuple(vertices)
-    )
+    # the points share few distinct coordinates; each becomes a Fraction once
+    fraction = {x: Fraction(x, scale) for x in set(itertools.chain.from_iterable(points))}
+    vertices = tuple(tuple(map(fraction.__getitem__, point)) for point in points)
+    return AssociahedronPolytope(ap, support, complex_data.facets, vertices)
 
 
 # -- fan checks ---------------------------------------------------------------------
@@ -588,7 +653,7 @@ def refinement_check(
     Everything is read in fundamental-weight coordinates, where the map is
     y -> sigma y, coordinate by coordinate.  A ray y lies in the image of a
     cluster's cone exactly when (sigma y) . D_k >= 0 for every column D_k
-    of the dual basis that the wall walk keeps for the cluster.  The rays of
+    of the dual basis that the complex keeps for the cluster.  The rays of
     the chamber of u are the u(omega_k), the integer columns of a matrix
     M[u].  Since s_j omega_k = omega_k - delta_jk alpha_j and alpha_j is
     column j of the Cartan matrix, M[u s_j] differs from M[u] in column j
@@ -600,9 +665,10 @@ def refinement_check(
     plus, _ = ap.parts
     sigma = [1 if i in plus else -1 for i in range(n)]
     # each cone as the rows sigma D_k, which pair with a ray like D_k with sigma y
-    cones: list = [None] * len(complex_data.facets)
-    for c, columns in _flips(complex_data):
-        cones[c] = [[s * x for s, x in zip(sigma, column)] for column in columns]
+    cones = [
+        [[s * x for s, x in zip(sigma, column)] for column in complex_data.dual_basis(c)]
+        for c in range(len(complex_data.facets))
+    ]
     members: dict[tuple[int, ...], int] = {}  # ray -> bitmask of the cones holding it
 
     def cones_holding(ray: tuple[int, ...]) -> int:

@@ -11,7 +11,9 @@ starts of every pair for 2(h+2)+1 steps, as the oracle for the walk over
 orbits of pairs.  So are the first cluster complex, which backtracked over
 frozensets and took a determinant of every facet, and the first polytope,
 which solved one linear system per vertex, as the oracles for the bitmask
-backtracking and the wall walk with its integer pivots."""
+backtracking and the wall walk with its integer pivots.  So is the first
+convexity check, which paired every vertex with every almost-positive root,
+as the oracle for the one inequality per wall."""
 
 import json
 import math
@@ -249,6 +251,18 @@ def oracle_h_vector(f_vector):
     )
 
 
+def assert_strictly_inside(poly):
+    """The global check the per-wall one replaced: every vertex pairs with
+    every root outside its cluster strictly below that root's support
+    value."""
+    roots = poly.ap.rs.roots
+    for facet, vertex in zip(poly.facets, poly.vertices):
+        for idx in poly.ap.indices:
+            if idx not in facet:
+                pairing = sum(c * x for c, x in zip(roots[idx].coords, vertex))
+                assert pairing < poly.support(idx), (facet, idx)
+
+
 def oracle_vertices(data):
     """One linear system per cluster: its roots paired with the vertex give
     their support values."""
@@ -276,7 +290,23 @@ def test_wall_walk_matches_determinant_and_solve_oracles(name):
     assert data.facets == facets
     assert data.f_vector == f_vector
     assert data.h_vector == oracle_h_vector(f_vector)
+    poly = build_polytope(data)
+    assert poly.vertices == oracle_vertices(data)
+    assert_strictly_inside(poly)
+
+
+def test_polytope_and_refinement_read_the_one_walk(monkeypatch):
+    data = complex_for("B3")
+    group = build_group(data.ap.rs)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the wall walk ran again")
+
+    monkeypatch.setattr(assoc, "_walk", refuse)
+    with pytest.raises(RuntimeError):
+        assoc._walk(data.ap, data.masks, data.facets)
     assert build_polytope(data).vertices == oracle_vertices(data)
+    assert refinement_check(data, group) == oracle_refinement(data, group)
 
 
 def test_e8_complex_matches_narayana():
@@ -392,8 +422,8 @@ def test_cone_solver_signs_match_fraction_oracle(name):
     n = data.ap.n
     rng = random.Random(7)
     checked = 0
-    for i, dual in assoc._flips(data):
-        facet = data.facets[i]
+    for i, facet in enumerate(data.facets):
+        dual = data.dual_basis(i)
         # each column also gets a random positive rational scale: the cone
         # stays the same and so must every sign
         scales = [Fraction(rng.randint(1, 4), rng.randint(1, 4)) for _ in facet]
@@ -571,25 +601,24 @@ except assoc.NonUnimodularCluster as exc:
 assoc._pivot = pivot
 data = assoc.cluster_complex(rel)
 # a facet listed twice: the walk reaches one copy only
-twice = dataclasses.replace(data, facets=data.facets + data.facets[-1:])
 try:
-    list(assoc._flips(twice))
+    assoc._walk(ap, data.masks, data.facets + data.facets[-1:])
 except assoc.AssocCheckFailed as exc:
     print("FAIL", exc)
 # every other facet left out: flips land outside the listed facets
 try:
-    list(assoc._flips(dataclasses.replace(data, facets=data.facets[::2])))
+    assoc._walk(ap, data.masks, data.facets[::2])
 except assoc.AssocCheckFailed as exc:
     print("FAIL", exc)
-# a sign rule that calls every coordinate negative puts every cone in the
+# a sign rule that calls every column negative puts every cone in the
 # last bin of the h-vector count
-sign = assoc._lex_sign
-assoc._lex_sign = lambda column: -1
+negatives = assoc._lex_negatives
+assoc._lex_negatives = len
 try:
     assoc.cluster_complex(rel)
 except assoc.AssocCheckFailed as exc:
     print("FAIL", exc)
-assoc._lex_sign = sign
+assoc._lex_negatives = negatives
 # a support value doubled at alpha_2 (index 0) moves the vertex of a cluster
 # without alpha_2 onto the hyperplane of root 2
 support = assoc.support_function
@@ -599,6 +628,19 @@ def doubled(ap):
     values[0] *= 2
     return dataclasses.replace(function, values=values)
 assoc.support_function = doubled
+try:
+    assoc.build_polytope(data)
+except assoc.InequalityViolation as exc:
+    print("FAIL InequalityViolation", exc)
+# a support value of 0 at alpha_1 + alpha_2 puts two pairs of adjacent
+# vertices on one point, so two walls meet their wall-crossing inequality
+# with equality and none is violated: the check must be strict
+def tight(ap):
+    function = support(ap)
+    values = dict(function.values)
+    values[ap.rs.index[(1, 1)]] = 0
+    return dataclasses.replace(function, values=values)
+assoc.support_function = tight
 try:
     assoc.build_polytope(data)
 except assoc.InequalityViolation as exc:
@@ -618,8 +660,8 @@ except assoc.AssocCheckFailed as exc:
 
 def test_assoc_checks_fail_without_asserts():
     # python -O strips assert statements; the verdict-agreement, purity,
-    # wall, pivot, reach, landing, h-vector, strict-inequality and
-    # refinement checks must not be asserts
+    # wall, pivot, reach, landing, h-vector, strict-inequality (violated and
+    # tight) and refinement checks must not be asserts
     command = [sys.executable, "-O", "-c", ASSOC_CHECKS]
     result = subprocess.run(command, capture_output=True, text=True, timeout=60)
     assert result.stdout.splitlines() == [
@@ -634,5 +676,6 @@ def test_assoc_checks_fail_without_asserts():
         "FAIL a generic vector meets the cones with h-vector (0, 0, 5),"
         " the f-vector gives (1, 3, 1)",
         "FAIL InequalityViolation vertex of (4, 0) pairs to 1 against root 2",
+        "FAIL InequalityViolation vertex of (4, 0) pairs to 0 against root 2",
         "FAIL chamber 5 lies in cones set()",
     ], result.stderr

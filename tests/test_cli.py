@@ -99,6 +99,21 @@ GROUP_DOT_SHA256 = {
 }
 
 
+# sha256 of `clusterfan assoc` stdout, taken from the polytope that paired
+# every vertex with every almost-positive root
+ASSOC_SHA256 = {
+    ("E6", "json"): "3fa7e3e618dd8e9c850152cc0930ace340094c9155d3e89f6185ecf62c525dcc",
+    ("A3", "off"): "f6f3f512cb996c62ff7c555e14d94df80f66a6e79858157136420ee337ef75a8",
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(ASSOC_SHA256))
+def test_assoc_bytes_are_pinned(capsys, name, fmt):
+    code, out, _ = run(capsys, "assoc", "--type", name, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ASSOC_SHA256[name, fmt]
+
+
 @pytest.mark.parametrize("name", sorted(GROUP_DOT_SHA256))
 def test_group_dot_bytes_are_pinned(capsys, name):
     code, out, _ = run(capsys, "group", "--type", name, "--format", "dot")
@@ -171,6 +186,13 @@ def test_mutate_matrix_file_type_text_matches_type(capsys, tmp_path, fmt):
             "catalan", "E8",
             "noncrossing interval has 25080 elements, over the budget of 10000",
             id="catalan",
+        ),
+        # Cat(A12) = 742,900 is read off the exponents, before any cluster
+        # is built
+        pytest.param(
+            "assoc", "A12",
+            "cluster complex has 742900 facets, over the budget of 60000",
+            id="assoc",
         ),
     ],
 )
