@@ -33,7 +33,14 @@ from .cartan import (
     dynkin_name,
     parse_cartan_text,
 )
-from .roots import ClosureBudgetExceeded, NotIrreducible, root_system, to_json_dict
+from .roots import (
+    ClosureBudgetExceeded,
+    NotIrreducible,
+    catalan_number,
+    root_system,
+    to_json_dict,
+    weyl_group_order,
+)
 from .coxeter import (
     BudgetExceeded,
     build_group,
@@ -84,13 +91,14 @@ def _entries_from_args(
 ) -> Entries:
     """The matrix named by --type or read from --matrix-file.  With exchange
     set, the result is an exchange matrix: a type named by --type or by
-    `type:` text gives its bipartite exchange matrix, while `matrix:` text
-    and JSON rows hold the exchange matrix itself."""
+    `type:` text gives its bipartite exchange matrix, refused by
+    `_sized_exchange` when it has more seeds than --budget-seeds allows,
+    while `matrix:` text and JSON rows hold the exchange matrix itself."""
     if args.matrix_file:
         with open(args.matrix_file) as handle:
             text = handle.read().strip()
         if exchange and text.startswith("type:"):
-            return b_matrix(parse_cartan_text(text))
+            return _sized_exchange(parse_cartan_text(text), args.budget_seeds)
         if exchange and text.startswith("matrix:"):
             text = text[len("matrix:"):].strip()
         try:
@@ -104,8 +112,17 @@ def _entries_from_args(
         return as_entries(rows)
     if args.type:
         entries = cartan_for_type(args.type)
-        return b_matrix(entries) if exchange else entries
+        return _sized_exchange(entries, args.budget_seeds) if exchange else entries
     parser.error("one of --type or --matrix-file is required")
+
+
+def _sized_exchange(cartan: Entries, budget: int) -> Entries:
+    """The bipartite exchange matrix of a finite type.  Its exchange graph
+    has Cat(W) seeds, read off the exponents; over the seed budget it is
+    refused before the walk, with the message the walk would end with."""
+    if catalan_number(root_system(cartan)) > budget:
+        raise BudgetExceeded(f"exchange graph exceeded {budget} seeds")
+    return b_matrix(cartan)
 
 
 def _check_format(parser, command: str, fmt: str) -> str:
@@ -137,14 +154,17 @@ def cmd_roots(parser, args) -> tuple[int, str]:
 
 def cmd_group(parser, args) -> tuple[int, str]:
     rs = root_system(_entries_from_args(parser, args))
-    group = build_group(rs)
     if args.format == "dot":
+        group = build_group(rs)
         return 0, hasse_dot(group, weak_order(group))
+    # the walk checks its levels against the Poincare polynomial of the
+    # exponents, whose value at 1 is |W| and whose degree is |Phi+| = l(w0)
+    words = count_reduced_words(rs)
     stats = {
         "type": dynkin_name(rs.dynkin),
-        "order": len(group),
-        "longest_length": group.length[group.w0],
-        "reduced_words_of_w0": count_reduced_words(group, group.w0),
+        "order": weyl_group_order(rs),
+        "longest_length": rs.num_positive,
+        "reduced_words_of_w0": words,
     }
     if args.format == "json":
         return 0, json.dumps(stats, indent=2, sort_keys=True)

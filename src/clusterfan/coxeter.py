@@ -6,17 +6,21 @@ The n coordinates are packed into one int, each in a field of fixed width
 with a bias; |mu_k| <= h - 1 fits the width derived from the number of
 positive roots.  Right multiplication by s_i is mu -> s_i mu = mu - mu_i
 alpha_i, one subtraction on the packed int, where alpha_i is column i of the
-Cartan matrix packed the same way.  The search is breadth-first from the
-identity, so element indices run in length order, and it keeps its right
-Cayley table: `right[u][i]` is the index of u*s_i.  Lengths, the weak order
-and the longest element are all read from this table.
+Cartan matrix packed the same way.  Since u(alpha_i) > 0 exactly when
+mu_i > 0, u*s_i is one longer than u when mu_i > 0 and one shorter when
+mu_i < 0, so the search walks the orbit one length at a time and keeps only
+the level below and the level above.  Element indices run in length order,
+and `right[u][i]` is the index of u*s_i.  The same walk counts the reduced
+words of every element along its ascents, so the count for w0 needs no
+Cayley table at all.  Lengths, the weak order and the longest element are
+read from the table.
 
-Three checks hold the search to the group, none of them an assert: it finds
-exactly |W| elements with a unique longest one; on every edge the length
-moves by the sign of mu_i, since u(alpha_i) > 0 exactly when mu_i > 0 (by
-induction from the identity, BFS depth is then the inversion count); and the
-length counts equal the Poincare polynomial prod [e_i + 1]_q over the
-exponents, which are read off the root heights, not off the search.
+These checks hold the search to the group, none of them an assert: mu_i
+is never 0 and every descent lands in the level below; each level's size is
+the coefficient of the Poincare polynomial prod [e_i + 1]_q over the
+exponents, which are read off the root heights, not off the search; nothing
+turns up past the |W| the exponents give; and the walk ends at a unique
+longest element.
 
 The left Cayley table, `left[u][i]` the index of s_i*u, is built on first
 use along the same discoverer chain: if v first turns up in `right`, read in
@@ -46,7 +50,6 @@ s_i*u*s_i, read off the two Cayley tables.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -90,69 +93,104 @@ def _poincare_polynomial(exponents: Sequence[int]) -> list[int]:
     return coeffs
 
 
-class WeylGroup:
-    def __init__(self, rs: RootSystem, budget: int = 10**6):
-        exponents = [e for part in _component_exponents(rs) for e in part]
-        order = prod(e + 1 for e in exponents)
-        if order > budget:
-            raise BudgetExceeded(
-                f"group has {order} elements, over the budget of {budget}"
-            )
-        self.rs = rs
-        self.n = rs.n
+def _levels(rs: RootSystem, budget: int):
+    """Walk the orbit of rho one length at a time, yielding per level the
+    rows of the right Cayley table and the reduced-word counts.
 
-        # |mu_k| <= h - 1 <= 2 |positives| - 1 leaves every biased field
-        # inside [0, 2^width), so the packed subtraction never borrows
-        # across fields of a weight in the orbit
-        width = (4 * rs.num_positive + 4).bit_length()
-        bias = 1 << (width - 1)
-        mask = (1 << width) - 1
-        steps = list(zip(range(0, rs.n * width, width), _packed_columns(rs.cartan, width)))
-        rho = sum((1 + bias) << shift for shift, _ in steps)
+    Element indices run in discovery order, level by level, and a row holds
+    the indices of u*s_1, ..., u*s_n.  Only two levels are kept, as dicts
+    from packed weight to index: u*s_i is one longer than u when mu_i > 0
+    and one shorter when mu_i < 0, so an ascent is looked up in, or added
+    to, the level above, and a descent must be found in the level below.
+    The count of u*s_i gains the count of u along every ascent, so it is
+    complete when its level is reached: the number of reduced words is the
+    sum of the counts one right descent below.
 
-        # breadth-first over the codes list itself: index order is length
-        # order, and row u of the Cayley table is filled when u is dequeued
-        codes = [rho]
-        index = {rho: 0}
-        lengths = [0]
-        right: list[tuple[int, ...]] = []
-        for u, code in enumerate(codes):
-            lu = lengths[u]
+    An ascent is never looked up among shorter elements.  If one landed on
+    a shorter element w, its copy one level up would share w's weight and
+    so w's descents; their images are at least two levels down, and the
+    lookup in the level below fails.  Only w = 1 has no descent, and then
+    the walk would repeat the group from the copy up, past the levels of
+    the Poincare polynomial.
+
+    Raises BudgetExceeded before the walk when |W|, read off the exponents,
+    is over the budget.  Raises GroupCheckFailed when mu_i = 0 or a descent
+    is not found in the level below, when a level's size is not its
+    coefficient of the Poincare polynomial prod [e_i + 1]_q, when an element
+    turns up past the |W| the exponents give, or when the walk ends short
+    of |W| or with more than one longest element.
+    """
+    exponents = [e for part in _component_exponents(rs) for e in part]
+    order = prod(e + 1 for e in exponents)
+    if order > budget:
+        raise BudgetExceeded(f"group has {order} elements, over the budget of {budget}")
+    poincare = _poincare_polynomial(exponents)
+
+    # |mu_k| <= h - 1 <= 2 |positives| - 1 leaves every biased field
+    # inside [0, 2^width), so the packed subtraction never borrows
+    # across fields of a weight in the orbit
+    width = (4 * rs.num_positive + 4).bit_length()
+    bias = 1 << (width - 1)
+    mask = (1 << width) - 1
+    steps = list(zip(range(0, rs.n * width, width), _packed_columns(rs.cartan, width)))
+    rho = sum((1 + bias) << shift for shift, _ in steps)
+
+    below: dict[int, int] = {}
+    level = {rho: 0}
+    counts = [1]
+    first = length = 0  # the level's first index, and its length
+    while level:
+        following = first + len(level)  # the index of the next level's first
+        above: dict[int, int] = {}
+        above_counts: list[int] = []
+        rows = []
+        for u, (code, words) in enumerate(zip(level, counts), first):
             row = []
             for i, (shift, alpha) in enumerate(steps):
                 m = ((code >> shift) & mask) - bias
                 image = code - m * alpha
-                v = index.get(image)
-                if v is None:
-                    v = index[image] = len(codes)
-                    if v == order:
+                if m > 0:
+                    v = above.get(image)
+                    if v is None:
+                        v = above[image] = following + len(above_counts)
+                        if v == order:
+                            raise GroupCheckFailed(
+                                f"search found more than the {order} elements the exponents give"
+                            )
+                        above_counts.append(words)
+                    else:
+                        above_counts[v - following] += words
+                else:
+                    v = below.get(image) if m else None
+                    if v is None:
                         raise GroupCheckFailed(
-                            f"search found more than the {order} elements the exponents give"
+                            f"length must move by the sign of mu_{i + 1} = {m} from element {u}"
                         )
-                    codes.append(image)
-                    lengths.append(lu + 1)
-                if lengths[v] != (lu + 1 if m > 0 else lu - 1):
-                    raise GroupCheckFailed(
-                        f"length must move by the sign of mu_{i + 1} = {m} from element {u}"
-                    )
                 row.append(v)
-            right.append(tuple(row))
-        self.length = lengths
-        self.right = right
-
-        if len(codes) != order:
-            raise GroupCheckFailed(
-                f"search found {len(codes)} elements, the exponents give {order}"
-            )
-        if lengths.count(lengths[-1]) != 1:
-            raise GroupCheckFailed("longest element must be unique")
-        counts = Counter(lengths)
-        poincare = _poincare_polynomial(exponents)
-        if [counts[l] for l in range(len(poincare))] != poincare:
+            rows.append(tuple(row))
+        if len(level) != (poincare[length] if length < len(poincare) else 0):
             raise GroupCheckFailed(
                 f"length counts must be the Poincare polynomial {poincare} of the exponents"
             )
-        self.w0 = len(codes) - 1
+        yield rows, counts
+        below, level, counts, first = level, above, above_counts, following
+        length += 1
+    if first != order:
+        raise GroupCheckFailed(f"search found {first} elements, the exponents give {order}")
+    if len(below) != 1:
+        raise GroupCheckFailed("longest element must be unique")
+
+
+class WeylGroup:
+    def __init__(self, rs: RootSystem, budget: int = 10**6):
+        self.rs = rs
+        self.n = rs.n
+        self.right: list[tuple[int, ...]] = []
+        self.length: list[int] = []
+        for length, (rows, _) in enumerate(_levels(rs, budget)):
+            self.right += rows
+            self.length += [length] * len(rows)
+        self.w0 = len(self.right) - 1
 
     def __len__(self) -> int:
         return len(self.right)
@@ -231,15 +269,12 @@ def build_group(rs: RootSystem, budget: int = 10**6) -> WeylGroup:
 # -- reduced word counting ----------------------------------------------------
 
 
-def count_reduced_words(group: WeylGroup, u: int) -> int:
-    """Number of reduced words: the sum of the counts of the elements one
-    right descent below, taken in index order, which is length order."""
-    length, right = group.length, group.right
-    counts = [1]
-    for v in range(1, u + 1):
-        lv = length[v]
-        counts.append(sum(counts[w] for w in right[v] if length[w] < lv))
-    return counts[u]
+def count_reduced_words(rs: RootSystem, budget: int = 10**6) -> int:
+    """Number of reduced words of w0, from one walk of the orbit of rho that
+    keeps only the counts of two levels and builds no Cayley table."""
+    for _, counts in _levels(rs, budget):
+        pass
+    return counts[0]
 
 
 def stanley_formula(n: int) -> int:
@@ -322,15 +357,19 @@ def weak_order(group: WeylGroup) -> WeakOrderData:
 
 def hasse_dot(group: WeylGroup, data: WeakOrderData) -> str:
     """DOT digraph of the weak-order Hasse diagram; nodes carry the
-    lexicographically minimal reduced word (1-based letters)."""
-
-    def label(u: int) -> str:
-        word = group.reduced_word(u)
-        return "e" if not word else "".join(str(i + 1) for i in word)
+    lexicographically minimal reduced word (1-based letters).  In index
+    order that word is the smallest left descent i followed by the word of
+    s_i*u, which is shorter, so each label is one join on an earlier one."""
+    left, length = group.left, group.length
+    words = [""]
+    for u in group.elements[1:]:
+        row, lu = left[u], length[u]
+        i = next(i for i, v in enumerate(row) if length[v] < lu)
+        words.append(str(i + 1) + words[row[i]])
 
     lines = ["digraph weak_order {", "  rankdir=BT;"]
-    for u in range(len(group)):
-        lines.append(f'  n{u} [label="{label(u)}"];')
+    for u, word in enumerate(words):
+        lines.append(f'  n{u} [label="{word or "e"}"];')
     for lower, i, upper in data.covers:
         lines.append(f'  n{lower} -> n{upper} [label="{i + 1}"];')
     lines.append("}")

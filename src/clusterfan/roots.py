@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from typing import Iterable, Sequence
 
@@ -155,10 +156,16 @@ class RootSystem:
 
     # -- permutations ------------------------------------------------------
 
+    @cached_property
+    def _simple_perms(self) -> list[tuple[int, ...]]:
+        """s_1, ..., s_n as permutations of the root indices, computed once."""
+        return [
+            tuple(self.index[self.reflect_coords(i, r.coords)] for r in self.roots)
+            for i in range(self.n)
+        ]
+
     def simple_perm(self, i: int) -> tuple[int, ...]:
-        return tuple(
-            self.index[self.reflect_coords(i, r.coords)] for r in self.roots
-        )
+        return self._simple_perms[i]
 
     def reflection_perm(self, root_idx: int) -> tuple[int, ...]:
         matrix = self.reflection_matrix(root_idx)
@@ -176,9 +183,9 @@ class RootSystem:
         permutation of the root indices (position r holds the index of the
         image of root r)."""
         perm = tuple(range(len(self.roots)))
+        generators = self._simple_perms
         for i in word:
-            s = self.simple_perm(i)
-            perm = tuple(perm[x] for x in s)
+            perm = tuple(perm[x] for x in generators[i])
         return perm
 
     def longest_element(self) -> tuple[int, ...]:
@@ -190,7 +197,7 @@ class RootSystem:
         simple root stays positive reaches w0 in |positives| steps, without
         enumerating the group."""
         perm = tuple(range(len(self.roots)))
-        generators = [self.simple_perm(i) for i in range(self.n)]
+        generators = self._simple_perms
         while True:
             ascents = [
                 i for i, s in enumerate(self.simple_index) if self.is_positive(perm[s])

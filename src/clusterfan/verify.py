@@ -230,8 +230,7 @@ def criterion_group_data(extended: bool = False) -> str:
 def criterion_reduced_words() -> str:
     counts = {}
     for rank in (1, 2, 3, 4):
-        group = _grp(f"A{rank}")
-        count = count_reduced_words(group, group.w0)
+        count = count_reduced_words(_rs(f"A{rank}"))
         check(count == stanley_formula(rank), (rank, count))
         counts[rank] = count
     check(counts[3] == 16 and counts[4] == 768, counts)

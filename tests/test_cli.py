@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from clusterfan import cli as cli_module
 from clusterfan.cli import BROKEN_PIPE, build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -121,6 +122,22 @@ def test_group_dot_bytes_are_pinned(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == GROUP_DOT_SHA256[name]
 
 
+# sha256 of `clusterfan group --type E6 --format X` stdout, taken from the
+# count over the whole right Cayley table that these numbers were first
+# printed with
+GROUP_E6_SHA256 = {
+    "text": "b7240a9ab0eb1801b6940b6abed6c1a6ccd7b2e5b90c1f21b0a817750b9d628b",
+    "json": "185517d277e1a004b2f3cca9bfb09e926380d5518db5775afd8d0abb57fd5efe",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GROUP_E6_SHA256))
+def test_group_e6_bytes_are_pinned(capsys, fmt):
+    code, out, _ = run(capsys, "group", "--type", "E6", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GROUP_E6_SHA256[fmt]
+
+
 def test_mutate_text(capsys):
     code, out, _ = run(capsys, "mutate", "--type", "A2")
     assert code == 0
@@ -194,6 +211,11 @@ def test_mutate_matrix_file_type_text_matches_type(capsys, tmp_path, fmt):
             "cluster complex has 742900 facets, over the budget of 60000",
             id="assoc",
         ),
+        # Cat(A12) = 742,900 seeds is over the default --budget-seeds, and
+        # the refusal reads as the walk's own
+        pytest.param(
+            "mutate", "A12", "exchange graph exceeded 100000 seeds", id="mutate",
+        ),
     ],
 )
 def test_oversized_group_exits_3_at_once(capsys, command, name, message):
@@ -203,6 +225,40 @@ def test_oversized_group_exits_3_at_once(capsys, command, name, message):
     assert code == 3
     assert out == ""
     assert err.strip().splitlines() == [f"budget exceeded: {message}"]
+
+
+@pytest.mark.parametrize(
+    "source,walked",
+    [("--type", False), ("type:", False), ("matrix:", True)],
+)
+def test_mutate_type_refused_over_its_catalan_number(
+    capsys, tmp_path, monkeypatch, source, walked
+):
+    # A3 has Cat(A3) = 14 seeds.  A type is sized before the walk; an
+    # exchange matrix given as such is refused by the walk alone.
+    if source == "--type":
+        argv = ["--type", "A3"]
+    else:
+        path = tmp_path / "a3.txt"
+        rows = "[[0, -1, 0], [1, 0, 1], [0, -1, 0]]"
+        path.write_text("type:A3" if source == "type:" else f"matrix:{rows}")
+        argv = ["--matrix-file", str(path)]
+    code, out, err = run(capsys, "mutate", *argv, "--budget-seeds", "14")
+    assert code == 0, err
+    assert out.splitlines()[0] == "seeds 14"
+
+    calls = []
+    walk = cli_module.exchange_counts
+
+    def recording(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(cli_module, "exchange_counts", recording)
+    code, out, err = run(capsys, "mutate", *argv, "--budget-seeds", "13")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["budget exceeded: exchange graph exceeded 13 seeds"]
+    assert bool(calls) == walked
 
 
 def test_mutate_budget_exit_code(capsys):

@@ -21,12 +21,13 @@ from itertools import permutations
 
 import pytest
 
-from clusterfan import cli
+from clusterfan import cli, coxeter
 from clusterfan.assoc import narayana
 from clusterfan.cartan import bipartition
 from clusterfan.coxeter import (
     BudgetExceeded,
     LatticeCheckFailed,
+    _levels,
     absolute_interval,
     bitset_meet,
     build_group,
@@ -256,8 +257,7 @@ def test_reduced_word_counts_for_longest_element():
     # Frozen values; the A-family column equals the hook-style product formula
     expected = {"A1": 1, "A2": 2, "A3": 16, "A4": 768}
     for name, count in expected.items():
-        group = build_group(root_system(name))
-        assert count_reduced_words(group, group.w0) == count
+        assert count_reduced_words(root_system(name)) == count
         n = int(name[1])
         assert stanley_formula(n) == count
 
@@ -267,10 +267,8 @@ def test_stanley_formula_a5():
 
 
 def test_reduced_word_count_b2_g2():
-    assert count_reduced_words(build_group(root_system("B2")),
-                               build_group(root_system("B2")).w0) == 2
-    group = build_group(root_system("G2"))
-    assert count_reduced_words(group, group.w0) == 2
+    assert count_reduced_words(root_system("B2")) == 2
+    assert count_reduced_words(root_system("G2")) == 2
 
 
 def test_descent_sets():
@@ -520,10 +518,10 @@ def test_reduced_word_matches_permutation_oracle(name):
 
 @pytest.mark.parametrize("name", ["B3", "A4"])
 def test_reduced_word_counts_match_oracle(name):
-    group = build_group(root_system(name))
-    oracle = OracleGroup(group.rs)
-    for u in range(len(group)):
-        assert count_reduced_words(group, u) == oracle.count_reduced_words(u)
+    rs = root_system(name)
+    oracle = OracleGroup(rs)
+    counts = [words for _, level in _levels(rs, 10**6) for words in level]
+    assert counts == [oracle.count_reduced_words(u) for u in range(len(oracle.elements))]
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "A4", "C3"])
@@ -600,18 +598,24 @@ def test_length_counts_are_the_poincare_polynomial(name):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_group_output_builds_no_permutations(fmt, monkeypatch, capsys):
-    # text and JSON read the right table alone; the left table is built
-    # only for reduced words
+    # text and JSON count the reduced words of w0 on the two-level walk and
+    # build no group, so neither Cayley table
     built = []
+    init = coxeter.WeylGroup.__init__
 
-    def recording(rs, budget=10**6):
-        built.append(build_group(rs, budget))
-        return built[-1]
+    def recording(self, rs, budget=10**6):
+        built.append(rs)
+        init(self, rs, budget)
 
-    monkeypatch.setattr(cli, "build_group", recording)
+    monkeypatch.setattr(coxeter.WeylGroup, "__init__", recording)
     assert cli.main(["group", "--type", "E6", "--format", fmt]) == 0
-    assert "51840" in capsys.readouterr().out
-    (group,) = built
+    out = capsys.readouterr().out
+    assert "51840" in out and "1266633313578528" in out
+    assert built == []
+
+
+def test_left_table_is_built_on_first_use():
+    group = build_group(root_system("E6"))
     assert len(group.elements) == len(group) == 51840
     assert "left" not in vars(group)
     # reading one word builds the whole left table, checked as it is built
