@@ -157,8 +157,9 @@ def cmd_group(parser, args) -> tuple[int, str]:
     if args.format == "dot":
         group = build_group(rs)
         return 0, hasse_dot(group, weak_order(group))
-    # the walk checks its levels against the Poincare polynomial of the
-    # exponents, whose value at 1 is |W| and whose degree is |Phi+| = l(w0)
+    # the walk stops at the middle length: it checks the levels it walks
+    # against the Poincare polynomial of the exponents, whose value at 1 is
+    # |W|, and its mirror check fails unless l(w0) = |Phi+|
     words = count_reduced_words(rs)
     stats = {
         "type": dynkin_name(rs.dynkin),

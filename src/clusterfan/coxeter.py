@@ -2,25 +2,30 @@
 
 W acts simply transitively on the orbit of the regular weight rho, so the
 search keys element u by mu = u^-1 rho in fundamental-weight coordinates.
-The n coordinates are packed into one int, each in a field of fixed width
-with a bias; |mu_k| <= h - 1 fits the width derived from the number of
-positive roots.  Right multiplication by s_i is mu -> s_i mu = mu - mu_i
-alpha_i, one subtraction on the packed int, where alpha_i is column i of the
-Cartan matrix packed the same way.  Since u(alpha_i) > 0 exactly when
-mu_i > 0, u*s_i is one longer than u when mu_i > 0 and one shorter when
-mu_i < 0, so the search walks the orbit one length at a time and keeps only
-the level below and the level above.  Element indices run in length order,
-and `right[u][i]` is the index of u*s_i.  The same walk counts the reduced
-words of every element along its ascents, so the count for w0 needs no
-Cayley table at all.  Lengths, the weak order and the longest element are
-read from the table.
+The n coordinates are packed into one int, sum mu_k 2^(k width) with signed
+fields of fixed width, so the key of -mu is -key; |mu_k| <= h - 1 fits the
+width derived from the number of positive roots.  Right multiplication by
+s_i is mu -> s_i mu = mu - mu_i alpha_i, one subtraction on the packed int,
+where alpha_i is column i of the Cartan matrix packed the same way.  Since
+u(alpha_i) > 0 exactly when mu_i > 0, u*s_i is one longer than u when
+mu_i > 0 and one shorter when mu_i < 0, so the search walks the orbit one
+length at a time and keeps only the level below and the level above.
+Element indices run in length order, and `right[u][i]` is the index of
+u*s_i.  The same walk counts the reduced words of every element along its
+ascents.  The count for w0 needs neither a Cayley table nor the upper half
+of the orbit: w0 rho = -rho, so u -> w0*u maps key mu to -mu and length j
+to N - j, N = l(w0), and R(w0) is the sum over the elements v of length
+floor(N/2) of R(v) R(w0 v), both read off the walk stopped at length
+N - floor(N/2).  Lengths, the weak order and the longest element are read
+from the table.
 
 These checks hold the search to the group, none of them an assert: mu_i
 is never 0 and every descent lands in the level below; each level's size is
 the coefficient of the Poincare polynomial prod [e_i + 1]_q over the
-exponents, which are read off the root heights, not off the search; nothing
-turns up past the |W| the exponents give; and the walk ends at a unique
-longest element.
+exponents, which are read off the root heights, not off the search; the
+negation of every weight at length floor(N/2) is found at length
+N - floor(N/2); nothing turns up past the |W| the exponents give; and the
+walk ends at a unique longest element.
 
 The left Cayley table, `left[u][i]` the index of s_i*u, is built on first
 use along the same discoverer chain: if v first turns up in `right`, read in
@@ -53,6 +58,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from math import prod
 from operator import mul
 
@@ -93,9 +99,24 @@ def _poincare_polynomial(exponents: Sequence[int]) -> list[int]:
     return coeffs
 
 
-def _levels(rs: RootSystem, budget: int):
-    """Walk the orbit of rho one length at a time, yielding per level the
-    rows of the right Cayley table and the reduced-word counts.
+def _packing(rs: RootSystem) -> tuple[int, list[tuple[int, int]], int]:
+    """The field width, the steps (shift, packed alpha_i) of the walk, and
+    packed rho = (1, ..., 1).  A weight mu packs to sum mu_k 2^(k width)
+    with signed fields, so the key of -mu is -key."""
+    # |mu_k| <= h - 1 <= 2 |positives| - 1 < 2^(width - 1) keeps the key
+    # one-to-one on the orbit, and every field of key + B, B the sum of
+    # the per-field biases 2^(width - 1), inside [0, 2^width)
+    width = (4 * rs.num_positive + 4).bit_length()
+    steps = list(zip(range(0, rs.n * width, width), _packed_columns(rs.cartan, width)))
+    return width, steps, sum(1 << shift for shift, _ in steps)
+
+
+def _levels(rs: RootSystem, budget: int, right: list[tuple[int, ...]] | None = None):
+    """Walk the orbit of rho one length at a time, yielding each level as
+    soon as it is complete: the dict from packed weight to element index,
+    and the reduced-word counts in index order.  When `right` is a list,
+    each level's rows of the right Cayley table are appended to it as the
+    walk goes on from that level.
 
     Element indices run in discovery order, level by level, and a row holds
     the indices of u*s_1, ..., u*s_n.  Only two levels are kept, as dicts
@@ -113,41 +134,63 @@ def _levels(rs: RootSystem, budget: int):
     the walk would repeat the group from the copy up, past the levels of
     the Poincare polynomial.
 
+    The levels above the middle are the mirror image of those below under
+    u -> w0*u.  Since w0 rho = -rho, the key of w0*u is u^-1 w0 rho =
+    -mu(u); w0*u lies on level N - j when u lies on level j, N = l(w0);
+    and an ascent of u by s_i (mu_i > 0) is a descent of w0*u by s_i, as
+    the i-th field of -mu(u) is -mu_i.  So the upper half repeats the
+    checked lower half negated, and the mirror check joins the two: once
+    level N - k is complete, k = floor(N/2), the negation of every weight
+    on level k must be on it.  It fails when the walk did not start at a
+    weight that w0 negates, or when N is not the length of the walk's
+    longest element.  A walk stopped there has run every check on every
+    level it holds.
+
     Raises BudgetExceeded before the walk when |W|, read off the exponents,
-    is over the budget.  Raises GroupCheckFailed when mu_i = 0 or a descent
-    is not found in the level below, when a level's size is not its
-    coefficient of the Poincare polynomial prod [e_i + 1]_q, when an element
-    turns up past the |W| the exponents give, or when the walk ends short
-    of |W| or with more than one longest element.
+    is over the budget.  Raises GroupCheckFailed when a level's size is not
+    its coefficient of the Poincare polynomial prod [e_i + 1]_q, when a
+    negated middle weight is not on level N - k, when mu_i = 0 or a descent
+    is not found in the level below, when an element turns up past the |W|
+    the exponents give, or when the walk ends short of |W| or with more
+    than one longest element.
     """
     exponents = [e for part in _component_exponents(rs) for e in part]
     order = prod(e + 1 for e in exponents)
     if order > budget:
         raise BudgetExceeded(f"group has {order} elements, over the budget of {budget}")
     poincare = _poincare_polynomial(exponents)
+    middle = rs.num_positive // 2
+    mirror = rs.num_positive - middle
 
-    # |mu_k| <= h - 1 <= 2 |positives| - 1 leaves every biased field
-    # inside [0, 2^width), so the packed subtraction never borrows
-    # across fields of a weight in the orbit
-    width = (4 * rs.num_positive + 4).bit_length()
+    width, steps, rho = _packing(rs)
     bias = 1 << (width - 1)
     mask = (1 << width) - 1
-    steps = list(zip(range(0, rs.n * width, width), _packed_columns(rs.cartan, width)))
-    rho = sum((1 + bias) << shift for shift, _ in steps)
+    biases = sum(bias << shift for shift, _ in steps)
 
     below: dict[int, int] = {}
     level = {rho: 0}
     counts = [1]
     first = length = 0  # the level's first index, and its length
     while level:
+        if len(level) != (poincare[length] if length < len(poincare) else 0):
+            raise GroupCheckFailed(
+                f"length counts must be the Poincare polynomial {poincare} of the exponents"
+            )
+        if length == mirror:
+            halfway = level if mirror == middle else below
+            if any(-code not in level for code in halfway):
+                raise GroupCheckFailed(
+                    f"the negation of every weight of length {middle} must have length {mirror}"
+                )
+        yield level, counts
         following = first + len(level)  # the index of the next level's first
         above: dict[int, int] = {}
         above_counts: list[int] = []
-        rows = []
         for u, (code, words) in enumerate(zip(level, counts), first):
+            biased = code + biases
             row = []
             for i, (shift, alpha) in enumerate(steps):
-                m = ((code >> shift) & mask) - bias
+                m = ((biased >> shift) & mask) - bias
                 image = code - m * alpha
                 if m > 0:
                     v = above.get(image)
@@ -167,12 +210,8 @@ def _levels(rs: RootSystem, budget: int):
                             f"length must move by the sign of mu_{i + 1} = {m} from element {u}"
                         )
                 row.append(v)
-            rows.append(tuple(row))
-        if len(level) != (poincare[length] if length < len(poincare) else 0):
-            raise GroupCheckFailed(
-                f"length counts must be the Poincare polynomial {poincare} of the exponents"
-            )
-        yield rows, counts
+            if right is not None:
+                right.append(tuple(row))
         below, level, counts, first = level, above, above_counts, following
         length += 1
     if first != order:
@@ -187,9 +226,8 @@ class WeylGroup:
         self.n = rs.n
         self.right: list[tuple[int, ...]] = []
         self.length: list[int] = []
-        for length, (rows, _) in enumerate(_levels(rs, budget)):
-            self.right += rows
-            self.length += [length] * len(rows)
+        for length, (level, _) in enumerate(_levels(rs, budget, self.right)):
+            self.length += [length] * len(level)
         self.w0 = len(self.right) - 1
 
     def __len__(self) -> int:
@@ -270,11 +308,33 @@ def build_group(rs: RootSystem, budget: int = 10**6) -> WeylGroup:
 
 
 def count_reduced_words(rs: RootSystem, budget: int = 10**6) -> int:
-    """Number of reduced words of w0, from one walk of the orbit of rho that
-    keeps only the counts of two levels and builds no Cayley table."""
-    for _, counts in _levels(rs, budget):
-        pass
-    return counts[0]
+    """Number of reduced words of w0, from the orbit of rho walked only to
+    its middle, with no Cayley table.
+
+    A reduced word of w0 is a maximal chain 1 -> w0 in the right weak
+    order, and it passes exactly one element v of length k = floor(N/2),
+    N = l(w0).  Up to v it is one of the R(v) reduced words of v; from v on
+    it is a reduced word of v^-1 w0, and there are R(w0 v) of those, since
+    inverting reverses a word and w0 is an involution.  w0*v is keyed by
+    -mu(v) on level N - k (see `_levels`), so R(w0) is the sum over level
+    k of R(v) R(-mu(v)).  Both levels are complete, and the walk's mirror
+    check has paired them, once the levels below N - k are walked; the walk
+    stops there.  The budget still counts all of |W|, read off the
+    exponents before any walk.
+    """
+    levels = _levels(rs, budget)
+    # level k, then level N - k, the same level when N is even
+    level, counts = next(islice(levels, rs.num_positive // 2, None))
+    halfway = dict(zip(level, counts))
+    if rs.num_positive % 2:
+        level, counts = next(levels)
+    return sum(words * halfway[-code] for code, words in zip(level, counts))
+
+
+def count_elements(rs: RootSystem, budget: int = 10**6) -> int:
+    """|W| as the number of elements met by one whole walk of the orbit of
+    rho, with every check of `_levels` and no Cayley table."""
+    return sum(len(level) for level, _ in _levels(rs, budget))
 
 
 def stanley_formula(n: int) -> int:

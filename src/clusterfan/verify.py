@@ -28,6 +28,7 @@ from .roots import RootSystem, coxeter_data, root_system
 from .coxeter import (
     WeylGroup,
     build_group,
+    count_elements,
     count_reduced_words,
     hasse_dot,
     stanley_formula,
@@ -223,7 +224,7 @@ def criterion_group_data(extended: bool = False) -> str:
         check(data.coxeter_number == h, name)
         check(tuple(data.exponents) == exponents, name)
         check(data.group_order == order, name)
-        check(len(_grp(name)) == order, name)
+        check(count_elements(rs) == order, name)
     return f"{len(names)} types match on positives, h, exponents, |W|"
 
 

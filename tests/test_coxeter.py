@@ -18,6 +18,7 @@ import sys
 import time
 from collections import Counter
 from itertools import permutations
+from math import factorial, prod
 
 import pytest
 
@@ -32,6 +33,7 @@ from clusterfan.coxeter import (
     bitset_meet,
     build_group,
     conjugacy_classes,
+    count_elements,
     count_reduced_words,
     coxeter_element,
     hasse_dot,
@@ -255,7 +257,7 @@ def test_reduced_word_is_reduced_and_correct():
 
 def test_reduced_word_counts_for_longest_element():
     # Frozen values; the A-family column equals the hook-style product formula
-    expected = {"A1": 1, "A2": 2, "A3": 16, "A4": 768}
+    expected = {"A1": 1, "A2": 2, "A3": 16, "A4": 768, "A5": 292864}
     for name, count in expected.items():
         assert count_reduced_words(root_system(name)) == count
         n = int(name[1])
@@ -269,6 +271,55 @@ def test_stanley_formula_a5():
 def test_reduced_word_count_b2_g2():
     assert count_reduced_words(root_system("B2")) == 2
     assert count_reduced_words(root_system("G2")) == 2
+
+
+def square_tableaux(n):
+    """Standard Young tableaux of the n x n square by the hook-length
+    formula: cell (i, j) has hook length (n - i) + (n - j) - 1."""
+    return factorial(n * n) // prod(2 * n - i - j - 1 for i in range(n) for j in range(n))
+
+
+def test_square_tableaux_by_hook_lengths():
+    assert [square_tableaux(n) for n in (2, 3, 4, 5)] == [2, 42, 24024, 701149020]
+
+
+@pytest.mark.parametrize("name", ["B2", "B3", "B4", "B5", "C3", "C4", "C5"])
+def test_reduced_words_of_w0_in_types_b_c_are_square_tableaux(name):
+    # Haiman (Dual equivalence with applications, 1992): the reduced words
+    # of w0 in B_n and C_n are as many as the standard Young tableaux of
+    # the n x n square
+    assert count_reduced_words(root_system(name)) == square_tableaux(int(name[1]))
+
+
+@pytest.mark.parametrize(
+    "name", ["A2", "A3", "A5", "B3", "D4", "F4", "G2", "A1+A2", "A1+A1+A1", "A2+B2"]
+)
+def test_half_walk_count_matches_oracle(name):
+    # l(w0) is odd on A2, A5, B3, A1+A1+A1 and A2+B2 (two middle levels),
+    # even on the others (one)
+    rs = root_system(name)
+    oracle = OracleGroup(rs)
+    w0 = max(range(len(oracle.elements)), key=oracle.length.__getitem__)
+    assert count_reduced_words(rs) == oracle.count_reduced_words(w0)
+
+
+@pytest.mark.parametrize("name", ["A2", "A5", "B4", "E6", "A2+B2"])
+def test_count_walks_only_to_the_middle(name, monkeypatch):
+    # the count reads the levels up to N - floor(N/2) and never resumes
+    # the walk past them
+    levels = coxeter._levels
+    sizes = []
+
+    def recording(rs, budget, right=None):
+        for level, counts in levels(rs, budget, right):
+            sizes.append(len(level))
+            yield level, counts
+
+    monkeypatch.setattr(coxeter, "_levels", recording)
+    rs = root_system(name)
+    count_reduced_words(rs)
+    assert len(sizes) == rs.num_positive - rs.num_positive // 2 + 1
+    assert sum(sizes) < count_elements(rs)
 
 
 def test_descent_sets():
@@ -593,7 +644,7 @@ def test_length_counts_are_the_poincare_polynomial(name):
         ]
     counts = Counter(build_group(root_system(name)).length)
     assert [counts[l] for l in range(len(coeffs))] == coeffs
-    assert sum(counts.values()) == sum(coeffs)
+    assert sum(counts.values()) == sum(coeffs) == count_elements(root_system(name))
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -612,6 +663,40 @@ def test_group_output_builds_no_permutations(fmt, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "51840" in out and "1266633313578528" in out
     assert built == []
+
+
+MIRROR_SABOTAGE = """
+import sys
+from clusterfan import coxeter
+from clusterfan.roots import root_system
+print("optimize", sys.flags.optimize)
+# start the walk at rho + omega_1, a regular weight whose orbit has the
+# levels of the Poincare polynomial but is not mapped to its negation by
+# w0 on A2 and A3
+packing = coxeter._packing
+def sabotaged(rs):
+    width, steps, rho = packing(rs)
+    return width, steps, rho + 1
+coxeter._packing = sabotaged
+for name in ("A2", "A3"):
+    for walk in (coxeter.count_reduced_words, coxeter.build_group):
+        try:
+            walk(root_system(name))
+        except coxeter.GroupCheckFailed as exc:
+            print("FAIL", exc)
+"""
+
+
+def test_mirror_check_fails_without_asserts():
+    command = [sys.executable, "-O", "-c", MIRROR_SABOTAGE]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert result.stdout.splitlines() == [
+        "optimize 1",
+        "FAIL the negation of every weight of length 1 must have length 2",
+        "FAIL the negation of every weight of length 1 must have length 2",
+        "FAIL the negation of every weight of length 3 must have length 3",
+        "FAIL the negation of every weight of length 3 must have length 3",
+    ], result.stderr
 
 
 def test_left_table_is_built_on_first_use():
