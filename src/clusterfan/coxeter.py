@@ -34,8 +34,13 @@ through column j of `right`.  Two checks hold it to the group: every entry
 moves the length by exactly one, and s_i is an involution from the left,
 s_i*(s_i*u) = u.  The left descents of u are the i with s_i*u shorter than
 u, so the lexicographically minimal reduced word is one walk down the left
-table.  The weak order's lattice property is checked on down-sets stored as
-int bitmasks, one bit per element.
+table.  The left inversion sets T_L(u) = {beta > 0 : u^-1 beta < 0}, one
+N-bit int each, are filled along the left table, and u <= w in the right
+weak order iff T_L(u) is contained in T_L(w).  The weak order's lattice
+property is checked locally on them, by Bjorner, Edelman and Ziegler: every
+two elements z*s_i and z*s_j covering a common z must have a join, the top
+c of their rank-2 coset, with every root of T_L(c) grown from theirs as
+sums of two roots.
 
 The noncrossing interval [1, c] in absolute order needs no group.  By
 Carter's lemma the reflection length of w is rank(w - 1) on simple-root
@@ -54,7 +59,6 @@ s_i*u*s_i, read off the two Cayley tables.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,7 +77,8 @@ class BudgetExceeded(RuntimeError):
 
 
 class LatticeCheckFailed(RuntimeError):
-    """A meet computation found no unique maximal common lower bound."""
+    """The weak order's inversion sets disagree with the group, or two
+    covers of a common element have no join."""
 
 
 class GroupCheckFailed(RuntimeError):
@@ -357,62 +362,141 @@ def stanley_formula(n: int) -> int:
 @dataclass(frozen=True)
 class WeakOrderData:
     covers: tuple[tuple[int, int, int], ...]  # (lower, generator, upper)
-    down: tuple[int, ...]  # bit t of down[u] is set iff t <= u
-    checked_pairs: int
-    exhaustive: bool
+    checked_pairs: int  # pairs z*s_i, z*s_j covering a common z, each joined
 
 
-SAMPLE_SEED = 7
-EXHAUSTIVE_LIMIT = 4000
+CHUNK = 12  # bits of a root set read per lookup in a lift table
+MASK = (1 << CHUNK) - 1
 
 
-def bitset_meet(down: Sequence[int], a: int, b: int) -> int:
-    """The meet of a and b in a poset whose elements are indexed along a
-    linear extension, given the down-set bitmask of every element.
+def _lift_tables(rs: RootSystem) -> list[list[tuple[int, list[int]]]]:
+    """T -> {alpha_i} + s_i T on sets of positive roots not holding alpha_i,
+    each an N-bit int with bit r for positive root r: per generator, the
+    (shift, table) of each CHUNK-bit slice, the table giving the image of
+    every pattern of the slice.  s_i permutes the positive roots other than
+    alpha_i; the first slice's table adds alpha_i to every image."""
+    n_pos = rs.num_positive
+    tables = []
+    for i in range(rs.n):
+        image = [1 << r if r < n_pos else 0 for r in rs.simple_perm(i)[:n_pos]]
+        slices = []
+        for shift in range(0, n_pos, CHUNK):
+            table = [0 if shift else 1 << rs.simple_index[i]]
+            for bit in image[shift : shift + CHUNK]:
+                table += [t | bit for t in table]
+            slices.append((shift, table))
+        tables.append(slices)
+    return tables
 
-    The common lower bounds are down[a] & down[b]; the highest of them is
-    the only candidate, and it is the meet iff its own down-set is all of
-    them.  Raises LatticeCheckFailed otherwise (also when there is no
-    common lower bound: best is then -1, the last element).
-    """
-    common = down[a] & down[b]
-    best = common.bit_length() - 1
-    if down[best] != common:
-        raise LatticeCheckFailed(f"no unique maximal lower bound for ({a},{b})")
-    return best
+
+def _lift(slices: list[tuple[int, list[int]]], t: int) -> int:
+    image = 0
+    for shift, table in slices:
+        image |= table[(t >> shift) & MASK]
+    return image
+
+
+def _root_sums(rs: RootSystem) -> list[list[int]]:
+    """Per positive root, the masks of the pairs of positive roots summing
+    to it."""
+    n_pos = rs.num_positive
+    sums: list[list[int]] = [[] for _ in range(n_pos)]
+    for a in range(n_pos):
+        coords = rs.roots[a].coords
+        for b in range(a + 1, n_pos):
+            r = rs.index.get(tuple(x + y for x, y in zip(coords, rs.roots[b].coords)))
+            if r is not None:
+                sums[r].append(1 << a | 1 << b)
+    return sums
+
+
+def inversion_sets(group: WeylGroup) -> list[int]:
+    """T_L(u) = {beta > 0 : u^-1 beta < 0} for every element u, as an
+    N-bit int, bit r for positive root r.  Filled in index order along one
+    left descent of each element: when s_i*p is longer than p,
+    T_L(s_i*p) = {alpha_i} + s_i T_L(p)."""
+    left, length = group.left, group.length
+    tables = _lift_tables(group.rs)
+    sets = [0]
+    for u in group.elements[1:]:
+        row, lu = left[u], length[u]
+        i = next(i for i, v in enumerate(row) if length[v] < lu)
+        sets.append(_lift(tables[i], sets[row[i]]))
+    return sets
 
 
 def weak_order(group: WeylGroup) -> WeakOrderData:
     """Right weak order: covers u < u s_i when the length goes up.
 
-    Performs the lattice check: every pair has a meet (`bitset_meet`).
-    Exhaustive up to EXHAUSTIVE_LIMIT elements, sampling 2000 pairs (seeded
-    by SAMPLE_SEED) above.  Raises LatticeCheckFailed on any failure.
-    """
-    size = len(group)
-    length = group.length
-    covers = []
-    down = [1 << u for u in range(size)]
-    # index order is length order, so down[u] is complete when u is reached
-    for u, row in enumerate(group.right):
-        above = length[u] + 1
-        for i, v in enumerate(row):
-            if length[v] == above:
-                covers.append((u, i, v))
-                down[v] |= down[u]
+    Performs an exact lattice check, raising LatticeCheckFailed on any
+    failure.  u <= w iff T_L(u) is contained in T_L(w) (Bjorner and
+    Brenti, Combinatorics of Coxeter Groups, Prop. 3.1.3), so the check
+    reads the order off the inversion sets.  Those are checked first: T_L(u)
+    has l(u) roots, and T_L(s_i*u) = {alpha_i} + s_i T_L(u) on every
+    edge of the left table that raises the length.
 
-    exhaustive = size <= EXHAUSTIVE_LIMIT
-    if exhaustive:
-        for a in range(size):
-            for b in range(a + 1, size):
-                bitset_meet(down, a, b)
-        checked = size * (size - 1) // 2
-    else:
-        rng = random.Random(SAMPLE_SEED)
-        for _ in range(2000):
-            bitset_meet(down, rng.randrange(size), rng.randrange(size))
-        checked = 2000
-    return WeakOrderData(tuple(covers), tuple(down), checked, exhaustive)
+    By Bjorner, Edelman and Ziegler (Hyperplane arrangements with a lattice
+    of regions, DCG 1990, Lemma 2.1), a finite bounded poset is a lattice
+    when every two elements covering a common one have a join.  For each z
+    and right ascents i < j, x = z*s_i and y = z*s_j, the alternating words
+    in s_i and s_j from x and from y must rise one length a step until they
+    meet at c.  T_L(c) must hold T_L(x) and T_L(y), and each of its other
+    roots, taken by height, must be the sum of two roots already held.
+    Every inversion set is closed under root sums, as
+    w^-1(beta + gamma) = w^-1 beta + w^-1 gamma, so any common upper bound
+    of x and y holds T_L(c) and lies above c: c is the join.
+    """
+    right, length = group.right, group.length
+    tables = _lift_tables(group.rs)
+    sets = inversion_sets(group)
+    for u, row in enumerate(group.left):
+        t, lu = sets[u], length[u]
+        if t.bit_count() != lu:
+            raise LatticeCheckFailed(f"the inversion set of element {u} must have {lu} roots")
+        for i, v in enumerate(row):
+            if length[v] > lu and sets[v] != _lift(tables[i], t):
+                raise LatticeCheckFailed(
+                    f"the inversion set of s_{i + 1}*u must be alpha_{i + 1} and"
+                    f" s_{i + 1} of that of u, for u = {u}"
+                )
+
+    sums = _root_sums(group.rs)
+    covers = []
+    checked = 0
+    for z, row in enumerate(right):
+        above = length[z] + 1
+        ascents = [i for i, v in enumerate(row) if length[v] == above]
+        covers += [(z, i, row[i]) for i in ascents]
+        for k, i in enumerate(ascents):
+            for j in ascents[k + 1 :]:
+                x = a = row[i]
+                y = b = row[j]
+                step, s, t = above, j, i
+                while a != b:
+                    a, b, step = right[a][s], right[b][t], step + 1
+                    if length[a] != step or length[b] != step:
+                        raise LatticeCheckFailed(
+                            f"the words alternating s_{i + 1} and s_{j + 1} from element {z}"
+                            " must rise to a common element"
+                        )
+                    s, t = t, s
+                held, top = sets[x] | sets[y], sets[a]
+                if held & ~top:
+                    raise LatticeCheckFailed(
+                        f"the inversion set of element {a} must hold those of {x} and {y}"
+                    )
+                missing = top ^ held
+                while missing:
+                    low = missing & -missing
+                    if not any(held & pair == pair for pair in sums[low.bit_length() - 1]):
+                        raise LatticeCheckFailed(
+                            f"each root the inversion set of element {a} adds to those of"
+                            f" {x} and {y} must be a sum of two roots held"
+                        )
+                    held |= low
+                    missing ^= low
+                checked += 1
+    return WeakOrderData(tuple(covers), checked)
 
 
 def hasse_dot(group: WeylGroup, data: WeakOrderData) -> str:

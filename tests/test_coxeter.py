@@ -5,8 +5,10 @@ The first group construction (a frontier BFS composing permutation tuples),
 the greedy reduced word over left descents found through the inverse
 permutation, the reduced-word count over sorted lengths and right descents,
 and the weak-order meet found by scanning all of W with a multiplying `leq`
-are kept below as oracles for the table- and bitset-based versions.  So is
-the first absolute interval, a BFS over all of W with every reflection (the
+are kept below as oracles for the table-based versions, and the first
+lattice check, a meet for every pair read off down-set bitmasks, as the
+oracle for the local check on inversion sets.  So is the first absolute
+interval, a BFS over all of W with every reflection (the
 reflections checked against their intrinsic characterization), as the
 oracle for the group-free walk down from c, and the second one, which ran a
 rank computation on every candidate u*t, as the oracle for the walk that
@@ -30,13 +32,13 @@ from clusterfan.coxeter import (
     LatticeCheckFailed,
     _levels,
     absolute_interval,
-    bitset_meet,
     build_group,
     conjugacy_classes,
     count_elements,
     count_reduced_words,
     coxeter_element,
     hasse_dot,
+    inversion_sets,
     reflection_length,
     stanley_formula,
     weak_order,
@@ -350,10 +352,8 @@ def test_reflections_biject_with_positive_roots():
 def test_weak_order_lattice_and_cover_count():
     group = build_group(root_system("A3"))
     data = weak_order(group)
-    assert data.exhaustive
-    # covers out of each element = number of non-descents summed over group;
-    # total cover count equals (number of elements) * n / 2 ... not in general,
-    # so check the defining property instead
+    # the cover count |W| n / 2 is checked per type below; here each cover's
+    # defining property
     for lo, i, hi in data.covers:
         assert group.right[lo][i] == hi
         assert group.length[hi] == group.length[lo] + 1
@@ -575,16 +575,41 @@ def test_reduced_word_counts_match_oracle(name):
     assert counts == [oracle.count_reduced_words(u) for u in range(len(oracle.elements))]
 
 
+def bitset_meet(down, a, b):
+    """The meet of a and b in a poset whose elements are indexed along a
+    linear extension, given the down-set bitmask of every element.
+
+    The common lower bounds are down[a] & down[b]; the highest of them is
+    the only candidate, and it is the meet iff its own down-set is all of
+    them.  Raises LatticeCheckFailed otherwise (also when there is no
+    common lower bound: best is then -1, the last element).
+    """
+    common = down[a] & down[b]
+    best = common.bit_length() - 1
+    if down[best] != common:
+        raise LatticeCheckFailed(f"no unique maximal lower bound for ({a},{b})")
+    return best
+
+
+def down_sets(size, covers):
+    """Bit t of down[u] is set iff t <= u.  Covers come in index order of
+    their lower end, and index order is length order, so down[u] is
+    complete when u's own covers are read."""
+    down = [1 << u for u in range(size)]
+    for lower, _, upper in covers:
+        down[upper] |= down[lower]
+    return down
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "A4", "C3"])
 def test_bitset_meets_match_scan(name):
     group = build_group(root_system(name))
     oracle = OracleGroup(group.rs)
-    data = weak_order(group)
     size = len(group)
-    assert data.exhaustive and data.checked_pairs == size * (size - 1) // 2
+    down = down_sets(size, weak_order(group).covers)
     for a in range(size):
         for b in range(a, size):
-            assert bitset_meet(data.down, a, b) == oracle.meet(a, b), (a, b)
+            assert bitset_meet(down, a, b) == oracle.meet(a, b), (a, b)
 
 
 def test_bitset_meet_rejects_a_bowtie():
@@ -605,11 +630,104 @@ def test_bitset_meet_rejects_a_bowtie():
         bitset_meet([0b01, 0b10], 0, 1)
 
 
-def test_weak_order_exhaustive_up_to_4000_elements():
-    data = weak_order(build_group(root_system("D5")))
-    assert data.exhaustive
-    assert data.checked_pairs == 1920 * 1919 // 2
-    assert len(data.covers) == 1920 * 5 // 2
+@pytest.mark.parametrize("name", ["A2", "A3", "B3", "C3", "G2", "A4", "B4", "D4", "F4", "A1+A2"])
+def test_inversion_sets_give_the_weak_order(name):
+    group = build_group(root_system(name))
+    size = len(group)
+    down = down_sets(size, weak_order(group).covers)
+    sets = inversion_sets(group)
+    for w, top in enumerate(sets):
+        below = sum(1 << u for u, t in enumerate(sets) if t | top == top)
+        assert below == down[w], w
+
+
+# m_ij, the order of s_i s_j, by a_ij a_ji
+DIHEDRAL_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
+
+
+@pytest.mark.parametrize(
+    "name,pairs",
+    [("A2", 1), ("G2", 1), ("B3", 26), ("A4", 150), ("D4", 240), ("F4", 1392),
+     ("D5", 4160), ("A1+A2", 8)],
+)
+def test_weak_order_checks_one_pair_per_rank_two_coset(name, pairs):
+    # each coset of W_ij = <s_i, s_j> has one minimal element z, and z is
+    # the one element of the coset that ascends by both s_i and s_j
+    rs = root_system(name)
+    group = build_group(rs)
+    a = rs.cartan
+    expected = sum(
+        len(group) // (2 * DIHEDRAL_ORDER[a[i][j] * a[j][i]])
+        for i in range(rs.n)
+        for j in range(i + 1, rs.n)
+    )
+    data = weak_order(group)
+    assert data.checked_pairs == expected == pairs
+    assert len(data.covers) == len(group) * rs.n // 2
+
+
+SABOTAGED_LATTICE = """
+import sys
+from clusterfan import coxeter
+from clusterfan.roots import root_system
+print("optimize", sys.flags.optimize)
+a3 = coxeter.build_group(root_system("A3"))
+sets = coxeter.inversion_sets
+def flipped(u, bits):
+    def sabotaged(group):
+        out = sets(group)
+        out[u] ^= bits
+        return out
+    return sabotaged
+# alpha_2 (bit 1) added to T_L(e) = {}, which is then too large; and in
+# T_L(s_1 s_3) = {alpha_1, alpha_3}, element 5, alpha_1 (bit 2) swapped for
+# alpha_2, which keeps the size but breaks the edge s_3 * s_1, from element 1
+for u, bits in ((0, 0b010), (5, 0b110)):
+    coxeter.inversion_sets = flipped(u, bits)
+    try:
+        coxeter.weak_order(a3)
+    except coxeter.LatticeCheckFailed as exc:
+        print("FAIL", exc)
+coxeter.inversion_sets = sets
+# s_1 s_2 read in the right table, once the left table is built from it,
+# as the identity, where the alternating words from s_1 and s_2 fall, and as
+# s_2 s_1, element 4, where they meet too early
+for wrong in (0, 4):
+    a2 = coxeter.build_group(root_system("A2"))
+    a2.left
+    a2.right[1] = (0, wrong)
+    try:
+        coxeter.weak_order(a2)
+    except coxeter.LatticeCheckFailed as exc:
+        print("FAIL", exc)
+# with no root a sum of two others, alpha_1 + alpha_2 cannot be grown from
+# T_L(s_1) and T_L(s_2) inside T_L(w0)
+coxeter._root_sums = lambda rs: [[] for _ in range(rs.num_positive)]
+for name in ("A2", "A3"):
+    try:
+        coxeter.weak_order(coxeter.build_group(root_system(name)))
+    except coxeter.LatticeCheckFailed as exc:
+        print("FAIL", exc)
+"""
+
+
+def test_sabotaged_lattice_check_fails_without_asserts():
+    # python -O strips assert statements; the lattice checks must not be
+    # asserts
+    command = [sys.executable, "-O", "-c", SABOTAGED_LATTICE]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert result.stdout.splitlines() == [
+        "optimize 1",
+        "FAIL the inversion set of element 0 must have 0 roots",
+        "FAIL the inversion set of s_3*u must be alpha_3 and s_3 of that of u, for u = 1",
+        "FAIL the words alternating s_1 and s_2 from element 0 must rise to a common element",
+        "FAIL the inversion set of element 4 must hold those of 1 and 2",
+        # the join of s_1 and s_2 is w0 on A2 and s_1 s_2 s_1 on A3
+        "FAIL each root the inversion set of element 5 adds to those of 1 and 2"
+        " must be a sum of two roots held",
+        "FAIL each root the inversion set of element 9 adds to those of 1 and 2"
+        " must be a sum of two roots held",
+    ], result.stderr
 
 
 @pytest.mark.parametrize(
