@@ -8,19 +8,38 @@ in direction k replaces the k-th cluster variable via the exchange relation
 divided exactly by the old variable) and transforms the matrix.
 
 One breadth-first walk of the exchange graph, on integer data, serves both
-exploration and finite-type detection.  Beside its matrix, every seed
-carries its C-matrix and its g-vectors (Fomin-Zelevinsky, Cluster algebras
-IV; Nakanishi-Zelevinsky, tropical dualities), which mutate by integer
-operations alone.  Seeds are identified by their sorted g-vectors together
-with the matrix permuted the same way.  `explore` computes each cluster
-variable in the Laurent ring once, when its g-vector first appears.  The
-Laurent-level canonical form (`canonical_key`) sorts the cluster by text
-instead; the two keys agree whenever the initial cluster is algebraically
-independent, as the generators from `initial_seed` are.
+exploration and finite-type detection.  The walk runs on the extended
+matrix stacked over the C-matrix, which starts at I, so the stacked matrix
+has full column rank, and mutation keeps that rank (Berenstein-Fomin-
+Zelevinsky, Cluster algebras III, Lemma 3.2).  Each seed also carries its
+g-vectors (Fomin-Zelevinsky, Cluster algebras IV; Nakanishi-Zelevinsky,
+tropical dualities), each packed into one int, and only the k-th moves
+under mutation in direction k, by int arithmetic.  A seed is known by its
+cluster alone, the set of its packed g-vectors, and for the stacked matrix
+that is sound:
+  - a g-vector determines its cluster variable (conjectured in Cluster
+    algebras IV, proven by Gross-Hacking-Keel-Kontsevich);
+  - a seed whose extended matrix has full rank is determined by its
+    cluster (Gekhtman-Shapiro-Vainshtein, On the properties of the
+    exchange graph of a cluster algebra, 2008; in finite type also
+    Fomin-Zelevinsky, Cluster algebras II).
+So the matrices are mutated only when a new seed appears.  On every other
+edge the walk checks what the edge fixes: the seed it reaches holds the
+new g-vector, and its column at that slot is minus column k of the seed it
+left (mutation in direction k negates column k), the rows matched through
+the g-vectors.  Every edge also checks its c-vector for sign-coherence and
+bounds the new g-vector's fields against the packing width.
+`explore` computes each cluster variable in the Laurent ring once, when
+its g-vector first appears.  The Laurent-level canonical form
+(`canonical_key`) sorts the cluster by text instead; the two keys agree
+whenever the initial cluster is algebraically independent, as the
+generators from `initial_seed` are.
 The walk stops at the first seed matrix with |b_ij b_ji| > 3 (the 2-finite
-criterion, Fomin-Zelevinsky, Cluster algebras II); once it closes, its seed
-matrices, the whole mutation class, give the Dynkin type.  `exchange_counts`
-counts cluster variables as distinct g-vectors, with no Laurent arithmetic.
+criterion, Fomin-Zelevinsky, Cluster algebras II); once it closes, the
+Dynkin type is read off the first seed matrix, in the order of the walk,
+with a finite Cartan companion.  `exchange_counts` counts cluster
+variables as distinct g-vectors, with no Laurent arithmetic and no stored
+matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +48,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import cartan as cartan_mod
-from .cartan import DynkinType, Entries, NotSkewSymmetrizable, skew_symmetrizer
+from .cartan import DynkinType, NotSkewSymmetrizable, skew_symmetrizer
 from .laurent import LaurentPoly
 from .linalg import matrix_rank
 from .roots import RootSystem
@@ -66,6 +85,11 @@ class NotFullRank(ValueError):
 class NotSignCoherent(ArithmeticError):
     """A c-vector has entries of both signs (or none).  Sign-coherence is a
     theorem (Gross-Hacking-Keel-Kontsevich), so this signals a bug."""
+
+
+class WalkCheckFailed(RuntimeError):
+    """A g-vector outgrew its packing, or a revisited seed disagrees with
+    the edge that reached it; either signals a bug."""
 
 
 @dataclass(frozen=True)
@@ -156,33 +180,6 @@ def c_vector_sign(c_rows: Sequence[Sequence[int]], k: int) -> int:
     raise NotSignCoherent(f"c-vector {k + 1} is {tuple(column)}")
 
 
-def tropical_mutate(
-    btilde: Sequence[Sequence[int]],
-    c_rows: Sequence[Sequence[int]],
-    gvectors: Sequence[Sequence[int]],
-    k: int,
-) -> tuple[Entries, Entries, Entries]:
-    """Mutate the integer data of a seed in direction k.
-
-    The C-matrix (given by rows; its columns are the c-vectors) mutates as
-    the bottom block of the extended matrix stacked over it.  Only the k-th
-    g-vector moves: g'_k = -g_k + sum_i [-eps_k b_ik]_+ g_i, where eps_k is
-    the sign of the k-th c-vector (Nakanishi-Zelevinsky, Prop 1.3).
-    Returns the new (extended matrix, C rows, g-vectors).
-    """
-    m = len(btilde)
-    stacked = matrix_mutate(tuple(btilde) + tuple(c_rows), k)
-    eps = c_vector_sign(c_rows, k)
-    g = [-x for x in gvectors[k]]
-    for i, gi in enumerate(gvectors):
-        b = -eps * btilde[i][k]
-        if b > 0:
-            g = [a + b * x for a, x in zip(g, gi)]
-    moved = list(gvectors)
-    moved[k] = tuple(g)
-    return stacked[:m], stacked[m:], tuple(moved)
-
-
 @dataclass(frozen=True)
 class Seed:
     matrix: ExchangeMatrix
@@ -264,13 +261,6 @@ def _permuted(matrix: Sequence[Sequence[int]], order: Sequence[int]) -> tuple:
     return top + tuple(tuple(row[j] for j in order) for row in matrix[n:])
 
 
-def _g_key(btilde: Sequence[Sequence[int]], gvectors: Sequence[tuple[int, ...]]) -> tuple:
-    """Seed key from integer data: sorted g-vectors with the matrix permuted
-    the same way (see explore for when it agrees with canonical_key)."""
-    order = sorted(range(len(gvectors)), key=gvectors.__getitem__)
-    return (tuple(gvectors[i] for i in order), _permuted(btilde, order))
-
-
 @dataclass
 class MutationGraph:
     seeds: list[Seed]
@@ -290,42 +280,136 @@ def _check_witness(rows: Sequence[Sequence[int]], n: int, partial) -> None:
         raise NotFiniteType(message, partial)
 
 
+# -- the exchange-graph walk on packed g-vectors ----------------------------------
+
+# A g-vector (g_1, ..., g_n) is packed into the one int sum_j g_j 2^(j WIDTH)
+# with signed fields.  The map is linear, so the g-vector update is int
+# arithmetic, and it is one-to-one on vectors whose fields all have
+# |g_j| < 2^(WIDTH-1): the difference of two such vectors has fields below
+# 2^WIDTH, and a nonzero one packs to a nonzero int.
+WIDTH = 16
+_HALF = 1 << (WIDTH - 1)
+
+
+def _units(n: int) -> tuple[int, ...]:
+    """The packed unit vectors: the g-vectors of the initial cluster."""
+    return tuple(1 << (j * WIDTH) for j in range(n))
+
+
+def _unpack(packed: int, n: int) -> tuple[int, ...]:
+    """The n signed fields of a packed g-vector, lowest first."""
+    fields = []
+    for _ in range(n):
+        field = packed & (2 * _HALF - 1)
+        if field >= _HALF:
+            field -= 2 * _HALF
+        fields.append(field)
+        packed = (packed - field) >> WIDTH
+    return tuple(fields)
+
+
+def _check_width(bound: int) -> None:
+    """Raise WalkCheckFailed unless g-vector fields of absolute value at
+    most `bound` fit the packing, that is bound < 2^(WIDTH-1)."""
+    if bound >= _HALF:
+        raise WalkCheckFailed(
+            f"a g-vector field may reach {bound}, past the {WIDTH}-bit packing"
+        )
+
+
+def _g_mutate(
+    rows: Sequence[Sequence[int]], gvectors: Sequence[int], k: int, eps: int
+) -> tuple[int, int]:
+    """The packed g'_k = -g_k + sum_i [-eps b_ik]_+ g_i, where eps is the sign
+    of the k-th c-vector (Nakanishi-Zelevinsky, Prop 1.3), and 1 plus the sum
+    of the coefficients: with every field of the g_i at most N in absolute
+    value, every field of g'_k is at most N times that number."""
+    packed = -gvectors[k]
+    total = 1
+    for row, g in zip(rows, gvectors):
+        b = -eps * row[k]
+        if b > 0:
+            packed += b * g
+            total += b
+    return packed, total
+
+
+def _check_revisit(
+    stacked: Sequence[Sequence[int]],
+    moved: Sequence[int],
+    k: int,
+    target: tuple[Sequence[Sequence[int]], Sequence[int]],
+) -> None:
+    """Mutation in direction k negates column k of the stacked matrix.  The
+    target (stacked rows, g-vectors) of a revisit must hold, at the slot of
+    g'_k, minus column k of the source, its top rows matched to the
+    source's through the g-vectors and its lower rows in place."""
+    rows, gvectors = target
+    n = len(gvectors)
+    slot = {g: j for j, g in enumerate(gvectors)}
+    t = slot[moved[k]]
+    for i, row in enumerate(stacked):
+        if rows[slot[moved[i]] if i < n else i][t] != -row[k]:
+            raise WalkCheckFailed(
+                f"a revisited seed disagrees with column {k + 1} of the seed before it"
+            )
+
+
 def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
     """BFS over the exchange graph of the seed with extended matrix `rows`,
-    on integer data alone: `tropical_mutate` moves each seed's matrix,
-    C-matrix and g-vectors (I at the start), checking every c-vector for
-    sign-coherence, and `_g_key` identifies seeds, numbered in order of
-    discovery.  Yields (u, k, v, image, new) per mutation of seed u in
-    direction k, where image is the tropical data of seed v and new says
-    whether v was met just now.  Raises, with `partial` attached,
-    MutationBudgetExceeded if more than `budget` seeds appear and
-    NotFiniteType at the first seed, the start included, with a witness."""
+    on integer data alone; seeds are numbered in order of discovery.
+
+    Each seed is its stacked matrix, the extended matrix over the C-matrix
+    (I at the start), and its packed g-vectors, and it is known by the set
+    of them.  Mutating seed u in direction k computes g'_k alone
+    (`_g_mutate`), with the sign of the k-th c-vector, checked for
+    sign-coherence on every edge, and checks that g'_k fits the packing.
+    The stacked matrix is mutated only when the image is a new seed v,
+    whose top block must show no witness of infinite type; a revisit is
+    checked by `_check_revisit`.  Yields (u, k, v, image, new) per edge,
+    where new says whether v was met just now and image, for a new v only
+    (None otherwise), is its (extended matrix, C rows, packed g-vectors).
+    Raises, with `partial` attached, MutationBudgetExceeded if more than
+    `budget` seeds appear and NotFiniteType at the first seed, the start
+    included, with a witness."""
     n = len(rows[0])
+    m = len(rows)
     _check_witness(rows, n, partial)
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    tropical = [(rows, identity, identity)]
-    index = {_g_key(rows, identity): 0}
+    start = _units(n)
+    seeds = [(tuple(rows) + identity, start)]
+    index = {frozenset(start): 0}
+    norm = 1  # the largest |field| of any g-vector met so far
     frontier = [0]
     while frontier:
         fresh = []
         for u in frontier:
-            rows, c_rows, gvectors = tropical[u]
+            stacked, gvectors = seeds[u]
+            c_rows = stacked[m:]
             for k in range(n):
-                image = tropical_mutate(rows, c_rows, gvectors, k)
-                key = _g_key(image[0], image[2])
+                g, total = _g_mutate(stacked, gvectors, k, c_vector_sign(c_rows, k))
+                _check_width(norm * total)
+                # g'_k is -g_k plus the other g_i, so det G changes sign
+                # alone: the g-vectors stay a basis, n distinct ints
+                moved = gvectors[:k] + (g,) + gvectors[k + 1 :]
+                key = frozenset(moved)
                 v = index.get(key)
-                new = v is None
-                if new:
-                    v = len(tropical)
-                    if v >= budget:
-                        raise MutationBudgetExceeded(
-                            f"exchange graph exceeded {budget} seeds", partial
-                        )
-                    _check_witness(image[0], n, partial)
-                    index[key] = v
-                    tropical.append(image)
-                    fresh.append(v)
-                yield u, k, v, image, new
+                if v is not None:
+                    _check_revisit(stacked, moved, k, seeds[v])
+                    yield u, k, v, None, False
+                    continue
+                v = len(seeds)
+                if v >= budget:
+                    raise MutationBudgetExceeded(
+                        f"exchange graph exceeded {budget} seeds", partial
+                    )
+                image = matrix_mutate(stacked, k)
+                _check_witness(image, n, partial)
+                norm = max(norm, *map(abs, _unpack(g, n)))
+                index[key] = v
+                seeds.append((image, moved))
+                fresh.append(v)
+                yield u, k, v, (image[:m], image[m:], moved), True
         frontier = fresh
 
 
@@ -342,14 +426,15 @@ def explore(seed: Seed, budget: int = 10**5) -> MutationGraph:
     the partial graph attached; a closed graph has its Dynkin type set.
     """
     n = seed.matrix.n
-    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    values = dict(zip(identity, seed.cluster))  # g-vector -> cluster variable
+    values = dict(zip(_units(n), seed.cluster))  # packed g-vector -> variable
     _check_distinct(seed.cluster)
     record = MutationGraph([seed], [], {}, False)
     for v in seed.cluster:
         record.variables.setdefault(v.text(), v)
-    for u, k, v, (rows, _, gvectors), new in _walk(seed.matrix.rows, budget, record):
+    detected = _finite_type(seed.matrix.principal())
+    for u, k, v, image, new in _walk(seed.matrix.rows, budget, record):
         if new:
+            rows, _, gvectors = image
             g = gvectors[k]
             parent = record.seeds[u]
             if g in values:
@@ -362,10 +447,12 @@ def explore(seed: Seed, budget: int = 10**5) -> MutationGraph:
                 record.variables.setdefault(values[g].text(), values[g])
             _check_distinct(child.cluster)
             record.seeds.append(child)
+            if detected is None:
+                detected = _finite_type(child.matrix.principal())
         if u <= v:
             record.edges.append((u, k, v))
     record.closed = True
-    record.detected = _classify(s.matrix.principal() for s in record.seeds)
+    record.detected = _closed_type(detected)
     return record
 
 
@@ -374,15 +461,20 @@ def exchange_counts(
 ) -> tuple[int, int, DynkinType]:
     """Seeds, cluster variables (distinct g-vectors, the initial ones
     included) and Dynkin type of the exchange graph of `rows`, from one
-    `_walk` and no Laurent arithmetic.  Raises as `_walk` does."""
+    `_walk` and no Laurent arithmetic.  The type is read off the first
+    seed matrix with a finite Cartan companion as the walk goes, and no
+    matrix is kept.  Raises as `_walk` does."""
     n = len(rows[0])
-    gvectors = {tuple(int(i == j) for j in range(n)) for i in range(n)}
-    matrices = [rows[:n]]
-    for _, k, _, (image, _, moved), new in _walk(rows, budget):
+    seeds = 1
+    gvectors = set(_units(n))
+    detected = _finite_type(rows[:n])
+    for _, k, _, image, new in _walk(rows, budget):
         if new:
-            gvectors.add(moved[k])
-            matrices.append(image[:n])
-    return len(matrices), len(gvectors), _classify(matrices)
+            seeds += 1
+            gvectors.add(image[2][k])
+            if detected is None:
+                detected = _finite_type(image[0][:n])
+    return seeds, len(gvectors), _closed_type(detected)
 
 
 def alternating_chain(
@@ -450,22 +542,29 @@ def detect_finite_type(
         raise Inconclusive(f"mutation class exceeded {budget} seeds") from None
 
 
-def _classify(matrices: Iterable[Sequence[Sequence[int]]]) -> DynkinType:
-    """Dynkin type of the first square matrix built from a finite-type
-    Cartan matrix (Inconclusive if there is none)."""
-    for matrix in matrices:
-        candidate = _cartan_companion(matrix)
-        if candidate is None:
-            continue
-        try:
-            if cartan_mod.validate_finite_type(candidate):
-                return cartan_mod.classify(candidate)
-        except (cartan_mod.NotCartanShape, cartan_mod.NotSymmetrizable):
-            continue
-    raise Inconclusive(
-        "mutation class closed without a finite Cartan companion; "
-        "this contradicts the finite-type classification"
-    )
+def _finite_type(matrix: Sequence[Sequence[int]]) -> DynkinType | None:
+    """Dynkin type of a square matrix built from a finite-type Cartan
+    matrix, else None."""
+    candidate = _cartan_companion(matrix)
+    if candidate is None:
+        return None
+    try:
+        if cartan_mod.validate_finite_type(candidate):
+            return cartan_mod.classify(candidate)
+    except (cartan_mod.NotCartanShape, cartan_mod.NotSymmetrizable):
+        pass
+    return None
+
+
+def _closed_type(detected: DynkinType | None) -> DynkinType:
+    """The type found by a closed walk; Inconclusive if it met no seed
+    matrix with a finite Cartan companion."""
+    if detected is None:
+        raise Inconclusive(
+            "mutation class closed without a finite Cartan companion; "
+            "this contradicts the finite-type classification"
+        )
+    return detected
 
 
 # -- denominators and positivity ------------------------------------------------

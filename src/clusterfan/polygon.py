@@ -125,9 +125,6 @@ class Triangulation:
             raise PolygonCheckFailed(f"diagonal {d} borders {len(apexes)} triangles")
         return tuple(sorted([a, b, *apexes]))  # type: ignore[return-value]
 
-    def to_json(self) -> list[list[int]]:
-        return [list(d) for d in self.diagonals]
-
 
 def flipped_diagonal(tri: Triangulation, d: Edge) -> Edge:
     p, q, r, s = tri.quad_around(d)

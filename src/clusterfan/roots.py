@@ -113,16 +113,6 @@ class RootSystem:
         out[i] = coords[i] - sum(self.cartan[i][j] * coords[j] for j in range(self.n))
         return tuple(out)
 
-    def inner(self, a: Sequence[int], b: Sequence[int]) -> Fraction:
-        """(a, b) for coordinate vectors over the simple roots."""
-        total = Fraction(0)
-        for i in range(self.n):
-            if a[i]:
-                for j in range(self.n):
-                    if b[j]:
-                        total += Fraction(a[i]) * Fraction(b[j]) * self.symmetrizer[i] * self.cartan[i][j]
-        return total
-
     def coroot_pairing(self, coords: Sequence[int], root_idx: int) -> int:
         """<alpha, beta-vee> for alpha given by coords and beta a root."""
         beta = self.roots[root_idx]
@@ -215,26 +205,6 @@ class RootSystem:
 
     def positive_roots(self) -> list[Root]:
         return self.roots[: self.num_positive]
-
-    def coords_text(self, idx: int) -> str:
-        """Human-readable combination of simple roots, e.g. "a1+2*a2"."""
-        coords = self.roots[idx].coords
-        pieces = []
-        for i, c in enumerate(coords):
-            if not c:
-                continue
-            name = f"a{i + 1}"
-            if c == 1:
-                term = name
-            elif c == -1:
-                term = f"-{name}"
-            else:
-                term = f"{c}*{name}"
-            if pieces and c > 0:
-                pieces.append(f"+{term}")
-            else:
-                pieces.append(term)
-        return "".join(pieces) if pieces else "0"
 
 
 def root_system(source: Entries | str | DynkinType) -> RootSystem:

@@ -1,7 +1,15 @@
-"""Seed mutation: rank-2 chains, Laurentness, finite-type detection."""
+"""Seed mutation: rank-2 chains, Laurentness, finite-type detection, and
+the exchange-graph walk on packed g-vectors.
+
+The oracle for that walk (`tropical_mutate`, `g_key`, `oracle_walk`)
+mutates the whole tropical data of every seed in every direction and knows
+a seed by its sorted g-vectors together with its matrix permuted the same
+way, so it does not rest on a cluster determining its seed."""
 
 import json
 import random
+import subprocess
+import sys
 import time
 from itertools import permutations
 
@@ -28,6 +36,7 @@ from clusterfan.mutation import (
     NotAlmostPositive,
     NotFiniteType,
     NotFullRank,
+    WalkCheckFailed,
     alternating_chain,
     canonical_key,
     denominator_root,
@@ -38,6 +47,10 @@ from clusterfan.mutation import (
     graph_to_dot,
     initial_seed,
     _cartan_companion,
+    _check_width,
+    _unpack,
+    _units,
+    c_vector_sign,
     matrix_mutate,
     observe_positivity,
     seed_from_dict,
@@ -425,6 +438,150 @@ def test_e6_exchange_graph():
     seed = seed_of(exchange_rows("E6"))
     graph = explore(seed)
     assert (len(graph.seeds), len(graph.edges), len(graph.variables)) == (833, 2499, 42)
+
+
+# -- the packed walk against the walk keyed by sorted g-vectors ---------------
+
+
+def tropical_mutate(btilde, c_rows, gvectors, k):
+    """Mutate the integer data of a seed in direction k.
+
+    The C-matrix (given by rows; its columns are the c-vectors) mutates as
+    the bottom block of the extended matrix stacked over it.  Only the k-th
+    g-vector moves: g'_k = -g_k + sum_i [-eps_k b_ik]_+ g_i, where eps_k is
+    the sign of the k-th c-vector (Nakanishi-Zelevinsky, Prop 1.3).
+    Returns the new (extended matrix, C rows, g-vectors).
+    """
+    m = len(btilde)
+    stacked = matrix_mutate(tuple(btilde) + tuple(c_rows), k)
+    eps = c_vector_sign(c_rows, k)
+    g = [-x for x in gvectors[k]]
+    for i, gi in enumerate(gvectors):
+        b = -eps * btilde[i][k]
+        if b > 0:
+            g = [a + b * x for a, x in zip(g, gi)]
+    moved = list(gvectors)
+    moved[k] = tuple(g)
+    return stacked[:m], stacked[m:], tuple(moved)
+
+
+def g_key(btilde, gvectors):
+    """Seed key: sorted g-vectors with the top block of the matrix conjugated
+    the same way; frozen rows keep their place, their columns move."""
+    order = sorted(range(len(gvectors)), key=gvectors.__getitem__)
+    top = tuple(tuple(btilde[i][j] for j in order) for i in order)
+    frozen = tuple(tuple(row[j] for j in order) for row in btilde[len(order):])
+    return tuple(gvectors[i] for i in order), top + frozen
+
+
+def oracle_walk(rows):
+    """BFS over the exchange graph of a finite type: every seed's tropical
+    data mutated in every direction, seeds known by g_key and numbered in
+    order of discovery.  Yields (u, k, v, image, new) per edge."""
+    n = len(rows[0])
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    tropical = [(rows, identity, identity)]
+    index = {g_key(rows, identity): 0}
+    frontier = [0]
+    while frontier:
+        fresh = []
+        for u in frontier:
+            for k in range(n):
+                image = tropical_mutate(*tropical[u], k)
+                key = g_key(image[0], image[2])
+                new = key not in index
+                if new:
+                    index[key] = len(tropical)
+                    tropical.append(image)
+                    fresh.append(index[key])
+                yield u, k, index[key], image, new
+        frontier = fresh
+
+
+WALK_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "B6",
+    "C3", "C4", "C5", "C6", "D4", "D5", "D6", "E6", "F4", "G2",
+]
+
+
+@pytest.mark.parametrize("name", WALK_TYPES)
+@pytest.mark.parametrize("frozen", ["none", "principal"])
+@pytest.mark.parametrize("relabel", [False, True])
+def test_walk_matches_g_key_oracle(name, frozen, relabel):
+    # the same edges in the same order, and the same data on every new seed
+    rows = exchange_rows(name, frozen)
+    n = len(rows[0])
+    if relabel:
+        perm = list(range(n))
+        random.Random(f"{name} {frozen}").shuffle(perm)
+        rows = relabeled(rows, perm, -1)
+    rows = tuple(tuple(row) for row in rows)
+    ours = [
+        (u, k, v, new, image and (image[0], image[1], tuple(_unpack(g, n) for g in image[2])))
+        for u, k, v, image, new in mutation._walk(rows, 10**5)
+    ]
+    theirs = [
+        (u, k, v, new, image if new else None) for u, k, v, image, new in oracle_walk(rows)
+    ]
+    assert ours == theirs
+
+
+def test_packing_is_faithful_up_to_the_width_check():
+    # the largest fields the width check lets through pack one-to-one
+    top = (1 << (mutation.WIDTH - 1)) - 1
+    vectors = [(top, -top, 0), (-top, top, -top), (top, top, top), (0, 0, -top)]
+    packed = [sum(g * unit for g, unit in zip(vector, _units(3))) for vector in vectors]
+    assert [_unpack(p, 3) for p in packed] == vectors
+    assert len(set(packed)) == len(vectors)
+    _check_width(top)
+    with pytest.raises(WalkCheckFailed, match="past the 16-bit packing"):
+        _check_width(top + 1)
+    # one past it, fields wrap: 2^(w-1) reads back as -2^(w-1)
+    assert _unpack(top + 1, 1) == (-top - 1,)
+
+
+SABOTAGED_REVISIT = """
+import sys
+from clusterfan import mutation
+from clusterfan.cartan import b_matrix, cartan_for_type
+print("optimize", sys.flags.optimize)
+mutate = mutation.matrix_mutate
+made = []
+
+
+def corrupted(rows, k):
+    # the third seed made (mu_3 of the start) keeps its C-matrix with
+    # column k doubled, which leaves that c-vector sign-coherent; the edge
+    # back in direction 3 finds it
+    image = mutate(rows, k)
+    made.append(k)
+    if len(made) == 3:
+        n = len(rows[0])
+        image = image[:n] + tuple(
+            row[:k] + (2 * row[k],) + row[k + 1 :] for row in image[n:]
+        )
+    return image
+
+
+mutation.matrix_mutate = corrupted
+for name in ("A3", "B3"):
+    made.clear()
+    try:
+        mutation.exchange_counts(b_matrix(cartan_for_type(name)))
+    except mutation.WalkCheckFailed as exc:
+        print("FAIL", exc)
+"""
+
+
+def test_sabotaged_revisit_fails_without_asserts():
+    # python -O strips assert statements; the revisit check must not be one
+    command = [sys.executable, "-O", "-c", SABOTAGED_REVISIT]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert result.stdout.splitlines() == [
+        "optimize 1",
+        "FAIL a revisited seed disagrees with column 3 of the seed before it",
+        "FAIL a revisited seed disagrees with column 3 of the seed before it",
+    ], result.stderr
 
 
 # -- one walk per question: counts without Laurent values ----------------------

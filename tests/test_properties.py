@@ -1,6 +1,7 @@
 """Property tests: mutation is an involution on matrices, tropical data and
 seeds, c-vectors stay sign-coherent, g-vectors are the degrees of the
-cluster variables, Laurent polynomials form a ring, exact division inverts
+cluster variables, the packed g-vector update of the exchange-graph walk
+unpacks to the Nakanishi-Zelevinsky update, Laurent polynomials form a ring, exact division inverts
 multiplication and agrees with division over the rationals, and the linear
 algebra gives the same answers on int rows as on Fraction rows.  The two
 unimodular eliminations are checked against brute force: the left kernel
@@ -31,12 +32,15 @@ from clusterfan.linalg import (
     solve_linear,
 )
 from clusterfan.mutation import (
+    _g_mutate,
+    _unpack,
+    _units,
     c_vector_sign,
     initial_seed,
     matrix_mutate,
     seed_mutate,
-    tropical_mutate,
 )
+from test_mutation import tropical_mutate
 
 FINITE_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4")
 SMALL_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "G2")
@@ -76,6 +80,25 @@ def test_tropical_mutation_is_an_involution_and_sign_coherent(case):
             assert tropical_mutate(*tropical_mutate(*state, k), k) == state
             assert matrix_mutate(matrix_mutate(state[0], k), k) == state[0]
         state = tropical_mutate(*state, step)
+
+
+@quick
+@given(walks(FINITE_TYPES, 12))
+def test_packed_g_vector_update_unpacks_to_the_tropical_one(case):
+    # the walk's update of packed g-vectors against tropical_mutate on
+    # g-vector tuples, in every direction of every seed along the walk
+    rows, steps = case
+    n = len(rows[0])
+    state = (rows, identity(n), identity(n))
+    packed = _units(n)
+    for step in steps + [0]:
+        for k in range(n):
+            g, _ = _g_mutate(state[0], packed, k, c_vector_sign(state[1], k))
+            assert _unpack(g, n) == tropical_mutate(*state, k)[2][k]
+        g, _ = _g_mutate(state[0], packed, step, c_vector_sign(state[1], step))
+        packed = packed[:step] + (g,) + packed[step + 1 :]
+        state = tropical_mutate(*state, step)
+        assert tuple(_unpack(g, n) for g in packed) == state[2]
 
 
 @slow
