@@ -1,7 +1,7 @@
 """Exact computations with finite root systems, cluster mutation, and
 generalized associahedra."""
 
-from .laurent import LaurentPoly, NonExactDivision
+from .laurent import ExponentOverflow, LaurentPoly, NonExactDivision
 from .cartan import (
     b_matrix,
     cartan_for_type,
@@ -19,6 +19,7 @@ from .verify import run_battery, render_report
 __version__ = "0.1.0"
 
 __all__ = [
+    "ExponentOverflow",
     "LaurentPoly",
     "NonExactDivision",
     "b_matrix",

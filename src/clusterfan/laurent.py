@@ -1,23 +1,64 @@
 """Integer-coefficient Laurent polynomials with a canonical text form.
 
-Terms are kept in a dict mapping exponent vectors (tuples of ints, possibly
-negative) to nonzero integer coefficients.  The canonical ordering is graded
-lexicographic, highest first: terms are compared by total degree and then
-lexicographically on the exponent vector.  The text form produced by
-``text()`` is the equality witness used throughout the test suite, so its
-format is deliberately rigid.
+Terms are kept in a dict mapping packed exponent vectors to nonzero integer
+coefficients.  The canonical ordering is graded lexicographic, highest
+first: terms are compared by total degree and then lexicographically on the
+exponent vector.  The text form produced by ``text()`` is the equality
+witness used throughout the test suite, so its format is deliberately rigid.
+
+Packed monomials.  Over n variables, the exponent vector (e_0, ..., e_{n-1})
+is the one int
+
+    key = d * 2^(nW) + sum_i e_i * 2^((n-1-i)W),    d = e_0 + ... + e_{n-1},
+
+with fields of W = WIDTH bits, e_0 the most significant, under the total
+degree d.  The sum is an integer identity, so a field may be negative: it is
+a balanced digit in [-2^(W-1), 2^(W-1)).  A stored exponent lies in
+[-LIMIT, LIMIT), LIMIT = 2^(W-3); every key the arithmetic forms from stored
+keys has balanced fields (below), and on such keys:
+  - int order is graded-lex order.  Two balanced fields differ by at most
+    2^W - 1, so all the fields below field i together move a difference of
+    keys by at most (2^W - 1)(1 + 2^W + ... + 2^((n-2-i)W)) = 2^((n-1-i)W) - 1,
+    less than one unit of field i: the first field that differs decides,
+    and the degree field sits above them all.  So keys are also distinct
+    exactly when exponent vectors are.
+  - the key is linear in the exponent vector, so a monomial multiply is one
+    int add.
+  - a field leaves [-LIMIT, LIMIT) exactly when key + LIMIT * (1, ..., 1)
+    has a bit at or above 2 LIMIT in some field: the lowest such field
+    borrows nothing from below, and holds e + LIMIT or, if that is
+    negative, e + LIMIT + 2^W.  Such an exponent raises ExponentOverflow,
+    which is not an assert and survives python -O.
 
 Exact division is the workhorse for exchange relations: ``exact_div`` shifts
 numerator and denominator into honest polynomials and runs single-divisor
 division over the integers, stopping at the first quotient coefficient that
-is not an integer and demanding a zero remainder.
+is not an integer and demanding a zero remainder.  After the shift every
+working field lies in [0, 2 LIMIT): each quotient term checks, with one
+masked add against the divisor's fieldwise maximum, that the terms it
+brings stay there.  So "the lead of the divisor divides the lead" is one
+masked subtract: the difference has its sign bit 2^(W-1) set in some field
+exactly when that field is negative.  Each new working term is step + e
+for a divisor term e below the divisor's lead, so below the lead it came
+from: the leads strictly decrease, and they are popped from a heap of
+negated keys, an entry whose term has cancelled since being pushed skipped
+when it comes up (Monagan-Pearce, Sparse polynomial division using a heap,
+J. Symbolic Comput. 46, 2011).  Quotient and remainder terms, shifted
+back, have balanced fields and are checked like any other key.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from struct import Struct
 from typing import Iterable, Mapping, Sequence
+
+WIDTH = 16  # bits per exponent field, read back as signed 16-bit ints
+LIMIT = 1 << (WIDTH - 3)  # stored exponents lie in [-LIMIT, LIMIT)
+_FIELD = (1 << WIDTH) - 1
+_SIGN = 1 << (WIDTH - 1)
 
 
 class NonExactDivision(ArithmeticError):
@@ -31,8 +72,58 @@ class NonExactDivision(ArithmeticError):
         self.remainder = remainder
 
 
-def _grlex_key(exponents: tuple[int, ...]) -> tuple:
-    return (sum(exponents), exponents)
+class ExponentOverflow(OverflowError):
+    """An exponent left its packed field: a stored exponent must lie in
+    [-LIMIT, LIMIT), and a working exponent of a division, shifted to be
+    nonnegative, below 2 LIMIT."""
+
+
+class _Layout:
+    """Field offsets and masks of the packing over n variables."""
+
+    __slots__ = ("top", "signs", "bias", "high", "low", "fields", "size")
+
+    def __init__(self, n: int):
+        self.top = n * WIDTH
+        ones = sum(1 << (i * WIDTH) for i in range(n))
+        self.signs = _SIGN * ones
+        self.bias = LIMIT * ones
+        self.high = (_FIELD ^ (2 * LIMIT - 1)) * ones
+        self.low = (1 << self.top) - 1
+        # adding the sign bits makes each balanced field e a plain one,
+        # e + 2^(W-1); flipping them back leaves e in W-bit two's complement
+        self.fields = Struct(f">{n}h")
+        self.size = self.fields.size
+
+    def pack(self, exps: Sequence[int]) -> int:
+        key = 0
+        for e in exps:
+            if not -LIMIT <= e < LIMIT:
+                raise ExponentOverflow(
+                    f"exponent {e} of {tuple(exps)!r} is outside [-{LIMIT}, {LIMIT})"
+                )
+            key = (key << WIDTH) + e
+        return key + (sum(exps) << self.top)
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        signs = self.signs
+        plain = ((key + signs) ^ signs) & self.low
+        return self.fields.unpack(plain.to_bytes(self.size, "big"))
+
+    def check(self, keys: Iterable[int]) -> None:
+        """Raise ExponentOverflow unless every key, with balanced fields,
+        has all its exponents in [-LIMIT, LIMIT)."""
+        bias, high = self.bias, self.high
+        for key in keys:
+            if (key + bias) & high:
+                raise ExponentOverflow(
+                    f"exponent vector {self.unpack(key)!r} is outside [-{LIMIT}, {LIMIT})"
+                )
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int) -> _Layout:
+    return _Layout(n)
 
 
 class LaurentPoly:
@@ -47,13 +138,14 @@ class LaurentPoly:
     x + 1
     """
 
-    __slots__ = ("variables", "_terms", "_hash")
+    __slots__ = ("variables", "_terms", "_layout", "_hash", "_text")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], int]):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError(f"duplicate variable names in {variables!r}")
-        clean: dict[tuple[int, ...], int] = {}
+        layout = _layout(len(variables))
+        clean: dict[int, int] = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
             if len(exps) != len(variables):
@@ -67,28 +159,29 @@ class LaurentPoly:
             if not isinstance(coeff, int):
                 raise TypeError(f"coefficient {coeff!r} is not an integer")
             if coeff:
-                clean[exps] = clean.get(exps, 0) + coeff
-                if not clean[exps]:
-                    del clean[exps]
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
+                key = layout.pack(exps)
+                value = clean.get(key, 0) + coeff
+                if value:
+                    clean[key] = value
+                else:
+                    del clean[key]
+        _set_variables(self, variables)
+        _set_terms(self, clean)
+        _set_layout(self, layout)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
-    @classmethod
-    def _make(
-        cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], int]
-    ) -> "LaurentPoly":
-        """Build a result of ring arithmetic without validation.  The caller
-        guarantees exponent tuples of the right length and nonzero int
-        coefficients only: ``==`` and ``hash`` compare the term dicts."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", None)
-        return self
+    def _make(self, terms: dict[int, int]) -> "LaurentPoly":
+        """A result of ring arithmetic in the ring of self, built without
+        validation.  The caller guarantees checked keys and nonzero int
+        coefficients only: ``==`` and ``hash`` compare the term dicts.
+        The hash and the text slots stay empty until first asked for."""
+        result = _new(LaurentPoly)
+        _set_variables(result, self.variables)
+        _set_terms(result, terms)
+        _set_layout(result, self._layout)
+        return result
 
     # -- constructors ------------------------------------------------------
 
@@ -127,7 +220,8 @@ class LaurentPoly:
 
     def terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in canonical (descending graded-lex) order."""
-        return sorted(self._terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        unpack = self._layout.unpack
+        return [(unpack(key), c) for key, c in sorted(self._terms.items(), reverse=True)]
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -136,7 +230,7 @@ class LaurentPoly:
         return bool(self._terms)
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self._terms)
+        return not any(self._terms)
 
     def constant_value(self) -> int:
         if not self._terms:
@@ -149,7 +243,7 @@ class LaurentPoly:
         """Componentwise minimum exponent over all terms (zero poly -> zeros)."""
         if not self._terms:
             return (0,) * len(self.variables)
-        return tuple(map(min, zip(*self._terms)))
+        return tuple(map(min, zip(*map(self._layout.unpack, self._terms))))
 
     def coefficients(self) -> list[int]:
         return [c for _, c in self.terms()]
@@ -173,13 +267,13 @@ class LaurentPoly:
     def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
         """self + sign * other, dropping every coefficient that cancels."""
         terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            value = terms.get(exps, 0) + sign * coeff
+        for key, coeff in other._terms.items():
+            value = terms.get(key, 0) + sign * coeff
             if value:
-                terms[exps] = value
+                terms[key] = value
             else:
-                del terms[exps]
-        return LaurentPoly._make(self.variables, terms)
+                del terms[key]
+        return self._make(terms)
 
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -190,7 +284,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._make(self.variables, {e: -c for e, c in self._terms.items()})
+        return self._make({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -205,12 +299,23 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(map(add, e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return LaurentPoly._make(self.variables, {e: c for e, c in terms.items() if c})
+        outer, inner = self._terms, other._terms
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        if len(outer) == 1:
+            # a monomial times a polynomial: nothing meets, nothing cancels
+            ((k1, c1),) = outer.items()
+            terms = {k1 + k2: c1 * c2 for k2, c2 in inner.items()}
+        else:
+            terms = {}
+            get = terms.get
+            for k1, c1 in outer.items():
+                for k2, c2 in inner.items():
+                    key = k1 + k2
+                    terms[key] = get(key, 0) + c1 * c2
+            terms = {key: c for key, c in terms.items() if c}
+        self._layout.check(terms)
+        return self._make(terms)
 
     __rmul__ = __mul__
 
@@ -219,20 +324,20 @@ class LaurentPoly:
             raise TypeError(f"exponent must be an int, got {power!r}")
         if power < 0:
             if len(self._terms) == 1:
-                (exps, coeff), = self._terms.items()
+                (key, coeff), = self._terms.items()
                 if abs(coeff) == 1:
                     sign = 1 if coeff == 1 or power % 2 == 0 else -1
-                    return LaurentPoly(
-                        self.variables, {tuple(e * power for e in exps): sign}
-                    )
+                    exps = self._layout.unpack(key)
+                    return LaurentPoly(self.variables, {tuple(e * power for e in exps): sign})
             raise ValueError(f"negative power {power} of non-unit {self}")
         result = LaurentPoly.one(self.variables)
         base = self
         while power:
             if power & 1:
                 result = result * base
-            base = base * base
             power >>= 1
+            if power:
+                base = base * base
         return result
 
     def shift(self, exponents: Sequence[int]) -> "LaurentPoly":
@@ -243,10 +348,10 @@ class LaurentPoly:
                 f"exponent vector {exponents!r} does not match"
                 f" {len(self.variables)} variables"
             )
-        return LaurentPoly._make(
-            self.variables,
-            {tuple(map(add, e, exponents)): c for e, c in self._terms.items()},
-        )
+        step = self._layout.pack(exponents)
+        terms = {key + step: c for key, c in self._terms.items()}
+        self._layout.check(terms)
+        return self._make(terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -256,11 +361,12 @@ class LaurentPoly:
         return self.variables == other.variables and self._terms == other._terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = hash((self.variables, tuple(sorted(self._terms.items()))))
-            object.__setattr__(self, "_hash", h)
-        return h
+            _set_hash(self, h)
+            return h
 
     # -- division ----------------------------------------------------------
 
@@ -282,45 +388,73 @@ class LaurentPoly:
         if self.is_zero():
             return self
 
-        num_shift = self.min_exponents()
-        den_shift = divisor.min_exponents()
-        back = tuple(map(sub, num_shift, den_shift))
-        work = {tuple(map(sub, e, num_shift)): c for e, c in self._terms.items()}
-        den = {tuple(map(sub, e, den_shift)): c for e, c in divisor._terms.items()}
-        lead_den = max(den, key=_grlex_key)
+        layout = self._layout
+        num_shift = layout.pack(self.min_exponents())
+        den_exps = [layout.unpack(key) for key in divisor._terms]
+        den_shift = layout.pack(tuple(map(min, zip(*den_exps))))
+        # every working term step + e lies fieldwise below step + den_reach
+        den_reach = layout.pack(tuple(map(max, zip(*den_exps)))) - den_shift
+        back = num_shift - den_shift
+        work = {key - num_shift: c for key, c in self._terms.items()}
+        den = {key - den_shift: c for key, c in divisor._terms.items()}
+        lead_den = max(den)
         lead_den_coeff = den.pop(lead_den)
+        den_terms = tuple(den.items())
+        signs, high = layout.signs, layout.high
 
-        quotient: dict[tuple[int, ...], int] = {}
-        remainder: dict[tuple[int, ...], int] = {}
-        while work:
-            lead = max(work, key=_grlex_key)
-            coeff = work.pop(lead)
-            step = tuple(map(sub, lead, lead_den))
-            if min(step, default=0) < 0:
-                remainder[tuple(map(add, lead, back))] = coeff
+        heap = [-key for key in work]
+        heapify(heap)
+        quotient: dict[int, int] = {}
+        remainder: dict[int, int] = {}
+        get = work.get
+        while heap:
+            lead = -heappop(heap)
+            coeff = work.pop(lead, 0)
+            if not coeff:
+                continue  # cancelled after it was pushed
+            step = lead - lead_den
+            if step & signs:
+                remainder[lead + back] = coeff
                 continue
             factor, rest = divmod(coeff, lead_den_coeff)
             if rest:
                 raise NonExactDivision(
                     f"quotient of ({self}) by ({divisor}) has fractional coefficients"
                 )
-            quotient[tuple(map(add, step, back))] = factor
-            for e, c in den.items():
-                target = tuple(map(add, step, e))
-                value = work.get(target, 0) - factor * c
-                if value:
-                    work[target] = value
+            if (step + den_reach) & high:
+                raise ExponentOverflow(
+                    f"dividing ({self}) by ({divisor}) makes a shifted working"
+                    f" exponent of {2 * LIMIT} or more"
+                )
+            quotient[step + back] = factor
+            for e, c in den_terms:
+                target = step + e
+                value = get(target)
+                if value is None:
+                    work[target] = -factor * c
+                    heappush(heap, -target)
                 else:
-                    del work[target]
+                    value -= factor * c
+                    if value:
+                        work[target] = value
+                    else:
+                        del work[target]
 
         if remainder:
+            layout.check(remainder)
             raise NonExactDivision(
                 f"({self}) is not divisible by ({divisor})",
-                remainder=LaurentPoly._make(self.variables, remainder),
+                remainder=self._make(remainder),
             )
-        return LaurentPoly._make(self.variables, quotient)
+        layout.check(quotient)
+        return self._make(quotient)
 
     # -- substitution ------------------------------------------------------
+
+    def _items(self) -> Iterable[tuple[tuple[int, ...], int]]:
+        """(exponent vector, coefficient) pairs in no particular order."""
+        unpack = self._layout.unpack
+        return ((unpack(key), c) for key, c in self._terms.items())
 
     def separate(self) -> tuple["LaurentPoly", tuple[int, ...]]:
         """Write self as N / monomial: returns (N, d) with N an honest
@@ -346,7 +480,7 @@ class LaurentPoly:
         target_vars = next(iter(targets))
         result = LaurentPoly.zero(target_vars)
         power_cache: dict[tuple[str, int], LaurentPoly] = {}
-        for exps, coeff in self._terms.items():
+        for exps, coeff in self._items():
             term = LaurentPoly.constant(target_vars, coeff)
             for var, e in zip(self.variables, exps):
                 if e == 0:
@@ -379,7 +513,7 @@ class LaurentPoly:
             raise ValueError(f"unknown variable {name!r}")
         idx = self.variables.index(name)
         terms: dict[tuple[int, ...], int] = {}
-        for exps, coeff in self._terms.items():
+        for exps, coeff in self._items():
             e = exps[idx]
             if e == 0:
                 continue
@@ -393,7 +527,7 @@ class LaurentPoly:
         """Evaluate at a rational point (all variables must be assigned and
         nonzero wherever a negative exponent occurs)."""
         total = Fraction(0)
-        for exps, coeff in self._terms.items():
+        for exps, coeff in self._items():
             value = Fraction(coeff)
             for var, e in zip(self.variables, exps):
                 if e:
@@ -406,6 +540,7 @@ class LaurentPoly:
     def text(self) -> str:
         """Canonical text form: terms in descending graded-lex order, joined
         by " + " / " - ", with unit coefficients and zero exponents omitted.
+        It is rendered once and kept, like the hash.
 
         >>> x, y = LaurentPoly.ring(("x", "y"))
         >>> (2 * x * y ** 0 - y + 1).text()
@@ -413,15 +548,20 @@ class LaurentPoly:
         >>> (x.shift((-2, 0))).text()
         'x^-1'
         """
+        try:
+            return self._text
+        except AttributeError:
+            text = self._render()
+            _set_text(self, text)
+            return text
+
+    def _render(self) -> str:
         if not self._terms:
             return "0"
+        names = self.variables
         pieces: list[str] = []
         for exps, coeff in self.terms():
-            factors = []
-            for var, e in zip(self.variables, exps):
-                if e == 0:
-                    continue
-                factors.append(var if e == 1 else f"{var}^{e}")
+            factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e]
             magnitude = abs(coeff)
             if magnitude != 1 or not factors:
                 factors.insert(0, str(magnitude))
@@ -481,6 +621,16 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.text()!r})"
+
+
+_new = object.__new__
+# LaurentPoly refuses attribute assignment; its slots are filled through
+# their descriptors
+_set_variables = LaurentPoly.variables.__set__
+_set_terms = LaurentPoly._terms.__set__
+_set_layout = LaurentPoly._layout.__set__
+_set_hash = LaurentPoly._hash.__set__
+_set_text = LaurentPoly._text.__set__
 
 
 def parse_laurent(variables: Sequence[str], source: str) -> LaurentPoly:

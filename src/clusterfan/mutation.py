@@ -49,6 +49,7 @@ from typing import Iterable, Sequence
 
 from . import cartan as cartan_mod
 from .cartan import DynkinType, NotSkewSymmetrizable, skew_symmetrizer
+from .coxeter import BudgetExceeded
 from .laurent import LaurentPoly
 from .linalg import matrix_rank
 from .roots import RootSystem
@@ -646,7 +647,25 @@ def seed_from_dict(data: dict) -> Seed:
     )
 
 
+# The most characters of cluster and frozen variable text, summed over the
+# seeds, that graph_to_dot and graph_to_dict render.  E7 comes to 33 million
+# (38 MB of JSON) and passes; E8 to about 3.6 billion.
+RENDER_BUDGET = 10**8
+
+
+def _check_render_size(record: MutationGraph) -> None:
+    """Raise BudgetExceeded if the seeds' variable texts, each rendered
+    once and kept by its variable, sum past RENDER_BUDGET characters."""
+    size = sum(len(v.text()) for seed in record.seeds for v in seed.cluster + seed.frozen)
+    if size > RENDER_BUDGET:
+        raise BudgetExceeded(
+            f"rendering the exchange graph takes {size} characters of variable"
+            f" text, over {RENDER_BUDGET}"
+        )
+
+
 def graph_to_dot(record: MutationGraph) -> str:
+    _check_render_size(record)
     lines = ["graph exchange {"]
     for i, seed in enumerate(record.seeds):
         label = ", ".join(sorted(v.text() for v in seed.cluster))
@@ -658,6 +677,7 @@ def graph_to_dot(record: MutationGraph) -> str:
 
 
 def graph_to_dict(record: MutationGraph) -> dict:
+    _check_render_size(record)
     return {
         "seeds": [seed_to_dict(s) for s in record.seeds],
         "edges": [list(e) for e in record.edges],

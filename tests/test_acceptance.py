@@ -156,11 +156,22 @@ def test_quick_battery_builds_each_artifact_once(monkeypatch):
 
     monkeypatch.setattr(verify, "cluster_complex", counted_complex)
     monkeypatch.setattr(wiring, "enumerate_classes", counted_classes)
-    verify._complex.cache_clear()
+    for cache in (verify._complex, verify._wiring_graph, verify._gl3_report):
+        cache.cache_clear()
     results = verify.run_battery()
     assert all(r.passed for r in results), [r.line() for r in results]
-    # one complex per type, shared by criteria 07, 09, 10 and both builds of 13
+    # one complex per type, shared by criteria 07, 09, 10 and 13
     assert sorted(built) == sorted(verify.QUICK_TYPES)
-    # criterion 12 enumerates once for itself and gl3_cell; each of
-    # criterion 13's two independent builds enumerates afresh
-    assert enumerations == [3, 3, 3]
+    # criterion 12 enumerates once for itself and gl3_cell, whose report
+    # criterion 13 reads
+    assert enumerations == [3]
+
+
+def test_criterion_13_holds_artifacts_to_the_pin(monkeypatch):
+    built = verify.deterministic_artifacts()
+    assert len(built.encode()) == verify.ARTIFACTS_PIN[0]
+    assert verify.criterion_determinism().startswith("4187 bytes")
+    for changed in (built + " ", built.replace("A2", "A3", 1), built[:-1] + "X"):
+        monkeypatch.setattr(verify, "deterministic_artifacts", lambda: changed)
+        with pytest.raises(verify.VerificationError, match="pinned reference"):
+            verify.criterion_determinism()

@@ -1,4 +1,7 @@
-"""Exact Laurent arithmetic and the fraction-free linear algebra kernel."""
+"""Exact Laurent arithmetic and the fraction-free linear algebra kernel.
+
+The tuple-keyed Laurent multiply, division and text form are kept below as
+the oracle for the packed kernel."""
 
 import doctest
 import subprocess
@@ -6,6 +9,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clusterfan import laurent
 from clusterfan.laurent import LaurentPoly, NonExactDivision, parse_laurent
@@ -194,3 +199,197 @@ def test_inexact_elimination_fails_without_asserts():
 def test_leading_principal_minors():
     cartan = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
     assert leading_principal_minors(cartan) == [2, 3, 4]
+
+
+# -- the packed kernel against tuple-keyed arithmetic ----------------------------
+#
+# The tuple-keyed multiply, division and text below are the arithmetic the
+# packed kernel replaced; they are the oracle for it.
+
+
+def grlex_key(exponents):
+    return (sum(exponents), exponents)
+
+
+def oracle_mul(p_terms, q_terms):
+    terms = {}
+    for e1, c1 in p_terms.items():
+        for e2, c2 in q_terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+def oracle_exact_div(num_terms, den_terms):
+    """("quotient", terms), ("fractional", None) or ("remainder", terms),
+    by single-divisor division of the shifted operands over the integers."""
+    num_shift = tuple(map(min, zip(*num_terms)))
+    den_shift = tuple(map(min, zip(*den_terms)))
+    back = tuple(a - b for a, b in zip(num_shift, den_shift))
+    work = {tuple(a - b for a, b in zip(e, num_shift)): c for e, c in num_terms.items()}
+    den = {tuple(a - b for a, b in zip(e, den_shift)): c for e, c in den_terms.items()}
+    lead_den = max(den, key=grlex_key)
+    lead_den_coeff = den.pop(lead_den)
+    quotient, remainder = {}, {}
+    while work:
+        lead = max(work, key=grlex_key)
+        coeff = work.pop(lead)
+        step = tuple(a - b for a, b in zip(lead, lead_den))
+        if min(step, default=0) < 0:
+            remainder[tuple(a + b for a, b in zip(lead, back))] = coeff
+            continue
+        factor, rest = divmod(coeff, lead_den_coeff)
+        if rest:
+            return "fractional", None
+        quotient[tuple(a + b for a, b in zip(step, back))] = factor
+        for e, c in den.items():
+            target = tuple(a + b for a, b in zip(step, e))
+            value = work.get(target, 0) - factor * c
+            if value:
+                work[target] = value
+            else:
+                del work[target]
+    if remainder:
+        return "remainder", remainder
+    return "quotient", quotient
+
+
+def oracle_text(variables, terms):
+    if not terms:
+        return "0"
+    pieces = []
+    for exps in sorted(terms, key=grlex_key, reverse=True):
+        coeff = terms[exps]
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e]
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)))
+        body = "*".join(factors)
+        if not pieces:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"{' + ' if coeff > 0 else ' - '}{body}")
+    return "".join(pieces)
+
+
+def packed_division(num, den):
+    try:
+        return "quotient", dict(num.exact_div(den).terms())
+    except NonExactDivision as exc:
+        if exc.remainder is None:
+            return "fractional", None
+        return "remainder", dict(exc.remainder.terms())
+
+
+derandomized = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+@st.composite
+def term_dicts(draw, n, max_size=5):
+    exponents = st.tuples(*[st.integers(-3, 3) for _ in range(n)])
+    coeff = st.integers(-4, 4).filter(bool)
+    return draw(st.dictionaries(exponents, coeff, min_size=1, max_size=max_size))
+
+
+@derandomized
+@given(st.data())
+def test_packed_order_is_grlex_order(data):
+    n = data.draw(st.integers(1, 4))
+    layout = laurent._layout(n)
+    field = st.tuples(*[st.integers(-laurent.LIMIT, laurent.LIMIT - 1) for _ in range(n)])
+    a, b, c, d = (data.draw(field) for _ in range(4))
+    for u, v in ((a, b), (a, a)):
+        assert (layout.pack(u) < layout.pack(v)) == (grlex_key(u) < grlex_key(v))
+        assert layout.unpack(layout.pack(u)) == u
+    # sums of two stored vectors, the keys a multiply forms, keep the order
+    s = tuple(x + y for x, y in zip(a, b))
+    t = tuple(x + y for x, y in zip(c, d))
+    packed_s = layout.pack(a) + layout.pack(b)
+    packed_t = layout.pack(c) + layout.pack(d)
+    assert (packed_s < packed_t) == (grlex_key(s) < grlex_key(t))
+    assert (packed_s == packed_t) == (s == t)
+    assert layout.unpack(packed_s) == s
+
+
+@derandomized
+@given(st.data())
+def test_packed_arithmetic_matches_tuple_oracle(data):
+    n = data.draw(st.integers(1, 4))
+    names = ("x", "y", "z", "w")[:n]
+    p_terms = data.draw(term_dicts(n))
+    q_terms = data.draw(term_dicts(n))
+    r_terms = data.draw(st.one_of(st.just({}), term_dicts(n, max_size=2)))
+    k = data.draw(st.sampled_from((1, -1, 2, 3)))
+    p, q, r = (LaurentPoly(names, t) for t in (p_terms, q_terms, r_terms))
+    product = p * q
+    expected = oracle_mul(p_terms, q_terms)
+    assert dict(product.terms()) == expected
+    assert product.text() == oracle_text(names, expected)
+    assert p.text() == oracle_text(names, p_terms)
+    # exact, fractional and remainder cases, the remainder compared term by term
+    numerator = p * q + r
+    num_terms = dict(numerator.terms())
+    assume(num_terms)
+    den_terms = {e: k * c for e, c in q_terms.items()}
+    assert packed_division(numerator, k * q) == oracle_exact_div(num_terms, den_terms)
+    assert packed_division(p, q) == oracle_exact_div(p_terms, q_terms)
+
+
+LIMIT_CASES = """
+import sys
+from clusterfan.laurent import LIMIT, ExponentOverflow, LaurentPoly
+print("optimize", sys.flags.optimize)
+x, y = LaurentPoly.ring(("x", "y"))
+top = x ** (LIMIT - 1)
+bottom = LaurentPoly(("x", "y"), {(0, -LIMIT): 1})
+print("top", top.text())
+print("bottom", bottom.text())
+print("shift", top.shift((0, -LIMIT)).text())
+print("divide", (top * y).exact_div(y).text())
+cases = (
+    ("power", lambda: x ** LIMIT),
+    ("constructor", lambda: LaurentPoly(("x", "y"), {(0, -LIMIT - 1): 1})),
+    ("multiply", lambda: top * x),
+    ("shift", lambda: bottom.shift((0, -1))),
+    ("divide", lambda: top.exact_div(x ** -1)),
+    # shifted by x^-LIMIT y^-LIMIT, the numerator is x^(2 LIMIT - 1) y^(2 LIMIT - 1) + 1;
+    # its first quotient term x^(2 LIMIT - 1) y^(2 LIMIT - 3), times the
+    # divisor's x, makes a working term with x^(2 LIMIT)
+    ("working term", lambda: (top * y ** (LIMIT - 1) + (x * y) ** -LIMIT).exact_div(y * y + x)),
+)
+for name, case in cases:
+    try:
+        case()
+    except ExponentOverflow as exc:
+        print("overflow", name, str(exc).split()[0])
+    else:
+        print("no overflow", name)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_exponents_at_the_width_limit_and_past_it(flags):
+    # python -O strips assert statements; the width check must not be one
+    command = [sys.executable, *flags, "-c", LIMIT_CASES]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    limit = laurent.LIMIT
+    assert result.stdout.splitlines() == [
+        f"optimize {len(flags)}",
+        f"top x^{limit - 1}",
+        f"bottom y^-{limit}",
+        f"shift x^{limit - 1}*y^-{limit}",
+        f"divide x^{limit - 1}",
+        "overflow power exponent",
+        "overflow constructor exponent",
+        "overflow multiply exponent",
+        "overflow shift exponent",
+        "overflow divide exponent",
+        # refused as the working term is made, not once the quotient is done
+        "overflow working term dividing",
+    ], result.stderr
+
+
+def test_text_is_rendered_once():
+    x, y = gens()
+    poly = (x + y) ** 3
+    assert poly.text() is poly.text()
+    assert poly.text() == "x^3 + 3*x^2*y + 3*x*y^2 + y^3"

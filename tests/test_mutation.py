@@ -27,6 +27,7 @@ from clusterfan.cartan import (
     dynkin_name,
     validate_finite_type,
 )
+from clusterfan.coxeter import BudgetExceeded
 from clusterfan.laurent import LaurentPoly, parse_laurent
 from clusterfan.mutation import (
     ExchangeMatrix,
@@ -774,3 +775,20 @@ def test_detection_matches_oracle_across_the_mutation_class(name):
     rows = [[sign * rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
     assert detect_finite_type(rows) == matrix_class_detect(rows)
     assert dynkin_name(detect_finite_type(rows)) == name
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_mutate_output_is_sized_before_it_is_rendered(monkeypatch, capsys, fmt):
+    # A3 has 14 seeds of 3 variables; its texts sum to some hundred characters
+    record = explore(seed_of(b_matrix(cartan_for_type("A3"))))
+    size = sum(len(v.text()) for s in record.seeds for v in s.cluster)
+    monkeypatch.setattr(mutation, "RENDER_BUDGET", size)
+    assert graph_to_dot(record) and graph_to_dict(record)
+    monkeypatch.setattr(mutation, "RENDER_BUDGET", size - 1)
+    for render in (graph_to_dot, graph_to_dict):
+        with pytest.raises(BudgetExceeded, match=f"takes {size} characters"):
+            render(record)
+    assert cli.main(["mutate", "--type", "A3", "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert f"takes {size} characters of variable text, over {size - 1}" in captured.err
