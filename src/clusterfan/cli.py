@@ -7,7 +7,8 @@ seed.  Exit codes: 0 success, 1 verification failure, 2 usage error
 one is needed, and a matrix file that is empty, has an entry that is not an
 integer, is not a Cartan matrix or, for mutate, is not an m-by-n matrix,
 m >= n, with a skew-symmetrizable top part and full column rank),
-3 budget exceeded or, for mutate, an exchange matrix of infinite type,
+3 budget exceeded or, for mutate, an exchange matrix of infinite type or a
+cluster variable with an exponent outside [-8192, 8192) (laurent.LIMIT),
 141 (128 + SIGPIPE, as a shell reports a writer killed by a closed pipe)
 when the reader closes stdout before the output is written.  mutate walks
 the exchange graph once, under --budget-seeds alone; text output prints
@@ -48,6 +49,7 @@ from .coxeter import (
     hasse_dot,
     weak_order,
 )
+from .laurent import ExponentOverflow
 from .mutation import (
     ExchangeMatrix,
     Inconclusive,
@@ -316,7 +318,7 @@ def main(argv=None) -> int:
     except (MutationBudgetExceeded, BudgetExceeded, ClosureBudgetExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (NotFiniteType, Inconclusive) as exc:
+    except (NotFiniteType, Inconclusive, ExponentOverflow) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 3
     except (

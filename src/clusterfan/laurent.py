@@ -15,7 +15,8 @@ with fields of W = WIDTH bits, e_0 the most significant, under the total
 degree d.  The sum is an integer identity, so a field may be negative: it is
 a balanced digit in [-2^(W-1), 2^(W-1)).  A stored exponent lies in
 [-LIMIT, LIMIT), LIMIT = 2^(W-3); every key the arithmetic forms from stored
-keys has balanced fields (below), and on such keys:
+keys, or from a stored key and a shift in [-2 LIMIT, 2 LIMIT), has balanced
+fields (below), and on such keys:
   - int order is graded-lex order.  Two balanced fields differ by at most
     2^W - 1, so all the fields below field i together move a difference of
     keys by at most (2^W - 1)(1 + 2^W + ... + 2^((n-2-i)W)) = 2^((n-1-i)W) - 1,
@@ -95,12 +96,14 @@ class _Layout:
         self.fields = Struct(f">{n}h")
         self.size = self.fields.size
 
-    def pack(self, exps: Sequence[int]) -> int:
+    def pack(self, exps: Sequence[int], limit: int = LIMIT) -> int:
+        """The key of an exponent vector with entries in [-limit, limit);
+        limit is at most 4 LIMIT, so that the fields stay balanced."""
         key = 0
         for e in exps:
-            if not -LIMIT <= e < LIMIT:
+            if not -limit <= e < limit:
                 raise ExponentOverflow(
-                    f"exponent {e} of {tuple(exps)!r} is outside [-{LIMIT}, {LIMIT})"
+                    f"exponent {e} of {tuple(exps)!r} is outside [-{limit}, {limit})"
                 )
             key = (key << WIDTH) + e
         return key + (sum(exps) << self.top)
@@ -302,18 +305,13 @@ class LaurentPoly:
         outer, inner = self._terms, other._terms
         if len(outer) > len(inner):
             outer, inner = inner, outer
-        if len(outer) == 1:
-            # a monomial times a polynomial: nothing meets, nothing cancels
-            ((k1, c1),) = outer.items()
-            terms = {k1 + k2: c1 * c2 for k2, c2 in inner.items()}
-        else:
-            terms = {}
-            get = terms.get
-            for k1, c1 in outer.items():
-                for k2, c2 in inner.items():
-                    key = k1 + k2
-                    terms[key] = get(key, 0) + c1 * c2
-            terms = {key: c for key, c in terms.items() if c}
+        terms: dict[int, int] = {}
+        get = terms.get
+        for k1, c1 in outer.items():
+            for k2, c2 in inner.items():
+                key = k1 + k2
+                terms[key] = get(key, 0) + c1 * c2
+        terms = {key: c for key, c in terms.items() if c}
         self._layout.check(terms)
         return self._make(terms)
 
@@ -348,7 +346,9 @@ class LaurentPoly:
                 f"exponent vector {exponents!r} does not match"
                 f" {len(self.variables)} variables"
             )
-        step = self._layout.pack(exponents)
+        # a shift in [-2 LIMIT, 2 LIMIT) keeps the fields of key + step
+        # balanced; check() then holds the result to [-LIMIT, LIMIT)
+        step = self._layout.pack(exponents, 2 * LIMIT)
         terms = {key + step: c for key, c in self._terms.items()}
         self._layout.check(terms)
         return self._make(terms)

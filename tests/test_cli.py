@@ -305,6 +305,25 @@ def test_mutate_infinite_type_fails_fast(capsys, tmp_path):
         assert "not of finite type" in err
 
 
+def test_mutate_exponent_past_the_packed_field_exits_3(capsys, tmp_path):
+    # frozen rows may hold any integer; x3^8192 leaves the [-8192, 8192)
+    # field of a packed Laurent monomial at the first mutation.  Text output
+    # computes no variable and still prints the counts
+    path = tmp_path / "b.json"
+    path.write_text("[[0, 1], [-1, 0], [8192, 0]]")
+    code, out, _ = run(capsys, "mutate", "--matrix-file", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == "seeds 5"
+    for fmt in ("json", "dot"):
+        code, out, err = run(
+            capsys, "mutate", "--matrix-file", str(path), "--format", fmt
+        )
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [
+            "mutate: exponent vector (0, 0, 8192) is outside [-8192, 8192)"
+        ]
+
+
 def test_roots_unknown_type_exits_2(capsys):
     code, out, err = run(capsys, "roots", "--type", "X9")
     assert code == 2

@@ -345,11 +345,15 @@ print("top", top.text())
 print("bottom", bottom.text())
 print("shift", top.shift((0, -LIMIT)).text())
 print("divide", (top * y).exact_div(y).text())
+# a shift may leave [-LIMIT, LIMIT) as long as its result does not
+print("separate", bottom.separate())
+print("wide shift", bottom.shift((0, 2 * LIMIT - 1)).text())
 cases = (
     ("power", lambda: x ** LIMIT),
     ("constructor", lambda: LaurentPoly(("x", "y"), {(0, -LIMIT - 1): 1})),
     ("multiply", lambda: top * x),
     ("shift", lambda: bottom.shift((0, -1))),
+    ("shift step", lambda: bottom.shift((0, 2 * LIMIT))),
     ("divide", lambda: top.exact_div(x ** -1)),
     # shifted by x^-LIMIT y^-LIMIT, the numerator is x^(2 LIMIT - 1) y^(2 LIMIT - 1) + 1;
     # its first quotient term x^(2 LIMIT - 1) y^(2 LIMIT - 3), times the
@@ -378,10 +382,13 @@ def test_exponents_at_the_width_limit_and_past_it(flags):
         f"bottom y^-{limit}",
         f"shift x^{limit - 1}*y^-{limit}",
         f"divide x^{limit - 1}",
+        f"separate (LaurentPoly('1'), (0, {limit}))",
+        f"wide shift y^{limit - 1}",
         "overflow power exponent",
         "overflow constructor exponent",
         "overflow multiply exponent",
         "overflow shift exponent",
+        "overflow shift step exponent",
         "overflow divide exponent",
         # refused as the working term is made, not once the quotient is done
         "overflow working term dividing",
