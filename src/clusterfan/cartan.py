@@ -149,18 +149,21 @@ def validate_finite_type(rows: Sequence[Sequence[int]]) -> bool:
     NotSymmetrizable; a symmetrizable matrix whose symmetrization is not
     positive definite is reported as False.
     """
-    entries = check_shape(rows)
-    d = symmetrizer(entries)
-    sym = [[d[i] * entries[i][j] for j in range(len(entries))] for i in range(len(entries))]
-    return all(m > 0 for m in leading_principal_minors(sym))
+    return finite_type(rows) is not None
 
 
-def require_finite_type(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Validate finite type and return the minimal symmetrizer."""
+def finite_type(rows: Sequence[Sequence[int]]) -> DynkinType | None:
+    """The Dynkin type of a Cartan matrix of finite type, or None when its
+    symmetrization is not positive definite; raises as
+    `validate_finite_type` does.  Sylvester's criterion and the diagram
+    classification run once each."""
     entries = check_shape(rows)
-    if not validate_finite_type(entries):
-        raise UnrecognizedDiagram("matrix is not of finite type (not positive definite)")
-    return symmetrizer(entries)
+    d = _propagate(entries, 1, NotSymmetrizable)
+    n = len(entries)
+    sym = [[d[i] * entries[i][j] for j in range(n)] for i in range(n)]
+    if not all(m > 0 for m in leading_principal_minors(sym)):
+        return None
+    return tuple(sorted(_classify_component(entries, comp) for comp in components(entries)))
 
 
 def components(entries: Entries) -> list[list[int]]:
@@ -260,10 +263,10 @@ def _classify_component(entries: Entries, comp: list[int]) -> tuple[str, int]:
 def classify(rows: Sequence[Sequence[int]]) -> DynkinType:
     """Dynkin type of a finite-type Cartan matrix, as a sorted tuple of
     (family letter, rank) factors, e.g. (("A", 2),) or (("A", 1), ("A", 1))."""
-    entries = check_shape(rows)
-    require_finite_type(entries)
-    factors = [_classify_component(entries, comp) for comp in components(entries)]
-    return tuple(sorted(factors))
+    dtype = finite_type(rows)
+    if dtype is None:
+        raise UnrecognizedDiagram("matrix is not of finite type (not positive definite)")
+    return dtype
 
 
 def dynkin_name(dtype: DynkinType) -> str:

@@ -8,7 +8,7 @@ one is needed, and a matrix file that is empty, has an entry that is not an
 integer, is not a Cartan matrix or, for mutate, is not an m-by-n matrix,
 m >= n, with a skew-symmetrizable top part and full column rank),
 3 budget exceeded or, for mutate, an exchange matrix of infinite type or a
-cluster variable with an exponent outside [-8192, 8192) (laurent.LIMIT),
+cluster variable with an exponent outside [-8192, 8192) (packing.LIMIT),
 141 (128 + SIGPIPE, as a shell reports a writer killed by a closed pipe)
 when the reader closes stdout before the output is written.  mutate walks
 the exchange graph once, under --budget-seeds alone; text output prints

@@ -2,14 +2,15 @@
 
 W acts simply transitively on the orbit of the regular weight rho, so the
 search keys element u by mu = u^-1 rho in fundamental-weight coordinates.
-The n coordinates are packed into one int, sum mu_k 2^(k width) with signed
-fields of fixed width, so the key of -mu is -key; |mu_k| <= h - 1 fits the
-width derived from the number of positive roots.  Right multiplication by
-s_i is mu -> s_i mu = mu - mu_i alpha_i, one subtraction on the packed int,
-where alpha_i is column i of the Cartan matrix packed the same way.  Since
-u(alpha_i) > 0 exactly when mu_i > 0, u*s_i is one longer than u when
-mu_i > 0 and one shorter when mu_i < 0, so the search walks the orbit one
-length at a time and keeps only the level below and the level above.
+The n coordinates are packed into one int by `clusterfan.packing`, which is
+linear and one-to-one on fields in [-LIMIT, LIMIT), so the key of -mu is
+-key; |mu_k| <= h - 1, the largest exponent, is checked below LIMIT before
+the walk.  Right multiplication by s_i is mu -> s_i mu = mu - mu_i alpha_i,
+one subtraction on the packed int, where alpha_i is column i of the Cartan
+matrix packed the same way.  Since u(alpha_i) > 0 exactly when mu_i > 0,
+u*s_i is one longer than u when mu_i > 0 and one shorter when mu_i < 0, so
+the search walks the orbit one length at a time and keeps only the level
+below and the level above.
 Element indices run in length order, and `right[u][i]` is the index of
 u*s_i.  The same walk counts the reduced words of every element along its
 ascents.  The count for w0 needs neither a Cayley table nor the upper half
@@ -67,6 +68,7 @@ from math import prod
 from operator import mul
 
 from .linalg import left_kernel, matrix_rank
+from .packing import FIELD, LIMIT, SIGN, layout
 from .roots import RootSystem, _component_exponents, catalan_number, coxeter_element
 
 Perm = tuple[int, ...]
@@ -85,13 +87,6 @@ class GroupCheckFailed(RuntimeError):
     """Two independent computations of the same group datum disagree."""
 
 
-def _packed_columns(cartan: Sequence[Sequence[int]], width: int) -> list[int]:
-    """alpha_i in fundamental-weight coordinates, <alpha_i, alpha_k^vee> =
-    cartan[k][i], packed one field of `width` bits per coordinate."""
-    n = len(cartan)
-    return [sum(cartan[k][i] << (k * width) for k in range(n)) for i in range(n)]
-
-
 def _poincare_polynomial(exponents: Sequence[int]) -> list[int]:
     """Coefficients of prod (1 + q + ... + q^e) over the exponents."""
     coeffs = [1]
@@ -104,16 +99,14 @@ def _poincare_polynomial(exponents: Sequence[int]) -> list[int]:
     return coeffs
 
 
-def _packing(rs: RootSystem) -> tuple[int, list[tuple[int, int]], int]:
-    """The field width, the steps (shift, packed alpha_i) of the walk, and
-    packed rho = (1, ..., 1).  A weight mu packs to sum mu_k 2^(k width)
-    with signed fields, so the key of -mu is -key."""
-    # |mu_k| <= h - 1 <= 2 |positives| - 1 < 2^(width - 1) keeps the key
-    # one-to-one on the orbit, and every field of key + B, B the sum of
-    # the per-field biases 2^(width - 1), inside [0, 2^width)
-    width = (4 * rs.num_positive + 4).bit_length()
-    steps = list(zip(range(0, rs.n * width, width), _packed_columns(rs.cartan, width)))
-    return width, steps, sum(1 << shift for shift, _ in steps)
+def _packing(rs: RootSystem) -> tuple[list[tuple[int, int]], int]:
+    """The steps (shift, packed alpha_i) of the walk, and packed rho =
+    (1, ..., 1), packed by `clusterfan.packing`.  alpha_i in fundamental-
+    weight coordinates is column i of the Cartan matrix, <alpha_i,
+    alpha_k^vee> = cartan[k][i]."""
+    packing = layout(rs.n)
+    columns = [packing.pack([row[i] for row in rs.cartan]) for i in range(rs.n)]
+    return list(zip(packing.shifts, columns)), packing.pack((1,) * rs.n)
 
 
 def _levels(rs: RootSystem, budget: int, right: list[tuple[int, ...]] | None = None):
@@ -152,7 +145,8 @@ def _levels(rs: RootSystem, budget: int, right: list[tuple[int, ...]] | None = N
     level it holds.
 
     Raises BudgetExceeded before the walk when |W|, read off the exponents,
-    is over the budget.  Raises GroupCheckFailed when a level's size is not
+    is over the budget.  Raises GroupCheckFailed before the walk when the
+    largest exponent is LIMIT or more, and then when a level's size is not
     its coefficient of the Poincare polynomial prod [e_i + 1]_q, when a
     negated middle weight is not on level N - k, when mu_i = 0 or a descent
     is not found in the level below, when an element turns up past the |W|
@@ -167,10 +161,14 @@ def _levels(rs: RootSystem, budget: int, right: list[tuple[int, ...]] | None = N
     middle = rs.num_positive // 2
     mirror = rs.num_positive - middle
 
-    width, steps, rho = _packing(rs)
-    bias = 1 << (width - 1)
-    mask = (1 << width) - 1
-    biases = sum(bias << shift for shift, _ in steps)
+    # |mu_k| <= h - 1, the largest exponent, on the orbit of rho
+    if max(exponents) >= LIMIT:
+        raise GroupCheckFailed(
+            f"a weight field may reach {max(exponents)},"
+            f" outside the packed range [-{LIMIT}, {LIMIT})"
+        )
+    steps, rho = _packing(rs)
+    signs, mask, bias = layout(rs.n).signs, FIELD, SIGN  # locals for the loop
 
     below: dict[int, int] = {}
     level = {rho: 0}
@@ -192,7 +190,7 @@ def _levels(rs: RootSystem, budget: int, right: list[tuple[int, ...]] | None = N
         above: dict[int, int] = {}
         above_counts: list[int] = []
         for u, (code, words) in enumerate(zip(level, counts), first):
-            biased = code + biases
+            biased = code + signs
             row = []
             for i, (shift, alpha) in enumerate(steps):
                 m = ((biased >> shift) & mask) - bias

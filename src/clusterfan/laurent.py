@@ -6,30 +6,11 @@ first: terms are compared by total degree and then lexicographically on the
 exponent vector.  The text form produced by ``text()`` is the equality
 witness used throughout the test suite, so its format is deliberately rigid.
 
-Packed monomials.  Over n variables, the exponent vector (e_0, ..., e_{n-1})
-is the one int
-
-    key = d * 2^(nW) + sum_i e_i * 2^((n-1-i)W),    d = e_0 + ... + e_{n-1},
-
-with fields of W = WIDTH bits, e_0 the most significant, under the total
-degree d.  The sum is an integer identity, so a field may be negative: it is
-a balanced digit in [-2^(W-1), 2^(W-1)).  A stored exponent lies in
-[-LIMIT, LIMIT), LIMIT = 2^(W-3); every key the arithmetic forms from stored
-keys, or from a stored key and a shift in [-2 LIMIT, 2 LIMIT), has balanced
-fields (below), and on such keys:
-  - int order is graded-lex order.  Two balanced fields differ by at most
-    2^W - 1, so all the fields below field i together move a difference of
-    keys by at most (2^W - 1)(1 + 2^W + ... + 2^((n-2-i)W)) = 2^((n-1-i)W) - 1,
-    less than one unit of field i: the first field that differs decides,
-    and the degree field sits above them all.  So keys are also distinct
-    exactly when exponent vectors are.
-  - the key is linear in the exponent vector, so a monomial multiply is one
-    int add.
-  - a field leaves [-LIMIT, LIMIT) exactly when key + LIMIT * (1, ..., 1)
-    has a bit at or above 2 LIMIT in some field: the lowest such field
-    borrows nothing from below, and holds e + LIMIT or, if that is
-    negative, e + LIMIT + 2^W.  Such an exponent raises ExponentOverflow,
-    which is not an assert and survives python -O.
+Packed monomials.  Each monomial is keyed by its exponent vector packed
+into one int by `clusterfan.packing`, whose docstring gives the argument:
+on the keys the arithmetic forms, int order is graded-lex order, a
+monomial multiply is one int add, and a stored exponent outside
+[-LIMIT, LIMIT) raises ExponentOverflow, also under python -O.
 
 Exact division is the workhorse for exchange relations: ``exact_div`` shifts
 numerator and denominator into honest polynomials and runs single-divisor
@@ -51,15 +32,10 @@ back, have balanced fields and are checked like any other key.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from struct import Struct
 from typing import Iterable, Mapping, Sequence
 
-WIDTH = 16  # bits per exponent field, read back as signed 16-bit ints
-LIMIT = 1 << (WIDTH - 3)  # stored exponents lie in [-LIMIT, LIMIT)
-_FIELD = (1 << WIDTH) - 1
-_SIGN = 1 << (WIDTH - 1)
+from .packing import LIMIT, ExponentOverflow, layout as _layout
 
 
 class NonExactDivision(ArithmeticError):
@@ -71,62 +47,6 @@ class NonExactDivision(ArithmeticError):
     def __init__(self, message: str, remainder: "LaurentPoly | None" = None):
         super().__init__(message)
         self.remainder = remainder
-
-
-class ExponentOverflow(OverflowError):
-    """An exponent left its packed field: a stored exponent must lie in
-    [-LIMIT, LIMIT), and a working exponent of a division, shifted to be
-    nonnegative, below 2 LIMIT."""
-
-
-class _Layout:
-    """Field offsets and masks of the packing over n variables."""
-
-    __slots__ = ("top", "signs", "bias", "high", "low", "fields", "size")
-
-    def __init__(self, n: int):
-        self.top = n * WIDTH
-        ones = sum(1 << (i * WIDTH) for i in range(n))
-        self.signs = _SIGN * ones
-        self.bias = LIMIT * ones
-        self.high = (_FIELD ^ (2 * LIMIT - 1)) * ones
-        self.low = (1 << self.top) - 1
-        # adding the sign bits makes each balanced field e a plain one,
-        # e + 2^(W-1); flipping them back leaves e in W-bit two's complement
-        self.fields = Struct(f">{n}h")
-        self.size = self.fields.size
-
-    def pack(self, exps: Sequence[int], limit: int = LIMIT) -> int:
-        """The key of an exponent vector with entries in [-limit, limit);
-        limit is at most 4 LIMIT, so that the fields stay balanced."""
-        key = 0
-        for e in exps:
-            if not -limit <= e < limit:
-                raise ExponentOverflow(
-                    f"exponent {e} of {tuple(exps)!r} is outside [-{limit}, {limit})"
-                )
-            key = (key << WIDTH) + e
-        return key + (sum(exps) << self.top)
-
-    def unpack(self, key: int) -> tuple[int, ...]:
-        signs = self.signs
-        plain = ((key + signs) ^ signs) & self.low
-        return self.fields.unpack(plain.to_bytes(self.size, "big"))
-
-    def check(self, keys: Iterable[int]) -> None:
-        """Raise ExponentOverflow unless every key, with balanced fields,
-        has all its exponents in [-LIMIT, LIMIT)."""
-        bias, high = self.bias, self.high
-        for key in keys:
-            if (key + bias) & high:
-                raise ExponentOverflow(
-                    f"exponent vector {self.unpack(key)!r} is outside [-{LIMIT}, {LIMIT})"
-                )
-
-
-@lru_cache(maxsize=None)
-def _layout(n: int) -> _Layout:
-    return _Layout(n)
 
 
 class LaurentPoly:

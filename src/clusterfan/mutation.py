@@ -13,10 +13,11 @@ matrix stacked over the C-matrix, which starts at I, so the stacked matrix
 has full column rank, and mutation keeps that rank (Berenstein-Fomin-
 Zelevinsky, Cluster algebras III, Lemma 3.2).  Each seed also carries its
 g-vectors (Fomin-Zelevinsky, Cluster algebras IV; Nakanishi-Zelevinsky,
-tropical dualities), each packed into one int, and only the k-th moves
-under mutation in direction k, by int arithmetic.  A seed is known by its
-cluster alone, the set of its packed g-vectors, and for the stacked matrix
-that is sound:
+tropical dualities), each packed into one int by `clusterfan.packing`,
+which is linear and one-to-one on fields in [-LIMIT, LIMIT); only the k-th
+moves under mutation in direction k, by int arithmetic.  A seed is known
+by its cluster alone, the set of its packed g-vectors, and for the stacked
+matrix that is sound:
   - a g-vector determines its cluster variable (conjectured in Cluster
     algebras IV, proven by Gross-Hacking-Keel-Kontsevich);
   - a seed whose extended matrix has full rank is determined by its
@@ -28,7 +29,7 @@ edge the walk checks what the edge fixes: the seed it reaches holds the
 new g-vector, and its column at that slot is minus column k of the seed it
 left (mutation in direction k negates column k), the rows matched through
 the g-vectors.  Every edge also checks its c-vector for sign-coherence and
-bounds the new g-vector's fields against the packing width.
+bounds the new g-vector's fields inside [-LIMIT, LIMIT).
 `explore` computes each cluster variable in the Laurent ring once, when
 its g-vector first appears.  The Laurent-level canonical form
 (`canonical_key`) sorts the cluster by text instead; the two keys agree
@@ -52,6 +53,7 @@ from .cartan import DynkinType, NotSkewSymmetrizable, skew_symmetrizer
 from .coxeter import BudgetExceeded
 from .laurent import LaurentPoly
 from .linalg import matrix_rank
+from .packing import LIMIT, layout
 from .roots import RootSystem
 
 
@@ -283,39 +285,9 @@ def _check_witness(rows: Sequence[Sequence[int]], n: int, partial) -> None:
 
 # -- the exchange-graph walk on packed g-vectors ----------------------------------
 
-# A g-vector (g_1, ..., g_n) is packed into the one int sum_j g_j 2^(j WIDTH)
-# with signed fields.  The map is linear, so the g-vector update is int
-# arithmetic, and it is one-to-one on vectors whose fields all have
-# |g_j| < 2^(WIDTH-1): the difference of two such vectors has fields below
-# 2^WIDTH, and a nonzero one packs to a nonzero int.
-WIDTH = 16
-_HALF = 1 << (WIDTH - 1)
-
-
 def _units(n: int) -> tuple[int, ...]:
     """The packed unit vectors: the g-vectors of the initial cluster."""
-    return tuple(1 << (j * WIDTH) for j in range(n))
-
-
-def _unpack(packed: int, n: int) -> tuple[int, ...]:
-    """The n signed fields of a packed g-vector, lowest first."""
-    fields = []
-    for _ in range(n):
-        field = packed & (2 * _HALF - 1)
-        if field >= _HALF:
-            field -= 2 * _HALF
-        fields.append(field)
-        packed = (packed - field) >> WIDTH
-    return tuple(fields)
-
-
-def _check_width(bound: int) -> None:
-    """Raise WalkCheckFailed unless g-vector fields of absolute value at
-    most `bound` fit the packing, that is bound < 2^(WIDTH-1)."""
-    if bound >= _HALF:
-        raise WalkCheckFailed(
-            f"a g-vector field may reach {bound}, past the {WIDTH}-bit packing"
-        )
+    return tuple(layout(n).pack([int(i == j) for i in range(n)]) for j in range(n))
 
 
 def _g_mutate(
@@ -375,6 +347,7 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
     included, with a witness."""
     n = len(rows[0])
     m = len(rows)
+    unpack = layout(n).unpack
     _check_witness(rows, n, partial)
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     start = _units(n)
@@ -389,7 +362,11 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
             c_rows = stacked[m:]
             for k in range(n):
                 g, total = _g_mutate(stacked, gvectors, k, c_vector_sign(c_rows, k))
-                _check_width(norm * total)
+                if norm * total >= LIMIT:
+                    raise WalkCheckFailed(
+                        f"a g-vector field may reach {norm * total},"
+                        f" outside the packed range [-{LIMIT}, {LIMIT})"
+                    )
                 # g'_k is -g_k plus the other g_i, so det G changes sign
                 # alone: the g-vectors stay a basis, n distinct ints
                 moved = gvectors[:k] + (g,) + gvectors[k + 1 :]
@@ -406,7 +383,7 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
                     )
                 image = matrix_mutate(stacked, k)
                 _check_witness(image, n, partial)
-                norm = max(norm, *map(abs, _unpack(g, n)))
+                norm = max(norm, *map(abs, unpack(g)))
                 index[key] = v
                 seeds.append((image, moved))
                 fresh.append(v)
@@ -550,11 +527,9 @@ def _finite_type(matrix: Sequence[Sequence[int]]) -> DynkinType | None:
     if candidate is None:
         return None
     try:
-        if cartan_mod.validate_finite_type(candidate):
-            return cartan_mod.classify(candidate)
+        return cartan_mod.finite_type(candidate)
     except (cartan_mod.NotCartanShape, cartan_mod.NotSymmetrizable):
-        pass
-    return None
+        return None
 
 
 def _closed_type(detected: DynkinType | None) -> DynkinType:

@@ -52,7 +52,7 @@ class RootSystem:
         entries = cartan_mod.check_shape(entries)
         self.cartan = entries
         self.n = len(entries)
-        self.symmetrizer = cartan_mod.require_finite_type(entries)
+        self.symmetrizer = cartan_mod.symmetrizer(entries)
         self.dynkin = cartan_mod.classify(entries)
         positives = self._closure()
         positives.sort(key=lambda c: (sum(c), c))

@@ -96,7 +96,7 @@ GROUP_TABLE = {
 FACET_TABLE = {
     "A1": 2, "A2": 5, "A3": 14, "A4": 42, "A5": 132,
     "B2": 6, "B3": 20, "B4": 70, "C3": 20, "D4": 50,
-    "F4": 105, "G2": 8, "E6": 833,
+    "F4": 105, "G2": 8, "E6": 833, "E7": 4160,
 }
 
 
@@ -305,7 +305,7 @@ def _complex(name: str) -> ClusterComplexData:
 
 
 def criterion_cluster_complexes(extended: bool = False) -> str:
-    names = QUICK_TYPES + (("E6",) if extended else ())
+    names = QUICK_TYPES + (("E6", "E7") if extended else ())
     counts = {}
     for name in names:
         data = _complex(name)
@@ -348,7 +348,7 @@ def criterion_tau_machinery() -> str:
     return "orders " + " ".join(f"{k}:{orders[k]}" for k in sorted(orders))
 
 
-def criterion_polytopes() -> str:
+def criterion_polytopes(extended: bool = False) -> str:
     def negated_simple_values(poly):
         rs = poly.ap.rs
         return [poly.support(rs.negate(rs.simple_index[i])) for i in range(rs.n)]
@@ -365,15 +365,18 @@ def criterion_polytopes() -> str:
 
     a2 = build_polytope(_complex("A2"))
     check(len(a2.vertices) == 5, len(a2.vertices))
-
-    for poly in (a2, a3, c3):
+    polys = [a2, a3, c3]
+    detail = "A3 constants 3/2,2 with 14 vertices; C3 constants 5/2,4,9/2 with 20; A2 pentagon"
+    if extended:
+        e7 = build_polytope(_complex("E7"))
+        check(len(e7.vertices) == FACET_TABLE["E7"], len(e7.vertices))
+        polys.append(e7)
+        detail += f"; E7 with {len(e7.vertices)} vertices"
+    for poly in polys:
         check(len(poly.facets) == len(set(poly.vertices)), poly.ap.rs.dynkin)
         for facet in poly.facets:
             check(len(facet) == poly.ap.rs.n, facet)
-    return (
-        "A3 constants 3/2,2 with 14 vertices; C3 constants 5/2,4,9/2 with 20;"
-        " A2 pentagon; all simple"
-    )
+    return detail + "; all simple"
 
 
 def criterion_fan_checks() -> str:
@@ -507,7 +510,7 @@ def run_battery(extended: bool = False) -> list[CriterionResult]:
         (6, "polygon-oracle", criterion_polygon_oracle),
         (7, "cluster-complexes", lambda: criterion_cluster_complexes(extended)),
         (8, "tau-machinery", criterion_tau_machinery),
-        (9, "polytopes", criterion_polytopes),
+        (9, "polytopes", lambda: criterion_polytopes(extended)),
         (10, "fan-checks", criterion_fan_checks),
         (11, "enumerative", criterion_enumerative),
         (12, "wiring", criterion_wiring),

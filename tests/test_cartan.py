@@ -2,6 +2,7 @@
 
 import pytest
 
+from clusterfan import cartan
 from clusterfan.cartan import (
     NotCartanShape,
     UnrecognizedDiagram,
@@ -17,6 +18,7 @@ from clusterfan.cartan import (
     symmetrizer,
     validate_finite_type,
 )
+from clusterfan.roots import root_system
 
 # The four rank-4 matrices used as the running classification examples, frozen
 # entry by entry.  B is the short-root-first convention (a_01 = -2).
@@ -144,3 +146,21 @@ def test_parse_cartan_text_both_forms():
     assert parse_cartan_text("matrix:[[2,-1],[-1,2]]") == ((2, -1), (-1, 2))
     with pytest.raises(ValueError):
         parse_cartan_text("nonsense")
+
+
+def test_root_system_validates_its_matrix_once(monkeypatch):
+    # Sylvester's criterion and the diagram classification run once per
+    # root system: one call for the minors, one per diagram component
+    calls = []
+    for name in ("leading_principal_minors", "_classify_component"):
+        original = getattr(cartan, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(cartan, name, counted)
+    for name, components in (("A1", 1), ("B3", 1), ("E6", 1), ("A2+G2", 2)):
+        calls.clear()
+        root_system(name)
+        assert calls == ["leading_principal_minors"] + ["_classify_component"] * components, name

@@ -786,6 +786,7 @@ def test_group_output_builds_no_permutations(fmt, monkeypatch, capsys):
 MIRROR_SABOTAGE = """
 import sys
 from clusterfan import coxeter
+from clusterfan.packing import layout
 from clusterfan.roots import root_system
 print("optimize", sys.flags.optimize)
 # start the walk at rho + omega_1, a regular weight whose orbit has the
@@ -793,8 +794,8 @@ print("optimize", sys.flags.optimize)
 # w0 on A2 and A3
 packing = coxeter._packing
 def sabotaged(rs):
-    width, steps, rho = packing(rs)
-    return width, steps, rho + 1
+    steps, rho = packing(rs)
+    return steps, rho + layout(rs.n).pack((1,) + (0,) * (rs.n - 1))
 coxeter._packing = sabotaged
 for name in ("A2", "A3"):
     for walk in (coxeter.count_reduced_words, coxeter.build_group):
@@ -830,21 +831,22 @@ def test_left_table_is_built_on_first_use():
 SABOTAGED_SEARCH = """
 import sys
 from clusterfan import coxeter
+from clusterfan.packing import layout
 from clusterfan.roots import root_system
 print("optimize", sys.flags.optimize)
 # alpha_1 with one more in its second coordinate: steps along s_1 leave the
 # orbit of rho
-columns = coxeter._packed_columns
-def sabotaged(cartan, width):
-    packed = columns(cartan, width)
-    packed[0] += 1 << width
-    return packed
-coxeter._packed_columns = sabotaged
+packing = coxeter._packing
+def sabotaged(rs):
+    (shift, alpha), *steps = packing(rs)[0]
+    alpha += layout(rs.n).pack((0, 1) + (0,) * (rs.n - 2))
+    return [(shift, alpha)] + steps, packing(rs)[1]
+coxeter._packing = sabotaged
 try:
     coxeter.build_group(root_system("A3"))
 except coxeter.GroupCheckFailed as exc:
     print("FAIL", exc)
-coxeter._packed_columns = columns
+coxeter._packing = packing
 # exponents 1, 1, 5 give |W| = 24 as A3's 1, 2, 3 do, but another polynomial
 exponents = coxeter._component_exponents
 coxeter._component_exponents = lambda rs: [[1, 1, 5]]

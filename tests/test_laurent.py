@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clusterfan import laurent
+from clusterfan import laurent, packing
 from clusterfan.laurent import LaurentPoly, NonExactDivision, parse_laurent
 from clusterfan.linalg import (
     SingularMatrix,
@@ -294,7 +294,7 @@ def term_dicts(draw, n, max_size=5):
 @given(st.data())
 def test_packed_order_is_grlex_order(data):
     n = data.draw(st.integers(1, 4))
-    layout = laurent._layout(n)
+    layout = packing.layout(n)
     field = st.tuples(*[st.integers(-laurent.LIMIT, laurent.LIMIT - 1) for _ in range(n)])
     a, b, c, d = (data.draw(field) for _ in range(4))
     for u, v in ((a, b), (a, a)):

@@ -37,7 +37,6 @@ from clusterfan.mutation import (
     NotAlmostPositive,
     NotFiniteType,
     NotFullRank,
-    WalkCheckFailed,
     alternating_chain,
     canonical_key,
     denominator_root,
@@ -48,8 +47,6 @@ from clusterfan.mutation import (
     graph_to_dot,
     initial_seed,
     _cartan_companion,
-    _check_width,
-    _unpack,
     _units,
     c_vector_sign,
     matrix_mutate,
@@ -58,6 +55,7 @@ from clusterfan.mutation import (
     seed_mutate,
     seed_to_dict,
 )
+from clusterfan.packing import LIMIT, ExponentOverflow, layout
 from clusterfan.roots import root_system
 
 
@@ -518,7 +516,7 @@ def test_walk_matches_g_key_oracle(name, frozen, relabel):
         rows = relabeled(rows, perm, -1)
     rows = tuple(tuple(row) for row in rows)
     ours = [
-        (u, k, v, new, image and (image[0], image[1], tuple(_unpack(g, n) for g in image[2])))
+        (u, k, v, new, image and (image[0], image[1], tuple(map(layout(n).unpack, image[2]))))
         for u, k, v, image, new in mutation._walk(rows, 10**5)
     ]
     theirs = [
@@ -528,17 +526,59 @@ def test_walk_matches_g_key_oracle(name, frozen, relabel):
 
 
 def test_packing_is_faithful_up_to_the_width_check():
-    # the largest fields the width check lets through pack one-to-one
-    top = (1 << (mutation.WIDTH - 1)) - 1
-    vectors = [(top, -top, 0), (-top, top, -top), (top, top, top), (0, 0, -top)]
+    # the extreme fields the bound check lets through pack one-to-one, and
+    # the walk's packed units are the shared codec's
+    top = LIMIT - 1
+    vectors = [(top, -top, 0), (-top, top, -top), (top, top, top), (0, 0, -top), (-LIMIT, 0, top)]
+    codec = layout(3)
     packed = [sum(g * unit for g, unit in zip(vector, _units(3))) for vector in vectors]
-    assert [_unpack(p, 3) for p in packed] == vectors
+    assert packed == [codec.pack(vector) for vector in vectors]
+    assert [codec.unpack(p) for p in packed] == vectors
     assert len(set(packed)) == len(vectors)
-    _check_width(top)
-    with pytest.raises(WalkCheckFailed, match="past the 16-bit packing"):
-        _check_width(top + 1)
-    # one past it, fields wrap: 2^(w-1) reads back as -2^(w-1)
-    assert _unpack(top + 1, 1) == (-top - 1,)
+    codec.check(packed)
+    with pytest.raises(ExponentOverflow, match=f"outside \\[-{LIMIT}, {LIMIT}\\)"):
+        codec.check([codec.pack((top, 0, 0)) + _units(3)[0]])
+
+
+PACKED_RANGE = """
+import sys
+from clusterfan import coxeter, mutation
+from clusterfan.packing import LIMIT
+from clusterfan.roots import root_system
+print("optimize", sys.flags.optimize)
+# every g-vector update of the A2 walk claims a field bound of LIMIT - 1,
+# then LIMIT; its own g-vectors have fields of at most 1
+g_mutate = mutation._g_mutate
+for bound in (LIMIT - 1, LIMIT):
+    mutation._g_mutate = lambda *args: (g_mutate(*args)[0], bound)
+    try:
+        print("walk", mutation.exchange_counts(((0, 1), (-1, 0)))[:2])
+    except mutation.WalkCheckFailed as exc:
+        print("FAIL", exc)
+mutation._g_mutate = g_mutate
+# A3 read with a largest exponent of LIMIT - 1, then LIMIT: the first passes
+# the range check and fails on the level sizes, the second is refused
+for top in (LIMIT - 1, LIMIT):
+    coxeter._component_exponents = lambda rs: [[1, 1, top]]
+    try:
+        coxeter.count_elements(root_system("A3"))
+    except coxeter.GroupCheckFailed as exc:
+        print("FAIL", str(exc).split(" [")[0])
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_g_vector_and_weight_at_the_packed_limit(flags):
+    # python -O strips assert statements; the range checks must not be ones
+    command = [sys.executable, *flags, "-c", PACKED_RANGE]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert result.stdout.splitlines() == [
+        f"optimize {len(flags)}",
+        "walk (5, 5)",
+        f"FAIL a g-vector field may reach {LIMIT}, outside the packed range [-{LIMIT}, {LIMIT})",
+        "FAIL length counts must be the Poincare polynomial",
+        f"FAIL a weight field may reach {LIMIT}, outside the packed range",
+    ], result.stderr
 
 
 SABOTAGED_REVISIT = """

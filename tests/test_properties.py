@@ -33,13 +33,13 @@ from clusterfan.linalg import (
 )
 from clusterfan.mutation import (
     _g_mutate,
-    _unpack,
     _units,
     c_vector_sign,
     initial_seed,
     matrix_mutate,
     seed_mutate,
 )
+from clusterfan.packing import layout
 from test_mutation import tropical_mutate
 
 FINITE_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4")
@@ -91,14 +91,15 @@ def test_packed_g_vector_update_unpacks_to_the_tropical_one(case):
     n = len(rows[0])
     state = (rows, identity(n), identity(n))
     packed = _units(n)
+    unpack = layout(n).unpack
     for step in steps + [0]:
         for k in range(n):
             g, _ = _g_mutate(state[0], packed, k, c_vector_sign(state[1], k))
-            assert _unpack(g, n) == tropical_mutate(*state, k)[2][k]
+            assert unpack(g) == tropical_mutate(*state, k)[2][k]
         g, _ = _g_mutate(state[0], packed, step, c_vector_sign(state[1], step))
         packed = packed[:step] + (g,) + packed[step + 1 :]
         state = tropical_mutate(*state, step)
-        assert tuple(_unpack(g, n) for g in packed) == state[2]
+        assert tuple(map(unpack, packed)) == state[2]
 
 
 @slow
