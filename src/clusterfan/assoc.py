@@ -525,8 +525,8 @@ def support_function(ap: AlmostPositive) -> SupportFunctionF:
         i_star = rs.roots[rs.negate(image)].coords.index(1)
         if rho[i] != rho[i_star]:
             raise AssocCheckFailed(f"seed is not (-w0)-invariant at node {i}")
-    for j in range(rs.n):
-        column = sum(rho[i] * rs.cartan[i][j] for i in range(rs.n))
+    for j, s in enumerate(rs.simple_index):
+        column = sum(map(operator.mul, rho, rs.roots[s].pairing))
         if column <= 0:
             raise AssocCheckFailed(f"column {j} fails strict positivity")
 
@@ -656,12 +656,12 @@ def refinement_check(
     of the dual basis that the complex keeps for the cluster.  The rays of
     the chamber of u are the u(omega_k), the integer columns of a matrix
     M[u].  Since s_j omega_k = omega_k - delta_jk alpha_j and alpha_j is
-    column j of the Cartan matrix, M[u s_j] differs from M[u] in column j
-    alone, which becomes col_j - sum_k cartan[k][j] col_k; so the matrices
-    are walked along the discoverer chain of the Cayley table."""
+    the pairing vector p of the j-th simple root, M[u s_j] differs from M[u]
+    in column j alone, which becomes col_j - sum_k p_k col_k; so the
+    matrices are walked along the discoverer chain of the Cayley table."""
     ap = complex_data.ap
     n = ap.n
-    alphas = list(zip(*ap.rs.cartan))  # alpha_j in fundamental-weight coordinates
+    alphas = [ap.rs.roots[s].pairing for s in ap.rs.simple_index]
     plus, _ = ap.parts
     sigma = [1 if i in plus else -1 for i in range(n)]
     # each cone as the rows sigma D_k, which pair with a ray like D_k with sigma y

@@ -7,8 +7,10 @@ seed.  Exit codes: 0 success, 1 verification failure, 2 usage error
 one is needed, and a matrix file that is empty, has an entry that is not an
 integer, is not a Cartan matrix or, for mutate, is not an m-by-n matrix,
 m >= n, with a skew-symmetrizable top part and full column rank),
-3 budget exceeded or, for mutate, an exchange matrix of infinite type or a
-cluster variable with an exponent outside [-8192, 8192) (packing.LIMIT),
+3 budget exceeded (including a root system of rank over 128,
+roots.MAX_RANK, so that A128 is the largest A_n admitted) or, for mutate,
+an exchange matrix of infinite type or a cluster variable with an exponent
+outside [-8192, 8192) (packing.LIMIT),
 141 (128 + SIGPIPE, as a shell reports a writer killed by a closed pipe)
 when the reader closes stdout before the output is written.  mutate walks
 the exchange graph once, under --budget-seeds alone; text output prints

@@ -102,11 +102,10 @@ def _poincare_polynomial(exponents: Sequence[int]) -> list[int]:
 def _packing(rs: RootSystem) -> tuple[list[tuple[int, int]], int]:
     """The steps (shift, packed alpha_i) of the walk, and packed rho =
     (1, ..., 1), packed by `clusterfan.packing`.  alpha_i in fundamental-
-    weight coordinates is column i of the Cartan matrix, <alpha_i,
-    alpha_k^vee> = cartan[k][i]."""
+    weight coordinates is the simple root's pairing vector."""
     packing = layout(rs.n)
-    columns = [packing.pack([row[i] for row in rs.cartan]) for i in range(rs.n)]
-    return list(zip(packing.shifts, columns)), packing.pack((1,) * rs.n)
+    alphas = [packing.pack(rs.roots[s].pairing) for s in rs.simple_index]
+    return list(zip(packing.shifts, alphas)), packing.pack((1,) * rs.n)
 
 
 def _levels(rs: RootSystem, budget: int, right: list[tuple[int, ...]] | None = None):

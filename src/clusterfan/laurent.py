@@ -476,21 +476,7 @@ class LaurentPoly:
             return text
 
     def _render(self) -> str:
-        if not self._terms:
-            return "0"
-        names = self.variables
-        pieces: list[str] = []
-        for exps, coeff in self.terms():
-            factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e]
-            magnitude = abs(coeff)
-            if magnitude != 1 or not factors:
-                factors.insert(0, str(magnitude))
-            body = "*".join(factors)
-            if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f"{' + ' if coeff > 0 else ' - '}{body}")
-        return "".join(pieces)
+        return _signed_sum(self.variables, self.terms(), "*", " + ")
 
     def fraction_text(self) -> str:
         """Display form numerator/denominator with a monomial denominator.
@@ -505,34 +491,14 @@ class LaurentPoly:
         '(y+1)/x'
         """
         numerator, dens = self.separate()
-        compact = all(len(v) == 1 for v in self.variables)
-        sep = "" if compact else "*"
-
-        def term_text(exps: tuple[int, ...], coeff: int, lead: bool) -> str:
-            factors = []
-            for var, e in zip(self.variables, exps):
-                if e == 0:
-                    continue
-                factors.append(var if e == 1 else f"{var}^{e}")
-            magnitude = abs(coeff)
-            if magnitude != 1 or not factors:
-                factors.insert(0, str(magnitude))
-            body = sep.join(factors)
-            if lead:
-                return body if coeff > 0 else f"-{body}"
-            return f"{'+' if coeff > 0 else '-'}{body}"
-
-        parts = [term_text(e, c, i == 0) for i, (e, c) in enumerate(numerator.terms())]
-        num_text = "".join(parts) if parts else "0"
+        sep = "" if all(len(v) == 1 for v in self.variables) else "*"
+        num_text = _signed_sum(self.variables, numerator.terms(), sep, "+")
         if not any(dens):
             return num_text
-        den_factors = [
-            var if e == 1 else f"{var}^{e}" for var, e in zip(self.variables, dens) if e
-        ]
-        den_text = sep.join(den_factors)
+        den_text = _signed_sum(self.variables, [(dens, 1)], sep, "+")
         if len(numerator) > 1:
             num_text = f"({num_text})"
-        if len(den_factors) > 1:
+        if sum(1 for e in dens if e) > 1:
             den_text = f"({den_text})"
         return f"{num_text}/{den_text}"
 
@@ -541,6 +507,31 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.text()!r})"
+
+
+def _signed_sum(
+    variables: Sequence[str],
+    terms: Iterable[tuple[Sequence[int], int]],
+    times: str,
+    plus: str,
+) -> str:
+    """The terms (exponents, coefficient) as a signed sum of monomials, with
+    `times` between the factors of a monomial and `plus`, or `plus` with its
+    "+" made "-", before each term after the first; unit coefficients and
+    zero exponents are omitted, and no terms give "0"."""
+    minus = plus.replace("+", "-")
+    pieces: list[str] = []
+    for exps, coeff in terms:
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e]
+        magnitude = abs(coeff)
+        if magnitude != 1 or not factors:
+            factors.insert(0, str(magnitude))
+        body = times.join(factors)
+        if not pieces:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"{plus if coeff > 0 else minus}{body}")
+    return "".join(pieces) or "0"
 
 
 _new = object.__new__
@@ -603,12 +594,4 @@ def parse_laurent(variables: Sequence[str], source: str) -> LaurentPoly:
             else:
                 raise ValueError(f"unknown factor {factor!r} in {source!r}")
         result = result + LaurentPoly.monomial(variables, coeff, exps)
-    return result
-
-
-def product(polys: Iterable[LaurentPoly], unit: LaurentPoly) -> LaurentPoly:
-    """Product of an iterable of Laurent polynomials (unit for empty input)."""
-    result = unit
-    for p in polys:
-        result = result * p
     return result

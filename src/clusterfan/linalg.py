@@ -56,6 +56,24 @@ def _scaled_int_rows(rows: Rows) -> list[list[int]]:
     return [clear_denominators(row) for row in rows]
 
 
+def _exact(value: int, divisor: int, step: str) -> int:
+    q, rem = divmod(value, divisor)
+    if rem:
+        raise InexactElimination(f"{step} {value} / {divisor} left remainder {rem}")
+    return q
+
+
+def _eliminate(rows: list[list[int]], row: int, col: int, prev: int) -> None:
+    """Clear column `col` below the pivot rows[row][col] in place, each new
+    entry divided exactly by the previous pivot `prev`."""
+    lead = rows[row]
+    for below in rows[row + 1 :]:
+        for c in range(col + 1, len(lead)):
+            value = lead[col] * below[c] - below[col] * lead[c]
+            below[c] = _exact(value, prev, "Bareiss step")
+        below[col] = 0
+
+
 def _bareiss(rows: list[list[int]]) -> tuple[int, int, list[int]]:
     """In-place fraction-free elimination.
 
@@ -77,16 +95,7 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, list[int]]:
         if pivot != row:
             rows[row], rows[pivot] = rows[pivot], rows[row]
             sign = -sign
-        for r in range(row + 1, m):
-            for c in range(col + 1, n):
-                value = rows[row][col] * rows[r][c] - rows[r][col] * rows[row][c]
-                q, rem = divmod(value, prev)
-                if rem:
-                    raise InexactElimination(
-                        f"Bareiss step {value} / {prev} left remainder {rem}"
-                    )
-                rows[r][c] = q
-            rows[r][col] = 0
+        _eliminate(rows, row, col, prev)
         prev = rows[row][col]
         pivots.append(col)
         row += 1
@@ -136,11 +145,7 @@ def _solve_rows(work: list[list[int]]) -> tuple[int, int, list[list[int]]]:
             acc = denominator * work[i][n + col]
             for j in range(i + 1, n):
                 acc -= work[i][j] * numerators[j][col]
-            numerators[i][col], rem = divmod(acc, work[i][i])
-            if rem:
-                raise InexactElimination(
-                    f"back substitution {acc} / {work[i][i]} left remainder {rem}"
-                )
+            numerators[i][col] = _exact(acc, work[i][i], "back substitution")
     return sign, denominator, numerators
 
 
@@ -182,10 +187,19 @@ def solve_fraction_free(
     return tuple(x // common for x, in numerators), denominator // common
 
 
-def leading_principal_minors(rows: Sequence[Sequence[int]]) -> list[Fraction]:
-    """Determinants of the leading principal k-by-k submatrices, k = 1..n."""
-    n = len(rows)
-    return [det([row[: k + 1] for row in list(rows)[: k + 1]]) for k in range(n)]
+def leading_principal_minors(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Determinants of the leading principal k-by-k submatrices, k = 1..n,
+    up to the first zero one: without row swaps, the k-th pivot of
+    fraction-free elimination is the k-th leading minor (Bareiss, Math.
+    Comp. 22, 1968), and past a zero pivot it cannot go on."""
+    work = [list(row) for row in rows]
+    minors = [1]
+    for k in range(len(work)):
+        minors.append(work[k][k])
+        if not minors[-1]:
+            break
+        _eliminate(work, k, k, minors[-2])
+    return minors[1:]
 
 
 def _euclid_echelon(work: list[list[int]], width: int) -> list[int]:

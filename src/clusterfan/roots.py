@@ -1,14 +1,16 @@
 """Finite crystallographic root systems in simple-root coordinates.
 
-A root is stored as its integer coordinate vector over the simple roots.
-The full system is generated by closing the simples under the simple
-reflections; positivity is read off the signs of the coordinates.  The
-bilinear form is (alpha_i, alpha_j) = d_i a_ij with D the minimal
-symmetrizer, so coroot coordinates and reflection matrices stay exact.
+A root is stored as its integer coordinate vector c over the simple roots
+and its pairing vector p = A c, the numbers <beta, alpha_i^vee>, which are
+its fundamental-weight coordinates.  With (alpha_i, alpha_j) = d_i a_ij, D
+the minimal symmetrizer, every root datum is read off p in O(n) and stays
+exact: s_i beta = beta - p_i alpha_i, (beta, beta) = sum_i c_i d_i p_i, and
+the reflection through beta sends r to r - (beta^vee . p(r)) beta.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -18,10 +20,15 @@ from typing import Iterable, Sequence
 from . import cartan as cartan_mod
 from .cartan import DynkinType, Entries
 
+# A rank-n system has up to n^2 positive roots and its validation takes
+# O(n^3) steps, so a larger rank is refused first; A128 (8,256 positive
+# roots) is the largest A_n admitted.
+MAX_RANK = 128
+
 
 class ClosureBudgetExceeded(RuntimeError):
-    """The reflection closure produced more positive roots than the budget
-    allows; the input cannot be of finite type."""
+    """The rank is over MAX_RANK: the root system is refused before it is
+    validated or closed."""
 
 
 class NotIrreducible(ValueError):
@@ -36,6 +43,7 @@ class RootCheckFailed(RuntimeError):
 @dataclass(frozen=True)
 class Root:
     coords: tuple[int, ...]
+    pairing: tuple[int, ...]  # <root, alpha_i^vee> = (A coords)_i
     coroot_coords: tuple[int, ...]
     length_half_square: int  # (alpha, alpha) / 2
 
@@ -52,13 +60,16 @@ class RootSystem:
         entries = cartan_mod.check_shape(entries)
         self.cartan = entries
         self.n = len(entries)
+        if self.n > MAX_RANK:
+            raise ClosureBudgetExceeded(
+                f"rank {self.n} is over the bound of {MAX_RANK} simple roots"
+            )
         self.symmetrizer = cartan_mod.symmetrizer(entries)
         self.dynkin = cartan_mod.classify(entries)
-        positives = self._closure()
-        positives.sort(key=lambda c: (sum(c), c))
+        positives = sorted(self._closure().items(), key=lambda r: (sum(r[0]), r[0]))
         self.num_positive = len(positives)
-        coords = positives + [tuple(-x for x in c) for c in positives]
-        self.roots: list[Root] = [self._make_root(c) for c in coords]
+        negatives = [(tuple(-x for x in c), tuple(-x for x in p)) for c, p in positives]
+        self.roots = [self._make_root(c, p) for c, p in positives + negatives]
         self.index = {r.coords: i for i, r in enumerate(self.roots)}
         self.simple_index = [
             self.index[tuple(1 if j == i else 0 for j in range(self.n))]
@@ -67,82 +78,62 @@ class RootSystem:
 
     # -- construction ------------------------------------------------------
 
-    def _closure(self) -> list[tuple[int, ...]]:
-        budget = 10 * self.n * self.n
-        simples = [tuple(1 if j == i else 0 for j in range(self.n)) for i in range(self.n)]
-        seen = set(simples)
-        frontier = list(simples)
+    def _closure(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """The positive roots, each mapped to its pairing vector, closed from
+        the simples under the s_i with p_i < 0, which raise the height and
+        take p to p - p_i (column i of A).  They reach every positive root:
+        one that is not simple has some p_i > 0, as sum c_i d_i p_i > 0, and
+        s_i lowers it to a positive root (Humphreys, Introduction to Lie
+        Algebras and Representation Theory, 10.2, Lemma B)."""
+        columns = list(zip(*self.cartan))
+        found = {
+            tuple(1 if j == i else 0 for j in range(self.n)): columns[i]
+            for i in range(self.n)
+        }
+        frontier = list(found)
         while frontier:
             fresh = []
             for coords in frontier:
-                for i in range(self.n):
-                    image = self.reflect_coords(i, coords)
-                    if image not in seen and all(x >= 0 for x in image):
-                        seen.add(image)
-                        fresh.append(image)
-                        if len(seen) > budget:
-                            raise ClosureBudgetExceeded(
-                                f"more than {budget} positive roots generated"
+                pairing = found[coords]
+                for i, p in enumerate(pairing):
+                    if p < 0:
+                        image = _reflect_simple(coords, i, p)
+                        if image not in found:
+                            found[image] = tuple(
+                                x - p * a for x, a in zip(pairing, columns[i])
                             )
+                            fresh.append(image)
             frontier = fresh
-        return list(seen)
+        return found
 
-    def _make_root(self, coords: tuple[int, ...]) -> Root:
-        pairing = 0
-        for i in range(self.n):
-            if coords[i]:
-                for j in range(self.n):
-                    if coords[j]:
-                        pairing += coords[i] * coords[j] * self.symmetrizer[i] * self.cartan[i][j]
-        if pairing <= 0 or pairing % 2:
-            raise RootCheckFailed(f"root {coords} has squared length {pairing}")
-        half = pairing // 2
+    def _make_root(self, coords: tuple[int, ...], pairing: tuple[int, ...]) -> Root:
+        # (beta, beta) = sum_ij c_i c_j d_i a_ij = sum_i c_i d_i p_i
+        square = sum(c * d * p for c, d, p in zip(coords, self.symmetrizer, pairing))
+        if square <= 0 or square % 2:
+            raise RootCheckFailed(f"root {coords} has squared length {square}")
+        half = square // 2
         coroot = []
-        for i in range(self.n):
-            num = coords[i] * self.symmetrizer[i]
-            if num % half:
+        for c, d in zip(coords, self.symmetrizer):
+            if c * d % half:
                 raise RootCheckFailed(f"coroot of {coords} is not integral")
-            coroot.append(num // half)
-        return Root(coords, tuple(coroot), half)
+            coroot.append(c * d // half)
+        return Root(coords, pairing, tuple(coroot), half)
 
     # -- geometry ----------------------------------------------------------
 
-    def reflect_coords(self, i: int, coords: Sequence[int]) -> tuple[int, ...]:
-        """Apply the simple reflection s_i to a coordinate vector."""
-        out = list(coords)
-        out[i] = coords[i] - sum(self.cartan[i][j] * coords[j] for j in range(self.n))
-        return tuple(out)
-
-    def coroot_pairing(self, coords: Sequence[int], root_idx: int) -> int:
-        """<alpha, beta-vee> for alpha given by coords and beta a root."""
-        beta = self.roots[root_idx]
-        total = 0
-        for i in range(self.n):
-            if coords[i]:
-                acc = sum(self.cartan[i][j] * beta.coords[j] for j in range(self.n))
-                total += coords[i] * self.symmetrizer[i] * acc
-        pairing, rem = divmod(total, beta.length_half_square)
-        if rem:
-            raise RootCheckFailed(
-                f"pairing of {tuple(coords)} with root {root_idx} is not integral"
-            )
-        return pairing
+    def _reflect(self, beta: Root, root: Root) -> tuple[int, ...]:
+        """The coordinates of s_beta root = root - (beta^vee . p(root)) beta."""
+        k = sum(map(operator.mul, beta.coroot_coords, root.pairing))
+        if not k:
+            return root.coords
+        return tuple(x - k * b for x, b in zip(root.coords, beta.coords))
 
     def reflection_matrix(self, root_idx: int) -> list[list[int]]:
         """Integer matrix of the reflection through a root, acting on
         simple-root coordinates (columns are images of the simples)."""
         beta = self.roots[root_idx]
-        cols = []
-        for j in range(self.n):
-            unit = tuple(1 if k == j else 0 for k in range(self.n))
-            pairing = self.coroot_pairing(unit, root_idx)
-            cols.append(
-                [
-                    (1 if k == j else 0) - pairing * beta.coords[k]
-                    for k in range(self.n)
-                ]
-            )
-        return [[cols[j][i] for j in range(self.n)] for i in range(self.n)]
+        columns = [self._reflect(beta, self.roots[s]) for s in self.simple_index]
+        return [list(row) for row in zip(*columns)]
 
     # -- permutations ------------------------------------------------------
 
@@ -150,7 +141,9 @@ class RootSystem:
     def _simple_perms(self) -> list[tuple[int, ...]]:
         """s_1, ..., s_n as permutations of the root indices, computed once."""
         return [
-            tuple(self.index[self.reflect_coords(i, r.coords)] for r in self.roots)
+            tuple(
+                self.index[_reflect_simple(r.coords, i, r.pairing[i])] for r in self.roots
+            )
             for i in range(self.n)
         ]
 
@@ -158,15 +151,8 @@ class RootSystem:
         return self._simple_perms[i]
 
     def reflection_perm(self, root_idx: int) -> tuple[int, ...]:
-        matrix = self.reflection_matrix(root_idx)
-        out = []
-        for r in self.roots:
-            image = tuple(
-                sum(matrix[k][j] * r.coords[j] for j in range(self.n))
-                for k in range(self.n)
-            )
-            out.append(self.index[image])
-        return tuple(out)
+        beta = self.roots[root_idx]
+        return tuple(self.index[self._reflect(beta, r)] for r in self.roots)
 
     def word_perm(self, word: Sequence[int]) -> tuple[int, ...]:
         """The product s_{w1} ... s_{wk} of simple reflections as a
@@ -205,6 +191,11 @@ class RootSystem:
 
     def positive_roots(self) -> list[Root]:
         return self.roots[: self.num_positive]
+
+
+def _reflect_simple(coords: tuple[int, ...], i: int, p: int) -> tuple[int, ...]:
+    """s_i beta = beta - p_i alpha_i, for beta given by coords and p_i = p."""
+    return coords[:i] + (coords[i] - p,) + coords[i + 1 :]
 
 
 def root_system(source: Entries | str | DynkinType) -> RootSystem:

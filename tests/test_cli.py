@@ -227,6 +227,21 @@ def test_oversized_group_exits_3_at_once(capsys, command, name, message):
     assert err.strip().splitlines() == [f"budget exceeded: {message}"]
 
 
+@pytest.mark.parametrize("command", ["roots", "mutate"])
+def test_oversized_rank_exits_3_at_once(command):
+    # A400 would have 80,200 positive roots; its rank is refused before its
+    # Cartan matrix is validated, with one line and no traceback
+    argv = [sys.executable, "-m", "clusterfan.cli", command, "--type", "A400"]
+    start = time.perf_counter()
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert "Traceback" not in result.stderr
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.splitlines() == [
+        "budget exceeded: rank 400 is over the bound of 128 simple roots"
+    ]
+
+
 @pytest.mark.parametrize(
     "source,walked",
     [("--type", False), ("type:", False), ("matrix:", True)],

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clusterfan import laurent, packing
@@ -199,6 +199,28 @@ def test_inexact_elimination_fails_without_asserts():
 def test_leading_principal_minors():
     cartan = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
     assert leading_principal_minors(cartan) == [2, 3, 4]
+
+
+square_int_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(square_int_matrices)
+@example([[0, 1], [1, 0]])
+@example([[1, 2, 0], [2, 4, 1], [0, 1, 3]])
+def test_leading_principal_minors_match_det(rows):
+    # one elimination reads every minor up to the first zero one, where a
+    # row swap would be needed to go on
+    expected = []
+    for k in range(1, len(rows) + 1):
+        expected.append(det([row[:k] for row in rows[:k]]))
+        if not expected[-1]:
+            break
+    assert leading_principal_minors(rows) == expected
 
 
 # -- the packed kernel against tuple-keyed arithmetic ----------------------------

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from clusterfan import cartan as cartan_mod
 from clusterfan.coxeter import build_group
 from clusterfan.roots import (
+    MAX_RANK,
+    ClosureBudgetExceeded,
     RootPoset,
     coroot_half_sum,
     coxeter_data,
@@ -185,3 +188,142 @@ def test_reducible_system():
     assert rs.num_positive == 2
     data = to_json_dict(rs)
     assert data["h"] is None
+
+
+# -- the quadratic-form oracle -------------------------------------------------
+#
+# The root data as they were computed before every root carried its pairing
+# vector: the closure applies every simple reflection s_i beta = beta -
+# (sum_j a_ij c_j) alpha_i and keeps the positive images, (beta, beta) is the
+# double sum of c_i c_j d_i a_ij, and a reflection matrix pairs each simple
+# root with beta^vee through the bilinear form.
+
+
+def oracle_reflect(cartan, i, coords):
+    out = list(coords)
+    out[i] = coords[i] - sum(cartan[i][j] * coords[j] for j in range(len(coords)))
+    return tuple(out)
+
+
+def oracle_positive_roots(cartan):
+    n = len(cartan)
+    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    seen = set(simples)
+    frontier = list(simples)
+    while frontier:
+        fresh = []
+        for coords in frontier:
+            for i in range(n):
+                image = oracle_reflect(cartan, i, coords)
+                if image not in seen and all(x >= 0 for x in image):
+                    seen.add(image)
+                    fresh.append(image)
+        frontier = fresh
+    return sorted(seen, key=lambda c: (sum(c), c))
+
+
+def oracle_coroot(cartan, symmetrizer, coords):
+    """(coroot coordinates, (beta, beta) / 2) from the quadratic form."""
+    n = len(coords)
+    square = sum(
+        coords[i] * coords[j] * symmetrizer[i] * cartan[i][j]
+        for i in range(n)
+        for j in range(n)
+    )
+    assert square > 0 and square % 2 == 0
+    half = square // 2
+    assert all(coords[i] * symmetrizer[i] % half == 0 for i in range(n))
+    return tuple(coords[i] * symmetrizer[i] // half for i in range(n)), half
+
+
+def oracle_coroot_pairing(rs, coords, beta):
+    """<alpha, beta^vee> for alpha given by coords, through the form."""
+    total = 0
+    for i in range(rs.n):
+        if coords[i]:
+            acc = sum(rs.cartan[i][j] * beta.coords[j] for j in range(rs.n))
+            total += coords[i] * rs.symmetrizer[i] * acc
+    pairing, rem = divmod(total, beta.length_half_square)
+    assert rem == 0
+    return pairing
+
+
+def oracle_reflection_matrix(rs, beta):
+    cols = []
+    for j in range(rs.n):
+        unit = tuple(1 if k == j else 0 for k in range(rs.n))
+        pairing = oracle_coroot_pairing(rs, unit, beta)
+        cols.append([(1 if k == j else 0) - pairing * beta.coords[k] for k in range(rs.n)])
+    return [[cols[j][i] for j in range(rs.n)] for i in range(rs.n)]
+
+
+def oracle_reflection_perms(rs, simple_perms):
+    """The reflection through every root as a permutation, walked from the
+    simple reflections by s_{s_i beta} = s_i s_beta s_i."""
+    perms = {s: simple_perms[i] for i, s in enumerate(rs.simple_index)}
+    queue = list(perms)
+    for beta in queue:
+        for s in simple_perms:
+            image = s[beta]
+            if image not in perms:
+                perms[image] = tuple(s[perms[beta][s[r]]] for r in range(len(s)))
+                queue.append(image)
+    return [perms[idx] for idx in range(len(rs.roots))]
+
+
+ORACLE_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "A30", "B12", "C12", "D16", "A2+G2"]
+)
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_root_data_match_quadratic_form_oracle(name):
+    rs = root_system(name)
+    cartan, d, n = rs.cartan, rs.symmetrizer, rs.n
+    positives = oracle_positive_roots(cartan)
+    assert [r.coords for r in rs.roots] == positives + [
+        tuple(-x for x in c) for c in positives
+    ]
+    for root in rs.roots:
+        assert root.pairing == tuple(
+            sum(cartan[i][j] * root.coords[j] for j in range(n)) for i in range(n)
+        )
+        assert (root.coroot_coords, root.length_half_square) == oracle_coroot(
+            cartan, d, root.coords
+        )
+        assert rs.reflection_matrix(rs.index[root.coords]) == oracle_reflection_matrix(
+            rs, root
+        )
+    simple_perms = [
+        tuple(rs.index[oracle_reflect(cartan, i, r.coords)] for r in rs.roots)
+        for i in range(n)
+    ]
+    assert [rs.simple_perm(i) for i in range(n)] == simple_perms
+    reflection_perms = oracle_reflection_perms(rs, simple_perms)
+    for idx in range(len(rs.roots)):
+        assert rs.reflection_perm(idx) == reflection_perms[idx]
+
+
+def test_rank_bound_refuses_before_validation(monkeypatch):
+    def never(*args):
+        raise AssertionError("validated a matrix over the rank bound")
+
+    monkeypatch.setattr(cartan_mod, "leading_principal_minors", never)
+    with pytest.raises(ClosureBudgetExceeded, match=f"bound of {MAX_RANK} simple roots"):
+        root_system(f"A{MAX_RANK + 1}")
+
+
+def test_largest_admitted_a_n_has_every_interval_root():
+    # the positive roots of A_n are the sums alpha_i + ... + alpha_j
+    n = MAX_RANK
+    rs = root_system(f"A{n}")
+    intervals = [
+        tuple(int(i <= k <= j) for k in range(n)) for i in range(n) for j in range(i, n)
+    ]
+    assert [r.coords for r in rs.positive_roots()] == sorted(
+        intervals, key=lambda c: (sum(c), c)
+    )
