@@ -22,7 +22,6 @@ import itertools
 import json
 import math
 import operator
-import struct
 from array import array
 from bisect import bisect
 from collections import deque
@@ -32,6 +31,7 @@ from typing import Mapping, Sequence
 
 from . import cartan as cartan_mod
 from .coxeter import BudgetExceeded, WeylGroup
+from .packing import FIELD, SIGN, WIDTH, layout
 from .roots import (
     NotIrreducible,
     RootSystem,
@@ -93,7 +93,21 @@ class AlmostPositive:
         return self.tau_plus[idx] if sign > 0 else self.tau_minus[idx]
 
 
+# the largest cluster complex built: Cat(E8) = 25,080 and Cat(A10) = 58,786
+# fit, Cat(A11) = 208,012 does not
+FACET_BUDGET = 60_000
+
+
 def almost_positive(rs: RootSystem) -> AlmostPositive:
+    """The almost-positive roots of rs and the two involutions.  The number
+    of clusters, Cat(W), is read off the exponents first; over FACET_BUDGET
+    no complex is built, and BudgetExceeded refuses it before any root is
+    listed or paired."""
+    size = catalan_number(rs)
+    if size > FACET_BUDGET:
+        raise BudgetExceeded(
+            f"cluster complex has {size} facets, over the budget of {FACET_BUDGET}"
+        )
     parts = cartan_mod.bipartition(rs.cartan)
     negatives = tuple(rs.negate(rs.simple_index[i]) for i in range(rs.n))
     positives = tuple(i for i in range(len(rs.roots)) if rs.is_positive(i))
@@ -228,11 +242,6 @@ def compatibility(ap: AlmostPositive) -> CompatibilityRelation:
     return CompatibilityRelation(ap, frozenset(pairs))
 
 
-# the largest cluster complex built: Cat(E8) = 25,080 and Cat(A10) = 58,786
-# fit, Cat(A11) = 208,012 does not
-FACET_BUDGET = 60_000
-
-
 @dataclass(frozen=True)
 class ClusterComplexData:
     ap: AlmostPositive
@@ -243,18 +252,21 @@ class ClusterComplexData:
     # where top is the last position.  Read this way, a set of positions is
     # the larger the earlier it comes in lexicographic order.
     masks: tuple[int, ...]
-    # What the wall walk keeps of facet i: its dual basis D from offset
-    # i * n * n on, as n columns of n entries with root k of the facet
-    # paired to column l as delta_kl; and from offset i * n on, per slot j,
-    # the position of the root that enters across the wall opposite slot j.
-    duals: array  # signed bytes
+    # What the wall walk keeps of facet i: its dual basis D as duals[i], n
+    # columns of n entries with root k of the facet paired to column l as
+    # delta_kl, packed into one int by `packing`'s balanced 16-bit fields,
+    # column 0 most significant (see `_DualLayout`); and from offset i * n
+    # on, per slot j, the position of the root that enters across the wall
+    # opposite slot j.  An entry lies in [-128, 128), so a field of D times
+    # a root's lift never leaves its 16 bits: `_walk` has the argument.
+    duals: tuple[int, ...]
     entering: array  # unsigned shorts
 
     def dual_basis(self, i: int) -> list[list[int]]:
         """The columns of the dual basis of facet i."""
         n = self.ap.n
-        flat = self.duals[i * n * n : (i + 1) * n * n].tolist()
-        return [flat[k : k + n] for k in range(0, n * n, n)]
+        flat = layout(n * n).unpack(self.duals[i])
+        return [list(flat[k : k + n]) for k in range(0, n * n, n)]
 
 
 def _h_from_f(f_vector: Sequence[int], n: int) -> tuple[int, ...]:
@@ -277,16 +289,9 @@ def cluster_complex(rel: CompatibilityRelation) -> ClusterComplexData:
     two facets, adjacent cones lie on opposite sides of it, and the signs of
     one generic vector against the dual bases count the h-vector, whose
     h_0 = 1 puts that vector in exactly one cone.  The complex keeps the
-    walk's dual bases and entering roots, so nothing walks again.
-
-    The number of facets, Cat(W), is read off the exponents first; over
-    FACET_BUDGET the complex is refused with BudgetExceeded."""
+    walk's dual bases and entering roots, so nothing walks again.  The
+    number of facets was held to FACET_BUDGET by `almost_positive`."""
     ap = rel.ap
-    size = catalan_number(ap.rs)
-    if size > FACET_BUDGET:
-        raise BudgetExceeded(
-            f"cluster complex has {size} facets, over the budget of {FACET_BUDGET}"
-        )
     n = ap.n
     top = len(ap.indices) - 1
     masks = [0] * (top + 1)
@@ -331,38 +336,125 @@ def cluster_complex(rel: CompatibilityRelation) -> ClusterComplexData:
     )
 
 
-def _lex_negatives(columns: Sequence[tuple[int, ...]]) -> int:
-    """How many columns pair negatively with x = (1, e, e^2, ...) for every
-    small enough e > 0: a generic vector, fixed once for all clusters, that
-    pairs to zero with no nonzero column.  A column pairs with it as its
-    first nonzero entry, so negatively exactly when the column comes before
-    the zero column in lexicographic order."""
-    zero = (0,) * len(columns[0])
-    if zero in columns:
+# A dual basis entry is a simple root's coefficient over a cluster.  The
+# largest under FACET_BUDGET is 6, on E8; the walk refuses any entry outside
+# [-ENTRY, ENTRY).
+ENTRY = 128
+
+
+class _DualLayout:
+    """The shifts and masks of the packed dual bases over n simple roots.
+
+    A dual basis D packs to sum_(k,i) D[k][i] 2^(W (n^2 - 1 - k n - i)),
+    W = WIDTH: the column-by-column vector of `packing.layout(n * n)`, with
+    column 0 most significant and balanced fields.  Column k is the block of
+    n W bits from offsets[k] on, itself the packed int
+    D_k = sum_i D[k][i] 2^(W (n - 1 - i)).  A root gamma lifts to
+    G = sum_i gamma_i 2^(W i).  In the product D G, entry i of column k meets
+    gamma_i at field offsets[k] / W + n - 1, and every other gamma_i' at
+    another field.  No other column reaches that field, so it holds
+    gamma . D_k, and shifted down by `below` it lies at the bottom of column
+    k.  A field of D G collects at most n products D[k][i] gamma_i'."""
+
+    __slots__ = ("n", "width", "offsets", "units", "below", "bias", "half", "ones")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.width = WIDTH * n
+        self.offsets = tuple(range((n - 1) * self.width, -1, -self.width))
+        self.units = sum(1 << offset for offset in self.offsets)
+        self.below = WIDTH * (n - 1)
+        # 2^(W-1) added to each of the n^2 + n - 1 fields of D G makes every
+        # field plain, so a shift and a mask read it with no borrow
+        self.bias = SIGN * sum(1 << (WIDTH * f) for f in range(n * n + n - 1))
+        # 2^(nW-1) added to each column makes it a plain block, whose top bit
+        # is set exactly when the column is nonnegative: its first nonzero
+        # entry decides its sign, as in `packing`
+        self.half = self.units << (self.width - 1)
+        self.ones = sum(1 << (WIDTH * f) for f in range(n * n))
+
+    def lift(self, gamma: Sequence[int]) -> int:
+        return sum(g << (WIDTH * i) for i, g in enumerate(gamma))
+
+    def negated_identity(self) -> int:
+        """-I: entry k of column k is the field W (n - 1 - k) into its block."""
+        shifts = range(WIDTH * (self.n - 1), -1, -WIDTH)
+        return -sum(1 << (offset + shift) for offset, shift in zip(self.offsets, shifts))
+
+    def column(self, dual: int, j: int) -> int:
+        """The packed column D_j."""
+        block = 1 << self.width
+        return ((dual + self.half) >> self.offsets[j] & block - 1) - (block >> 1)
+
+
+def _outside(key: int, units: int, bound: int) -> bool:
+    """Whether a field of a key with balanced fields, at the bits of units,
+    leaves [-bound, bound), bound a power of two: as in `packing`, exactly
+    when key + bound * units has a bit at or above 2 bound in that field."""
+    return bool((key + bound * units) & (FIELD ^ (2 * bound - 1)) * units)
+
+
+def _lex_negatives(dual: int, shape: _DualLayout) -> int:
+    """How many columns of a packed dual basis pair negatively with
+    x = (1, e, e^2, ...) for every small enough e > 0: a generic vector,
+    fixed once for all clusters, that pairs to zero with no nonzero column.
+    A column pairs with it as its first nonzero entry, so negatively exactly
+    when the packed column is negative: when the top bit of its plain block
+    is clear.  With one taken from each block, the top bit is set exactly
+    when the column is positive, so the two counts differ by the zero
+    columns."""
+    plain = dual + shape.half
+    nonnegative = (plain & shape.half).bit_count()
+    if ((plain - shape.units) & shape.half).bit_count() != nonnegative:
         raise AssocCheckFailed("a dual basis vector is zero")
-    return sum(map(zero.__gt__, columns))
+    return shape.n - nonnegative
 
 
-def _pivot(
-    columns: Sequence[Sequence[int]], j: int, gamma: Sequence[int]
-) -> list[Sequence[int]]:
+def _pivot(dual: int, j: int, product: int, shape: _DualLayout) -> int:
     """The dual basis after the root at slot j leaves and gamma enters at the
-    same slot, given gamma . D_j = -1: D'_j = -D_j and
-    D'_k = D_k + (gamma . D_k) D_j."""
-    leaving = columns[j]
-    out = []
-    for k, column in enumerate(columns):
-        if k == j:
-            out.append([-x for x in leaving])
-            continue
-        c = sum(map(operator.mul, gamma, column))
-        out.append([x + c * y for x, y in zip(column, leaving)] if c else column)
-    return out
+    same slot, given gamma . D_j = -1 and product = D G + shape.bias, G the
+    lift of gamma: D'_j = -D_j and D'_k = D_k + c_k D_j with c_k = gamma . D_k.
+    With C = sum_k c_k 2^offsets[k], read off product at once, that is the
+    one multiply-add D' = D + D_j (C - 2^offsets[j]).
+
+    AssocCheckFailed refuses any entry of D' outside [-ENTRY, ENTRY).  A
+    coefficient |c_k| >= 2 ENTRY puts some entry of c_k D_j at 2 ENTRY or
+    more (D_j is not zero) and so one of D'_k outside; it is refused first.
+    Below it, every entry of D' lies within ENTRY + (2 ENTRY - 1) ENTRY =
+    2^(W-1) of zero, and below 2^(W-1) since D's entries do, so it is a
+    balanced field of D' and the check reads it exactly."""
+    units = shape.units
+    coefficients = (product >> shape.below & FIELD * units) - SIGN * units
+    if not _outside(coefficients, units, 2 * ENTRY):
+        out = dual + shape.column(dual, j) * (coefficients - (1 << shape.offsets[j]))
+        if not _outside(out, shape.ones, ENTRY):
+            return out
+    raise AssocCheckFailed(f"a dual basis entry is outside [-{ENTRY}, {ENTRY})")
+
+
+def _move(dual: int, j: int, s: int, shape: _DualLayout) -> int:
+    """The packed dual basis with column j moved to slot s and the columns
+    between them moved one slot toward j: a turn of the window of columns
+    min(j, s)..max(j, s), made on the plain blocks of dual + shape.half."""
+    if j == s:
+        return dual
+    width = shape.width
+    top = shape.offsets[min(j, s)] + width
+    bottom = shape.offsets[max(j, s)]
+    window = (1 << top) - (1 << bottom)
+    plain = dual + shape.half
+    part = plain & window
+    turn = top - bottom - width
+    if s > j:  # column j leaves the top of the window for its bottom
+        part = part << width | part >> turn
+    else:  # column j leaves the bottom of the window for its top
+        part = part >> width | part << turn
+    return (plain & ~window | part & window) - shape.half
 
 
 def _walk(
     ap: AlmostPositive, masks: Sequence[int], facets: Sequence[tuple[int, ...]]
-) -> tuple[array, array, list[int]]:
+) -> tuple[tuple[int, ...], array, list[int]]:
     """Walk the facets breadth-first across their walls and keep, laid out
     as in ClusterComplexData, each facet's dual basis D (integer columns
     with root i of the facet paired to column k as delta_ik) and the
@@ -381,13 +473,30 @@ def _walk(
     `facets`, each listed in ascending position order, and the walk must
     reach all of them.
 
-    An entry of D is a simple root's coefficient over a cluster.  The
-    largest under FACET_BUDGET is 6, on E8, so a signed byte holds it;
-    `struct` refuses with struct.error any that a byte could not hold."""
+    Each D is one int in the layout of `_DualLayout`, and every wall costs
+    one product D G_gamma, whose fields hold gamma . D_k for every k.  A new
+    facet takes the pivot's one multiply-add and a turn of its columns
+    (`_move`) that puts the entering root's column at its sorted slot.  The
+    fields of D G_gamma are exact while each stays under 2^(W-1) = 2^15 in
+    size.  Cat(W) is the product, over the exponents e_i of each
+    irreducible component with Coxeter number h, of (h + e_i + 1) / (e_i + 1),
+    each factor at least 2 since e_i < h.  So Cat(W) >= 2^n, and
+    FACET_BUDGET < 2^16 puts n <= 15.  A root coordinate
+    is at most 6 (E8's highest root), and `_pivot` keeps every entry of D in
+    [-128, 128), so a field is at most 15 * 128 * 6 = 11,520 in size.  The
+    walk checks n * 128 * (largest coordinate) < 2^15 before it starts."""
     n, top = ap.n, len(ap.indices) - 1
-    size = n * n
-    layout = struct.Struct(f"{size}b")  # one dual basis, column by column
+    shape = _DualLayout(n)
     coords = [ap.rs.roots[idx].coords for idx in ap.indices]
+    largest = max(abs(x) for gamma in coords for x in gamma)
+    if n * ENTRY * largest >= SIGN:
+        raise AssocCheckFailed(
+            f"rank {n} with root coordinates up to {largest}"
+            " overflows the packed pairings"
+        )
+    lifts = [shape.lift(gamma) for gamma in coords]
+    bias = shape.bias
+    reads = [offset + shape.below for offset in shape.offsets]
     position = ap.position
     # a facet's key has the bits of its positions, as in the masks
     keys = [sum(1 << (top - position[idx]) for idx in facet) for facet in facets]
@@ -395,8 +504,8 @@ def _walk(
     everything = (2 << top) - 1
     if keys[0] != everything ^ (everything >> n):  # positions 0..n-1
         raise AssocCheckFailed("the negated simple roots do not form the first facet")
-    duals = array("b", [0]) * (len(keys) * size)
-    layout.pack_into(duals, 0, *[-int(i == k) for k in range(n) for i in range(n)])
+    duals = [0] * len(keys)
+    duals[0] = shape.negated_identity()
     entering = array("H", [0]) * (len(keys) * n)
     rising = [0] * (n + 1)
     seen = bytearray(len(keys))
@@ -408,9 +517,8 @@ def _walk(
     while queue:
         i = queue.popleft()
         key = keys[i]
-        flat = layout.unpack_from(duals, i * size)
-        columns = [flat[k : k + n] for k in range(0, size, n)]
-        rising[_lex_negatives(columns)] += 1
+        dual = duals[i]
+        rising[_lex_negatives(dual, shape)] += 1
         positions = [position[idx] for idx in facets[i]]
         # the masks of the slots after j, intersected outside the facet
         after = [everything ^ key]
@@ -427,8 +535,8 @@ def _walk(
                 )
             q = top - (common.bit_length() - 1)
             entering[i * n + j] = q
-            gamma = coords[q]
-            c = sum(map(operator.mul, gamma, columns[j]))
+            product = dual * lifts[q] + bias
+            c = (product >> reads[j] & FIELD) - SIGN
             if c != -1:
                 raise NonUnimodularCluster(
                     f"root {ap.indices[q]} enters facet {facets[i]} at slot {j}"
@@ -441,15 +549,12 @@ def _walk(
                 continue
             seen[target] = 1
             reached += 1
-            new_columns = _pivot(columns, j, gamma)
-            new_columns.insert(bisect(positions, q) - (q > p), new_columns.pop(j))
-            layout.pack_into(
-                duals, target * size, *[x for column in new_columns for x in column]
-            )
+            new = _pivot(dual, j, product, shape)
+            duals[target] = _move(new, j, bisect(positions, q) - (q > p), shape)
             queue.append(target)
     if reached != len(keys):
         raise AssocCheckFailed(f"the wall walk reached {reached} of {len(keys)} facets")
-    return duals, entering, rising
+    return tuple(duals), entering, rising
 
 
 def n_phi(rs: RootSystem) -> int:

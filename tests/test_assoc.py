@@ -13,16 +13,26 @@ frozensets and took a determinant of every facet, and the first polytope,
 which solved one linear system per vertex, as the oracles for the bitmask
 backtracking and the wall walk with its integer pivots.  So is the first
 convexity check, which paired every vertex with every almost-positive root,
-as the oracle for the one inequality per wall."""
+as the oracle for the one inequality per wall.  So is the first wall walk,
+which kept each dual basis as n*n signed bytes through `struct` and pivoted
+it with n dot products over lists, as the oracle for the walk on packed
+ints."""
 
 import json
 import math
+import operator
 import random
+import struct
 import subprocess
 import sys
+from array import array
+from bisect import bisect
+from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterfan import assoc, linalg
 from clusterfan.assoc import (
@@ -44,6 +54,7 @@ from clusterfan.assoc import (
 )
 from clusterfan.coxeter import build_group
 from clusterfan.linalg import det, solve_linear
+from clusterfan.packing import layout
 from clusterfan.roots import root_system
 
 
@@ -278,11 +289,13 @@ def oracle_vertices(data):
     )
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "C3", "C4", "C5",
-     "D4", "D5", "D6", "F4", "G2", "E6", "E7", "A1+A2", "B2+G2", "A1+A1+A1"],
-)
+WALK_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "C3", "C4", "C5",
+    "D4", "D5", "D6", "F4", "G2", "E6", "E7", "A1+A2", "B2+G2", "A1+A1+A1",
+]
+
+
+@pytest.mark.parametrize("name", WALK_TYPES)
 def test_wall_walk_matches_determinant_and_solve_oracles(name):
     rel = compatibility(almost_positive(root_system(name)))
     data = cluster_complex(rel)
@@ -293,6 +306,198 @@ def test_wall_walk_matches_determinant_and_solve_oracles(name):
     poly = build_polytope(data)
     assert poly.vertices == oracle_vertices(data)
     assert_strictly_inside(poly)
+
+
+def oracle_lex_negatives(columns):
+    """How many columns have a negative first nonzero entry."""
+    zero = (0,) * len(columns[0])
+    if zero in columns:
+        raise AssocCheckFailed("a dual basis vector is zero")
+    return sum(map(zero.__gt__, columns))
+
+
+def oracle_pivot(columns, j, gamma):
+    """D'_j = -D_j and D'_k = D_k + (gamma . D_k) D_j, over lists."""
+    leaving = columns[j]
+    out = []
+    for k, column in enumerate(columns):
+        if k == j:
+            out.append([-x for x in leaving])
+            continue
+        c = sum(map(operator.mul, gamma, column))
+        out.append([x + c * y for x, y in zip(column, leaving)] if c else column)
+    return out
+
+
+def oracle_walk(ap, masks, facets):
+    """The first wall walk: the same breadth-first order and checks, each
+    dual basis kept as n*n signed bytes, column by column, and each pivot
+    made over lists.  `struct` refuses an entry a byte cannot hold."""
+    n, top = ap.n, len(ap.indices) - 1
+    size = n * n
+    bytes_ = struct.Struct(f"{size}b")
+    coords = [ap.rs.roots[idx].coords for idx in ap.indices]
+    position = ap.position
+    keys = [sum(1 << (top - position[idx]) for idx in facet) for facet in facets]
+    index = {key: i for i, key in enumerate(keys)}
+    everything = (2 << top) - 1
+    duals = array("b", [0]) * (len(keys) * size)
+    bytes_.pack_into(duals, 0, *[-int(i == k) for k in range(n) for i in range(n)])
+    entering = array("H", [0]) * (len(keys) * n)
+    rising = [0] * (n + 1)
+    seen = bytearray(len(keys))
+    seen[0] = 1
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        key = keys[i]
+        flat = bytes_.unpack_from(duals, i * size)
+        columns = [flat[k : k + n] for k in range(0, size, n)]
+        rising[oracle_lex_negatives(columns)] += 1
+        positions = [position[idx] for idx in facets[i]]
+        for j, p in enumerate(positions):
+            common = everything ^ key
+            for other in positions:
+                if other != p:
+                    common &= masks[other]
+            assert common and not common & (common - 1)
+            q = top - (common.bit_length() - 1)
+            entering[i * n + j] = q
+            assert sum(map(operator.mul, coords[q], columns[j])) == -1
+            target = index[key ^ (1 << (top - p)) | common]
+            if seen[target]:
+                continue
+            seen[target] = 1
+            new_columns = oracle_pivot(columns, j, coords[q])
+            new_columns.insert(bisect(positions, q) - (q > p), new_columns.pop(j))
+            bytes_.pack_into(
+                duals, target * size, *[x for column in new_columns for x in column]
+            )
+            queue.append(target)
+    assert all(seen)
+    return duals, entering, rising
+
+
+@pytest.mark.parametrize("name", WALK_TYPES + ["E8", "A1+A1+A1+A1+A1"])
+def test_packed_walk_matches_list_walk(name):
+    rel = compatibility(almost_positive(root_system(name)))
+    data = cluster_complex(rel)
+    n = rel.ap.n
+    duals, entering, rising = oracle_walk(rel.ap, data.masks, data.facets)
+    assert assoc._walk(rel.ap, data.masks, data.facets)[1:] == (entering, rising)
+    assert data.entering == entering
+    flat = duals.tolist()
+    for i in range(len(data.facets)):
+        expected = [flat[(i * n + k) * n : (i * n + k + 1) * n] for k in range(n)]
+        assert data.dual_basis(i) == expected, i
+
+
+def test_walk_refuses_pairings_its_fields_cannot_hold(monkeypatch):
+    # six copies of E8: 48 * 128 * 6 >= 2^15, so a field of D G_gamma could
+    # leave its 16 bits; Cat(W) = 25,080^6 is far over the budget, which is
+    # lifted here to reach the walk
+    monkeypatch.setattr(assoc, "FACET_BUDGET", math.inf)
+    ap = almost_positive(root_system("+".join(["E8"] * 6)))
+    with pytest.raises(AssocCheckFailed, match="rank 48 with root coordinates up to 6"):
+        assoc._walk(ap, [], [])
+
+
+def pack_columns(columns):
+    """Column 0 most significant, entry 0 of each column first: 16-bit
+    balanced fields, written out independently of the walk."""
+    flat = [x for column in columns for x in column]
+    return sum(x << (16 * (len(flat) - 1 - f)) for f, x in enumerate(flat))
+
+
+def unpack_columns(dual, n):
+    flat = layout(n * n).unpack(dual)
+    return [list(flat[k : k + n]) for k in range(0, n * n, n)]
+
+
+def assert_same_negatives(dual, columns, shape):
+    try:
+        negatives = oracle_lex_negatives([tuple(column) for column in columns])
+    except AssocCheckFailed:
+        with pytest.raises(AssocCheckFailed, match="a dual basis vector is zero"):
+            assoc._lex_negatives(dual, shape)
+    else:
+        assert assoc._lex_negatives(dual, shape) == negatives
+
+
+@st.composite
+def pivots(draw):
+    """A dual basis D over up to 15 simple roots with entries in
+    [-128, 128), a root-sized gamma and a slot j with gamma . D_j = -1.
+    gamma_i = +-1 at one i, and D_j[i] is solved for; D_j's other entries
+    lie in [-1, 1], so that D_j[i] stays in range."""
+    n = draw(st.integers(1, 15))
+    bound = draw(st.sampled_from([1, 4, 32, 128]))
+    entries = st.lists(st.integers(-bound, bound - 1), min_size=n, max_size=n)
+    columns = draw(st.lists(entries, min_size=n, max_size=n))
+    gamma = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    j, i = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    gamma[i] = draw(st.sampled_from([-1, 1]))
+    leaving = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    leaving[i] = 0
+    leaving[i] = -(1 + sum(map(operator.mul, gamma, leaving))) * gamma[i]
+    columns[j] = leaving
+    return columns, gamma, j
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(pivots())
+def test_packed_pivot_and_move_match_list_pivot(case):
+    columns, gamma, j = case
+    n = len(columns)
+    shape = assoc._DualLayout(n)
+    dual = pack_columns(columns)
+    assert unpack_columns(dual, n) == columns
+    assert_same_negatives(dual, columns, shape)
+    expected = oracle_pivot(columns, j, gamma)
+    product = dual * shape.lift(gamma) + shape.bias
+    if not all(-128 <= x < 128 for column in expected for x in column):
+        with pytest.raises(AssocCheckFailed, match=r"outside \[-128, 128\)"):
+            assoc._pivot(dual, j, product, shape)
+        return
+    pivoted = assoc._pivot(dual, j, product, shape)
+    assert unpack_columns(pivoted, n) == [list(column) for column in expected]
+    # every slot pair: the column at a moves to b, the ones between shift
+    for a in range(n):
+        for b in range(n):
+            moved = [list(column) for column in expected]
+            moved.insert(b, moved.pop(a))
+            assert unpack_columns(assoc._move(pivoted, a, b, shape), n) == moved
+    assert_same_negatives(pivoted, expected, shape)
+
+
+OUT_OF_RANGE = """
+from clusterfan import assoc
+from clusterfan.packing import layout
+shape = assoc._DualLayout(2)
+# D_0 = (0, -1) and gamma = (2, 1) give gamma . D_0 = -1 and
+# D'_1 = (x, y - c_1) with c_1 = 2x + y: (64, 0) reaches -128 and is kept,
+# (100, 0) reaches -200 after the multiply-add, and (127, 127) has
+# c_1 = 381, refused before it
+for column in ((64, 0), (100, 0), (127, 127)):
+    dual = sum(x << (16 * (3 - f)) for f, x in enumerate((0, -1) + column))
+    product = dual * shape.lift((2, 1)) + shape.bias
+    try:
+        print("kept", layout(4).unpack(assoc._pivot(dual, 0, product, shape)))
+    except assoc.AssocCheckFailed as exc:
+        print("FAIL", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_out_of_range_dual_entry_is_refused(flags):
+    # the byte bound is an explicit check, not an assert or a struct.error
+    command = [sys.executable, *flags, "-c", OUT_OF_RANGE]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert result.stdout.splitlines() == [
+        "kept (0, 1, 64, -128)",
+        "FAIL a dual basis entry is outside [-128, 128)",
+        "FAIL a dual basis entry is outside [-128, 128)",
+    ], result.stderr
 
 
 def test_polytope_and_refinement_read_the_one_walk(monkeypatch):
@@ -587,12 +792,12 @@ try:
     assoc.cluster_complex(dataclasses.replace(rel, pairs=pairs))
 except assoc.AssocCheckFailed as exc:
     print("FAIL", exc)
-# a pivot that keeps the leaving root's dual vector instead of negating it
+# a pivot that keeps the leaving root's dual vector instead of negating it:
+# twice the leaving column added back at its own slot
 pivot = assoc._pivot
-def unsigned(columns, j, gamma):
-    out = pivot(columns, j, gamma)
-    out[j] = columns[j]
-    return out
+def unsigned(dual, j, product, shape):
+    out = pivot(dual, j, product, shape)
+    return out + (2 * shape.column(dual, j) << shape.offsets[j])
 assoc._pivot = unsigned
 try:
     assoc.cluster_complex(rel)
@@ -613,7 +818,7 @@ except assoc.AssocCheckFailed as exc:
 # a sign rule that calls every column negative puts every cone in the
 # last bin of the h-vector count
 negatives = assoc._lex_negatives
-assoc._lex_negatives = len
+assoc._lex_negatives = lambda dual, shape: shape.n
 try:
     assoc.cluster_complex(rel)
 except assoc.AssocCheckFailed as exc:

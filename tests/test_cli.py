@@ -242,6 +242,21 @@ def test_oversized_rank_exits_3_at_once(command):
     ]
 
 
+@pytest.mark.parametrize("name", ["A120", "B128"])
+def test_oversized_complex_exits_3_before_its_roots_are_paired(name):
+    # Cat(W) is read at the top of almost_positive, before the involutions
+    # are built and before compatibility visits any of the size^2 pairs
+    argv = [sys.executable, "-m", "clusterfan.cli", "assoc", "--type", name]
+    start = time.perf_counter()
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert "Traceback" not in result.stderr
+    assert (result.returncode, result.stdout) == (3, "")
+    [line] = result.stderr.splitlines()
+    assert line.startswith("budget exceeded: cluster complex has ")
+    assert line.endswith(" facets, over the budget of 60000")
+
+
 @pytest.mark.parametrize(
     "source,walked",
     [("--type", False), ("type:", False), ("matrix:", True)],
