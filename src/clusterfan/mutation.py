@@ -24,12 +24,18 @@ matrix that is sound:
     cluster (Gekhtman-Shapiro-Vainshtein, On the properties of the
     exchange graph of a cluster algebra, 2008; in finite type also
     Fomin-Zelevinsky, Cluster algebras II).
-So the matrices are mutated only when a new seed appears.  On every other
-edge the walk checks what the edge fixes: the seed it reaches holds the
-new g-vector, and its column at that slot is minus column k of the seed it
-left (mutation in direction k negates column k), the rows matched through
-the g-vectors.  Every edge also checks its c-vector for sign-coherence and
-bounds the new g-vector's fields inside [-LIMIT, LIMIT).
+So the matrices are mutated only when a new seed appears.  Each edge is
+computed once, from the end whose turn comes first, and the walk checks
+what it fixes: the seed it reaches, new or not, holds the new g-vector,
+and its column at that slot is minus column k of the seed it left
+(mutation in direction k negates column k), the rows matched through the
+g-vectors.  A computed edge also checks its c-vector for sign-coherence
+and bounds the new g-vector's fields inside [-LIMIT, LIMIT).  The reverse
+edge is read, not computed.  Its column at the new slot is minus column
+k, C rows included, so its c-vector is minus a checked one: sign-coherent,
+with the sign negated.  So the Nakanishi-Zelevinsky sum is unchanged and
+the g-vector returns to g_k; the revisit equation from the far end is the
+same equation (`_walk` gives the argument in full).
 `explore` computes each cluster variable in the Laurent ring once, when
 its g-vector first appears.  The Laurent-level canonical form
 (`canonical_key`) sorts the cluster by text instead; the two keys agree
@@ -91,8 +97,9 @@ class NotSignCoherent(ArithmeticError):
 
 
 class WalkCheckFailed(RuntimeError):
-    """A g-vector outgrew its packing, or a revisited seed disagrees with
-    the edge that reached it; either signals a bug."""
+    """A g-vector outgrew its packing, a seed disagrees with the edge that
+    reached it, or an edge reached a seed whose turn is over; each signals
+    a bug."""
 
 
 @dataclass(frozen=True)
@@ -312,11 +319,11 @@ def _check_revisit(
     moved: Sequence[int],
     k: int,
     target: tuple[Sequence[Sequence[int]], Sequence[int]],
-) -> None:
+) -> int:
     """Mutation in direction k negates column k of the stacked matrix.  The
-    target (stacked rows, g-vectors) of a revisit must hold, at the slot of
+    target (stacked rows, g-vectors) of an edge must hold, at the slot t of
     g'_k, minus column k of the source, its top rows matched to the
-    source's through the g-vectors and its lower rows in place."""
+    source's through the g-vectors and its lower rows in place.  Returns t."""
     rows, gvectors = target
     n = len(gvectors)
     slot = {g: j for j, g in enumerate(gvectors)}
@@ -326,6 +333,7 @@ def _check_revisit(
             raise WalkCheckFailed(
                 f"a revisited seed disagrees with column {k + 1} of the seed before it"
             )
+    return t
 
 
 def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
@@ -336,15 +344,35 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
     (I at the start), and its packed g-vectors, and it is known by the set
     of them.  Mutating seed u in direction k computes g'_k alone
     (`_g_mutate`), with the sign of the k-th c-vector, checked for
-    sign-coherence on every edge, and checks that g'_k fits the packing.
-    The stacked matrix is mutated only when the image is a new seed v,
-    whose top block must show no witness of infinite type; a revisit is
-    checked by `_check_revisit`.  Yields (u, k, v, image, new) per edge,
-    where new says whether v was met just now and image, for a new v only
-    (None otherwise), is its (extended matrix, C rows, packed g-vectors).
-    Raises, with `partial` attached, MutationBudgetExceeded if more than
-    `budget` seeds appear and NotFiniteType at the first seed, the start
-    included, with a witness."""
+    sign-coherence, and checks that g'_k fits the packing.  The stacked
+    matrix is mutated only when the image is a new seed v, whose top block
+    must show no witness of infinite type.  New or not, v must hold minus
+    column k of u at the slot t of g'_k (`_check_revisit`).
+
+    Each edge is computed once, from the end whose turn comes first: the
+    edge from u in direction k leaves pending[v n + t] = u, and at v's turn
+    direction t yields u with nothing computed.  That is what the
+    computation would find.  Column t of v is minus column k of u, C rows
+    included, so the c-vector at t is the negation of a sign-coherent one
+    and its sign is -eps.  Every term [-eps' b'_it]_+ g'_i of the
+    Nakanishi-Zelevinsky sum is then the term [-eps b_ik]_+ g_i of u for
+    the same g-vector (b'_tt = b_kk = 0), so the sum S is unchanged and
+    g'' = -g'_k + S = g_k: v mutated at t has the g-vectors of u, all held
+    in the packing already.  The check from v's end, column k of u minus
+    column t of v, is the same equation.  On the reverse of the edge that
+    made v, that check was the only one of the column `matrix_mutate`
+    wrote, so a new seed runs it once itself.  Seeds take their turns in
+    the order they are numbered.  A computed edge can meet no seed whose
+    turn is over: that seed's edge at t was computed or popped already,
+    and it would have left its entry for u at k.  So a seed's data is
+    dropped when its turn ends, and such a meeting raises WalkCheckFailed.
+
+    Yields (u, k, v, image, new) per edge, where new says whether v was
+    met just now and image, for a new v only (None otherwise), is its
+    (extended matrix, C rows, packed g-vectors).  Raises, with `partial`
+    attached, MutationBudgetExceeded if more than `budget` seeds appear
+    and NotFiniteType at the first seed, the start included, with a
+    witness."""
     n = len(rows[0])
     m = len(rows)
     unpack = layout(n).unpack
@@ -353,6 +381,8 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
     start = _units(n)
     seeds = [(tuple(rows) + identity, start)]
     index = {frozenset(start): 0}
+    blank = [None] * n
+    pending = blank[:]  # pending[v * n + t]: the seed whose edge reached v at slot t
     norm = 1  # the largest |field| of any g-vector met so far
     frontier = [0]
     while frontier:
@@ -360,7 +390,12 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
         for u in frontier:
             stacked, gvectors = seeds[u]
             c_rows = stacked[m:]
+            at = u * n
             for k in range(n):
+                w = pending[at + k]
+                if w is not None:
+                    yield u, k, w, None, False
+                    continue
                 g, total = _g_mutate(stacked, gvectors, k, c_vector_sign(c_rows, k))
                 if norm * total >= LIMIT:
                     raise WalkCheckFailed(
@@ -373,7 +408,11 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
                 key = frozenset(moved)
                 v = index.get(key)
                 if v is not None:
-                    _check_revisit(stacked, moved, k, seeds[v])
+                    if v <= u:
+                        raise WalkCheckFailed(
+                            f"the edge in direction {k + 1} reached a seed whose turn is over"
+                        )
+                    pending[v * n + _check_revisit(stacked, moved, k, seeds[v])] = u
                     yield u, k, v, None, False
                     continue
                 v = len(seeds)
@@ -382,12 +421,16 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
                         f"exchange graph exceeded {budget} seeds", partial
                     )
                 image = matrix_mutate(stacked, k)
+                _check_revisit(stacked, moved, k, (image, moved))
                 _check_witness(image, n, partial)
                 norm = max(norm, *map(abs, unpack(g)))
                 index[key] = v
                 seeds.append((image, moved))
+                pending += blank
+                pending[v * n + k] = u
                 fresh.append(v)
                 yield u, k, v, (image[:m], image[m:], moved), True
+            seeds[u] = None  # no edge reads a seed whose turn is over
         frontier = fresh
 
 

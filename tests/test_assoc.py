@@ -265,13 +265,20 @@ def oracle_h_vector(f_vector):
 def assert_strictly_inside(poly):
     """The global check the per-wall one replaced: every vertex pairs with
     every root outside its cluster strictly below that root's support
-    value."""
-    roots = poly.ap.rs.roots
+    value.  Vertices and support values are scaled once by their common
+    denominator, so every pairing is an integer dot product."""
+    indices = poly.ap.indices
+    support = [poly.support(idx) for idx in indices]
+    values = {x for vertex in poly.vertices for x in vertex}
+    scale = math.lcm(*(x.denominator for x in support), *(x.denominator for x in values))
+    scaled = {x: int(x * scale) for x in values}
+    bounds = [int(b * scale) for b in support]
+    coords = [poly.ap.rs.roots[idx].coords for idx in indices]
     for facet, vertex in zip(poly.facets, poly.vertices):
-        for idx in poly.ap.indices:
+        point = [scaled[x] for x in vertex]
+        for idx, root, bound in zip(indices, coords, bounds):
             if idx not in facet:
-                pairing = sum(c * x for c, x in zip(roots[idx].coords, vertex))
-                assert pairing < poly.support(idx), (facet, idx)
+                assert sum(map(operator.mul, root, point)) < bound, (facet, idx)
 
 
 def oracle_vertices(data):

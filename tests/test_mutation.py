@@ -625,6 +625,91 @@ def test_sabotaged_revisit_fails_without_asserts():
     ], result.stderr
 
 
+SABOTAGED_NEW_SEED = """
+import sys
+from clusterfan import mutation
+from clusterfan.cartan import b_matrix, cartan_for_type
+print("optimize", sys.flags.optimize)
+mutate = mutation.matrix_mutate
+made = []
+
+
+def corrupted(rows, k):
+    # the third stacked matrix made (mu_3 of the start) has the first
+    # nonzero entry of column k in its exchange block negated; explore's
+    # own matrix mutations (m rows, no C rows below) are left alone
+    image = mutate(rows, k)
+    n = len(rows[0])
+    if len(rows) > n:
+        made.append(k)
+        if len(made) == 3:
+            i = next(i for i in range(n) if image[i][k])
+            flipped = image[i][:k] + (-image[i][k],) + image[i][k + 1 :]
+            image = image[:i] + (flipped,) + image[i + 1 :]
+    return image
+
+
+mutation.matrix_mutate = corrupted
+for name in ("A3", "B3"):
+    rows = b_matrix(cartan_for_type(name))
+    seed = mutation.initial_seed(rows, ["x1", "x2", "x3"])
+    for walk in (lambda: mutation.exchange_counts(rows), lambda: mutation.explore(seed)):
+        made.clear()
+        try:
+            walk()
+        except mutation.WalkCheckFailed as exc:
+            print("FAIL", exc)
+"""
+
+
+def test_sabotaged_new_seed_fails_without_asserts():
+    # the reverse of the edge that made a seed is never computed, so the
+    # new seed's column k is checked when it is made, under -O too
+    command = [sys.executable, "-O", "-c", SABOTAGED_NEW_SEED]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert result.stdout.splitlines() == [
+        "optimize 1",
+        *["FAIL a revisited seed disagrees with column 3 of the seed before it"] * 4,
+    ], result.stderr
+
+
+@pytest.mark.parametrize("name", ["A5", "B4", "D5", "F4", "E6"])
+@pytest.mark.parametrize("frozen", ["none", "principal"])
+@pytest.mark.parametrize("relabel", [False, True])
+def test_each_edge_is_computed_once(monkeypatch, name, frozen, relabel):
+    # the exchange graph is n-regular: n * seeds / 2 edges, each computed
+    # from one end only
+    rows = exchange_rows(name, frozen)
+    n = len(rows[0])
+    if relabel:
+        perm = list(range(n))
+        random.Random(f"{name} {frozen}").shuffle(perm)
+        rows = relabeled(rows, perm, -1)
+    calls = []
+    g_mutate = mutation._g_mutate
+
+    def counted(*args):
+        calls.append(args)
+        return g_mutate(*args)
+
+    monkeypatch.setattr(mutation, "_g_mutate", counted)
+    seeds, _, _ = exchange_counts(rows)
+    assert 2 * len(calls) == n * seeds
+
+
+def test_edge_to_a_finished_seed_is_refused(monkeypatch):
+    # a revisit recorded at the wrong slot leaves the true reverse edge to
+    # be computed after its far end's turn is over, whose data is gone
+    check = mutation._check_revisit
+
+    def shifted(stacked, moved, k, target):
+        return (check(stacked, moved, k, target) + 1) % len(moved)
+
+    monkeypatch.setattr(mutation, "_check_revisit", shifted)
+    with pytest.raises(mutation.WalkCheckFailed, match="reached a seed whose turn is over"):
+        exchange_counts(exchange_rows("A3"))
+
+
 # -- one walk per question: counts without Laurent values ----------------------
 
 
