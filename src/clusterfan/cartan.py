@@ -424,7 +424,7 @@ def parse_cartan_text(text: str) -> Entries:
     if text.startswith("matrix:"):
         try:
             rows = json.loads(text[len("matrix:"):].strip())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise NotCartanShape(f"bad matrix JSON: {exc}") from exc
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise NotCartanShape("matrix must be a list of rows")

@@ -99,15 +99,18 @@ def _entries_from_args(
     `_sized_exchange` when it has more seeds than --budget-seeds allows,
     while `matrix:` text and JSON rows hold the exchange matrix itself."""
     if args.matrix_file:
-        with open(args.matrix_file) as handle:
-            text = handle.read().strip()
+        try:
+            with open(args.matrix_file, encoding="utf-8") as handle:
+                text = handle.read().strip()
+        except (OSError, UnicodeDecodeError) as exc:
+            parser.error(f"cannot read the matrix file: {exc}")
         if exchange and text.startswith("type:"):
             return _sized_exchange(parse_cartan_text(text), args.budget_seeds)
         if exchange and text.startswith("matrix:"):
             text = text[len("matrix:"):].strip()
         try:
             rows = json.loads(text)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             rows = parse_cartan_text(text)
         if not isinstance(rows, (list, tuple)) or not rows or not all(
             isinstance(row, (list, tuple)) and row for row in rows

@@ -130,10 +130,6 @@ class LaurentPoly:
         return LaurentPoly(variables, {exps: 1})
 
     @staticmethod
-    def monomial(variables: Sequence[str], coeff: int, exponents: Sequence[int]) -> "LaurentPoly":
-        return LaurentPoly(variables, {tuple(exponents): coeff})
-
-    @staticmethod
     def ring(variables: Sequence[str]) -> tuple["LaurentPoly", ...]:
         """Generators of the Laurent ring, in variable order."""
         variables = tuple(variables)
@@ -542,56 +538,3 @@ _set_terms = LaurentPoly._terms.__set__
 _set_layout = LaurentPoly._layout.__set__
 _set_hash = LaurentPoly._hash.__set__
 _set_text = LaurentPoly._text.__set__
-
-
-def parse_laurent(variables: Sequence[str], source: str) -> LaurentPoly:
-    """Parse a restricted Laurent expression: signed sums of terms, each term
-    a '*'-separated product of integer constants and var^int factors.
-
-    >>> print(parse_laurent(("x", "y"), "2*x*y^-1 - 3"))
-    2*x*y^-1 - 3
-    """
-    variables = tuple(variables)
-    text = source.replace(" ", "")
-    if not text:
-        raise ValueError("empty expression")
-    # split into signed terms
-    terms: list[tuple[int, str]] = []
-    sign, start = 1, 0
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        start = 1
-    i = start
-    current = []
-    while i < len(text):
-        ch = text[i]
-        if ch in "+-" and i > 0 and text[i - 1] != "^":
-            terms.append((sign, "".join(current)))
-            sign = -1 if ch == "-" else 1
-            current = []
-        else:
-            current.append(ch)
-        i += 1
-    terms.append((sign, "".join(current)))
-
-    result = LaurentPoly.zero(variables)
-    for sgn, body in terms:
-        if not body:
-            raise ValueError(f"empty term in {source!r}")
-        coeff = sgn
-        exps = [0] * len(variables)
-        for factor in body.split("*"):
-            if not factor:
-                raise ValueError(f"empty factor in {source!r}")
-            name, _, power = factor.partition("^")
-            if name.lstrip("-").isdigit():
-                if power:
-                    coeff *= int(name) ** int(power)
-                else:
-                    coeff *= int(name)
-            elif name in variables:
-                exps[variables.index(name)] += int(power) if power else 1
-            else:
-                raise ValueError(f"unknown factor {factor!r} in {source!r}")
-        result = result + LaurentPoly.monomial(variables, coeff, exps)
-    return result

@@ -16,8 +16,8 @@ g-vectors (Fomin-Zelevinsky, Cluster algebras IV; Nakanishi-Zelevinsky,
 tropical dualities), each packed into one int by `clusterfan.packing`,
 which is linear and one-to-one on fields in [-LIMIT, LIMIT); only the k-th
 moves under mutation in direction k, by int arithmetic.  A seed is known
-by its cluster alone, the set of its packed g-vectors, and for the stacked
-matrix that is sound:
+by its cluster alone, the set of its packed g-vectors held as a sorted
+tuple, and for the stacked matrix that is sound:
   - a g-vector determines its cluster variable (conjectured in Cluster
     algebras IV, proven by Gross-Hacking-Keel-Kontsevich);
   - a seed whose extended matrix has full rank is determined by its
@@ -60,7 +60,6 @@ from .coxeter import BudgetExceeded
 from .laurent import LaurentPoly
 from .linalg import matrix_rank
 from .packing import LIMIT, layout
-from .roots import RootSystem
 
 
 class _WalkStopped(RuntimeError):
@@ -81,10 +80,6 @@ class NotFiniteType(_WalkStopped):
 
 class Inconclusive(RuntimeError):
     """Finite-type detection ran out of budget without a witness."""
-
-
-class NotAlmostPositive(ValueError):
-    """A denominator vector is neither a positive root nor a negated simple."""
 
 
 class NotFullRank(ValueError):
@@ -341,8 +336,8 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
     on integer data alone; seeds are numbered in order of discovery.
 
     Each seed is its stacked matrix, the extended matrix over the C-matrix
-    (I at the start), and its packed g-vectors, and it is known by the set
-    of them.  Mutating seed u in direction k computes g'_k alone
+    (I at the start), and its packed g-vectors, and it is known by the
+    sorted tuple of them.  Mutating seed u in direction k computes g'_k alone
     (`_g_mutate`), with the sign of the k-th c-vector, checked for
     sign-coherence, and checks that g'_k fits the packing.  The stacked
     matrix is mutated only when the image is a new seed v, whose top block
@@ -380,7 +375,7 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     start = _units(n)
     seeds = [(tuple(rows) + identity, start)]
-    index = {frozenset(start): 0}
+    index = {tuple(sorted(start)): 0}
     blank = [None] * n
     pending = blank[:]  # pending[v * n + t]: the seed whose edge reached v at slot t
     norm = 1  # the largest |field| of any g-vector met so far
@@ -405,7 +400,7 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
                 # g'_k is -g_k plus the other g_i, so det G changes sign
                 # alone: the g-vectors stay a basis, n distinct ints
                 moved = gvectors[:k] + (g,) + gvectors[k + 1 :]
-                key = frozenset(moved)
+                key = tuple(sorted(moved))
                 v = index.get(key)
                 if v is not None:
                     if v <= u:
@@ -586,25 +581,7 @@ def _closed_type(detected: DynkinType | None) -> DynkinType:
     return detected
 
 
-# -- denominators and positivity ------------------------------------------------
-
-
-def denominator_root(variable: LaurentPoly, rs: RootSystem) -> int:
-    """Index (in rs.roots) of the almost-positive root given by the
-    denominator vector of a cluster variable with respect to the initial
-    cluster (the first rs.n ambient variables)."""
-    n = rs.n
-    mins = variable.min_exponents()[:n]
-    coords = tuple(-m for m in mins)
-    if all(c >= 0 for c in coords) and any(coords):
-        idx = rs.index.get(coords)
-        if idx is not None and rs.is_positive(idx):
-            return idx
-        raise NotAlmostPositive(f"denominator vector {coords} is not a positive root")
-    negatives = [i for i, c in enumerate(coords) if c < 0]
-    if len(negatives) == 1 and coords[negatives[0]] == -1 and sum(map(abs, coords)) == 1:
-        return rs.negate(rs.simple_index[negatives[0]])
-    raise NotAlmostPositive(f"denominator vector {coords} is not almost positive")
+# -- positivity -----------------------------------------------------------------
 
 
 def observe_positivity(variables: Iterable[LaurentPoly] | MutationGraph) -> dict:
@@ -636,33 +613,6 @@ def seed_to_dict(seed: Seed) -> dict:
         "frozen": [v.text() for v in seed.frozen],
         "variables": list(seed.variables),
     }
-
-
-def seed_from_dict(data: dict) -> Seed:
-    """Rebuild a seed from its JSON form.  Cluster entries that are bare
-    identifiers become fresh generators; anything else is parsed as a Laurent
-    expression over the ambient variables (the "variables" list, defaulting
-    to cluster + frozen names)."""
-    from .laurent import parse_laurent
-
-    btilde = data["btilde"]
-    cluster_src = data["cluster"]
-    frozen_src = data.get("frozen", [])
-    ambient = tuple(data.get("variables") or (list(cluster_src) + list(frozen_src)))
-    n = int(data["n"])
-    if len(cluster_src) != n:
-        raise ValueError("cluster length disagrees with n")
-
-    def build(source: str) -> LaurentPoly:
-        if source in ambient:
-            return LaurentPoly.variable(ambient, source)
-        return parse_laurent(ambient, source)
-
-    return Seed(
-        ExchangeMatrix(tuple(tuple(r) for r in btilde), n),
-        tuple(build(s) for s in cluster_src),
-        tuple(build(s) for s in frozen_src),
-    )
 
 
 # The most characters of cluster and frozen variable text, summed over the

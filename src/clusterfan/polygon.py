@@ -5,15 +5,14 @@ pairs; two diagonals cross exactly when their endpoints strictly interleave
 around the polygon.  The module provides triangulation enumeration, diagonal
 flips with label tracking, the signed edge-adjacency matrix of a labeled
 triangulation, Ptolemy expansion of diagonal values by a sweep over the
-exchange relations of the C(m, 4) quadrilaterals, the snake labeling of
-diagonals by almost-positive roots, and the centrally symmetric model whose
-flip graph realizes the type-B cluster combinatorics.
+exchange relations of the C(m, 4) quadrilaterals, and the check that values
+propagated from 2-by-2 minors are minors again.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .laurent import LaurentPoly
 from .mutation import ExchangeMatrix
@@ -131,12 +130,6 @@ def flipped_diagonal(tri: Triangulation, d: Edge) -> Edge:
     return (q, s) if d == (p, r) else (p, r)
 
 
-def flip_edge(tri: Triangulation, d: Edge) -> Triangulation:
-    new = flipped_diagonal(tri, d)
-    rest = tuple(e for e in tri.diagonals if e != d)
-    return Triangulation(tri.m, rest + (new,))
-
-
 def _chord_sets(vs: tuple[int, ...]) -> Iterator[tuple[Edge, ...]]:
     if len(vs) < 3:
         yield ()
@@ -165,31 +158,6 @@ def enumerate_triangulations(n: int) -> list[Triangulation]:
     if n > 10:
         raise ValueError("Catalan growth: n capped at 10")
     return triangulations_of(n + 3)
-
-
-def flip_graph(tris: Sequence[Triangulation]) -> dict[int, list[int]]:
-    index = {t.diagonals: i for i, t in enumerate(tris)}
-    adjacency: dict[int, list[int]] = {i: [] for i in range(len(tris))}
-    for i, t in enumerate(tris):
-        for d in t.diagonals:
-            j = index[flip_edge(t, d).diagonals]
-            if j not in adjacency[i]:
-                adjacency[i].append(j)
-    return adjacency
-
-
-def flip_graph_dot(tris: Sequence[Triangulation]) -> str:
-    adjacency = flip_graph(tris)
-    lines = ["graph flips {"]
-    for i, t in enumerate(tris):
-        label = ";".join(f"{a}-{b}" for a, b in t.diagonals)
-        lines.append(f'  v{i} [label="{label}"];')
-    for i, nbrs in adjacency.items():
-        for j in nbrs:
-            if i < j:
-                lines.append(f"  v{i} -- v{j};")
-    lines.append("}")
-    return "\n".join(lines)
 
 
 # -- labels and the signed adjacency matrix --------------------------------------
@@ -372,19 +340,6 @@ def standard_chart(
     return diag_vals, side_vals
 
 
-def ptolemy_expand(
-    tri: Triangulation,
-    target: Edge,
-    diagonal_names: Mapping[Edge, str] | None = None,
-    side_names: Mapping[Edge, str] | None = None,
-) -> LaurentPoly:
-    """The value of the target diagonal in terms of the starting
-    triangulation's diagonal and side variables."""
-    diag_vals, side_vals = standard_chart(tri, diagonal_names, side_names)
-    values = ptolemy_values(tri, diag_vals, side_vals)
-    return values[tuple(sorted(target))]
-
-
 def plucker_verify(n: int) -> dict:
     """Check the three-term minor identity for a symbolic 2-row matrix and
     whether Ptolemy propagation started from minor values stays on minors
@@ -422,168 +377,3 @@ def plucker_verify(n: int) -> dict:
         "diagonals_checked": len(values),
         "all_equal_minors": all(v == minor(*d) for d, v in values.items()),
     }
-
-
-# -- the snake and type-A compatibility --------------------------------------------
-
-
-def snake_diagonals(n: int) -> tuple[Edge, ...]:
-    """The zigzag triangulation of the (n+3)-gon used to anchor the labeling
-    of diagonals by almost-positive roots."""
-    out = []
-    for i in range(1, n + 1):
-        high = n + 1 - (i - 1) // 2
-        low = i // 2
-        out.append((low, high))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class SnakeLabeling:
-    """Bijection between diagonals of the (n+3)-gon and the almost-positive
-    roots of the rank-n type-A root system, written as coordinate vectors in
-    the simple-root basis.  The i-th snake diagonal gets -alpha_i; any other
-    diagonal crosses a contiguous run i..j of snake diagonals and gets
-    alpha_i + ... + alpha_j."""
-
-    n: int
-    root_of: Mapping[Edge, tuple[int, ...]]
-    diagonal_of: Mapping[tuple[int, ...], Edge]
-
-    def compatible(self, r1: tuple[int, ...], r2: tuple[int, ...]) -> bool:
-        return not crossing(self.diagonal_of[r1], self.diagonal_of[r2])
-
-
-def snake_and_compatibility(n: int) -> SnakeLabeling:
-    if n > 8:
-        raise ValueError("snake labeling capped at n=8")
-    snake = snake_diagonals(n)
-    root_of: dict[Edge, tuple[int, ...]] = {}
-    for d in all_diagonals(n + 3):
-        if d in snake:
-            i = snake.index(d)
-            coords = tuple(-1 if j == i else 0 for j in range(n))
-        else:
-            crossed = [i for i, s in enumerate(snake) if crossing(d, s)]
-            if not crossed or crossed != list(range(crossed[0], crossed[-1] + 1)):
-                raise PolygonCheckFailed(
-                    f"non-snake diagonal {d} crosses the snake diagonals {crossed},"
-                    " not one nonempty run"
-                )
-            lo, hi = crossed[0], crossed[-1]
-            coords = tuple(1 if lo <= j <= hi else 0 for j in range(n))
-        root_of[d] = coords
-    diagonal_of = {r: d for d, r in root_of.items()}
-    if not len(diagonal_of) == len(root_of) == n * (n + 3) // 2:
-        raise PolygonCheckFailed(
-            f"{len(root_of)} diagonals labeled by {len(diagonal_of)} roots,"
-            f" expected {n * (n + 3) // 2} of each"
-        )
-    return SnakeLabeling(n, root_of, diagonal_of)
-
-
-# -- centrally symmetric triangulations (type B model) ------------------------------
-
-
-def _antipode(v: int, m: int) -> int:
-    return (v + m // 2) % m
-
-
-def _antipode_edge(e: Edge, m: int) -> Edge:
-    return tuple(sorted((_antipode(e[0], m), _antipode(e[1], m))))  # type: ignore
-
-
-@dataclass(frozen=True)
-class SymTriangulation:
-    """A triangulation of the (2n+2)-gon fixed by the antipodal map, with its
-    diagonals grouped into orbits: the unique diameter is a singleton orbit
-    and every other diagonal pairs with its antipode."""
-
-    tri: Triangulation
-    orbits: tuple[tuple[Edge, ...], ...]
-
-    @staticmethod
-    def from_triangulation(tri: Triangulation) -> "SymTriangulation":
-        m = tri.m
-        if m % 2:
-            raise ValueError("centrally symmetric polygons have even size")
-        image = {_antipode_edge(d, m) for d in tri.diagonals}
-        if image != set(tri.diagonals):
-            raise ValueError("triangulation is not centrally symmetric")
-        orbits = []
-        seen: set[Edge] = set()
-        for d in tri.diagonals:
-            if d in seen:
-                continue
-            e = _antipode_edge(d, m)
-            orbit = (d,) if e == d else tuple(sorted((d, e)))
-            seen.update(orbit)
-            orbits.append(orbit)
-        orbits.sort()
-        diameters = [o for o in orbits if len(o) == 1]
-        if len(diameters) != 1:
-            raise PolygonCheckFailed(
-                f"symmetric triangulation with {len(diameters)} diameters"
-            )
-        return SymTriangulation(tri, tuple(orbits))
-
-    @property
-    def n(self) -> int:
-        return (self.tri.m - 2) // 2
-
-    def flip_orbit(self, index: int) -> "SymTriangulation":
-        """Flip every diagonal in one orbit: a diameter flips to the other
-        diameter of its symmetric quad, an antipodal pair flips member by
-        member.  The result is symmetric again."""
-        orbit = self.orbits[index]
-        tri = self.tri
-        for d in orbit:
-            tri = flip_edge(tri, d)
-        return SymTriangulation.from_triangulation(tri)
-
-
-def enumerate_symmetric(n: int) -> list[SymTriangulation]:
-    """All centrally symmetric triangulations of the (2n+2)-gon."""
-    if n > 6:
-        raise ValueError("symmetric enumeration capped at n=6")
-    m = 2 * n + 2
-    out = []
-    for tri in triangulations_of(m):
-        if {_antipode_edge(d, m) for d in tri.diagonals} == set(tri.diagonals):
-            out.append(SymTriangulation.from_triangulation(tri))
-    return out
-
-
-def symmetric_orbit_classes(n: int) -> list[tuple[Edge, ...]]:
-    """All antipodal orbit classes of diagonals of the (2n+2)-gon: the n+1
-    diameters plus the (n+1)(n-1) antipodal pairs, n(n+1) classes in all."""
-    m = 2 * n + 2
-    classes = set()
-    for d in all_diagonals(m):
-        e = _antipode_edge(d, m)
-        classes.add((d,) if d == e else tuple(sorted((d, e))))
-    out = sorted(classes)
-    if len(out) != n * (n + 1):
-        raise PolygonCheckFailed(
-            f"{len(out)} antipodal orbit classes, expected {n * (n + 1)}"
-        )
-    return out
-
-
-def orbits_compatible(o1: tuple[Edge, ...], o2: tuple[Edge, ...]) -> bool:
-    """Two orbit classes can coexist in a symmetric triangulation exactly
-    when no representative of one crosses a representative of the other."""
-    return all(not crossing(d, e) for d in o1 for e in o2 if d != e)
-
-
-def symmetric_flip_graph(
-    sym_tris: Sequence[SymTriangulation],
-) -> dict[int, list[int]]:
-    index = {st.tri.diagonals: i for i, st in enumerate(sym_tris)}
-    adjacency: dict[int, list[int]] = {i: [] for i in range(len(sym_tris))}
-    for i, st in enumerate(sym_tris):
-        for k in range(len(st.orbits)):
-            j = index[st.flip_orbit(k).tri.diagonals]
-            if j not in adjacency[i]:
-                adjacency[i].append(j)
-    return adjacency

@@ -128,13 +128,6 @@ class RootSystem:
             return root.coords
         return tuple(x - k * b for x, b in zip(root.coords, beta.coords))
 
-    def reflection_matrix(self, root_idx: int) -> list[list[int]]:
-        """Integer matrix of the reflection through a root, acting on
-        simple-root coordinates (columns are images of the simples)."""
-        beta = self.roots[root_idx]
-        columns = [self._reflect(beta, self.roots[s]) for s in self.simple_index]
-        return [list(row) for row in zip(*columns)]
-
     # -- permutations ------------------------------------------------------
 
     @cached_property
@@ -226,9 +219,6 @@ class RootPoset:
             ]
             for i in range(self.size)
         ]
-
-    def leq(self, i: int, j: int) -> bool:
-        return self._leq[i][j]
 
     def covers(self) -> list[tuple[int, int]]:
         out = []

@@ -36,10 +36,6 @@ Letter = tuple[str, int]
 Label = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-class NoMoveAvailable(ValueError):
-    """The requested chamber cannot be flipped in this diagram's class."""
-
-
 class MoveIdentityFailed(ArithmeticError):
     """A move's three-term identity A*C + B*D = Y*Z does not hold."""
 
@@ -116,11 +112,6 @@ class DoubleWiringDiagram:
 
     def text(self) -> str:
         return word_text(self.word)
-
-
-def diagram(source: str | tuple[Letter, ...], n: int = 3) -> DoubleWiringDiagram:
-    word = parse_word(source) if isinstance(source, str) else tuple(source)
-    return DoubleWiringDiagram(n, word)
 
 
 def _sweep(d: DoubleWiringDiagram) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -217,12 +208,6 @@ def minor_poly(rows: tuple[int, ...], cols: tuple[int, ...], n: int) -> LaurentP
             term = term * gens[(r - 1) * n + (c - 1)]
         total = total + term
     return total
-
-
-def chamber_minors(d: DoubleWiringDiagram) -> dict[Label, LaurentPoly]:
-    return {
-        c.label: minor_poly(c.label[0], c.label[1], d.n) for c in chambers(d)
-    }
 
 
 @dataclass(frozen=True)
@@ -421,45 +406,6 @@ def verify_move_identities(graph: MoveGraph) -> int:
                     )
                 checked += 1
     return checked
-
-
-def local_move(d: DoubleWiringDiagram, label: Label) -> dict:
-    """Flip the bounded chamber with the given label, searching the whole
-    isotopy class of the diagram for a word presenting the move.  Returns
-    the move record (with the moved diagram and verified identity)."""
-    collection = chamber_collection(d)
-    seen = {d.word}
-    frontier = [d.word]
-    while frontier:
-        fresh = []
-        for word in frontier:
-            candidate = DoubleWiringDiagram(d.n, word)
-            if chamber_collection(candidate) != collection:
-                raise WiringCheckFailed(
-                    f"sliding reached {word_text(word)} in another class"
-                )
-            for move in word_moves(word):
-                record = check_move_identity(candidate, move)
-                if record["Y"] == label:
-                    if not record["holds"]:
-                        raise MoveIdentityFailed(
-                            f"identity failed at {word_text(word)} move {move}"
-                        )
-                    return record
-            for p in range(len(word) - 1):
-                (f1, h1), (f2, h2) = word[p], word[p + 1]
-                same_family = f1 == f2
-                if (same_family and abs(h1 - h2) >= 2) or (
-                    not same_family and h1 != h2
-                ):
-                    slid = list(word)
-                    slid[p], slid[p + 1] = slid[p + 1], slid[p]
-                    key = tuple(slid)
-                    if key not in seen:
-                        seen.add(key)
-                        fresh.append(key)
-        frontier = fresh
-    raise NoMoveAvailable(f"no move flips chamber {label_text(label)}")
 
 
 def jacobian_rank(d: DoubleWiringDiagram) -> int:

@@ -30,15 +30,17 @@ from clusterfan.coxeter import BudgetExceeded, absolute_interval
 from clusterfan.linalg import SingularMatrix, solve_linear
 from clusterfan.roots import RootPoset, coxeter_data, root_system
 
+from test_roots import oracle_reflection_matrix
+
 
 def union_find_torus_orbits(rs, generators):
     mod = coxeter_data(rs).coxeter_number + 1
     n = rs.n
     size = mod**n
     if generators == "simple":
-        matrices = [rs.reflection_matrix(rs.simple_index[i]) for i in range(n)]
+        matrices = [oracle_reflection_matrix(rs, rs.roots[s]) for s in rs.simple_index]
     else:
-        matrices = [rs.reflection_matrix(i) for i in range(rs.num_positive)]
+        matrices = [oracle_reflection_matrix(rs, root) for root in rs.positive_roots()]
     parent = list(range(size))
 
     def find(x):
@@ -88,7 +90,7 @@ def walk_torus_orbits(rs, generators="simple"):
     # that is not the identity row
     moves = []
     for root in roots:
-        matrix = rs.reflection_matrix(root)
+        matrix = oracle_reflection_matrix(rs, rs.roots[root])
         moves.append(
             [
                 (i, mod**i, [(j, a) for j, a in enumerate(row) if a])

@@ -1,6 +1,9 @@
 """End-to-end runs of the command line front end through main()."""
 
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import subprocess
 import sys
@@ -8,9 +11,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clusterfan import cli as cli_module
-from clusterfan.cli import BROKEN_PIPE, build_parser, main
+from clusterfan.cli import BROKEN_PIPE, FORMATS, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -528,3 +533,89 @@ def test_closed_pipe_ends_quietly():
     assert proc.wait(timeout=60) == BROKEN_PIPE
     assert "Traceback" not in err and "Error" not in err, err
     proc.stderr.close()
+
+
+# -- the matrix-file half of the fuzz contract ---------------------------------
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.integers(min_value=10**18)
+    | st.integers(max_value=-(10**18))
+    | st.floats()
+    | st.text(max_size=4)
+)
+JUNK_JSON = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=2)
+    ),
+    max_leaves=12,
+)
+# bonds (|a_ij|, |a_ji|): the finite-type ones, then two that are not
+BONDS = ((0, 0), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (4, 1))
+
+
+@st.composite
+def near_matrices(draw):
+    """Cartan or exchange matrices of rank 4 at most, bond by bond, at times
+    with one more row or a row cut short: the shapes that reach validation."""
+    n, exchange = draw(st.integers(1, 4)), draw(st.booleans())
+    rows = [[0 if exchange or i != j else 2 for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        a, b = draw(st.sampled_from(BONDS))
+        sign = draw(st.sampled_from((1, -1))) if exchange else -1
+        rows[i][j], rows[j][i] = sign * a, (-sign if exchange else sign) * b
+    rows += draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=1))
+    if draw(st.integers(0, 3)) == 0:
+        rows[-1].pop()
+    return rows
+
+
+# type names of rank 4 at most, so each draw ends in well under a second
+TYPE_NAMES = st.lists(
+    st.builds("{}{}".format, st.sampled_from("ABCDEFGQa"), st.integers(0, 4)) | st.text(max_size=3),
+    min_size=1, max_size=2,
+).map("+".join)
+MATRIX_FILES = st.one_of(
+    st.builds(json.dumps, near_matrices()),
+    st.builds(json.dumps, JUNK_JSON),
+    st.builds("matrix:{}".format, st.builds(json.dumps, near_matrices() | JUNK_JSON)),
+    st.builds("type:{}".format, TYPE_NAMES),
+    st.text(max_size=12),
+).map(str.encode) | st.binary(max_size=12)
+
+
+# the subcommands that take --matrix-file (wiring and verify refuse it)
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(command=st.sampled_from(("assoc", "catalan", "group", "mutate", "roots")),
+       data=st.data(), content=MATRIX_FILES)
+@example(command="roots", data=None, content=b"\xff\xfe junk")
+@example(command="mutate", data=None, content=b"[" * 10**5 + b"]" * 10**5)
+@example(command="assoc", data=None, content=b"matrix:" + b"[" * 10**5 + b"]" * 10**5)
+@example(command="group", data=None, content=b"[[2, -1e400], [-1, 2]]")
+@example(command="mutate", data=None, content=b"[[0, 100000000000000000000], [-1, 0]]")
+def test_junk_matrix_files_end_with_a_documented_exit_code(
+    tmp_path_factory, command, data, content
+):
+    # every subcommand, in process: no exception escapes main, and the exit
+    # code is one of 0 (ok), 1 (a check failed), 2 (usage) or 3 (budget)
+    path = tmp_path_factory.mktemp("fuzz") / "matrix"
+    path.write_bytes(content)
+    fmt = data.draw(st.sampled_from(FORMATS[command])) if data else "text"
+    argv = [command, "--matrix-file", str(path), "--format", fmt]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, content)
+
+
+def test_unreadable_matrix_file_is_a_usage_error(capsys, tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["roots", "--matrix-file", str(path)])
+        assert info.value.code == 2
+        assert "cannot read the matrix file" in capsys.readouterr().err

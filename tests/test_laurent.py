@@ -1,9 +1,11 @@
 """Exact Laurent arithmetic and the fraction-free linear algebra kernel.
 
 The tuple-keyed Laurent multiply, division and text form are kept below as
-the oracle for the packed kernel."""
+the oracle for the packed kernel, and a parser of the text form
+(`parse_laurent`) as the round-trip oracle for `LaurentPoly.text()`."""
 
 import doctest
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clusterfan import laurent, packing
-from clusterfan.laurent import LaurentPoly, NonExactDivision, parse_laurent
+from clusterfan.laurent import LaurentPoly, NonExactDivision
 from clusterfan.linalg import (
     SingularMatrix,
     det,
@@ -94,11 +96,32 @@ def test_laurent_exponents_divide_cleanly():
     assert back == y + LaurentPoly.one(("x", "y"))
 
 
+def parse_laurent(variables, source):
+    """Parse the text form back: a signed sum of terms, each a '*'-separated
+    product of an integer and var or var^int factors."""
+    variables = tuple(variables)
+    text = source.replace(" ", "").replace("^-", "^~")  # no split in exponents
+    terms = re.findall(r"([+-]?)([^+-]+)", text)
+    assert "".join(map("".join, terms)) == text, source
+    result = LaurentPoly.zero(variables)
+    for sign, body in terms:
+        coeff, exps = -1 if sign == "-" else 1, [0] * len(variables)
+        for factor in body.split("*"):
+            name, _, power = factor.replace("~", "-").partition("^")
+            if name.isdigit():
+                coeff *= int(name)
+            else:
+                exps[variables.index(name)] += int(power or 1)
+        result = result + LaurentPoly(variables, {tuple(exps): coeff})
+    return result
+
+
 def test_parse_roundtrip():
     x, y = gens()
     poly = 3 * x**2 * y**-1 + x - 7 * y
     parsed = parse_laurent(("x", "y"), poly.text())
     assert parsed == poly
+    assert parse_laurent(("x", "y"), "2*x*y^-1 - 3").text() == "2*x*y^-1 - 3"
 
 
 def test_substitute_laurent_composes():
@@ -347,6 +370,7 @@ def test_packed_arithmetic_matches_tuple_oracle(data):
     assert dict(product.terms()) == expected
     assert product.text() == oracle_text(names, expected)
     assert p.text() == oracle_text(names, p_terms)
+    assert parse_laurent(names, product.text()) == product
     # exact, fractional and remainder cases, the remainder compared term by term
     numerator = p * q + r
     num_terms = dict(numerator.terms())

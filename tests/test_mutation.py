@@ -4,7 +4,9 @@ the exchange-graph walk on packed g-vectors.
 The oracle for that walk (`tropical_mutate`, `g_key`, `oracle_walk`)
 mutates the whole tropical data of every seed in every direction and knows
 a seed by its sorted g-vectors together with its matrix permuted the same
-way, so it does not rest on a cluster determining its seed."""
+way, so it does not rest on a cluster determining its seed.  The denominator
+map (`denominator_root`) is the algebra's own oracle for the cluster
+complex: its clusters, read as root sets, are the complex's facets."""
 
 import json
 import random
@@ -17,6 +19,7 @@ import pytest
 
 from clusterfan import cli, mutation, wiring
 
+from clusterfan.assoc import almost_positive, cluster_complex, compatibility
 from clusterfan.cartan import (
     NotCartanShape,
     NotSkewSymmetrizable,
@@ -28,18 +31,17 @@ from clusterfan.cartan import (
     validate_finite_type,
 )
 from clusterfan.coxeter import BudgetExceeded
-from clusterfan.laurent import LaurentPoly, parse_laurent
+from clusterfan.laurent import LaurentPoly
 from clusterfan.mutation import (
     ExchangeMatrix,
     Inconclusive,
     MutationBudgetExceeded,
     MutationGraph,
-    NotAlmostPositive,
     NotFiniteType,
     NotFullRank,
+    Seed,
     alternating_chain,
     canonical_key,
-    denominator_root,
     detect_finite_type,
     exchange_counts,
     explore,
@@ -51,12 +53,14 @@ from clusterfan.mutation import (
     c_vector_sign,
     matrix_mutate,
     observe_positivity,
-    seed_from_dict,
     seed_mutate,
     seed_to_dict,
 )
 from clusterfan.packing import LIMIT, ExponentOverflow, layout
 from clusterfan.roots import root_system
+from clusterfan.verify import QUICK_TYPES
+
+from test_laurent import parse_laurent
 
 
 def test_matrix_mutation_is_involutive():
@@ -166,7 +170,7 @@ def test_exchange_matrix_rejects_non_skew_symmetrizable():
 
 def test_exchange_matrix_rejects_fractional_entries():
     with pytest.raises(NotSkewSymmetrizable, match="1.9 is not an integer"):
-        seed_from_dict({"n": 2, "btilde": [[0, 1.9], [-1, 0]], "cluster": ["x", "y"]})
+        ExchangeMatrix(((0, 1.9), (-1, 0)), 2)
     with pytest.raises(NotSkewSymmetrizable):
         ExchangeMatrix(((0, 1), (-1, 0), (0.5, 1)), 2)
     # integral floats are still integers
@@ -257,18 +261,44 @@ def test_mutation_preserves_principal_rank():
         assert len(top) == 2
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "G2"])
+class NotAlmostPositive(ValueError):
+    """A denominator vector is neither a positive root nor a negated simple."""
+
+
+def denominator_root(variable, rs):
+    """Index (in rs.roots) of the almost-positive root given by the
+    denominator vector of a cluster variable with respect to the initial
+    cluster (the first rs.n ambient variables)."""
+    coords = tuple(-m for m in variable.min_exponents()[: rs.n])
+    if all(c >= 0 for c in coords) and any(coords):
+        idx = rs.index.get(coords)
+        if idx is not None and rs.is_positive(idx):
+            return idx
+        raise NotAlmostPositive(f"denominator vector {coords} is not a positive root")
+    negatives = [i for i, c in enumerate(coords) if c < 0]
+    if len(negatives) == 1 and coords[negatives[0]] == -1 and sum(map(abs, coords)) == 1:
+        return rs.negate(rs.simple_index[negatives[0]])
+    raise NotAlmostPositive(f"denominator vector {coords} is not almost positive")
+
+
+@pytest.mark.parametrize("name", QUICK_TYPES + ("E6",))
 def test_denominator_vectors_biject_with_almost_positive_roots(name):
+    # Fomin-Zelevinsky, Cluster algebras II, Thm 1.9: from the bipartite
+    # seed, denominator vectors biject the cluster variables onto the almost
+    # positive roots, and the clusters onto the facets of the cluster complex
     rs = root_system(name)
     names = tuple(f"x{i + 1}" for i in range(rs.n))
-    seed = initial_seed(b_matrix(rs.cartan), names)
-    graph = explore(seed)
-    roots = sorted(denominator_root(v, rs) for v in graph.cluster_variables())
+    graph = explore(initial_seed(b_matrix(rs.cartan), names))
+    root_of = {v: denominator_root(v, rs) for v in graph.cluster_variables()}
     # every almost-positive root appears exactly once: the n negated simples
     # followed by all positive roots
     expected = sorted([rs.negate(rs.simple_index[i]) for i in range(rs.n)]
                       + list(range(rs.num_positive)))
-    assert roots == expected
+    assert sorted(root_of.values()) == expected
+    clusters = {tuple(sorted(root_of[v] for v in seed.cluster)) for seed in graph.seeds}
+    assert len(clusters) == len(graph.seeds)
+    facets = cluster_complex(compatibility(almost_positive(rs))).facets
+    assert clusters == {tuple(sorted(facet)) for facet in facets}
 
 
 def test_denominator_root_rejects_garbage():
@@ -296,10 +326,18 @@ def test_detect_infinite_type_returns_none():
 
 
 def test_seed_roundtrip_through_dict():
+    # the text of each variable parses back to it (`parse_laurent`, the
+    # oracle of the text form)
     seed = initial_seed(((0, 1), (-1, 0), (1, 0)), ("x", "y"), ("c",))
     moved = seed_mutate(seed, 0)
-    data = seed_to_dict(moved)
-    back = seed_from_dict(data)
+    data = json.loads(json.dumps(seed_to_dict(moved)))
+    assert (data["m"], data["n"], data["variables"]) == (3, 2, ["x", "y", "c"])
+
+    def parse(texts):
+        return tuple(parse_laurent(data["variables"], text) for text in texts)
+
+    matrix = ExchangeMatrix(tuple(map(tuple, data["btilde"])), 2)
+    back = Seed(matrix, parse(data["cluster"]), parse(data["frozen"]))
     assert canonical_key(back) == canonical_key(moved)
     assert back.cluster == moved.cluster
     assert back.frozen == moved.frozen
@@ -321,9 +359,8 @@ def test_frozen_row_changes_variables():
     btilde = ((0, 1), (-1, 0), (1, 0))
     seed = initial_seed(btilde, ("x", "y"), ("c",))
     moved = seed_mutate(seed, 0)
-    new = moved.cluster[0]
-    ambient = ("x", "y", "c")
-    assert new == parse_laurent(ambient, "y*x^-1 + c*x^-1")
+    x, y, c = LaurentPoly.ring(("x", "y", "c"))
+    assert moved.cluster[0] * x == y + c
 
 
 # -- g-vector exploration against the Laurent-keyed oracle ---------------------
@@ -792,9 +829,8 @@ def test_explore_refuses_infinite_type_at_the_first_witness(rows):
 
 
 def test_explore_rejects_repeated_initial_variables():
-    seed = seed_from_dict(
-        {"n": 2, "btilde": [[0, 1], [-1, 0]], "cluster": ["x", "x"], "variables": ["x", "y"]}
-    )
+    x = LaurentPoly.variable(("x", "y"), "x")
+    seed = Seed(ExchangeMatrix(((0, 1), (-1, 0)), 2), (x, x), ())
     with pytest.raises(ValueError, match="distinct"):
         explore(seed)
 

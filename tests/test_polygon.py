@@ -1,10 +1,13 @@
 """Polygon triangulations, flips, Ptolemy propagation, and the two polygon
 models (snake labeling for type A, centrally symmetric for type B).
 
-The first Ptolemy propagation, which divided every exchange relation it met
-and compared the quotient with the stored value, is kept below as the oracle
-for the multiply-back check, and so is the first quad lookup, which scanned
-every triangle of the triangulation."""
+The two models, and the flip graph of plain triangulations, live here as
+oracles: they check `assoc.compatibility` and the exchange graph of
+`mutation.explore` from the polygon side.  The first Ptolemy propagation,
+which divided every exchange relation it met and compared the quotient with
+the stored value, is kept below as the oracle for the multiply-back check,
+and so is the first quad lookup, which scanned every triangle of the
+triangulation."""
 
 import itertools
 import math
@@ -27,22 +30,12 @@ from clusterfan.polygon import (
     adjacency_rows,
     all_diagonals,
     crossing,
-    enumerate_symmetric,
     enumerate_triangulations,
-    flip_edge,
-    flip_graph,
-    flip_graph_dot,
     flipped_diagonal,
-    orbits_compatible,
     plucker_verify,
     polygon_sides,
-    ptolemy_expand,
     ptolemy_values,
-    snake_and_compatibility,
-    snake_diagonals,
     standard_chart,
-    symmetric_flip_graph,
-    symmetric_orbit_classes,
 )
 from clusterfan.roots import root_system
 
@@ -81,6 +74,16 @@ def test_triangles_partition():
     assert (0, 1, 2) in faces
 
 
+def flip_edge(tri, d):
+    rest = tuple(e for e in tri.diagonals if e != d)
+    return Triangulation(tri.m, rest + (flipped_diagonal(tri, d),))
+
+
+def flip_graph(tris):
+    index = {t.diagonals: i for i, t in enumerate(tris)}
+    return {i: {index[flip_edge(t, d).diagonals] for d in t.diagonals} for i, t in enumerate(tris)}
+
+
 def test_flip_moves_one_diagonal():
     tri = Triangulation(5, ((0, 2), (0, 3)))
     assert flipped_diagonal(tri, (0, 2)) == (1, 3)
@@ -108,12 +111,6 @@ def test_flip_graph_isomorphic_to_exchange_graph():
         exchange = nx.Graph()
         exchange.add_edges_from((u, v) for u, _, v in graph.edges)
         assert nx.is_isomorphic(flips, exchange)
-
-
-def test_flip_graph_dot():
-    dot = flip_graph_dot(enumerate_triangulations(2))
-    assert dot.startswith("graph")
-    assert dot.count("--") == 5
 
 
 def test_labeled_flip_transfers_label():
@@ -178,8 +175,8 @@ def test_ptolemy_values_all_laurent_positive():
 
 def test_ptolemy_expand_single_target():
     fan = Triangulation(5, ((0, 2), (0, 3)))
-    value = ptolemy_expand(fan, (1, 3))
-    assert value.fraction_text() == "(y2*q2+q1*q3)/y1"
+    values = ptolemy_values(fan, *standard_chart(fan))
+    assert values[(1, 3)].fraction_text() == "(y2*q2+q1*q3)/y1"
 
 
 def triangle_scan_quad_around(tri, d):
@@ -384,6 +381,33 @@ def test_plucker_minors(n):
     assert report["diagonals_checked"] == len(all_diagonals(n + 3))
 
 
+# -- the snake and type-A compatibility ------------------------------------------
+
+
+def snake_diagonals(n):
+    """The zigzag triangulation of the (n+3)-gon that anchors the labeling of
+    diagonals by almost-positive roots."""
+    return tuple((i // 2, n + 1 - (i - 1) // 2) for i in range(1, n + 1))
+
+
+def snake_labeling(n):
+    """Diagonal of the (n+3)-gon -> almost-positive root of A_n in simple-root
+    coordinates: the i-th snake diagonal gets -alpha_i, and any other
+    diagonal, which crosses a run i..j of snake diagonals, gets
+    alpha_i + ... + alpha_j."""
+    snake = snake_diagonals(n)
+    root_of = {}
+    for d in all_diagonals(n + 3):
+        crossed = [i for i, s in enumerate(snake) if crossing(d, s)]
+        if d in snake:
+            root_of[d] = tuple(-int(s == d) for s in snake)
+        else:
+            assert crossed == list(range(crossed[0], crossed[-1] + 1)), (d, crossed)
+            root_of[d] = tuple(int(crossed[0] <= j <= crossed[-1]) for j in range(n))
+    assert len(set(root_of.values())) == len(root_of) == n * (n + 3) // 2
+    return root_of
+
+
 def test_snake_shape():
     assert snake_diagonals(2) == ((0, 3), (1, 3))
     assert snake_diagonals(3) == ((0, 4), (1, 4), (1, 3))
@@ -391,51 +415,76 @@ def test_snake_shape():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_snake_labeling_matches_root_compatibility(n):
-    labeling = snake_and_compatibility(n)
+    root_of = snake_labeling(n)
     rs = root_system(f"A{n}")
     rel = compatibility(almost_positive(rs))
-    for coords1, d1 in labeling.diagonal_of.items():
-        for coords2 in labeling.diagonal_of:
-            if coords1 >= coords2:
-                continue
-            by_polygon = labeling.compatible(coords1, coords2)
-            by_roots = rel.compatible(rs.index[coords1], rs.index[coords2])
-            assert by_polygon == by_roots, (coords1, coords2)
+    for d1, d2 in itertools.combinations(root_of, 2):
+        by_roots = rel.compatible(rs.index[root_of[d1]], rs.index[root_of[d2]])
+        assert by_roots == (not crossing(d1, d2)), (d1, d2)
 
 
 def test_snake_labeling_counts():
-    labeling = snake_and_compatibility(3)
-    roots = set(labeling.root_of.values())
+    roots = set(snake_labeling(3).values())
     negatives = [r for r in roots if min(r) < 0]
     assert len(roots) == 9
     assert len(negatives) == 3
 
 
+# -- centrally symmetric triangulations (type B model) ----------------------------
+
+
+def antipodal_orbit(d, m):
+    return tuple(sorted({d, tuple(sorted((v + m // 2) % m for v in d))}))
+
+
+def symmetric_triangulations(n):
+    """The centrally symmetric triangulations of the (2n+2)-gon, each with its
+    diagonals grouped into antipodal orbits: one diameter, the rest pairs."""
+    m = 2 * n + 2
+    out = []
+    for tri in enumerate_triangulations(m - 3):
+        orbits = sorted({antipodal_orbit(d, m) for d in tri.diagonals})
+        if sum(map(len, orbits)) == len(tri.diagonals):
+            assert [len(o) for o in orbits].count(1) == 1
+            out.append((tri, orbits))
+    return out
+
+
+def flip_orbit(tri, orbit):
+    """Flip every diagonal of one orbit: a diameter flips to the other
+    diameter of its symmetric quad, an antipodal pair member by member."""
+    for d in orbit:
+        tri = flip_edge(tri, d)
+    return tri
+
+
 @pytest.mark.parametrize("n,count", [(2, 6), (3, 20)])
 def test_symmetric_triangulation_counts(n, count):
-    assert len(enumerate_symmetric(n)) == count
+    assert len(symmetric_triangulations(n)) == count
 
 
 def test_symmetric_flip_graph_regular():
-    sym = enumerate_symmetric(3)
-    adjacency = symmetric_flip_graph(sym)
-    assert all(len(nbrs) == 3 for nbrs in adjacency.values())
+    # a flipped orbit is symmetric again: the lookup finds it
+    sym = symmetric_triangulations(3)
+    index = {tri.diagonals: i for i, (tri, _) in enumerate(sym)}
+    for tri, orbits in sym:
+        assert len({index[flip_orbit(tri, o).diagonals] for o in orbits}) == 3
 
 
 def test_symmetric_orbits_model_type_b():
     # orbit classes of the octagon under the antipodal map are the almost
-    # positive roots of B3; symmetric triangulations are the clusters
+    # positive roots of B3; symmetric triangulations are the clusters.  Two
+    # classes are compatible when no member of one crosses one of the other
     n = 3
-    classes = symmetric_orbit_classes(n)
+    classes = sorted({antipodal_orbit(d, 2 * n + 2) for d in all_diagonals(2 * n + 2)})
     assert len(classes) == n * (n + 1)
     compat = nx.Graph()
     compat.add_nodes_from(range(len(classes)))
-    for i, o1 in enumerate(classes):
-        for j in range(i + 1, len(classes)):
-            if orbits_compatible(o1, classes[j]):
-                compat.add_edge(i, j)
+    for i, j in itertools.combinations(range(len(classes)), 2):
+        if not any(crossing(d, e) for d in classes[i] for e in classes[j]):
+            compat.add_edge(i, j)
     cliques = [c for c in nx.enumerate_all_cliques(compat) if len(c) == n]
-    assert len(cliques) == len(enumerate_symmetric(n)) == 20
+    assert len(cliques) == len(symmetric_triangulations(n)) == 20
 
     rs = root_system("B3")
     rel = compatibility(almost_positive(rs))
@@ -451,9 +500,6 @@ def test_symmetric_orbits_model_type_b():
 
 
 def test_symmetric_flip_orbit_structure():
-    st = enumerate_symmetric(2)[0]
-    assert len(st.orbits) == 2
-    sizes = sorted(len(o) for o in st.orbits)
-    assert sizes == [1, 2]
-    moved = st.flip_orbit(0)
-    assert moved.tri.diagonals != st.tri.diagonals
+    tri, orbits = symmetric_triangulations(2)[0]
+    assert sorted(len(o) for o in orbits) == [1, 2]
+    assert flip_orbit(tri, orbits[0]).diagonals != tri.diagonals

@@ -13,21 +13,18 @@ from clusterfan.wiring import (
     FOUR_MOVE_WORD,
     THREE_MOVE_WORD,
     DoubleWiringDiagram,
-    NoMoveAvailable,
     all_words,
     chamber_collection,
-    chamber_minors,
     chamber_name,
     chambers,
     check_move_identity,
-    diagram,
     enumerate_classes,
     gl3_cell,
     hidden_polynomials,
     jacobian_rank,
     label_text,
-    local_move,
     minor_poly,
+    move_chambers,
     parse_word,
     report_json,
     verify_move_identities,
@@ -50,7 +47,7 @@ def test_word_validation():
 
 
 def test_four_move_chamber_rows():
-    d = diagram(FOUR_MOVE_WORD)
+    d = DoubleWiringDiagram(3, FOUR_MOVE_WORD)
     by_level = {1: [], 2: [], 3: []}
     for c in chambers(d):
         by_level[c.level].append((c.start, c.label))
@@ -68,7 +65,7 @@ def test_four_move_chamber_rows():
 
 
 def test_three_move_chamber_rows():
-    d = diagram(THREE_MOVE_WORD)
+    d = DoubleWiringDiagram(3, THREE_MOVE_WORD)
     by_level = {1: [], 2: [], 3: []}
     for c in chambers(d):
         by_level[c.level].append((c.start, c.label))
@@ -93,14 +90,14 @@ def test_unbounded_chambers_shared_by_every_diagram():
         ((1, 2, 3), (1, 2, 3)),
     }
     for word in (FOUR_MOVE_WORD, THREE_MOVE_WORD):
-        unbounded = {c.label for c in chambers(diagram(word)) if not c.bounded}
+        unbounded = {c.label for c in chambers(DoubleWiringDiagram(3, word)) if not c.bounded}
         assert unbounded == expected
 
 
 def test_isotopic_words_share_chambers():
     variant = parse_word("t1 T2 t2 T1 t1 T2")
-    assert chamber_collection(diagram(variant)) == chamber_collection(
-        diagram(FOUR_MOVE_WORD)
+    assert chamber_collection(DoubleWiringDiagram(3, variant)) == chamber_collection(
+        DoubleWiringDiagram(3, FOUR_MOVE_WORD)
     )
 
 
@@ -117,7 +114,8 @@ def test_minor_poly_values():
 
 
 def test_chamber_minors_rows_are_thick_labels():
-    minors = chamber_minors(diagram(FOUR_MOVE_WORD))
+    d = DoubleWiringDiagram(3, FOUR_MOVE_WORD)
+    minors = {c.label: minor_poly(c.label[0], c.label[1], 3) for c in chambers(d)}
     ambient = next(iter(minors.values())).variables
     x31 = LaurentPoly.variable(ambient, "x31")
     assert minors[((3,), (1,))] == x31
@@ -138,7 +136,7 @@ def test_direct_moves_of_the_figures():
 
 
 def test_move_identities_on_direct_moves():
-    d = diagram(THREE_MOVE_WORD)
+    d = DoubleWiringDiagram(3, THREE_MOVE_WORD)
     for move in word_moves(THREE_MOVE_WORD):
         record = check_move_identity(d, move)
         assert record["holds"], move
@@ -187,28 +185,47 @@ def test_all_words_count_n2():
     assert len(all_words(3)) == 20 * 2 * 2
 
 
+def moves_of_class(graph, word):
+    """The move records of every word isotopic to `word`, identities checked."""
+    cls = graph.classes[graph.class_of(word)]
+    return [
+        check_move_identity(DoubleWiringDiagram(3, w), move)
+        for w in cls.words
+        for move in word_moves(w)
+    ]
+
+
 def test_local_move_flips_each_bounded_chamber():
-    d = diagram(FOUR_MOVE_WORD)
-    bounded = [c.label for c in chambers(d) if c.bounded]
+    graph = enumerate_classes(3)
+    d = DoubleWiringDiagram(3, FOUR_MOVE_WORD)
+    bounded = {c.label for c in chambers(d) if c.bounded}
     assert len(bounded) == 4
-    for label in bounded:
-        record = local_move(d, label)
-        assert record["Y"] == label
-        assert record["holds"]
+    records = moves_of_class(graph, FOUR_MOVE_WORD)
+    assert all(record["holds"] for record in records)
+    assert {record["Y"] for record in records} == bounded
 
 
 def test_local_move_unavailable_for_locked_chamber():
-    d = diagram(THREE_MOVE_WORD)
-    with pytest.raises(NoMoveAvailable):
-        local_move(d, ((1, 2), (1, 2)))
+    graph = enumerate_classes(3)
+    flipped = {record["Y"] for record in moves_of_class(graph, THREE_MOVE_WORD)}
+    bounded = {c.label for c in chambers(DoubleWiringDiagram(3, THREE_MOVE_WORD)) if c.bounded}
+    assert ((1, 2), (1, 2)) in bounded - flipped
+    assert len(flipped) == 3
 
 
 def test_local_move_is_reversible():
-    d = diagram(FOUR_MOVE_WORD)
-    record = local_move(d, ((1,), (2,)))
-    back = local_move(record["diagram"], record["Z"])
-    assert back["Z"] == record["Y"]
-    assert chamber_collection(back["diagram"]) == chamber_collection(d)
+    # the same move at the same position undoes a move and flips Z back to Y
+    graph = enumerate_classes(3)
+    for cls in graph.classes:
+        for word in cls.words:
+            d = DoubleWiringDiagram(3, word)
+            for move in word_moves(word):
+                record = move_chambers(d, move)
+                moved = record["diagram"]
+                assert move in word_moves(moved.word)
+                back = move_chambers(moved, move)
+                assert back["diagram"] == d
+                assert (back["Y"], back["Z"]) == (record["Z"], record["Y"])
 
 
 def test_chamber_name():
@@ -217,8 +234,8 @@ def test_chamber_name():
 
 
 def test_jacobian_rank_full():
-    assert jacobian_rank(diagram(FOUR_MOVE_WORD)) == 9
-    assert jacobian_rank(diagram(THREE_MOVE_WORD)) == 9
+    assert jacobian_rank(DoubleWiringDiagram(3, FOUR_MOVE_WORD)) == 9
+    assert jacobian_rank(DoubleWiringDiagram(3, THREE_MOVE_WORD)) == 9
 
 
 def test_hidden_polynomials_exact():
@@ -303,7 +320,7 @@ def doubled(seed, budget):
     record = explore(seed, budget)
     record.seeds.append(record.seeds[0])
     return record
-four_move = wiring.diagram(wiring.FOUR_MOVE_WORD)
+four_move = wiring.DoubleWiringDiagram(3, wiring.FOUR_MOVE_WORD)
 checks = (
     ("chambers", duplicated, lambda: wiring.chamber_collection(four_move)),
     ("explore", doubled, wiring.gl3_cell),
