@@ -6,15 +6,20 @@ roots to one involving a negated simple root, which decides compatibility;
 the clique complex of the compatibility graph is the cluster complex; a
 tau-invariant support function turns it into an explicit simple polytope
 whose normal fan refines into the Coxeter fan after one linear change of
-coordinates.  Everything is exact: one walk across the walls of the complex
-keeps each cluster's dual basis as an integer matrix, changed by one integer
-pivot per flip, so every cluster is a basis of the root lattice and every
-vertex is rational; counts are compared to the product formula over the
-exponents.  The dual bases are the one cone representation: a vector's
-coefficients over a cluster are its pairings with them.  The complex stores
-them with the root entering across each wall, so the vertices, their
-convexity (one inequality per wall) and the refinement by the Coxeter fan
-all read them, nothing walks twice, and nothing is inverted.
+coordinates.  Everything is exact.  A backtracking over the compatible
+positions counts the faces of the complex and checks that it is pure; it
+lists no face.  One walk across the walls from the negated simple roots then
+lists the facets, each wall computed from one side only, and keeps each
+cluster's dual basis as an integer matrix, changed by one integer pivot per
+flip, so every cluster is a basis of the root lattice and every vertex is
+rational; it must reach exactly the counted number of facets, which are then
+sorted to lexicographic order, and counts are compared to the product
+formula over the exponents.  The dual bases are the one cone
+representation: a vector's coefficients over a cluster are its pairings
+with them.  The complex stores them with the root entering across each wall,
+so the vertices, their convexity (one inequality per wall) and the
+refinement by the Coxeter fan all read them, nothing walks twice, and
+nothing is inverted.
 """
 from __future__ import annotations
 
@@ -24,7 +29,6 @@ import math
 import operator
 from array import array
 from bisect import bisect
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -282,14 +286,14 @@ def _h_from_f(f_vector: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 def cluster_complex(rel: CompatibilityRelation) -> ClusterComplexData:
-    """All pairwise-compatible root sets, by backtracking over the bitmasks
-    of compatible positions, in lexicographic position order.  The complex
-    must be pure of dimension n-1.  The wall walk `_walk` then certifies a
-    complete simplicial fan of unimodular cones: every wall lies in exactly
-    two facets, adjacent cones lie on opposite sides of it, and the signs of
-    one generic vector against the dual bases count the h-vector, whose
-    h_0 = 1 puts that vector in exactly one cone.  The complex keeps the
-    walk's dual bases and entering roots, so nothing walks again.  The
+    """The clique complex of the compatibility relation, which must be pure
+    of dimension n-1, counted face by face; the wall walk `_walk` then lists
+    its facets and certifies a complete simplicial fan of unimodular cones:
+    every wall lies in exactly two facets, adjacent cones lie on opposite
+    sides of it, and the signs of one generic vector against the dual bases
+    count the h-vector, whose h_0 = 1 puts that vector in exactly one cone.
+    The complex keeps the walk's facets, in lexicographic position order,
+    with their dual bases and entering roots, so nothing walks again.  The
     number of facets was held to FACET_BUDGET by `almost_positive`."""
     ap = rel.ap
     n = ap.n
@@ -300,39 +304,43 @@ def cluster_complex(rel: CompatibilityRelation) -> ClusterComplexData:
         masks[q] |= 1 << (top - p)
     sizes = [0] * (n + 1)
     sizes[0] = 1
-    facets: list[tuple[int, ...]] = []
 
-    def grow(current: list[int], greater: int, extensions: int):
-        """greater drives duplicate-free enumeration; extensions holds every
-        vertex compatible with the whole current face, which is what purity
-        is about."""
-        size = len(current)
-        if size == n:
-            facets.append(tuple(ap.indices[p] for p in current))
-            return
+    def grow(size: int, greater: int, extensions: int):
+        """Count the faces that contain a face of the given size, whose
+        later positions compatible with all of it are greater (which keeps
+        the enumeration free of duplicates) and whose positions compatible
+        with all of it are extensions (which is what purity is about).  A
+        face of size n - 2 checks that each ridge over it extends and counts
+        the facets over that ridge, so no ridge or facet is visited."""
         if size and not extensions:
             raise AssocCheckFailed(f"maximal face of size {size} < {n}: not pure")
         sizes[size + 1] += greater.bit_count()
         while greater:
             bit = greater.bit_length() - 1
             greater ^= 1 << bit
-            p = top - bit
-            grow(current + [p], greater & masks[p], extensions & masks[p])
+            mask = masks[top - bit]
+            if size + 2 < n:
+                grow(size + 1, greater & mask, extensions & mask)
+            elif extensions & mask:
+                sizes[n] += (greater & mask).bit_count()
+            else:
+                raise AssocCheckFailed(f"maximal face of size {n - 1} < {n}: not pure")
 
     everything = (2 << top) - 1
-    grow([], everything, everything)
+    if n > 1:
+        grow(0, everything, everything)
+    else:  # the one ridge is the empty face, and every root is a facet
+        sizes[1] = top + 1
     f_vector = tuple(sizes)
-    if f_vector[n] != len(facets):
-        raise AssocCheckFailed(f"f_{n - 1} = {f_vector[n]} but {len(facets)} facets")
     h_vector = _h_from_f(f_vector, n)
-    duals, entering, rising = _walk(ap, masks, facets)
+    facets, duals, entering, rising = _walk(ap, masks, f_vector[n])
     if tuple(rising) != h_vector:
         raise AssocCheckFailed(
             f"a generic vector meets the cones with h-vector {tuple(rising)},"
             f" the f-vector gives {h_vector}"
         )
     return ClusterComplexData(
-        ap, tuple(facets), f_vector, h_vector, tuple(masks), duals, entering
+        ap, facets, f_vector, h_vector, tuple(masks), duals, entering
     )
 
 
@@ -452,36 +460,57 @@ def _move(dual: int, j: int, s: int, shape: _DualLayout) -> int:
     return (plain & ~window | part & window) - shape.half
 
 
+# An entry of `entering` that no wall has written yet: no position reaches
+# it, since FACET_BUDGET keeps the roots far fewer.
+UNSET = 0xFFFF
+
+
 def _walk(
-    ap: AlmostPositive, masks: Sequence[int], facets: Sequence[tuple[int, ...]]
-) -> tuple[tuple[int, ...], array, list[int]]:
-    """Walk the facets breadth-first across their walls and keep, laid out
-    as in ClusterComplexData, each facet's dual basis D (integer columns
-    with root i of the facet paired to column k as delta_ik) and the
-    position of the root entering at each slot.  The third result counts
-    the facets by how many columns of D pair negatively with the generic
-    vector of `_lex_negatives`.
+    ap: AlmostPositive, masks: Sequence[int], count: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], array, list[int]]:
+    """List the `count` facets by a walk across their walls from the negated
+    simple roots, and keep, laid out as in ClusterComplexData, each facet's
+    dual basis D (integer columns with root i of the facet paired to column
+    k as delta_ik) and the position of the root entering at each slot.  The
+    last result counts the facets by how many columns of D pair negatively
+    with the generic vector of `_lex_negatives`.
 
-    The walk starts at the negated simple roots, where D = -I.  Across the
-    wall opposite slot j, the entering root gamma is the one position left
-    in the intersection of the other n-1 compatibility masks besides the
-    leaving root; none or two or more mean the wall does not lie in exactly
-    two clusters.  gamma . D_j = -1 says at once that gamma lies on the other
-    side of the wall and that the new cluster is again a lattice basis; the
-    new D is one integer pivot away (`_pivot`), so B . D = I with D integral
-    holds on every cluster reached.  Every flip must land on one of
-    `facets`, each listed in ascending position order, and the walk must
-    reach all of them.
+    The walk starts at the negated simple roots, which must be pairwise
+    compatible, where D = -I.  Across the wall opposite slot j, the entering
+    root gamma is the one position left in the intersection of the other
+    n-1 compatibility masks besides the leaving root; none or two or more
+    mean the wall does not lie in exactly two clusters.  gamma . D_j = -1
+    says at once that gamma lies on the other side of the wall and that the
+    new cluster is again a lattice basis; the new D is one integer pivot
+    away (`_pivot`), so B . D = I with D integral holds on every cluster
+    reached.  Facets are numbered when the walk first reaches them and take
+    their turns in that order; more than `count` of them, or fewer at the
+    end, refute the face count.  At the end the facets, each in ascending
+    position order, are sorted to lexicographic position order, and their
+    dual bases and entering roots with them.
 
-    Each D is one int in the layout of `_DualLayout`, and every wall costs
-    one product D G_gamma, whose fields hold gamma . D_k for every k.  A new
-    facet takes the pivot's one multiply-add and a turn of its columns
-    (`_move`) that puts the entering root's column at its sorted slot.  The
-    fields of D G_gamma are exact while each stays under 2^(W-1) = 2^15 in
-    size.  Cat(W) is the product, over the exponents e_i of each
-    irreducible component with Coxeter number h, of (h + e_i + 1) / (e_i + 1),
-    each factor at least 2 since e_i < h.  So Cat(W) >= 2^n, and
-    FACET_BUDGET < 2^16 puts n <= 15.  A root coordinate
+    Each wall is computed once, from the end whose turn comes first: the
+    wall opposite slot j of facet i, with p leaving and q entering, leaves
+    entering[t n + s] = p for the far facet t, q at its slot s, and at t's
+    turn slot s is skipped.  That is what the computation would find.  The
+    wall is the same n-1 roots from both ends, whose common compatible
+    positions outside the wall are p and q alone, so p is the one left
+    outside facet t.  Both D_j of facet i and column s of facet t pair to
+    zero with the wall's roots, and the pivot sets the latter to -D_j, so
+    once q . D_j = -1, p . (-D_j) = -1 as well (p . D_j = 1).  A computed
+    wall can reach no facet whose turn is over: that facet would have
+    computed the wall at its turn and left this slot written; such a
+    meeting raises AssocCheckFailed.
+
+    Each D is one int in the layout of `_DualLayout`, and every computed
+    wall costs one product D G_gamma, whose fields hold gamma . D_k for
+    every k.  A new facet takes the pivot's one multiply-add and a turn of
+    its columns (`_move`) that puts the entering root's column at its sorted
+    slot.  The fields of D G_gamma are exact while each stays under
+    2^(W-1) = 2^15 in size.  Cat(W) is the product, over the exponents e_i
+    of each irreducible component with Coxeter number h, of
+    (h + e_i + 1) / (e_i + 1), each factor at least 2 since e_i < h.  So
+    Cat(W) >= 2^n, and FACET_BUDGET < 2^16 puts n <= 15.  A root coordinate
     is at most 6 (E8's highest root), and `_pivot` keeps every entry of D in
     [-128, 128), so a field is at most 15 * 128 * 6 = 11,520 in size.  The
     walk checks n * 128 * (largest coordinate) < 2^15 before it starts."""
@@ -497,64 +526,77 @@ def _walk(
     lifts = [shape.lift(gamma) for gamma in coords]
     bias = shape.bias
     reads = [offset + shape.below for offset in shape.offsets]
-    position = ap.position
+    indices, position = ap.indices, ap.position
     # a facet's key has the bits of its positions, as in the masks
-    keys = [sum(1 << (top - position[idx]) for idx in facet) for facet in facets]
-    index = {key: i for i, key in enumerate(keys)}
     everything = (2 << top) - 1
-    if keys[0] != everything ^ (everything >> n):  # positions 0..n-1
-        raise AssocCheckFailed("the negated simple roots do not form the first facet")
-    duals = [0] * len(keys)
-    duals[0] = shape.negated_identity()
-    entering = array("H", [0]) * (len(keys) * n)
+    start = everything ^ (everything >> n)  # positions 0..n-1
+    if any(start & ~masks[p] != 1 << (top - p) for p in range(n)):
+        raise AssocCheckFailed("the negated simple roots are not pairwise compatible")
+    keys = [start]
+    index = {start: 0}
+    facets = [indices[:n]]
+    duals = [shape.negated_identity()]
+    entering = array("H", [UNSET]) * (count * n)
     rising = [0] * (n + 1)
-    seen = bytearray(len(keys))
-    seen[0] = 1
-    reached = 1
-    # A facet's dual basis is stored when the walk first reaches it, so the
-    # queue holds facet indices alone.
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        key = keys[i]
-        dual = duals[i]
+    i = 0
+    while i < len(keys):
+        key, facet, dual = keys[i], facets[i], duals[i]
         rising[_lex_negatives(dual, shape)] += 1
-        positions = [position[idx] for idx in facets[i]]
+        positions = [position[idx] for idx in facet]
         # the masks of the slots after j, intersected outside the facet
         after = [everything ^ key]
         for q in reversed(positions[1:]):
             after.append(after[-1] & masks[q])
         before = -1  # the masks of the slots before j
+        at = i * n
         for j, p in enumerate(positions):
             common = before & after[n - 1 - j]
             before &= masks[p]
+            if entering[at + j] != UNSET:  # computed from the far end
+                continue
             if not common or common & (common - 1):
-                wall = tuple(ap.indices[q] for q in positions if q != p)
+                wall = facet[:j] + facet[j + 1 :]
                 raise AssocCheckFailed(
                     f"wall {wall} lies in {1 + common.bit_count()} clusters, not 2"
                 )
             q = top - (common.bit_length() - 1)
-            entering[i * n + j] = q
+            entering[at + j] = q
             product = dual * lifts[q] + bias
             c = (product >> reads[j] & FIELD) - SIGN
             if c != -1:
                 raise NonUnimodularCluster(
-                    f"root {ap.indices[q]} enters facet {facets[i]} at slot {j}"
+                    f"root {indices[q]} enters facet {facet} at slot {j}"
                     f" with coefficient {c}, not -1"
                 )
-            target = index.get(key ^ (1 << (top - p)) | common)
-            if target is None:
-                raise AssocCheckFailed(f"a flip of facet {facets[i]} left the complex")
-            if seen[target]:
-                continue
-            seen[target] = 1
-            reached += 1
-            new = _pivot(dual, j, product, shape)
-            duals[target] = _move(new, j, bisect(positions, q) - (q > p), shape)
-            queue.append(target)
-    if reached != len(keys):
-        raise AssocCheckFailed(f"the wall walk reached {reached} of {len(keys)} facets")
-    return tuple(duals), entering, rising
+            far = key ^ (1 << (top - p)) | common
+            s = bisect(positions, q) - (q > p)
+            t = index.get(far)
+            if t is None:
+                t = len(keys)
+                if t == count:
+                    raise AssocCheckFailed(
+                        f"the wall walk found more than {count} facets"
+                    )
+                index[far] = t
+                keys.append(far)
+                wall = facet[:j] + facet[j + 1 :]
+                facets.append(wall[:s] + (indices[q],) + wall[s:])
+                duals.append(_move(_pivot(dual, j, product, shape), j, s, shape))
+            elif t < i:
+                raise AssocCheckFailed(
+                    f"a wall of facet {facet} reached a facet whose turn is over"
+                )
+            entering[t * n + s] = p
+        i += 1
+    if len(keys) != count:
+        raise AssocCheckFailed(f"the wall walk reached {len(keys)} of {count} facets")
+    del index  # freed for the sort, which would otherwise add to the peak
+    order = sorted(range(count), key=keys.__getitem__, reverse=True)
+    ordered = array("H")
+    for i in order:
+        ordered += entering[i * n : (i + 1) * n]
+    facets = tuple(facets[i] for i in order)
+    return facets, tuple(duals[i] for i in order), ordered, rising
 
 
 def n_phi(rs: RootSystem) -> int:

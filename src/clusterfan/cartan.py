@@ -39,6 +39,35 @@ class UnrecognizedDiagram(ValueError):
     """The diagram is not one of the finite Dynkin diagrams."""
 
 
+# the most characters of a refused text that its error message repeats
+ECHO = 64
+
+
+def _shown(text: str) -> str:
+    """repr(text), cut to its first ECHO characters when it is longer."""
+    if len(text) <= ECHO:
+        return repr(text)
+    return f"{text[:ECHO]!r}... ({len(text)} characters)"
+
+
+# A rank-n system has up to n^2 positive roots and its validation takes
+# O(n^3) steps, so a larger rank is refused first; A128 (8,256 positive
+# roots) is the largest A_n admitted.
+MAX_RANK = 128
+
+
+class ClosureBudgetExceeded(RuntimeError):
+    """The rank is over MAX_RANK: a type name is refused before its matrix
+    is built, a root system before it is validated or closed."""
+
+
+def check_rank(n: int) -> None:
+    if n > MAX_RANK:
+        raise ClosureBudgetExceeded(
+            f"rank {n} is over the bound of {MAX_RANK} simple roots"
+        )
+
+
 def as_entries(rows: Sequence[Sequence[int]]) -> Entries:
     """Rows as tuples of ints; raises NotCartanShape on an entry that is not
     an integral number (an integral float such as 2.0 is accepted)."""
@@ -393,16 +422,26 @@ def parse_type_name(name: str) -> DynkinType:
     factors = []
     for piece in name.split("+"):
         piece = piece.strip()
-        if len(piece) < 2 or not piece[1:].isdigit():
-            raise UnrecognizedDiagram(f"cannot parse type name {piece!r}")
-        factors.append((piece[0].upper(), int(piece[1:])))
+        try:
+            # isdigit would admit digits such as '²' that int refuses, and
+            # int refuses more digits than sys.get_int_max_str_digits()
+            if len(piece) < 2 or not piece[1:].isdecimal():
+                raise ValueError
+            factors.append((piece[0].upper(), int(piece[1:])))
+        except ValueError:
+            raise UnrecognizedDiagram(
+                f"cannot parse type name {_shown(piece)}"
+            ) from None
     return tuple(sorted(factors))
 
 
 def cartan_for_type(dtype: DynkinType | str) -> Entries:
-    """Block-diagonal builtin Cartan matrix for a (possibly composite) type."""
+    """Block-diagonal builtin Cartan matrix for a (possibly composite) type.
+    The total rank is read off the type first: over MAX_RANK no block is
+    built."""
     if isinstance(dtype, str):
         dtype = parse_type_name(dtype)
+    check_rank(sum(rank for _, rank in dtype))
     blocks = [standard_cartan(letter, rank) for letter, rank in dtype]
     total = sum(len(b) for b in blocks)
     rows = [[0] * total for _ in range(total)]
@@ -415,6 +454,15 @@ def cartan_for_type(dtype: DynkinType | str) -> Entries:
     return as_entries(rows)
 
 
+def load_matrix_json(text: str):
+    """json.loads, refusing JSON nested past the recursion limit as bad
+    matrix JSON (NotCartanShape)."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise NotCartanShape("bad matrix JSON: nested too deeply") from None
+
+
 def parse_cartan_text(text: str) -> Entries:
     """Parse the two accepted textual formats: "type:A3" and
     "matrix:[[2,-1],[-1,2]]"."""
@@ -423,10 +471,12 @@ def parse_cartan_text(text: str) -> Entries:
         return cartan_for_type(text[len("type:"):].strip())
     if text.startswith("matrix:"):
         try:
-            rows = json.loads(text[len("matrix:"):].strip())
-        except (json.JSONDecodeError, RecursionError) as exc:
+            rows = load_matrix_json(text[len("matrix:"):].strip())
+        except json.JSONDecodeError as exc:
             raise NotCartanShape(f"bad matrix JSON: {exc}") from exc
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise NotCartanShape("matrix must be a list of rows")
         return check_shape(rows)
-    raise NotCartanShape(f"expected 'type:NAME' or 'matrix:[[...]]', got {text!r}")
+    raise NotCartanShape(
+        f"expected 'type:NAME' or 'matrix:[[...]]', got {_shown(text)}"
+    )

@@ -8,7 +8,7 @@ one is needed, and a matrix file that is empty, has an entry that is not an
 integer, is not a Cartan matrix or, for mutate, is not an m-by-n matrix,
 m >= n, with a skew-symmetrizable top part and full column rank),
 3 budget exceeded (including a root system of rank over 128,
-roots.MAX_RANK, so that A128 is the largest A_n admitted) or, for mutate,
+cartan.MAX_RANK, so that A128 is the largest A_n admitted) or, for mutate,
 an exchange matrix of infinite type or a cluster variable with an exponent
 outside [-8192, 8192) (packing.LIMIT),
 141 (128 + SIGPIPE, as a shell reports a writer killed by a closed pipe)
@@ -25,6 +25,7 @@ import os
 import sys
 
 from .cartan import (
+    ClosureBudgetExceeded,
     Entries,
     NotCartanShape,
     NotSkewSymmetrizable,
@@ -34,10 +35,10 @@ from .cartan import (
     b_matrix,
     cartan_for_type,
     dynkin_name,
+    load_matrix_json,
     parse_cartan_text,
 )
 from .roots import (
-    ClosureBudgetExceeded,
     NotIrreducible,
     catalan_number,
     root_system,
@@ -109,8 +110,8 @@ def _entries_from_args(
         if exchange and text.startswith("matrix:"):
             text = text[len("matrix:"):].strip()
         try:
-            rows = json.loads(text)
-        except (json.JSONDecodeError, RecursionError):
+            rows = load_matrix_json(text)
+        except json.JSONDecodeError:
             rows = parse_cartan_text(text)
         if not isinstance(rows, (list, tuple)) or not rows or not all(
             isinstance(row, (list, tuple)) and row for row in rows

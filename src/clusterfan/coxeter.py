@@ -168,6 +168,7 @@ def _levels(rs: RootSystem, budget: int, right: list[tuple[int, ...]] | None = N
         )
     steps, rho = _packing(rs)
     signs, mask, bias = layout(rs.n).signs, FIELD, SIGN  # locals for the loop
+    table = right is not None  # rows are built only for a recorded table
 
     below: dict[int, int] = {}
     level = {rho: 0}
@@ -211,8 +212,9 @@ def _levels(rs: RootSystem, budget: int, right: list[tuple[int, ...]] | None = N
                         raise GroupCheckFailed(
                             f"length must move by the sign of mu_{i + 1} = {m} from element {u}"
                         )
-                row.append(v)
-            if right is not None:
+                if table:
+                    row.append(v)
+            if table:
                 right.append(tuple(row))
         below, level, counts, first = level, above, above_counts, following
         length += 1

@@ -20,16 +20,6 @@ from typing import Iterable, Sequence
 from . import cartan as cartan_mod
 from .cartan import DynkinType, Entries
 
-# A rank-n system has up to n^2 positive roots and its validation takes
-# O(n^3) steps, so a larger rank is refused first; A128 (8,256 positive
-# roots) is the largest A_n admitted.
-MAX_RANK = 128
-
-
-class ClosureBudgetExceeded(RuntimeError):
-    """The rank is over MAX_RANK: the root system is refused before it is
-    validated or closed."""
-
 
 class NotIrreducible(ValueError):
     """A computation defined for irreducible systems got a composite one."""
@@ -60,10 +50,7 @@ class RootSystem:
         entries = cartan_mod.check_shape(entries)
         self.cartan = entries
         self.n = len(entries)
-        if self.n > MAX_RANK:
-            raise ClosureBudgetExceeded(
-                f"rank {self.n} is over the bound of {MAX_RANK} simple roots"
-            )
+        cartan_mod.check_rank(self.n)
         self.symmetrizer = cartan_mod.symmetrizer(entries)
         self.dynkin = cartan_mod.classify(entries)
         positives = sorted(self._closure().items(), key=lambda r: (sum(r[0]), r[0]))

@@ -391,12 +391,30 @@ def test_packed_walk_matches_list_walk(name):
     data = cluster_complex(rel)
     n = rel.ap.n
     duals, entering, rising = oracle_walk(rel.ap, data.masks, data.facets)
-    assert assoc._walk(rel.ap, data.masks, data.facets)[1:] == (entering, rising)
+    walked = assoc._walk(rel.ap, data.masks, len(data.facets))
+    assert walked[0] == data.facets and walked[2:] == (entering, rising)
     assert data.entering == entering
     flat = duals.tolist()
     for i in range(len(data.facets)):
         expected = [flat[(i * n + k) * n : (i * n + k + 1) * n] for k in range(n)]
         assert data.dual_basis(i) == expected, i
+
+
+@pytest.mark.parametrize("name", WALK_TYPES)
+def test_every_wall_is_crossed_back(name):
+    # no oracle: across the wall opposite slot j of facet i, p leaves and q
+    # enters; the facet reached must be listed, and across its wall opposite
+    # q, p must enter again
+    data = complex_for(name)
+    ap, n = data.ap, data.ap.n
+    index = {facet: i for i, facet in enumerate(data.facets)}
+    for i, facet in enumerate(data.facets):
+        positions = [ap.position[idx] for idx in facet]
+        for j, p in enumerate(positions):
+            q = data.entering[i * n + j]
+            far = sorted(positions[:j] + positions[j + 1 :] + [q])
+            t = index[tuple(ap.indices[x] for x in far)]
+            assert data.entering[t * n + far.index(q)] == p, (name, i, j)
 
 
 def test_walk_refuses_pairings_its_fields_cannot_hold(monkeypatch):
@@ -406,7 +424,7 @@ def test_walk_refuses_pairings_its_fields_cannot_hold(monkeypatch):
     monkeypatch.setattr(assoc, "FACET_BUDGET", math.inf)
     ap = almost_positive(root_system("+".join(["E8"] * 6)))
     with pytest.raises(AssocCheckFailed, match="rank 48 with root coordinates up to 6"):
-        assoc._walk(ap, [], [])
+        assoc._walk(ap, [], 0)
 
 
 def pack_columns(columns):
@@ -516,7 +534,7 @@ def test_polytope_and_refinement_read_the_one_walk(monkeypatch):
 
     monkeypatch.setattr(assoc, "_walk", refuse)
     with pytest.raises(RuntimeError):
-        assoc._walk(data.ap, data.masks, data.facets)
+        assoc._walk(data.ap, data.masks, len(data.facets))
     assert build_polytope(data).vertices == oracle_vertices(data)
     assert refinement_check(data, group) == oracle_refinement(data, group)
 
@@ -786,17 +804,27 @@ try:
 except assoc.AssocCheckFailed as exc:
     print("FAIL", str(exc).split(" [")[0])
 assoc.AlmostPositive.tau = tau
-# dropping every pair of -alpha_1 leaves it a maximal face of size 1
-pairs = frozenset(pair for pair in rel.pairs if 0 not in pair)
-try:
-    assoc.cluster_complex(dataclasses.replace(rel, pairs=pairs))
-except assoc.AssocCheckFailed as exc:
-    print("FAIL", exc)
+# dropping every pair of -alpha_1 leaves it a maximal face of size 1: on
+# A2 a ridge, checked where the ridges are counted; on A3 a face below the
+# ridges, checked where it is visited
+rel3 = assoc.compatibility(assoc.almost_positive(root_system("A3")))
+for relation in (rel, rel3):
+    pairs = frozenset(pair for pair in relation.pairs if 0 not in pair)
+    try:
+        assoc.cluster_complex(dataclasses.replace(relation, pairs=pairs))
+    except assoc.AssocCheckFailed as exc:
+        print("FAIL", exc)
 # one extra pair, -alpha_2 with the highest root, puts a chord into the
 # pentagon: the complex stays pure, but -alpha_2 lies in three clusters
 pairs = rel.pairs | {(1, 4)}
 try:
     assoc.cluster_complex(dataclasses.replace(rel, pairs=pairs))
+except assoc.AssocCheckFailed as exc:
+    print("FAIL", exc)
+# the pair of the two negated simple roots dropped: the complex stays pure,
+# a path of four edges, but the walk has no cluster to start from
+try:
+    assoc.cluster_complex(dataclasses.replace(rel, pairs=rel.pairs - {(0, 1)}))
 except assoc.AssocCheckFailed as exc:
     print("FAIL", exc)
 # a pivot that keeps the leaving root's dual vector instead of negating it:
@@ -812,14 +840,15 @@ except assoc.NonUnimodularCluster as exc:
     print("FAIL NonUnimodularCluster", exc)
 assoc._pivot = pivot
 data = assoc.cluster_complex(rel)
-# a facet listed twice: the walk reaches one copy only
+count = len(data.facets)
+# one facet more than the face count: the walk reaches one fewer
 try:
-    assoc._walk(ap, data.masks, data.facets + data.facets[-1:])
+    assoc._walk(ap, data.masks, count + 1)
 except assoc.AssocCheckFailed as exc:
     print("FAIL", exc)
-# every other facet left out: flips land outside the listed facets
+# half the face count: the walk numbers more facets than that
 try:
-    assoc._walk(ap, data.masks, data.facets[::2])
+    assoc._walk(ap, data.masks, count // 2)
 except assoc.AssocCheckFailed as exc:
     print("FAIL", exc)
 # a sign rule that calls every column negative puts every cone in the
@@ -872,19 +901,21 @@ except assoc.AssocCheckFailed as exc:
 
 def test_assoc_checks_fail_without_asserts():
     # python -O strips assert statements; the verdict-agreement, purity,
-    # wall, pivot, reach, landing, h-vector, strict-inequality (violated and
-    # tight) and refinement checks must not be asserts
+    # wall, start, pivot, reach, face-count, h-vector, strict-inequality
+    # (violated and tight) and refinement checks must not be asserts
     command = [sys.executable, "-O", "-c", ASSOC_CHECKS]
     result = subprocess.run(command, capture_output=True, text=True, timeout=60)
     assert result.stdout.splitlines() == [
         "optimize 1",
         "FAIL pair 4,3 got disagreeing verdicts",
         "FAIL maximal face of size 1 < 2: not pure",
+        "FAIL maximal face of size 1 < 3: not pure",
         "FAIL wall (3,) lies in 3 clusters, not 2",
-        "FAIL NonUnimodularCluster root 4 enters facet (3, 1) at slot 1"
+        "FAIL the negated simple roots are not pairwise compatible",
+        "FAIL NonUnimodularCluster root 0 enters facet (1, 2) at slot 0"
         " with coefficient 1, not -1",
         "FAIL the wall walk reached 5 of 6 facets",
-        "FAIL a flip of facet (4, 3) left the complex",
+        "FAIL the wall walk found more than 2 facets",
         "FAIL a generic vector meets the cones with h-vector (0, 0, 5),"
         " the f-vector gives (1, 3, 1)",
         "FAIL InequalityViolation vertex of (4, 0) pairs to 1 against root 2",

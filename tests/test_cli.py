@@ -247,6 +247,20 @@ def test_oversized_rank_exits_3_at_once(command):
     ]
 
 
+@pytest.mark.parametrize(("name", "rank"), [("A2000", 2000), ("E8+A125", 133)])
+def test_oversized_type_name_is_refused_before_its_matrix_is_built(name, rank):
+    # the total rank is read off the parsed name: A2000 took 2.6 s and about
+    # 110 MB when its 2000 x 2000 matrix was built before the bound was read
+    argv = [sys.executable, "-m", "clusterfan.cli", "roots", "--type", name]
+    start = time.perf_counter()
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 1
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.splitlines() == [
+        f"budget exceeded: rank {rank} is over the bound of 128 simple roots"
+    ]
+
+
 @pytest.mark.parametrize("name", ["A120", "B128"])
 def test_oversized_complex_exits_3_before_its_roots_are_paired(name):
     # Cat(W) is read at the top of almost_positive, before the involutions
@@ -364,6 +378,19 @@ def test_roots_unknown_type_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.strip().splitlines() == ["roots: unknown family 'X'"]
+
+
+@pytest.mark.parametrize(
+    ("name", "shown"),
+    [("A\u00b2", "'A\u00b2'"), ("A" + "9" * 5000, f"{'A' + '9' * 63!r}... (5001 characters)")],
+    ids=["superscript", "digits"],
+)
+def test_unreadable_rank_exits_2_in_a_short_line(capsys, name, shown):
+    # '²' is a digit to str.isdigit but not to int, and int reads at most
+    # 4300 digits: both are refused as names, not left to a traceback
+    code, out, err = run(capsys, "roots", "--type", name)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"roots: cannot parse type name {shown}"]
 
 
 def test_catalan_reducible_type_exits_2(capsys):
@@ -555,6 +582,37 @@ JUNK_JSON = st.recursive(
 )
 # bonds (|a_ij|, |a_ji|): the finite-type ones, then two that are not
 BONDS = ((0, 0), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (4, 1))
+
+
+NESTED = "[" * 10**5 + "]" * 10**5
+
+
+@pytest.mark.parametrize(
+    ("command", "content", "message"),
+    [
+        ("roots", NESTED, "roots: bad matrix JSON: nested too deeply"),
+        ("assoc", "matrix:" + NESTED, "assoc: bad matrix JSON: nested too deeply"),
+        ("mutate", "matrix:" + NESTED, "mutate: bad matrix JSON: nested too deeply"),
+        (
+            "group",
+            "x" * 200_000,
+            "group: expected 'type:NAME' or 'matrix:[[...]]',"
+            f" got {'x' * 64!r}... (200000 characters)",
+        ),
+    ],
+    ids=["nested", "nested-matrix", "nested-exchange", "text"],
+)
+def test_long_bad_matrix_file_is_refused_in_a_short_line(
+    capsys, tmp_path, command, content, message
+):
+    # a 200 KB file is refused with exit 2 and a message that names the
+    # fault and repeats at most a short prefix of it
+    path = tmp_path / "m.json"
+    path.write_text(content)
+    code, out, err = run(capsys, command, "--matrix-file", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 1024
+    assert err.splitlines() == [message]
 
 
 @st.composite

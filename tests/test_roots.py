@@ -6,10 +6,9 @@ from fractions import Fraction
 import pytest
 
 from clusterfan import cartan as cartan_mod
+from clusterfan.cartan import MAX_RANK, ClosureBudgetExceeded
 from clusterfan.coxeter import build_group
 from clusterfan.roots import (
-    MAX_RANK,
-    ClosureBudgetExceeded,
     RootPoset,
     coroot_half_sum,
     coxeter_data,
