@@ -34,7 +34,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import cartan as cartan_mod
-from .coxeter import BudgetExceeded, WeylGroup
+from .cartan import BudgetExceeded
+from .coxeter import WeylGroup
 from .packing import FIELD, SIGN, WIDTH, layout
 from .roots import (
     NotIrreducible,
@@ -43,15 +44,6 @@ from .roots import (
     coroot_half_sum,
     coxeter_data,
 )
-
-
-class OrbitEscape(RuntimeError):
-    """An orbit of pairs under the involutions holds no negated simple root;
-    indicates a bug, not bad input."""
-
-
-class OrbitConflict(RuntimeError):
-    """Two propagation paths assigned different support values to one root."""
 
 
 class NonUnimodularCluster(RuntimeError):
@@ -66,8 +58,8 @@ class InequalityViolation(RuntimeError):
 
 
 class AssocCheckFailed(RuntimeError):
-    """A structural invariant of the cluster complex, the polytope or the
-    fan failed: a bug, never bad input."""
+    """A structural invariant of the tau-orbits, the cluster complex, the
+    polytope or the fan failed: a bug, never bad input."""
 
 
 @dataclass(frozen=True)
@@ -87,11 +79,10 @@ class AlmostPositive:
         return self.rs.n
 
     def negative_simple(self, idx: int) -> int | None:
-        """The simple index i when idx is the root -alpha_i, else None."""
-        coords = self.rs.roots[idx].coords
-        if sum(coords) == -1 and min(coords) == -1:
-            return coords.index(-1)
-        return None
+        """The simple index i when idx is the root -alpha_i, else None:
+        -alpha_i sits at position i."""
+        p = self.position[idx]
+        return p if p < self.rs.n else None
 
     def tau(self, sign: int, idx: int) -> int:
         return self.tau_plus[idx] if sign > 0 else self.tau_minus[idx]
@@ -124,8 +115,8 @@ def almost_positive(rs: RootSystem) -> AlmostPositive:
         perm = rs.word_perm(sorted(part))
         table = {}
         for idx in indices:
-            coords = rs.roots[idx].coords
-            if sum(coords) == -1 and min(coords) == -1 and coords.index(-1) in fixed:
+            p = position[idx]
+            if p < rs.n and p in fixed:  # -alpha_p sits at position p
                 table[idx] = idx
             else:
                 table[idx] = perm[idx]
@@ -238,7 +229,7 @@ def compatibility(ap: AlmostPositive) -> CompatibilityRelation:
                     orbit.append((a, b))
         a, b = indices[start[0]], indices[start[1]]
         if not verdicts:
-            raise OrbitEscape(f"pair {a},{b} never met a negated simple root")
+            raise AssocCheckFailed(f"pair {a},{b} never met a negated simple root")
         if any(v != verdicts[0] for v in verdicts):
             raise AssocCheckFailed(f"pair {a},{b} got disagreeing verdicts {verdicts}")
         if verdicts[0]:
@@ -682,9 +673,9 @@ def support_function(ap: AlmostPositive) -> SupportFunctionF:
         anchors = [ap.negative_simple(idx) for idx in orbit]
         seeds = {rho[i] for i in anchors if i is not None}
         if not seeds:
-            raise OrbitEscape(f"orbit {orbit} misses the negated simples")
+            raise AssocCheckFailed(f"orbit {orbit} misses the negated simples")
         if len(seeds) > 1:
-            raise OrbitConflict(f"orbit {orbit} received values {seeds}")
+            raise AssocCheckFailed(f"orbit {orbit} received values {seeds}")
         value = seeds.pop()
         for idx in orbit:
             values[idx] = value
@@ -857,15 +848,15 @@ def refinement_check(
     }
 
 
-def fan_checks(complex_data: ClusterComplexData, group: WeylGroup | None = None) -> dict:
-    """The wall pairing and, given the Weyl group, the refinement by the
-    Coxeter fan.  That the cones cover the space without overlap needs no
-    probe here: `cluster_complex` has already walked the walls, and the
-    h_0 = 1 count puts one generic vector in exactly one cone."""
-    report: dict = {"wall_pairing": wall_pairing(complex_data)}
-    if group is not None:
-        report["refinement"] = refinement_check(complex_data, group)
-    return report
+def fan_checks(complex_data: ClusterComplexData, group: WeylGroup) -> dict:
+    """The wall pairing and the refinement by the Coxeter fan of `group`.
+    That the cones cover the space without overlap needs no probe here:
+    `cluster_complex` has already walked the walls, and the h_0 = 1 count
+    puts one generic vector in exactly one cone."""
+    return {
+        "wall_pairing": wall_pairing(complex_data),
+        "refinement": refinement_check(complex_data, group),
+    }
 
 
 # -- export -------------------------------------------------------------------------

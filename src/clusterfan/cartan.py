@@ -56,14 +56,15 @@ def _shown(text: str) -> str:
 MAX_RANK = 128
 
 
-class ClosureBudgetExceeded(RuntimeError):
-    """The rank is over MAX_RANK: a type name is refused before its matrix
-    is built, a root system before it is validated or closed."""
+class BudgetExceeded(RuntimeError):
+    """An input is over a budget of the package (exit code 3).  Here: a rank
+    over MAX_RANK, refused for a type name before its matrix is built and
+    for a root system before it is validated or closed."""
 
 
 def check_rank(n: int) -> None:
     if n > MAX_RANK:
-        raise ClosureBudgetExceeded(
+        raise BudgetExceeded(
             f"rank {n} is over the bound of {MAX_RANK} simple roots"
         )
 
@@ -108,43 +109,57 @@ def check_shape(rows: Sequence[Sequence[int]]) -> Entries:
     return entries
 
 
+def _forest(entries: Sequence[Sequence[int]]) -> list[list[tuple[int, int | None]]]:
+    """A spanning forest of the Dynkin diagram (the nonzero off-diagonal
+    pattern, symmetric by the caller's guarantee): one tree per component,
+    rooted at its lowest index and listed breadth first as (node, the node
+    it was reached from) pairs, the root's parent None."""
+    n = len(entries)
+    seen = [False] * n
+    forest = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        tree: list[tuple[int, int | None]] = [(root, None)]
+        for i, _ in tree:  # the loop reads the nodes it appends
+            row = entries[i]
+            for j in range(n):
+                if not seen[j] and row[j] != 0 and j != i:
+                    seen[j] = True
+                    tree.append((j, i))
+        forest.append(tree)
+    return forest
+
+
 def _propagate(
     entries: Sequence[Sequence[int]], sign: int, error: type[ValueError]
 ) -> tuple[int, ...]:
     """Minimal positive integers d with d_i m_ij = sign d_j m_ji.
 
-    Propagates d_j = sign d_i m_ij / m_ji along the nonzero entries within
-    each connected component, then rescales each component to coprime
-    integers.  The caller guarantees that m_ij and m_ji vanish together and
-    that sign m_ij m_ji > 0 otherwise, so every ratio is positive; a cycle
-    forcing inconsistent ratios raises `error`.
+    Sets d_j = sign d_i m_ij / m_ji along the edges of the spanning forest,
+    rescales each tree to coprime integers, then checks the equation on
+    every nonzero entry.  The caller guarantees that m_ij and m_ji vanish
+    together and that sign m_ij m_ji > 0 otherwise, so every ratio is
+    positive; an entry off the forest that breaks the equation (a cycle
+    forcing inconsistent ratios) raises `error`.
     """
     n = len(entries)
-    d: list[Fraction | None] = [None] * n
-    for seed in range(n):
-        if d[seed] is not None:
-            continue
-        component = [seed]
-        d[seed] = Fraction(1)
-        queue = [seed]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if i == j or entries[i][j] == 0:
-                    continue
-                candidate = d[i] * (sign * entries[i][j]) / entries[j][i]
-                if d[j] is None:
-                    d[j] = candidate
-                    component.append(j)
-                    queue.append(j)
-                elif d[j] != candidate:
-                    raise error(f"inconsistent symmetrizer ratio at edge ({i},{j})")
-        scale = lcm(*(d[i].denominator for i in component))
-        values = [int(d[i] * scale) for i in component]
-        g = gcd(*values)
-        for i, v in zip(component, values):
-            d[i] = Fraction(v // g)
-    return tuple(int(x) for x in d)
+    d = [0] * n
+    for tree in _forest(entries):
+        ratio = {tree[0][0]: Fraction(1)}
+        for j, i in tree[1:]:
+            ratio[j] = ratio[i] * (sign * entries[i][j]) / entries[j][i]
+        scale = lcm(*(r.denominator for r in ratio.values()))
+        values = {i: int(r * scale) for i, r in ratio.items()}
+        g = gcd(*values.values())
+        for i, v in values.items():
+            d[i] = v // g
+    for i in range(n):
+        for j in range(i + 1, n):
+            if entries[i][j] and d[i] * entries[i][j] != sign * d[j] * entries[j][i]:
+                raise error(f"inconsistent symmetrizer ratio at edge ({i},{j})")
+    return tuple(d)
 
 
 def symmetrizer(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -196,24 +211,8 @@ def finite_type(rows: Sequence[Sequence[int]]) -> DynkinType | None:
 
 
 def components(entries: Entries) -> list[list[int]]:
-    n = len(entries)
-    seen = [False] * n
-    out = []
-    for seed in range(n):
-        if seen[seed]:
-            continue
-        comp = [seed]
-        seen[seed] = True
-        queue = [seed]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if not seen[j] and entries[i][j] != 0 and i != j:
-                    seen[j] = True
-                    comp.append(j)
-                    queue.append(j)
-        out.append(sorted(comp))
-    return out
+    """The connected components of the Dynkin diagram, each sorted."""
+    return [sorted(node for node, _ in tree) for tree in _forest(entries)]
 
 
 def _classify_component(entries: Entries, comp: list[int]) -> tuple[str, int]:
@@ -303,23 +302,19 @@ def dynkin_name(dtype: DynkinType) -> str:
 
 
 def bipartition(rows: Sequence[Sequence[int]]) -> tuple[frozenset[int], frozenset[int]]:
-    """Two-color the Dynkin diagram; the lowest index of each component goes
-    into the first (plus) part."""
+    """Two-color the Dynkin diagram along its spanning forest; the lowest
+    index of each component goes into the first (plus) part.  An edge whose
+    ends share a color (an odd cycle) raises UnrecognizedDiagram."""
     entries = check_shape(rows)
     n = len(entries)
-    color: list[int | None] = [None] * n
-    for comp in components(entries):
-        color[comp[0]] = 0
-        queue = [comp[0]]
-        while queue:
-            i = queue.pop()
-            for j in comp:
-                if j != i and entries[i][j] != 0:
-                    if color[j] is None:
-                        color[j] = 1 - color[i]
-                        queue.append(j)
-                    elif color[j] == color[i]:
-                        raise UnrecognizedDiagram("diagram contains an odd cycle")
+    color = [0] * n
+    for tree in _forest(entries):
+        for j, i in tree[1:]:
+            color[j] = 1 - color[i]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if entries[i][j] and color[i] == color[j]:
+                raise UnrecognizedDiagram("diagram contains an odd cycle")
     plus = frozenset(i for i in range(n) if color[i] == 0)
     minus = frozenset(i for i in range(n) if color[i] == 1)
     return plus, minus
@@ -454,29 +449,33 @@ def cartan_for_type(dtype: DynkinType | str) -> Entries:
     return as_entries(rows)
 
 
-def load_matrix_json(text: str):
-    """json.loads, refusing JSON nested past the recursion limit as bad
-    matrix JSON (NotCartanShape)."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise NotCartanShape("bad matrix JSON: nested too deeply") from None
-
-
 def parse_cartan_text(text: str) -> Entries:
-    """Parse the two accepted textual formats: "type:A3" and
-    "matrix:[[2,-1],[-1,2]]"."""
+    """The matrix that a matrix file holds, surrounding whitespace ignored:
+    "type:NAME" gives the Cartan matrix of a Dynkin type name such as A3 or
+    A2+B2 (`cartan_for_type`); "matrix:[[2,-1],[-1,2]]" and the JSON rows
+    "[[2,-1],[-1,2]]" alone give those rows.  Rows must be a nonempty list of
+    nonempty lists of integers (an integral float such as 2.0 is accepted);
+    their shape is checked where they are used, by `RootSystem` as a Cartan
+    matrix or by `ExchangeMatrix` as an exchange matrix.  Bad JSON (nested
+    past the recursion limit included), rows of another shape, an entry that
+    is not an integer and text of no form raise NotCartanShape, whose
+    message repeats at most ECHO characters of the text."""
     text = text.strip()
     if text.startswith("type:"):
         return cartan_for_type(text[len("type:"):].strip())
-    if text.startswith("matrix:"):
-        try:
-            rows = load_matrix_json(text[len("matrix:"):].strip())
-        except json.JSONDecodeError as exc:
-            raise NotCartanShape(f"bad matrix JSON: {exc}") from exc
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise NotCartanShape("matrix must be a list of rows")
-        return check_shape(rows)
-    raise NotCartanShape(
-        f"expected 'type:NAME' or 'matrix:[[...]]', got {_shown(text)}"
-    )
+    prefixed = text.startswith("matrix:")
+    try:
+        rows = json.loads(text[len("matrix:"):].strip() if prefixed else text)
+    except RecursionError:
+        raise NotCartanShape("bad matrix JSON: nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        if prefixed:
+            raise NotCartanShape(f"bad matrix JSON: {exc}") from None
+        raise NotCartanShape(
+            f"expected 'type:NAME' or 'matrix:[[...]]', got {_shown(text)}"
+        ) from None
+    if not isinstance(rows, list) or not rows or not all(
+        isinstance(row, list) and row for row in rows
+    ):
+        raise NotCartanShape("matrix must be a nonempty list of nonempty rows")
+    return as_entries(rows)

@@ -55,18 +55,19 @@ class CountCheckFailed(RuntimeError):
 TORUS_BUDGET = 10**5
 
 
-def torus_orbits(rs: RootSystem, budget: int = TORUS_BUDGET) -> int:
+def torus_orbits(rs: RootSystem) -> int:
     """Number of Weyl orbits on the coordinate lattice modulo h+1, by
     Burnside's lemma: the mean over W of the number of fixed points.
 
     The fixed points of w are the x in (Z/(h+1))^n with (w - 1) x = 0, a
     class function, so it is counted once per conjugacy class, on w - 1 for
     the class's shortest representative, by `kernel_size_mod`.
-    The group is built under `budget` elements (BudgetExceeded above it).
+    The group is built under TORUS_BUDGET elements (BudgetExceeded above
+    it).
     Raises CountCheckFailed unless every class size divides |W| and so does
     the sum of size times fixed points.
     """
-    group = build_group(rs, budget=budget)
+    group = build_group(rs, budget=TORUS_BUDGET)
     order = len(group)
     mod = coxeter_data(rs).coxeter_number + 1
     total = 0

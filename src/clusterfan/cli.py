@@ -7,8 +7,9 @@ seed.  Exit codes: 0 success, 1 verification failure, 2 usage error
 one is needed, and a matrix file that is empty, has an entry that is not an
 integer, is not a Cartan matrix or, for mutate, is not an m-by-n matrix,
 m >= n, with a skew-symmetrizable top part and full column rank),
-3 budget exceeded (including a root system of rank over 128,
-cartan.MAX_RANK, so that A128 is the largest A_n admitted) or, for mutate,
+3 budget exceeded (every budget raises the one class cartan.BudgetExceeded,
+including a root system of rank over 128, cartan.MAX_RANK, so that A128 is
+the largest A_n admitted) or, for mutate,
 an exchange matrix of infinite type or a cluster variable with an exponent
 outside [-8192, 8192) (packing.LIMIT),
 141 (128 + SIGPIPE, as a shell reports a writer killed by a closed pipe)
@@ -25,17 +26,15 @@ import os
 import sys
 
 from .cartan import (
-    ClosureBudgetExceeded,
+    BudgetExceeded,
     Entries,
     NotCartanShape,
     NotSkewSymmetrizable,
     NotSymmetrizable,
     UnrecognizedDiagram,
-    as_entries,
     b_matrix,
     cartan_for_type,
     dynkin_name,
-    load_matrix_json,
     parse_cartan_text,
 )
 from .roots import (
@@ -46,7 +45,6 @@ from .roots import (
     weyl_group_order,
 )
 from .coxeter import (
-    BudgetExceeded,
     build_group,
     count_reduced_words,
     hasse_dot,
@@ -56,9 +54,9 @@ from .laurent import ExponentOverflow
 from .mutation import (
     ExchangeMatrix,
     Inconclusive,
-    MutationBudgetExceeded,
     NotFiniteType,
     NotFullRank,
+    SEED_BUDGET,
     exchange_counts,
     explore,
     graph_to_dict,
@@ -94,30 +92,22 @@ FORMATS = {
 def _entries_from_args(
     parser: argparse.ArgumentParser, args, exchange: bool = False
 ) -> Entries:
-    """The matrix named by --type or read from --matrix-file.  With exchange
-    set, the result is an exchange matrix: a type named by --type or by
-    `type:` text gives its bipartite exchange matrix, refused by
-    `_sized_exchange` when it has more seeds than --budget-seeds allows,
-    while `matrix:` text and JSON rows hold the exchange matrix itself."""
+    """The matrix named by --type or read from --matrix-file, in the grammar
+    of `parse_cartan_text`.  With exchange set, the result is an exchange
+    matrix: a type named by --type or by `type:` text gives its bipartite
+    exchange matrix, refused by `_sized_exchange` when it has more seeds
+    than --budget-seeds allows, while JSON rows, with or without the
+    `matrix:` prefix, hold the exchange matrix itself."""
     if args.matrix_file:
         try:
             with open(args.matrix_file, encoding="utf-8") as handle:
                 text = handle.read().strip()
         except (OSError, UnicodeDecodeError) as exc:
             parser.error(f"cannot read the matrix file: {exc}")
+        rows = parse_cartan_text(text)
         if exchange and text.startswith("type:"):
-            return _sized_exchange(parse_cartan_text(text), args.budget_seeds)
-        if exchange and text.startswith("matrix:"):
-            text = text[len("matrix:"):].strip()
-        try:
-            rows = load_matrix_json(text)
-        except json.JSONDecodeError:
-            rows = parse_cartan_text(text)
-        if not isinstance(rows, (list, tuple)) or not rows or not all(
-            isinstance(row, (list, tuple)) and row for row in rows
-        ):
-            raise NotCartanShape("matrix must be a nonempty list of nonempty rows")
-        return as_entries(rows)
+            return _sized_exchange(rows, args.budget_seeds)
+        return rows
     if args.type:
         entries = cartan_for_type(args.type)
         return _sized_exchange(entries, args.budget_seeds) if exchange else entries
@@ -272,19 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=True, matrix=True):
+    def common(p, matrix=True):
         if matrix:
             p.add_argument("--type", help="Dynkin type name, e.g. A3 or B2")
             p.add_argument(
                 "--matrix-file",
                 help="file holding a matrix (JSON rows, or type:/matrix: text)",
             )
-        if formats:
-            p.add_argument(
-                "--format",
-                default="text",
-                help="output format (availability depends on the command)",
-            )
+        p.add_argument(
+            "--format",
+            default="text",
+            help="output format (availability depends on the command)",
+        )
         p.add_argument("--out", help="write output to this file")
         # accepted for existing command lines; nothing reads it
         p.add_argument("--rng-seed", type=int, default=11)
@@ -301,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         common(p, matrix=name not in ("wiring",))
         if name == "mutate":
-            p.add_argument("--budget-seeds", type=int, default=10**5)
+            p.add_argument("--budget-seeds", type=int, default=SEED_BUDGET)
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("verify")
@@ -321,7 +310,7 @@ def main(argv=None) -> int:
         _check_format(parser, args.command, args.format)
     try:
         code, text = args.handler(parser, args)
-    except (MutationBudgetExceeded, BudgetExceeded, ClosureBudgetExceeded) as exc:
+    except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
     except (NotFiniteType, Inconclusive, ExponentOverflow) as exc:

@@ -67,15 +67,16 @@ from itertools import islice
 from math import prod
 from operator import mul
 
+from .cartan import BudgetExceeded
 from .linalg import left_kernel, matrix_rank
 from .packing import FIELD, LIMIT, SIGN, layout
 from .roots import RootSystem, _component_exponents, catalan_number, coxeter_element
 
 Perm = tuple[int, ...]
 
-
-class BudgetExceeded(RuntimeError):
-    """A search outgrew its element budget."""
+# the largest Weyl group walked: |W(E6)| = 51,840 fits, |W(E7)| = 2,903,040
+# does not
+GROUP_BUDGET = 10**6
 
 
 class LatticeCheckFailed(RuntimeError):
@@ -225,7 +226,7 @@ def _levels(rs: RootSystem, budget: int, right: list[tuple[int, ...]] | None = N
 
 
 class WeylGroup:
-    def __init__(self, rs: RootSystem, budget: int = 10**6):
+    def __init__(self, rs: RootSystem, budget: int = GROUP_BUDGET):
         self.rs = rs
         self.n = rs.n
         self.right: list[tuple[int, ...]] = []
@@ -304,14 +305,14 @@ def conjugacy_classes(group: WeylGroup) -> list[tuple[int, int]]:
     return classes
 
 
-def build_group(rs: RootSystem, budget: int = 10**6) -> WeylGroup:
+def build_group(rs: RootSystem, budget: int = GROUP_BUDGET) -> WeylGroup:
     return WeylGroup(rs, budget=budget)
 
 
 # -- reduced word counting ----------------------------------------------------
 
 
-def count_reduced_words(rs: RootSystem, budget: int = 10**6) -> int:
+def count_reduced_words(rs: RootSystem) -> int:
     """Number of reduced words of w0, from the orbit of rho walked only to
     its middle, with no Cayley table.
 
@@ -323,10 +324,10 @@ def count_reduced_words(rs: RootSystem, budget: int = 10**6) -> int:
     -mu(v) on level N - k (see `_levels`), so R(w0) is the sum over level
     k of R(v) R(-mu(v)).  Both levels are complete, and the walk's mirror
     check has paired them, once the levels below N - k are walked; the walk
-    stops there.  The budget still counts all of |W|, read off the
+    stops there.  GROUP_BUDGET still counts all of |W|, read off the
     exponents before any walk.
     """
-    levels = _levels(rs, budget)
+    levels = _levels(rs, GROUP_BUDGET)
     # level k, then level N - k, the same level when N is even
     level, counts = next(islice(levels, rs.num_positive // 2, None))
     halfway = dict(zip(level, counts))
@@ -335,10 +336,10 @@ def count_reduced_words(rs: RootSystem, budget: int = 10**6) -> int:
     return sum(words * halfway[-code] for code, words in zip(level, counts))
 
 
-def count_elements(rs: RootSystem, budget: int = 10**6) -> int:
+def count_elements(rs: RootSystem) -> int:
     """|W| as the number of elements met by one whole walk of the orbit of
     rho, with every check of `_levels` and no Cayley table."""
-    return sum(len(level) for level, _ in _levels(rs, budget))
+    return sum(len(level) for level, _ in _levels(rs, GROUP_BUDGET))
 
 
 def stanley_formula(n: int) -> int:

@@ -55,8 +55,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import cartan as cartan_mod
-from .cartan import DynkinType, NotSkewSymmetrizable, skew_symmetrizer
-from .coxeter import BudgetExceeded
+from .cartan import BudgetExceeded, DynkinType, NotSkewSymmetrizable, skew_symmetrizer
 from .laurent import LaurentPoly
 from .linalg import matrix_rank
 from .packing import LIMIT, layout
@@ -70,7 +69,15 @@ class _WalkStopped(RuntimeError):
         self.partial = partial
 
 
-class MutationBudgetExceeded(_WalkStopped):
+# the most seeds an exchange-graph walk meets: Cat(D9) = 35,750 fits,
+# Cat(A12) = 742,900 does not
+SEED_BUDGET = 10**5
+# the most seeds the mutation class of a matrix may have before
+# `detect_finite_type` gives up
+DETECT_BUDGET = 10**4
+
+
+class MutationBudgetExceeded(_WalkStopped, BudgetExceeded):
     """Exploration hit its seed budget."""
 
 
@@ -429,7 +436,7 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
         frontier = fresh
 
 
-def explore(seed: Seed, budget: int = 10**5) -> MutationGraph:
+def explore(seed: Seed, budget: int = SEED_BUDGET) -> MutationGraph:
     """BFS over the exchange graph from `seed`, on integer data (`_walk`).
 
     The g-vector key agrees with `canonical_key` when the cluster of `seed`
@@ -473,7 +480,7 @@ def explore(seed: Seed, budget: int = 10**5) -> MutationGraph:
 
 
 def exchange_counts(
-    rows: Sequence[Sequence[int]], budget: int = 10**5
+    rows: Sequence[Sequence[int]], budget: int = SEED_BUDGET
 ) -> tuple[int, int, DynkinType]:
     """Seeds, cluster variables (distinct g-vectors, the initial ones
     included) and Dynkin type of the exchange graph of `rows`, from one
@@ -494,14 +501,14 @@ def exchange_counts(
 
 
 def alternating_chain(
-    btilde: Sequence[Sequence[int]], names: Sequence[str] = ("x", "y")
+    btilde: Sequence[Sequence[int]],
 ) -> tuple[list[Seed], list[LaurentPoly]]:
-    """Mutate a rank-2 seed alternately in directions 0,1,0,1,... until the
+    """Mutate the rank-2 seed of the 2-by-2 matrix `btilde`, with cluster
+    variables x and y, alternately in directions 0,1,0,1,... until the
     canonical form returns to the start.  Returns the seed cycle (start
-    included once) and every distinct variable in order of first appearance."""
-    seed = initial_seed(btilde, names)
-    if seed.matrix.n != 2:
-        raise ValueError("alternating_chain needs a rank-2 seed")
+    included once) and every distinct variable in order of first appearance.
+    Any other shape is refused as `initial_seed` refuses it (ValueError)."""
+    seed = initial_seed(btilde, ("x", "y"))
     start = canonical_key(seed)
     seeds = [seed]
     appeared: list[LaurentPoly] = list(seed.cluster)
@@ -536,26 +543,22 @@ def _cartan_companion(rows: tuple[tuple[int, ...], ...]):
     )
 
 
-def detect_finite_type(
-    rows: Sequence[Sequence[int]] | ExchangeMatrix, budget: int = 10**4
-) -> DynkinType | None:
+def detect_finite_type(rows: Sequence[Sequence[int]]) -> DynkinType | None:
     """Classify the mutation class of a square exchange matrix.
 
     Walks the coefficient-free exchange graph (`exchange_counts`), whose
     seed matrices make up the mutation class.  Returns None at the first
     infinite-type witness and, once the walk closes, the Dynkin type.
-    Raises Inconclusive if more than `budget` seeds appear first.
+    Raises Inconclusive if more than DETECT_BUDGET seeds appear first.
     """
-    if isinstance(rows, ExchangeMatrix):
-        rows = rows.principal()
     start = tuple(tuple(int(x) for x in r) for r in rows)
     skew_symmetrizer(start)  # validates shape
     try:
-        return exchange_counts(start, budget)[2]
+        return exchange_counts(start, DETECT_BUDGET)[2]
     except NotFiniteType:
         return None
     except MutationBudgetExceeded:
-        raise Inconclusive(f"mutation class exceeded {budget} seeds") from None
+        raise Inconclusive(f"mutation class exceeded {DETECT_BUDGET} seeds") from None
 
 
 def _finite_type(matrix: Sequence[Sequence[int]]) -> DynkinType | None:

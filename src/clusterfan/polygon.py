@@ -314,30 +314,15 @@ def ptolemy_values(
 
 def standard_chart(
     tri: Triangulation,
-    diagonal_names: Mapping[Edge, str] | None = None,
-    side_names: Mapping[Edge, str] | None = None,
 ) -> tuple[dict[Edge, LaurentPoly], dict[Edge, LaurentPoly]]:
     """Generator values for a starting triangulation: one variable per
-    starting diagonal (y1..yn by default) and one per side (q1..q(n+3))."""
-    if diagonal_names is None:
-        diagonal_names = {d: f"y{i+1}" for i, d in enumerate(tri.diagonals)}
-    if side_names is None:
-        side_names = {s: f"q{i+1}" for i, s in enumerate(polygon_sides(tri.m))}
-    diagonal_names = {tuple(sorted(d)): v for d, v in diagonal_names.items()}
-    side_names = {tuple(sorted(s)): v for s, v in side_names.items()}
-    ambient = tuple(diagonal_names[d] for d in tri.diagonals) + tuple(
-        side_names[s] for s in polygon_sides(tri.m)
+    starting diagonal (y1..yn) and one per side (q1..q(n+3))."""
+    sides = polygon_sides(tri.m)
+    k = len(tri.diagonals)
+    gens = LaurentPoly.ring(
+        [f"y{i+1}" for i in range(k)] + [f"q{i+1}" for i in range(len(sides))]
     )
-    if len(set(ambient)) != len(ambient):
-        raise ValueError("edge variable names must be distinct")
-    diag_vals = {
-        d: LaurentPoly.variable(ambient, diagonal_names[d]) for d in tri.diagonals
-    }
-    side_vals = {
-        s: LaurentPoly.variable(ambient, side_names[s])
-        for s in polygon_sides(tri.m)
-    }
-    return diag_vals, side_vals
+    return dict(zip(tri.diagonals, gens[:k])), dict(zip(sides, gens[k:]))
 
 
 def plucker_verify(n: int) -> dict:

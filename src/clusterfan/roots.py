@@ -207,18 +207,6 @@ class RootPoset:
             for i in range(self.size)
         ]
 
-    def covers(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.size):
-            for j in range(self.size):
-                if i != j and self._leq[i][j]:
-                    if not any(
-                        k not in (i, j) and self._leq[i][k] and self._leq[k][j]
-                        for k in range(self.size)
-                    ):
-                        out.append((i, j))
-        return out
-
     def incomparable(self, i: int, j: int) -> bool:
         return not (self._leq[i][j] or self._leq[j][i])
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .laurent import LaurentPoly
 from .linalg import matrix_rank
-from .mutation import Seed, explore, initial_seed
+from .mutation import SEED_BUDGET, Seed, explore, initial_seed
 from .cartan import dynkin_name
 
 THICK = "T"
@@ -183,6 +183,7 @@ def label_text(label: Label) -> str:
 
 @lru_cache(maxsize=None)
 def _matrix_ring(n: int) -> tuple[LaurentPoly, ...]:
+    """Generators x11..xnn of the generic n-by-n matrix, row by row."""
     names = [f"x{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
     return LaurentPoly.ring(names)
 
@@ -195,7 +196,7 @@ def minor_poly(rows: tuple[int, ...], cols: tuple[int, ...], n: int) -> LaurentP
     if len(rows) != len(cols):
         raise ValueError("row and column sets must have equal size")
     gens = _matrix_ring(n)
-    names = [f"x{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
+    names = gens[0].variables
     total = LaurentPoly.constant(names, 0)
     for perm in itertools.permutations(range(len(rows))):
         sign = 1
@@ -416,12 +417,11 @@ def jacobian_rank(d: DoubleWiringDiagram) -> int:
     number n*n of variables.  So a rank of n*n at this one point proves that
     the chamber minors are algebraically independent; a smaller value
     proves nothing either way."""
+    names = _matrix_ring(d.n)[0].variables
+    cells = itertools.product(range(1, d.n + 1), repeat=2)
     point = {
-        f"x{i}{j}": Fraction(math.comb(i + j - 2, i - 1))
-        for i in range(1, d.n + 1)
-        for j in range(1, d.n + 1)
+        name: Fraction(math.comb(i + j - 2, i - 1)) for name, (i, j) in zip(names, cells)
     }
-    names = list(point)
     rows = []
     for label in sorted(chamber_collection(d)):
         poly = minor_poly(label[0], label[1], d.n)
@@ -434,11 +434,10 @@ def chamber_name(label: Label) -> str:
     return "m" + "".join(map(str, thick)) + "_" + "".join(map(str, thin))
 
 
-def hidden_polynomials(n: int = 3) -> tuple[LaurentPoly, LaurentPoly]:
+def hidden_polynomials() -> tuple[LaurentPoly, LaurentPoly]:
     """The two cluster variables of the GL(3) cell that are not minors."""
-    g = {name: poly for name, poly in zip(
-        [f"x{i}{j}" for i in range(1, 4) for j in range(1, 4)], _matrix_ring(3)
-    )}
+    gens = _matrix_ring(3)
+    g = dict(zip(gens[0].variables, gens))
     shared = g["x12"] * g["x23"] * g["x31"] + g["x13"] * g["x21"] * g["x32"]
     first = g["x12"] * g["x21"] * g["x33"] - shared + g["x13"] * g["x22"] * g["x31"]
     second = g["x11"] * g["x23"] * g["x32"] - shared + g["x13"] * g["x22"] * g["x31"]
@@ -502,7 +501,7 @@ def _seed_from_class(
     return seed, bounded, unbounded
 
 
-def gl3_cell(budget: int = 10**4, graph: MoveGraph | None = None) -> dict:
+def gl3_cell(graph: MoveGraph | None = None) -> dict:
     """Build the GL(3) double Bruhat cell cluster structure from wiring
     diagrams and cross-check it against the matrix minors.  Returns a
     JSON-ready report.  `graph` is `enumerate_classes(3)`, computed here
@@ -511,7 +510,7 @@ def gl3_cell(budget: int = 10**4, graph: MoveGraph | None = None) -> dict:
         graph = enumerate_classes(3)
     start = graph.class_of(FOUR_MOVE_WORD)
     seed, bounded, unbounded = _seed_from_class(graph, start)
-    record = explore(seed, budget=budget)
+    record = explore(seed, budget=SEED_BUDGET)
 
     substitution = {
         chamber_name(label): minor_poly(label[0], label[1], 3)

@@ -18,6 +18,7 @@ from itertools import combinations
 
 import pytest
 
+from clusterfan import catalan
 from clusterfan.catalan import (
     count_antichains,
     enumeration_report,
@@ -196,11 +197,13 @@ def test_burnside_e6():
     assert torus_orbits(root_system("E6")) == 833
 
 
-def test_torus_orbits_budget():
+def test_torus_orbits_budget(monkeypatch):
     # the budget counts group elements: |W(A3)| = 24
+    monkeypatch.setattr(catalan, "TORUS_BUDGET", 23)
     with pytest.raises(BudgetExceeded, match="24 elements, over the budget of 23"):
-        torus_orbits(root_system("A3"), budget=23)
-    assert torus_orbits(root_system("A3"), budget=24) == 14
+        torus_orbits(root_system("A3"))
+    monkeypatch.setattr(catalan, "TORUS_BUDGET", 24)
+    assert torus_orbits(root_system("A3")) == 14
 
 
 SABOTAGED_BURNSIDE = """

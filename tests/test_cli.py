@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from clusterfan import assoc, cartan, coxeter, mutation, roots
 from clusterfan import cli as cli_module
 from clusterfan.cli import BROKEN_PIPE, FORMATS, build_parser, main
 
@@ -230,6 +231,75 @@ def test_oversized_group_exits_3_at_once(capsys, command, name, message):
     assert code == 3
     assert out == ""
     assert err.strip().splitlines() == [f"budget exceeded: {message}"]
+
+
+def _rendered_a2():
+    seed = mutation.initial_seed(cartan.b_matrix(cartan.cartan_for_type("A2")), ["x1", "x2"])
+    return mutation.graph_to_dict(mutation.explore(seed))
+
+
+@pytest.mark.parametrize(
+    "argv,call",
+    [
+        pytest.param(
+            ["roots", "--type", "A400"], lambda: roots.root_system("A400"), id="rank"
+        ),
+        pytest.param(
+            ["group", "--type", "E7"],
+            lambda: coxeter.build_group(roots.root_system("E7")),
+            id="group",
+        ),
+        pytest.param(
+            ["assoc", "--type", "A12"],
+            lambda: assoc.almost_positive(roots.root_system("A12")),
+            id="facet",
+        ),
+        pytest.param(
+            ["catalan", "--type", "E8"],
+            lambda: coxeter.absolute_interval(roots.root_system("E8")),
+            id="interval",
+        ),
+        pytest.param(
+            ["mutate", "--type", "A3", "--budget-seeds", "13"],
+            lambda: mutation.exchange_counts(cartan.b_matrix(cartan.cartan_for_type("A3")), 13),
+            id="seed",
+        ),
+        pytest.param(["mutate", "--type", "A2", "--format", "json"], _rendered_a2, id="render"),
+    ],
+)
+def test_every_refusal_is_one_budget_class(capsys, monkeypatch, argv, call):
+    # every budget raises cartan.BudgetExceeded, the one class that main
+    # maps to exit code 3; the render budget is cut to 10 characters
+    monkeypatch.setattr(mutation, "RENDER_BUDGET", 10)
+    assert coxeter.BudgetExceeded is cartan.BudgetExceeded
+    with pytest.raises(cartan.BudgetExceeded):
+        call()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded: ")
+
+
+# A3 as a Cartan matrix, and its bipartite exchange matrix for mutate
+A3_ROWS = "[[2, -1, 0], [-1, 2, -1], [0, -1, 2]]"
+A3_EXCHANGE = "[[0, -1, 0], [1, 0, 1], [0, -1, 0]]"
+
+
+@pytest.mark.parametrize(
+    "command,fmt",
+    [(command, fmt) for command in ("roots", "group", "mutate", "assoc", "catalan")
+     for fmt in FORMATS[command]],
+)
+def test_matrix_prefix_reads_as_bare_rows(capsys, tmp_path, command, fmt):
+    # `matrix:` followed by JSON rows is the same file as the rows alone, on
+    # every subcommand that reads a matrix
+    rows = A3_EXCHANGE if command == "mutate" else A3_ROWS
+    outputs = []
+    for text in (rows, f"matrix:{rows}"):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        outputs.append(run(capsys, command, "--matrix-file", str(path), "--format", fmt))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
 
 
 @pytest.mark.parametrize("command", ["roots", "mutate"])

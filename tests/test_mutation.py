@@ -322,7 +322,15 @@ def test_detect_finite_type_from_b_matrix(name):
 def test_detect_infinite_type_returns_none():
     # the Markov quiver mutates forever
     markov = ((0, 2, -2), (-2, 0, 2), (2, -2, 0))
-    assert detect_finite_type(markov, budget=400) is None
+    assert detect_finite_type(markov) is None
+
+
+def test_detect_finite_type_gives_up_past_its_budget(monkeypatch):
+    # A3's mutation class has 14 seeds; past 3 the walk has met no witness
+    # of either kind, so detection is inconclusive
+    monkeypatch.setattr(mutation, "DETECT_BUDGET", 3)
+    with pytest.raises(Inconclusive, match="mutation class exceeded 3 seeds"):
+        detect_finite_type(b_matrix(cartan_for_type("A3")))
 
 
 def test_seed_roundtrip_through_dict():
