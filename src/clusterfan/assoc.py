@@ -33,17 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from . import cartan as cartan_mod
 from .cartan import BudgetExceeded
 from .coxeter import WeylGroup
 from .packing import FIELD, SIGN, WIDTH, layout
-from .roots import (
-    NotIrreducible,
-    RootSystem,
-    catalan_number,
-    coroot_half_sum,
-    coxeter_data,
-)
+from .roots import RootSystem, _irreducible, catalan_number, coroot_half_sum, coxeter_data
 
 
 class NonUnimodularCluster(RuntimeError):
@@ -68,7 +61,6 @@ class AlmostPositive:
     roots) together with the two involutions indexed by the bipartition."""
 
     rs: RootSystem
-    parts: tuple[frozenset[int], frozenset[int]]
     indices: tuple[int, ...]
     position: Mapping[int, int]
     tau_plus: Mapping[int, int]
@@ -103,7 +95,6 @@ def almost_positive(rs: RootSystem) -> AlmostPositive:
         raise BudgetExceeded(
             f"cluster complex has {size} facets, over the budget of {FACET_BUDGET}"
         )
-    parts = cartan_mod.bipartition(rs.cartan)
     negatives = tuple(rs.negate(rs.simple_index[i]) for i in range(rs.n))
     positives = tuple(i for i in range(len(rs.roots)) if rs.is_positive(i))
     indices = negatives + positives
@@ -127,15 +118,8 @@ def almost_positive(rs: RootSystem) -> AlmostPositive:
                 )
         return table
 
-    plus, minus = parts
-    return AlmostPositive(
-        rs,
-        parts,
-        indices,
-        position,
-        build(plus, minus),
-        build(minus, plus),
-    )
+    plus, minus = rs.diagram.parts
+    return AlmostPositive(rs, indices, position, build(plus, minus), build(minus, plus))
 
 
 def tau_orbits(ap: AlmostPositive) -> list[tuple[int, ...]]:
@@ -592,10 +576,7 @@ def _walk(
 
 def n_phi(rs: RootSystem) -> int:
     """The product formula over the exponents of an irreducible system."""
-    if len(rs.dynkin) != 1:
-        raise NotIrreducible(
-            f"n_phi needs an irreducible system, got {cartan_mod.dynkin_name(rs.dynkin)}"
-        )
+    _irreducible(rs, "n_phi")
     return catalan_number(rs)
 
 
@@ -611,10 +592,7 @@ _FIXED_NARAYANA = {
 def narayana(rs: RootSystem) -> tuple[int, ...]:
     """Closed forms per irreducible family (types B and C share a Weyl group
     and hence a vector)."""
-    dtype = cartan_mod.classify(rs.cartan)
-    if len(dtype) != 1:
-        raise ValueError("closed forms cover irreducible systems only")
-    family, n = dtype[0]
+    family, n = _irreducible(rs, "narayana")
     if family == "A":
         out = tuple(
             math.comb(n + 1, k) * math.comb(n + 1, k + 1) // (n + 1)
@@ -800,7 +778,7 @@ def refinement_check(
     ap = complex_data.ap
     n = ap.n
     alphas = [ap.rs.roots[s].pairing for s in ap.rs.simple_index]
-    plus, _ = ap.parts
+    plus, _ = ap.rs.diagram.parts
     sigma = [1 if i in plus else -1 for i in range(n)]
     # each cone as the rows sigma D_k, which pair with a ray like D_k with sigma y
     cones = [

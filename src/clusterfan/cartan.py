@@ -1,4 +1,5 @@
-"""Cartan matrices of finite type: validation, symmetrizers, classification.
+"""Cartan matrices of finite type: validation, symmetrizers, classification,
+all read off a matrix's Dynkin diagram in one pass (`Diagram`).
 
 The sign convention throughout the package: the simple reflection s_i sends
 alpha_j to alpha_j - a_ij alpha_i, i.e. a_ij pairs alpha_j against the i-th
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from numbers import Real
 from typing import Sequence
@@ -19,6 +21,7 @@ from .linalg import leading_principal_minors
 
 Entries = tuple[tuple[int, ...], ...]
 DynkinType = tuple[tuple[str, int], ...]
+Forest = list[list[tuple[int, int | None]]]
 
 
 class NotCartanShape(ValueError):
@@ -109,7 +112,7 @@ def check_shape(rows: Sequence[Sequence[int]]) -> Entries:
     return entries
 
 
-def _forest(entries: Sequence[Sequence[int]]) -> list[list[tuple[int, int | None]]]:
+def _forest(entries: Sequence[Sequence[int]]) -> Forest:
     """A spanning forest of the Dynkin diagram (the nonzero off-diagonal
     pattern, symmetric by the caller's guarantee): one tree per component,
     rooted at its lowest index and listed breadth first as (node, the node
@@ -133,7 +136,7 @@ def _forest(entries: Sequence[Sequence[int]]) -> list[list[tuple[int, int | None
 
 
 def _propagate(
-    entries: Sequence[Sequence[int]], sign: int, error: type[ValueError]
+    entries: Sequence[Sequence[int]], forest: Forest, sign: int, error: type[ValueError]
 ) -> tuple[int, ...]:
     """Minimal positive integers d with d_i m_ij = sign d_j m_ji.
 
@@ -146,7 +149,7 @@ def _propagate(
     """
     n = len(entries)
     d = [0] * n
-    for tree in _forest(entries):
+    for tree in forest:
         ratio = {tree[0][0]: Fraction(1)}
         for j, i in tree[1:]:
             ratio[j] = ratio[i] * (sign * entries[i][j]) / entries[j][i]
@@ -160,12 +163,6 @@ def _propagate(
             if entries[i][j] and d[i] * entries[i][j] != sign * d[j] * entries[j][i]:
                 raise error(f"inconsistent symmetrizer ratio at edge ({i},{j})")
     return tuple(d)
-
-
-def symmetrizer(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Minimal positive integer diagonal D with D A symmetric; raises
-    NotSymmetrizable when a cycle forces inconsistent ratios."""
-    return _propagate(check_shape(rows), 1, NotSymmetrizable)
 
 
 def skew_symmetrizer(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -183,7 +180,61 @@ def skew_symmetrizer(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
                 raise NotSkewSymmetrizable(f"zero pattern broken at ({i},{j})")
             if rows[i][j] * rows[j][i] > 0:
                 raise NotSkewSymmetrizable(f"entries at ({i},{j}) share a sign")
-    return _propagate(rows, -1, NotSkewSymmetrizable)
+    return _propagate(rows, _forest(rows), -1, NotSkewSymmetrizable)
+
+
+class Diagram:
+    """The Dynkin diagram of a Cartan matrix: its shape is checked and its
+    spanning forest walked once, one tree per component; the readings below
+    are taken off them on first use and kept."""
+
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        self.entries = check_shape(rows)
+        self.forest = _forest(self.entries)
+        self.components = [sorted(node for node, _ in tree) for tree in self.forest]
+
+    @cached_property
+    def symmetrizer(self) -> tuple[int, ...]:
+        """Minimal positive integer diagonal D with D A symmetric; raises
+        NotSymmetrizable when a cycle forces inconsistent ratios."""
+        return _propagate(self.entries, self.forest, 1, NotSymmetrizable)
+
+    @cached_property
+    def finite_type(self) -> DynkinType | None:
+        """The Dynkin type, or None when the symmetrization is not positive
+        definite (Sylvester's criterion); raises NotSymmetrizable when there
+        is no symmetrizer."""
+        entries, d = self.entries, self.symmetrizer
+        n = len(entries)
+        sym = [[d[i] * entries[i][j] for j in range(n)] for i in range(n)]
+        if not all(m > 0 for m in leading_principal_minors(sym)):
+            return None
+        return tuple(sorted(_classify_component(entries, comp) for comp in self.components))
+
+    def classify(self) -> DynkinType:
+        """The Dynkin type; UnrecognizedDiagram when it is not finite."""
+        if self.finite_type is None:
+            raise UnrecognizedDiagram("matrix is not of finite type (not positive definite)")
+        return self.finite_type
+
+    @cached_property
+    def parts(self) -> tuple[frozenset[int], frozenset[int]]:
+        """The two colours along the spanning forest; the lowest index of
+        each component goes into the first (plus) part.  An edge whose ends
+        share a colour (an odd cycle) raises UnrecognizedDiagram."""
+        entries = self.entries
+        n = len(entries)
+        color = [0] * n
+        for tree in self.forest:
+            for j, i in tree[1:]:
+                color[j] = 1 - color[i]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if entries[i][j] and color[i] == color[j]:
+                    raise UnrecognizedDiagram("diagram contains an odd cycle")
+        plus = frozenset(i for i in range(n) if color[i] == 0)
+        minus = frozenset(i for i in range(n) if color[i] == 1)
+        return plus, minus
 
 
 def validate_finite_type(rows: Sequence[Sequence[int]]) -> bool:
@@ -199,25 +250,12 @@ def validate_finite_type(rows: Sequence[Sequence[int]]) -> bool:
 def finite_type(rows: Sequence[Sequence[int]]) -> DynkinType | None:
     """The Dynkin type of a Cartan matrix of finite type, or None when its
     symmetrization is not positive definite; raises as
-    `validate_finite_type` does.  Sylvester's criterion and the diagram
-    classification run once each."""
-    entries = check_shape(rows)
-    d = _propagate(entries, 1, NotSymmetrizable)
-    n = len(entries)
-    sym = [[d[i] * entries[i][j] for j in range(n)] for i in range(n)]
-    if not all(m > 0 for m in leading_principal_minors(sym)):
-        return None
-    return tuple(sorted(_classify_component(entries, comp) for comp in components(entries)))
-
-
-def components(entries: Entries) -> list[list[int]]:
-    """The connected components of the Dynkin diagram, each sorted."""
-    return [sorted(node for node, _ in tree) for tree in _forest(entries)]
+    `validate_finite_type` does."""
+    return Diagram(rows).finite_type
 
 
 def _classify_component(entries: Entries, comp: list[int]) -> tuple[str, int]:
     n = len(comp)
-    pos = {v: k for k, v in enumerate(comp)}
     edges = []
     for a in comp:
         for b in comp:
@@ -291,10 +329,7 @@ def _classify_component(entries: Entries, comp: list[int]) -> tuple[str, int]:
 def classify(rows: Sequence[Sequence[int]]) -> DynkinType:
     """Dynkin type of a finite-type Cartan matrix, as a sorted tuple of
     (family letter, rank) factors, e.g. (("A", 2),) or (("A", 1), ("A", 1))."""
-    dtype = finite_type(rows)
-    if dtype is None:
-        raise UnrecognizedDiagram("matrix is not of finite type (not positive definite)")
-    return dtype
+    return Diagram(rows).classify()
 
 
 def dynkin_name(dtype: DynkinType) -> str:
@@ -302,37 +337,18 @@ def dynkin_name(dtype: DynkinType) -> str:
 
 
 def bipartition(rows: Sequence[Sequence[int]]) -> tuple[frozenset[int], frozenset[int]]:
-    """Two-color the Dynkin diagram along its spanning forest; the lowest
-    index of each component goes into the first (plus) part.  An edge whose
-    ends share a color (an odd cycle) raises UnrecognizedDiagram."""
-    entries = check_shape(rows)
-    n = len(entries)
-    color = [0] * n
-    for tree in _forest(entries):
-        for j, i in tree[1:]:
-            color[j] = 1 - color[i]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if entries[i][j] and color[i] == color[j]:
-                raise UnrecognizedDiagram("diagram contains an odd cycle")
-    plus = frozenset(i for i in range(n) if color[i] == 0)
-    minus = frozenset(i for i in range(n) if color[i] == 1)
-    return plus, minus
+    """Two-color the Dynkin diagram along its spanning forest (`Diagram.parts`)."""
+    return Diagram(rows).parts
 
 
 def b_matrix(rows: Sequence[Sequence[int]]) -> Entries:
     """Skew-symmetrizable exchange matrix built from a Cartan matrix and its
     diagram bipartition: zero diagonal, row i copies a_ij for i in the plus
     part and -a_ij for i in the minus part."""
-    entries = check_shape(rows)
-    plus, _ = bipartition(entries)
-    n = len(entries)
+    plus, _ = bipartition(rows)
     return tuple(
-        tuple(
-            0 if i == j else (entries[i][j] if i in plus else -entries[i][j])
-            for j in range(n)
-        )
-        for i in range(n)
+        tuple(0 if i == j else (a if i in plus else -a) for j, a in enumerate(row))
+        for i, row in enumerate(as_entries(rows))
     )
 
 

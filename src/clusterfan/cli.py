@@ -195,11 +195,12 @@ def cmd_mutate(parser, args) -> tuple[int, str]:
 
 def cmd_assoc(parser, args) -> tuple[int, str]:
     rs = root_system(_entries_from_args(parser, args))
-    data = cluster_complex(compatibility(almost_positive(rs)))
+    roots = almost_positive(rs)  # over the facet budget: exit 3 comes first
+    if args.format == "off" and rs.n != 3:
+        parser.error("OFF output is only defined for rank 3")
+    data = cluster_complex(compatibility(roots))
     poly = build_polytope(data)
     if args.format == "off":
-        if rs.n != 3:
-            parser.error("OFF output is only defined for rank 3")
         return 0, polytope_off(poly)
     if args.format == "json":
         return 0, polytope_json(poly)

@@ -5,7 +5,9 @@ and its pairing vector p = A c, the numbers <beta, alpha_i^vee>, which are
 its fundamental-weight coordinates.  With (alpha_i, alpha_j) = d_i a_ij, D
 the minimal symmetrizer, every root datum is read off p in O(n) and stays
 exact: s_i beta = beta - p_i alpha_i, (beta, beta) = sum_i c_i d_i p_i, and
-the reflection through beta sends r to r - (beta^vee . p(r)) beta.
+the reflection through beta sends r to r - (beta^vee . p(r)) beta.  A root
+system reads its rank, then its matrix's `cartan.Diagram` once; every later
+layer reads the diagram's components, colouring and type off it.
 """
 
 from __future__ import annotations
@@ -47,12 +49,12 @@ class RootSystem:
     expressed as permutations of the index range or as integer matrices."""
 
     def __init__(self, entries: Entries):
-        entries = cartan_mod.check_shape(entries)
-        self.cartan = entries
         self.n = len(entries)
         cartan_mod.check_rank(self.n)
-        self.symmetrizer = cartan_mod.symmetrizer(entries)
-        self.dynkin = cartan_mod.classify(entries)
+        self.diagram = cartan_mod.Diagram(entries)
+        self.cartan = self.diagram.entries
+        self.symmetrizer = self.diagram.symmetrizer
+        self.dynkin = self.diagram.classify()
         positives = sorted(self._closure().items(), key=lambda r: (sum(r[0]), r[0]))
         self.num_positive = len(positives)
         negatives = [(tuple(-x for x in c), tuple(-x for x in p)) for c, p in positives]
@@ -181,11 +183,9 @@ def _reflect_simple(coords: tuple[int, ...], i: int, p: int) -> tuple[int, ...]:
 def root_system(source: Entries | str | DynkinType) -> RootSystem:
     """Build a root system from a Cartan matrix, a type name like "A3", or a
     parsed Dynkin type."""
-    if isinstance(source, str):
-        source = cartan_mod.cartan_for_type(source)
-    elif source and isinstance(source[0][0], str):
-        source = cartan_mod.cartan_for_type(source)  # DynkinType
-    return RootSystem(cartan_mod.as_entries(source))
+    if isinstance(source, str) or source and isinstance(source[0][0], str):
+        source = cartan_mod.cartan_for_type(source)  # a name or a DynkinType
+    return RootSystem(source)
 
 
 # -- root poset --------------------------------------------------------------
@@ -240,7 +240,7 @@ def _component_exponents(rs: RootSystem) -> list[list[int]]:
     """The exponents of every irreducible component, read off the root
     heights.  A positive root's support lies in one component."""
     component = {}
-    for k, nodes in enumerate(cartan_mod.components(rs.cartan)):
+    for k, nodes in enumerate(rs.diagram.components):
         component.update(dict.fromkeys(nodes, k))
     heights: dict[int, list[int]] = {}
     for root in rs.positive_roots():
@@ -273,8 +273,17 @@ def catalan_number(rs: RootSystem) -> int:
 def coxeter_element(rs: RootSystem) -> tuple[int, ...]:
     """The bipartite Coxeter element: the product of all simple reflections,
     plus part first, each part ascending."""
-    plus, minus = cartan_mod.bipartition(rs.cartan)
+    plus, minus = rs.diagram.parts
     return rs.word_perm(sorted(plus) + sorted(minus))
+
+
+def _irreducible(rs: RootSystem, caller: str) -> tuple[str, int]:
+    """The one factor of an irreducible system's Dynkin type; raises
+    NotIrreducible, naming the caller, on a composite one."""
+    if len(rs.dynkin) != 1:
+        name = cartan_mod.dynkin_name(rs.dynkin)
+        raise NotIrreducible(f"{caller} needs an irreducible system, got {name}")
+    return rs.dynkin[0]
 
 
 def coxeter_data(rs: RootSystem) -> CoxeterData:
@@ -287,10 +296,7 @@ def coxeter_data(rs: RootSystem) -> CoxeterData:
     classical cross-identities n h = 2 |positives| and sum(e_i) = |positives|
     are checked (RootCheckFailed).
     """
-    if len(rs.dynkin) != 1:
-        raise NotIrreducible(
-            f"coxeter_data needs an irreducible system, got {cartan_mod.dynkin_name(rs.dynkin)}"
-        )
+    _irreducible(rs, "coxeter_data")
     exponents = _exponents(root.height for root in rs.positive_roots())
 
     perm = coxeter_element(rs)

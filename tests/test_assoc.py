@@ -55,7 +55,7 @@ from clusterfan.assoc import (
 from clusterfan.coxeter import build_group
 from clusterfan.linalg import det, solve_linear
 from clusterfan.packing import layout
-from clusterfan.roots import root_system
+from clusterfan.roots import NotIrreducible, root_system
 
 
 def complex_for(name):
@@ -85,7 +85,7 @@ def test_tau_involutions():
 def test_tau_fixes_opposite_part_negated_simples():
     rs = root_system("A2")
     ap = almost_positive(rs)
-    plus, minus = ap.parts
+    plus, minus = ap.rs.diagram.parts
     for i in minus:
         assert ap.tau(1, rs.negate(rs.simple_index[i])) == rs.negate(rs.simple_index[i])
     for i in plus:
@@ -215,6 +215,14 @@ def test_h_vector_equals_narayana():
     for name in ("A2", "A3", "A4", "B2", "B3", "D4", "G2"):
         data = complex_for(name)
         assert data.h_vector == narayana(root_system(name))
+
+
+@pytest.mark.parametrize("name", ["A1+A1", "A2+B2"])
+def test_narayana_refuses_a_reducible_system(name):
+    with pytest.raises(NotIrreducible) as info:
+        narayana(root_system(name))
+    assert str(info.value) == f"narayana needs an irreducible system, got {name}"
+    assert isinstance(info.value, ValueError)
 
 
 def test_facets_unimodular():
@@ -677,7 +685,7 @@ def oracle_refinement(data, group):
     reflecting the fundamental weights along a reduced word."""
     ap = data.ap
     rs, n = ap.rs, ap.n
-    plus, _ = ap.parts
+    plus, _ = ap.rs.diagram.parts
     weights = [solve_linear(rs.cartan, [int(j == i) for j in range(n)]) for i in range(n)]
 
     def push(coords):
@@ -889,10 +897,11 @@ assoc.support_function = support
 # the lowest node of the plus part moved to the minus part: the pushed cones
 # no longer hold the chambers
 from clusterfan.coxeter import build_group
-plus, minus = ap.parts
-moved = dataclasses.replace(ap, parts=(plus - {min(plus)}, minus | {min(plus)}))
+group = build_group(ap.rs)
+plus, minus = ap.rs.diagram.parts
+ap.rs.diagram.parts = (plus - {min(plus)}, minus | {min(plus)})
 try:
-    assoc.refinement_check(dataclasses.replace(data, ap=moved), build_group(ap.rs))
+    assoc.refinement_check(data, group)
 except assoc.AssocCheckFailed as exc:
     print("FAIL", exc)
 """

@@ -2,8 +2,9 @@
 
 import pytest
 
-from clusterfan import cartan
+from clusterfan import assoc, cartan, catalan
 from clusterfan.cartan import (
+    Diagram,
     NotCartanShape,
     UnrecognizedDiagram,
     b_matrix,
@@ -15,7 +16,6 @@ from clusterfan.cartan import (
     parse_type_name,
     skew_symmetrizer,
     standard_cartan,
-    symmetrizer,
     validate_finite_type,
 )
 from clusterfan.roots import root_system
@@ -63,14 +63,14 @@ def test_shape_violations_raise():
 
 def test_symmetrizer_makes_symmetric():
     for rows in (B4, C4, RANK2["G2"]):
-        d = symmetrizer(rows)
+        d = Diagram(rows).symmetrizer
         n = len(rows)
         sym = [[d[i] * rows[i][j] for j in range(n)] for i in range(n)]
         assert all(sym[i][j] == sym[j][i] for i in range(n) for j in range(n))
 
 
 def test_symmetrizer_of_symmetric_matrix_is_ones():
-    assert symmetrizer(A4) == (1, 1, 1, 1)
+    assert Diagram(A4).symmetrizer == (1, 1, 1, 1)
 
 
 def test_standard_cartan_matches_frozen_examples():
@@ -122,7 +122,7 @@ def test_bipartition_rejects_odd_cycle():
 def test_b_matrix_is_skew_symmetrizable():
     rows = cartan_for_type("B3")
     b = b_matrix(rows)
-    d = symmetrizer(rows)
+    d = Diagram(rows).symmetrizer
     n = len(rows)
     for i in range(n):
         assert b[i][i] == 0
@@ -138,7 +138,7 @@ def test_b_matrix_is_skew_symmetrizable():
         "D4", "D5", "F4", "G2", "E6", "E7", "E8", "A2+B2",
     ):
         rows = cartan_for_type(name)
-        assert skew_symmetrizer(b_matrix(rows)) == symmetrizer(rows), name
+        assert skew_symmetrizer(b_matrix(rows)) == Diagram(rows).symmetrizer, name
 
 
 def test_parse_cartan_text_both_forms():
@@ -164,3 +164,58 @@ def test_root_system_validates_its_matrix_once(monkeypatch):
         calls.clear()
         root_system(name)
         assert calls == ["leading_principal_minors"] + ["_classify_component"] * components, name
+
+
+READINGS = ("check_shape", "_forest", "_propagate", "leading_principal_minors")
+
+
+def count_readings(monkeypatch):
+    """Wrap the four steps of reading a diagram; returns the call counts."""
+    calls = dict.fromkeys(READINGS, 0)
+    for name in READINGS:
+        original = getattr(cartan, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cartan, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["A1", "B4", "E6", "A2+G2"])
+def test_root_system_reads_its_diagram_once(monkeypatch, name):
+    calls = count_readings(monkeypatch)
+    rs = root_system(name)
+    assert calls == dict.fromkeys(READINGS, 1)
+    # every later layer reads the diagram off the root system
+    calls.update(dict.fromkeys(READINGS, 0))
+    if len(rs.dynkin) == 1:
+        catalan.enumeration_report(rs)
+    data = assoc.cluster_complex(assoc.compatibility(assoc.almost_positive(rs)))
+    assoc.polytope_json(assoc.build_polytope(data))
+    assert calls == dict.fromkeys(READINGS, 0)
+
+
+def test_cyclic_diagram_is_not_finite_before_its_colouring_is_read():
+    # the affine A2 triangle: symmetric, not positive definite, odd cycle
+    cyclic = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    diagram = Diagram(cyclic)
+    assert diagram.finite_type is None
+    assert not validate_finite_type(cyclic)
+    with pytest.raises(UnrecognizedDiagram, match="not positive definite"):
+        diagram.classify()
+    with pytest.raises(UnrecognizedDiagram, match="odd cycle"):
+        diagram.parts
+
+
+def test_colouring_needs_no_symmetrizer():
+    # a four-cycle whose ratios multiply to 2 around it: bipartite, but no
+    # diagonal matrix symmetrizes it
+    square = [[2, -1, 0, -1], [-2, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]]
+    assert bipartition(square) == (frozenset({0, 2}), frozenset({1, 3}))
+    assert b_matrix(square)[1] == (2, 0, 1, 0)
+    with pytest.raises(cartan.NotSymmetrizable):
+        Diagram(square).symmetrizer
+    with pytest.raises(cartan.NotSymmetrizable):
+        validate_finite_type(square)

@@ -536,6 +536,30 @@ def test_assoc_off_requires_rank3(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("name", ["A2", "E8"])
+def test_assoc_off_of_another_rank_is_refused_before_the_complex(monkeypatch, capsys, name):
+    def never(*args):
+        raise AssertionError("built a cluster complex for OFF output of another rank")
+
+    monkeypatch.setattr(cli_module, "cluster_complex", never)
+    with pytest.raises(SystemExit) as info:
+        main(["assoc", "--type", name, "--format", "off"])
+    assert info.value.code == 2
+    assert "OFF output is only defined for rank 3" in capsys.readouterr().err
+
+
+def test_matrix_file_over_the_rank_bound_is_refused_before_validation(capsys, tmp_path):
+    # 200 rows with a bad diagonal: the rank is read before the shape
+    rows = [[0] * 200 for _ in range(200)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(rows))
+    code, out, err = run(capsys, "roots", "--matrix-file", str(path))
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        "budget exceeded: rank 200 is over the bound of 128 simple roots"
+    ]
+
+
 def test_catalan_text(capsys):
     code, out, _ = run(capsys, "catalan", "--type", "G2")
     assert code == 0
