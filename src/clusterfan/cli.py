@@ -15,7 +15,11 @@ outside [-8192, 8192) (packing.LIMIT),
 141 (128 + SIGPIPE, as a shell reports a writer killed by a closed pipe)
 when the reader closes stdout before the output is written.  mutate walks
 the exchange graph once, under --budget-seeds alone; text output prints
-counts only and computes no Laurent polynomial.
+counts only and computes no Laurent polynomial.  Every mutate source, a
+type name or an exchange matrix, is sized by that walk, by rank and by
+Cat(W): it refuses more than 128 columns before it starts, and a Cat(W)
+over the budget at the first seed whose Cartan counterpart is of finite
+type, which for every orientation of a Dynkin diagram is the start.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .cartan import (
 )
 from .roots import (
     NotIrreducible,
-    catalan_number,
     root_system,
     to_json_dict,
     weyl_group_order,
@@ -95,9 +98,8 @@ def _entries_from_args(
     """The matrix named by --type or read from --matrix-file, in the grammar
     of `parse_cartan_text`.  With exchange set, the result is an exchange
     matrix: a type named by --type or by `type:` text gives its bipartite
-    exchange matrix, refused by `_sized_exchange` when it has more seeds
-    than --budget-seeds allows, while JSON rows, with or without the
-    `matrix:` prefix, hold the exchange matrix itself."""
+    exchange matrix, while JSON rows, with or without the `matrix:` prefix,
+    hold the exchange matrix itself."""
     if args.matrix_file:
         try:
             with open(args.matrix_file, encoding="utf-8") as handle:
@@ -105,22 +107,11 @@ def _entries_from_args(
         except (OSError, UnicodeDecodeError) as exc:
             parser.error(f"cannot read the matrix file: {exc}")
         rows = parse_cartan_text(text)
-        if exchange and text.startswith("type:"):
-            return _sized_exchange(rows, args.budget_seeds)
-        return rows
+        return b_matrix(rows) if exchange and text.startswith("type:") else rows
     if args.type:
         entries = cartan_for_type(args.type)
-        return _sized_exchange(entries, args.budget_seeds) if exchange else entries
+        return b_matrix(entries) if exchange else entries
     parser.error("one of --type or --matrix-file is required")
-
-
-def _sized_exchange(cartan: Entries, budget: int) -> Entries:
-    """The bipartite exchange matrix of a finite type.  Its exchange graph
-    has Cat(W) seeds, read off the exponents; over the seed budget it is
-    refused before the walk, with the message the walk would end with."""
-    if catalan_number(root_system(cartan)) > budget:
-        raise BudgetExceeded(f"exchange graph exceeded {budget} seeds")
-    return b_matrix(cartan)
 
 
 def _check_format(parser, command: str, fmt: str) -> str:

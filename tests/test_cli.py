@@ -346,38 +346,84 @@ def test_oversized_complex_exits_3_before_its_roots_are_paired(name):
     assert line.endswith(" facets, over the budget of 60000")
 
 
+def bipartite_rows(n):
+    return [list(row) for row in cartan.b_matrix(cartan.cartan_for_type(f"A{n}"))]
+
+
+def path_rows(n, cycle=False):
+    """The linearly oriented A_n quiver, closed into an oriented n-cycle."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n if cycle else n - 1):
+        rows[i][(i + 1) % n], rows[(i + 1) % n][i] = 1, -1
+    return rows
+
+
 @pytest.mark.parametrize(
-    "source,walked",
+    "rows,message",
+    [
+        (bipartite_rows(20), "exchange graph exceeded 100000 seeds"),
+        (bipartite_rows(40), "exchange graph exceeded 100000 seeds"),
+        (path_rows(12), "exchange graph exceeded 100000 seeds"),
+        (path_rows(20), "exchange graph exceeded 100000 seeds"),
+        ([[0] * 20] * 20, "exchange graph exceeded 100000 seeds"),
+        ([[0] * 60] * 60, "exchange graph exceeded 100000 seeds"),
+        ([[0] * 129] * 129, "rank 129 is over the bound of 128 simple roots"),
+        (path_rows(129, cycle=True), "rank 129 is over the bound of 128 simple roots"),
+    ],
+    ids=["bipartite-A20", "bipartite-A40", "linear-A12", "linear-A20", "zero-20",
+         "zero-60", "zero-129", "cycle-129"],
+)
+def test_mutate_exchange_rows_are_refused_at_the_start(tmp_path, rows, message):
+    # JSON rows are typed at the start seed like a type name: Cat(A_n) and
+    # 2^n (A1^n) are over the seed budget, and 129 columns over the rank
+    # bound.  A walk up to the budget would take 7 s or more on each
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(rows))
+    argv = [sys.executable, "-m", "clusterfan.cli", "mutate", "--matrix-file", str(path)]
+    start = time.perf_counter()
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert "Traceback" not in result.stderr
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.splitlines() == [f"budget exceeded: {message}"]
+
+
+@pytest.mark.parametrize(
+    "source,as_rows",
     [("--type", False), ("type:", False), ("matrix:", True)],
 )
 def test_mutate_type_refused_over_its_catalan_number(
-    capsys, tmp_path, monkeypatch, source, walked
+    capsys, tmp_path, monkeypatch, source, as_rows
 ):
-    # A3 has Cat(A3) = 14 seeds.  A type is sized before the walk; an
-    # exchange matrix given as such is refused by the walk alone.
+    # A3 has Cat(A3) = 14 seeds.  A type and its exchange matrix given as
+    # rows enter the same walk, which reads Cat(A3) off the start seed's
+    # Cartan counterpart and refuses it before any edge is computed.
     if source == "--type":
         argv = ["--type", "A3"]
     else:
         path = tmp_path / "a3.txt"
         rows = "[[0, -1, 0], [1, 0, 1], [0, -1, 0]]"
-        path.write_text("type:A3" if source == "type:" else f"matrix:{rows}")
+        path.write_text(f"matrix:{rows}" if as_rows else "type:A3")
         argv = ["--matrix-file", str(path)]
     code, out, err = run(capsys, "mutate", *argv, "--budget-seeds", "14")
     assert code == 0, err
     assert out.splitlines()[0] == "seeds 14"
 
     calls = []
-    walk = cli_module.exchange_counts
+    g_mutate = mutation._g_mutate
 
     def recording(*args):
         calls.append(args)
-        return walk(*args)
+        return g_mutate(*args)
 
-    monkeypatch.setattr(cli_module, "exchange_counts", recording)
-    code, out, err = run(capsys, "mutate", *argv, "--budget-seeds", "13")
-    assert (code, out) == (3, "")
-    assert err.splitlines() == ["budget exceeded: exchange graph exceeded 13 seeds"]
-    assert bool(calls) == walked
+    monkeypatch.setattr(mutation, "_g_mutate", recording)
+    for fmt in ("text", "json", "dot"):
+        code, out, err = run(
+            capsys, "mutate", *argv, "--budget-seeds", "13", "--format", fmt
+        )
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["budget exceeded: exchange graph exceeded 13 seeds"]
+    assert calls == []
 
 
 def test_mutate_budget_exit_code(capsys):

@@ -13,7 +13,7 @@ import random
 import subprocess
 import sys
 import time
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -21,6 +21,7 @@ from clusterfan import cli, mutation, wiring
 
 from clusterfan.assoc import almost_positive, cluster_complex, compatibility
 from clusterfan.cartan import (
+    Diagram,
     NotCartanShape,
     NotSkewSymmetrizable,
     NotSymmetrizable,
@@ -28,10 +29,12 @@ from clusterfan.cartan import (
     cartan_for_type,
     classify,
     dynkin_name,
+    skew_symmetrizer,
     validate_finite_type,
 )
 from clusterfan.coxeter import BudgetExceeded
 from clusterfan.laurent import LaurentPoly
+from clusterfan.linalg import matrix_rank
 from clusterfan.mutation import (
     ExchangeMatrix,
     Inconclusive,
@@ -57,9 +60,10 @@ from clusterfan.mutation import (
     seed_to_dict,
 )
 from clusterfan.packing import LIMIT, ExponentOverflow, layout
-from clusterfan.roots import root_system
+from clusterfan.roots import catalan_number, root_system
 from clusterfan.verify import QUICK_TYPES
 
+from test_cli import path_rows
 from test_laurent import parse_laurent
 
 
@@ -253,12 +257,15 @@ def test_explore_budget():
 
 
 def test_mutation_preserves_principal_rank():
+    # the principal part stays skew-symmetric and the extended matrix keeps
+    # full column rank (Cluster algebras III, Lemma 3.2)
     matrix = ExchangeMatrix(((0, 1), (-1, 0), (1, 0), (0, 1)), 2)
     current = matrix
     for k in (0, 1, 0, 1, 0):
         current = current.mutate(k)
-        top = current.principal()
-        assert len(top) == 2
+        (a, b), (c, d) = current.rows[:2]
+        assert (a, d, b + c) == (0, 0, 0) and b
+        assert matrix_rank(current.rows) == 2
 
 
 class NotAlmostPositive(ValueError):
@@ -467,15 +474,43 @@ def test_explore_matches_oracle_on_relabeled_inputs(name, frozen, perm, sign):
     assert graph_bytes(explore(seed)) == graph_bytes(laurent_explore(seed))
 
 
-@pytest.mark.parametrize("budget", [1, 2, 5, 17, 41])
-def test_budget_partial_record_matches_oracle(budget):
-    seed = seed_of(exchange_rows("A4", "principal"))
+def refusals(seed, budget):
+    """The partial records of explore and the Laurent oracle, both refused
+    under `budget`."""
     with pytest.raises(MutationBudgetExceeded) as ours:
         explore(seed, budget=budget)
     with pytest.raises(MutationBudgetExceeded) as theirs:
         laurent_explore(seed, budget=budget)
-    assert len(ours.value.partial.seeds) == budget
-    assert graph_bytes(ours.value.partial) == graph_bytes(theirs.value.partial)
+    return ours.value.partial, theirs.value.partial
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, 17, 41])
+def test_budget_partial_record_matches_oracle(budget):
+    # Cat(A4) = 42 is read off the start seed, so every budget below it is
+    # refused there; the partial record holds the seeds met so far, in the
+    # order of the oracle's BFS
+    ours, theirs = refusals(seed_of(exchange_rows("A4", "principal")), budget)
+    assert not ours.closed
+    seeds = [seed_to_dict(s) for s in ours.seeds]
+    assert seeds == [seed_to_dict(s) for s in theirs.seeds[: len(seeds)]]
+    assert ours.edges == theirs.edges[: len(ours.edges)]
+    assert list(ours.variables) == list(theirs.variables)[: len(ours.variables)]
+
+
+def gl3_seed():
+    """The GL(3) seed of the double wiring diagrams: its counterpart is the
+    affine 4-cycle, and the walk types its 7th seed (D4)."""
+    graph = wiring.enumerate_classes(3)
+    return wiring._seed_from_class(graph, graph.class_of(wiring.FOUR_MOVE_WORD))[0]
+
+
+@pytest.mark.parametrize("budget", [1, 3, 6, 7])
+def test_budget_partial_record_is_exact_until_the_type_is_read(budget):
+    # below 7 the seed budget stops the walk before any seed is typed; at 7
+    # the 7th seed is typed and Cat(D4) = 50 refuses it, as it is recorded
+    ours, theirs = refusals(gl3_seed(), budget)
+    assert len(ours.seeds) == budget
+    assert graph_bytes(ours) == graph_bytes(theirs)
 
 
 def test_e6_exchange_graph():
@@ -814,6 +849,78 @@ def test_gl3_cell_walks_once(walks):
     assert len(walks) == 1
 
 
+# -- the walk reads the type: Cartan counterpart, Cat(W) and the rank bound ----
+
+
+def orientations(name):
+    """Every orientation of the Dynkin diagram of `name` as an exchange
+    matrix: each edge {i, j} gets a sign s, b_ij = s |a_ij| and
+    b_ji = -s |a_ji|, skew-symmetrized by the Cartan symmetrizer."""
+    cartan = cartan_for_type(name)
+    n = len(cartan)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if cartan[i][j]]
+    for signs in product((1, -1), repeat=len(edges)):
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), s in zip(edges, signs):
+            rows[i][j], rows[j][i] = -s * cartan[i][j], s * cartan[j][i]
+        assert skew_symmetrizer(rows) == Diagram(cartan).symmetrizer
+        yield rows
+
+
+@pytest.mark.parametrize("name", QUICK_TYPES)
+def test_every_orientation_is_typed_at_the_start(monkeypatch, name):
+    # a Dynkin forest's counterpart 2I - |B| is its Cartan matrix whatever
+    # the orientation, so the walk types the start seed and no other, and
+    # closes with Cat(W) seeds and |Phi+| + n cluster variables
+    rs = root_system(name)
+    typed = []
+    cluster_type = mutation._cluster_type
+
+    def counted(stacked, *args):
+        typed.append(stacked)
+        return cluster_type(stacked, *args)
+
+    monkeypatch.setattr(mutation, "_cluster_type", counted)
+    expected = (catalan_number(rs), rs.num_positive + rs.n, rs.dynkin)
+    for rows in orientations(name):
+        typed.clear()
+        assert exchange_counts(rows) == expected, rows
+        assert explore(seed_of(rows)).detected == rs.dynkin
+        assert [[list(row) for row in t[: rs.n]] for t in typed] == [rows, rows]
+
+
+def test_walk_checks_its_seed_count_against_cat_w(monkeypatch):
+    # Cat(A3) = 14: a walk told 15 closes with 14 seeds and fails
+    monkeypatch.setattr(mutation, "catalan_number", lambda rs: catalan_number(rs) + 1)
+    rows = exchange_rows("A3")
+    with pytest.raises(mutation.WalkCheckFailed, match=r"met 14 seeds, not Cat\(A3\) = 15"):
+        exchange_counts(rows)
+    with pytest.raises(mutation.WalkCheckFailed):
+        explore(seed_of(rows))
+
+
+def test_e8_detection_is_refused_by_its_catalan_number(monkeypatch):
+    # Cat(E8) = 25,080 is over DETECT_BUDGET: refused before any edge
+    calls = []
+    monkeypatch.setattr(mutation, "_g_mutate", lambda *args: calls.append(args))
+    with pytest.raises(Inconclusive, match=f"exceeded {mutation.DETECT_BUDGET} seeds"):
+        detect_finite_type(b_matrix(cartan_for_type("E8")))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "rows", [[[0] * 129] * 129, path_rows(129, cycle=True)], ids=["zero", "cycle"]
+)
+def test_walk_refuses_more_columns_than_the_rank_bound(monkeypatch, rows):
+    # the rank is read before anything else: the zero matrix is A1^129, and
+    # the cycle's counterpart is never finite
+    monkeypatch.setattr(mutation, "_cluster_type", None)
+    message = "rank 129 is over the bound of 128 simple roots"
+    for walk in (exchange_counts, detect_finite_type, lambda r: explore(seed_of(r))):
+        with pytest.raises(BudgetExceeded, match=message):
+            walk(rows)
+
+
 INFINITE_TYPES = [
     ((0, 2, -2), (-2, 0, 2), (2, -2, 0)),  # Markov quiver
     ((0, 2), (-3, 0)),
@@ -888,8 +995,6 @@ def matrix_class_detect(rows, budget=10**4):
         frontier = fresh
     for matrix in matrices:
         candidate = _cartan_companion(matrix)
-        if candidate is None:
-            continue
         try:
             if validate_finite_type(candidate):
                 return classify(candidate)
