@@ -90,7 +90,7 @@ def almost_positive(rs: RootSystem) -> AlmostPositive:
     of clusters, Cat(W), is read off the exponents first; over FACET_BUDGET
     no complex is built, and BudgetExceeded refuses it before any root is
     listed or paired."""
-    size = catalan_number(rs)
+    size = catalan_number(rs.exponents)
     if size > FACET_BUDGET:
         raise BudgetExceeded(
             f"cluster complex has {size} facets, over the budget of {FACET_BUDGET}"
@@ -577,7 +577,7 @@ def _walk(
 def n_phi(rs: RootSystem) -> int:
     """The product formula over the exponents of an irreducible system."""
     _irreducible(rs, "n_phi")
-    return catalan_number(rs)
+    return catalan_number(rs.exponents)
 
 
 _FIXED_NARAYANA = {

@@ -232,7 +232,7 @@ def enumeration_report(rs: RootSystem) -> list[dict]:
     for k, size in enumerate(interval.rank_counts):
         add("noncrossing", k, size, expected_profile[k])
 
-    if weyl_group_order(rs) <= TORUS_BUDGET:
+    if weyl_group_order(rs.exponents) <= TORUS_BUDGET:
         add("torus_orbits", "total", torus_orbits(rs), expected_total)
 
     if rs.n <= 3:

@@ -6,7 +6,8 @@ seed.  Exit codes: 0 success, 1 verification failure, 2 usage error
 (including a type name or matrix that is not a finite irreducible type where
 one is needed, and a matrix file that is empty, has an entry that is not an
 integer, is not a Cartan matrix or, for mutate, is not an m-by-n matrix,
-m >= n, with a skew-symmetrizable top part and full column rank),
+m >= n, with a skew-symmetrizable top part and full column rank, an --out
+path that cannot be written, and a --budget-seeds below 1),
 3 budget exceeded (every budget raises the one class cartan.BudgetExceeded,
 including a root system of rank over 128, cartan.MAX_RANK, so that A128 is
 the largest A_n admitted) or, for mutate,
@@ -17,9 +18,10 @@ when the reader closes stdout before the output is written.  mutate walks
 the exchange graph once, under --budget-seeds alone; text output prints
 counts only and computes no Laurent polynomial.  Every mutate source, a
 type name or an exchange matrix, is sized by that walk, by rank and by
-Cat(W): it refuses more than 128 columns before it starts, and a Cat(W)
-over the budget at the first seed whose Cartan counterpart is of finite
-type, which for every orientation of a Dynkin diagram is the start.
+Cat(W): it refuses more than 128 columns before the matrix is validated,
+and a Cat(W) over the budget at the first seed whose Cartan counterpart is
+of finite type, which for every orientation of a Dynkin diagram is the
+start.
 """
 
 from __future__ import annotations
@@ -114,6 +116,17 @@ def _entries_from_args(
     parser.error("one of --type or --matrix-file is required")
 
 
+def _seed_budget(text: str) -> int:
+    """A --budget-seeds value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
+    return value
+
+
 def _check_format(parser, command: str, fmt: str) -> str:
     if fmt not in FORMATS[command]:
         parser.error(
@@ -152,7 +165,7 @@ def cmd_group(parser, args) -> tuple[int, str]:
     words = count_reduced_words(rs)
     stats = {
         "type": dynkin_name(rs.dynkin),
-        "order": weyl_group_order(rs),
+        "order": weyl_group_order(rs.exponents),
         "longest_length": rs.num_positive,
         "reduced_words_of_w0": words,
     }
@@ -282,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         common(p, matrix=name not in ("wiring",))
         if name == "mutate":
-            p.add_argument("--budget-seeds", type=int, default=SEED_BUDGET)
+            p.add_argument("--budget-seeds", type=_seed_budget, default=SEED_BUDGET)
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("verify")
@@ -319,8 +332,11 @@ def main(argv=None) -> int:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            parser.error(f"cannot write the output file: {exc}")
         return code
     try:
         print(text, flush=True)

@@ -64,13 +64,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from math import prod
 from operator import mul
 
 from .cartan import BudgetExceeded
 from .linalg import left_kernel, matrix_rank
 from .packing import FIELD, LIMIT, SIGN, layout
-from .roots import RootSystem, _component_exponents, catalan_number, coxeter_element
+from .roots import RootSystem, catalan_number, coxeter_element, weyl_group_order
 
 Perm = tuple[int, ...]
 
@@ -144,7 +143,7 @@ def _levels(rs: RootSystem, budget: int, right: list[tuple[int, ...]] | None = N
     longest element.  A walk stopped there has run every check on every
     level it holds.
 
-    Raises BudgetExceeded before the walk when |W|, read off the exponents,
+    Raises BudgetExceeded before the walk when |W|, read off `rs.exponents`,
     is over the budget.  Raises GroupCheckFailed before the walk when the
     largest exponent is LIMIT or more, and then when a level's size is not
     its coefficient of the Poincare polynomial prod [e_i + 1]_q, when a
@@ -153,8 +152,8 @@ def _levels(rs: RootSystem, budget: int, right: list[tuple[int, ...]] | None = N
     the exponents give, or when the walk ends short of |W| or with more
     than one longest element.
     """
-    exponents = [e for part in _component_exponents(rs) for e in part]
-    order = prod(e + 1 for e in exponents)
+    exponents = [e for part in rs.exponents for e in part]
+    order = weyl_group_order(rs.exponents)
     if order > budget:
         raise BudgetExceeded(f"group has {order} elements, over the budget of {budget}")
     poincare = _poincare_polynomial(exponents)
@@ -563,7 +562,7 @@ def absolute_interval(rs: RootSystem) -> AbsoluteInterval:
     every element of a level has the level's rank n - |basis|, and the
     bottom level is the identity alone.
     """
-    size = catalan_number(rs)
+    size = catalan_number(rs.exponents)
     if size > INTERVAL_BUDGET:
         raise BudgetExceeded(
             f"noncrossing interval has {size} elements,"

@@ -48,9 +48,10 @@ counterpart 2I - |B| is of finite type, the same type for every such seed
 (Thm 1.4 there), and its seeds, the facets of the cluster complex, number
 Cat(W).  So the walk types each new seed until one has a finite
 counterpart: the start for every orientation of a Dynkin forest, as sink
-and source mutations keep 2I - |B| and reach the bipartite seed.  There a
-Cat(W) over the budget is refused, and a closed walk must count Cat(W)
-seeds.  `exchange_counts` counts cluster variables as distinct g-vectors.
+and source mutations keep 2I - |B| and reach the bipartite seed.  There
+Cat(W), read off its diagram and root closure with no root system built,
+is refused over the budget, and a closed walk must count Cat(W) seeds.
+`exchange_counts` counts cluster variables as distinct g-vectors.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .cartan import BudgetExceeded, DynkinType, NotSkewSymmetrizable, skew_symme
 from .laurent import LaurentPoly
 from .linalg import matrix_rank
 from .packing import LIMIT, layout
-from .roots import RootSystem, catalan_number
+from .roots import _closure, _component_exponents, catalan_number
 
 
 class _WalkStopped(RuntimeError):
@@ -119,12 +120,16 @@ class ExchangeMatrix:
     rank, so that the frozen rows pin down the coefficients.  Square matrices
     are exempt: a skew-symmetrizable matrix of odd size is always singular,
     and coefficient-free seeds such as the one attached to a rank-3 Cartan
-    matrix are still perfectly good starting points for mutation."""
+    matrix are still perfectly good starting points for mutation.
+
+    More than cartan.MAX_RANK columns raise BudgetExceeded before any other
+    check, as a Cartan matrix of that rank does."""
 
     rows: tuple[tuple[int, ...], ...]
     n: int
 
     def __post_init__(self):
+        cartan_mod.check_rank(self.n)
         try:
             rows = cartan_mod.as_entries(self.rows)
         except cartan_mod.NotCartanShape as exc:
@@ -446,10 +451,11 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
         frontier = fresh
     if typed is None:  # Thm 1.4 says this cannot happen
         raise Inconclusive("mutation class closed without a finite Cartan counterpart")
-    name, count = cartan_mod.dynkin_name(typed.dynkin), catalan_number(typed)
+    dynkin, count = typed
     if len(seeds) != count:
+        name = cartan_mod.dynkin_name(dynkin)
         raise WalkCheckFailed(f"the walk met {len(seeds)} seeds, not Cat({name}) = {count}")
-    return typed.dynkin
+    return dynkin
 
 
 def explore(seed: Seed, budget: int = SEED_BUDGET) -> MutationGraph:
@@ -554,20 +560,21 @@ def _cartan_companion(rows: Sequence[Sequence[int]]) -> cartan_mod.Entries:
     )
 
 
-def _cluster_type(stacked, n: int, budget: int, partial) -> RootSystem | None:
-    """The root system of the Cartan counterpart of the top n-by-n block,
-    None unless finite; MutationBudgetExceeded if Cat(W) is over `budget`.
-    A finite diagram is a forest: n or more edges are passed over unread,
-    which saves about four fifths of an affine A(5,4) quiver's walk."""
+def _cluster_type(stacked, n: int, budget: int, partial) -> tuple[DynkinType, int] | None:
+    """The Dynkin type and Cat(W) of the Cartan counterpart of the top n-by-n
+    block, None unless finite; MutationBudgetExceeded if Cat(W) is over
+    `budget`.  A finite diagram is a forest: n or more edges are passed over
+    unread, which saves about four fifths of an affine A(5,4) quiver's walk."""
     if sum(1 for i in range(n) for j in range(i) if stacked[i][j]) >= n:
         return None
-    try:  # the counterpart shares B's symmetrizer: only the diagram fails
-        rs = RootSystem(_cartan_companion(stacked[:n]))
-    except cartan_mod.UnrecognizedDiagram:
+    diagram = cartan_mod.Diagram(_cartan_companion(stacked[:n]))
+    if diagram.finite_type is None:
         return None
-    if catalan_number(rs) > budget:
+    positives = _closure(diagram.entries)  # no Root, coroot or index is built
+    count = catalan_number(_component_exponents(diagram.components, positives))
+    if count > budget:
         raise MutationBudgetExceeded(f"exchange graph exceeded {budget} seeds", partial)
-    return rs
+    return diagram.finite_type, count
 
 
 def detect_finite_type(rows: Sequence[Sequence[int]]) -> DynkinType | None:
@@ -578,8 +585,9 @@ def detect_finite_type(rows: Sequence[Sequence[int]]) -> DynkinType | None:
     infinite-type witness and, once the walk closes, the Dynkin type.
     Raises Inconclusive if more than DETECT_BUDGET seeds appear or are
     counted by Cat(W) first (E8 at the start), and BudgetExceeded over
-    MAX_RANK columns.
+    MAX_RANK columns before the shape is checked.
     """
+    cartan_mod.check_rank(len(rows))
     start = tuple(tuple(int(x) for x in r) for r in rows)
     skew_symmetrizer(start)  # validates shape
     try:

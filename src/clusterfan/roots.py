@@ -7,7 +7,8 @@ the minimal symmetrizer, every root datum is read off p in O(n) and stays
 exact: s_i beta = beta - p_i alpha_i, (beta, beta) = sum_i c_i d_i p_i, and
 the reflection through beta sends r to r - (beta^vee . p(r)) beta.  A root
 system reads its rank, then its matrix's `cartan.Diagram` once; every later
-layer reads the diagram's components, colouring and type off it.
+layer reads the diagram's components, colouring and type off it, and |W|
+and Cat(W) off its exponents, read once off the root heights.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class RootSystem:
         self.cartan = self.diagram.entries
         self.symmetrizer = self.diagram.symmetrizer
         self.dynkin = self.diagram.classify()
-        positives = sorted(self._closure().items(), key=lambda r: (sum(r[0]), r[0]))
+        positives = sorted(_closure(self.cartan).items(), key=lambda r: (sum(r[0]), r[0]))
         self.num_positive = len(positives)
         negatives = [(tuple(-x for x in c), tuple(-x for x in p)) for c, p in positives]
         self.roots = [self._make_root(c, p) for c, p in positives + negatives]
@@ -66,34 +67,6 @@ class RootSystem:
         ]
 
     # -- construction ------------------------------------------------------
-
-    def _closure(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """The positive roots, each mapped to its pairing vector, closed from
-        the simples under the s_i with p_i < 0, which raise the height and
-        take p to p - p_i (column i of A).  They reach every positive root:
-        one that is not simple has some p_i > 0, as sum c_i d_i p_i > 0, and
-        s_i lowers it to a positive root (Humphreys, Introduction to Lie
-        Algebras and Representation Theory, 10.2, Lemma B)."""
-        columns = list(zip(*self.cartan))
-        found = {
-            tuple(1 if j == i else 0 for j in range(self.n)): columns[i]
-            for i in range(self.n)
-        }
-        frontier = list(found)
-        while frontier:
-            fresh = []
-            for coords in frontier:
-                pairing = found[coords]
-                for i, p in enumerate(pairing):
-                    if p < 0:
-                        image = _reflect_simple(coords, i, p)
-                        if image not in found:
-                            found[image] = tuple(
-                                x - p * a for x, a in zip(pairing, columns[i])
-                            )
-                            fresh.append(image)
-            frontier = fresh
-        return found
 
     def _make_root(self, coords: tuple[int, ...], pairing: tuple[int, ...]) -> Root:
         # (beta, beta) = sum_ij c_i c_j d_i a_ij = sum_i c_i d_i p_i
@@ -165,6 +138,12 @@ class RootSystem:
             g = generators[ascents[0]]
             perm = tuple(perm[g[r]] for r in range(len(perm)))
 
+    @cached_property
+    def exponents(self) -> list[list[int]]:
+        """The exponents of each irreducible component, read on first use."""
+        positives = (r.coords for r in self.positive_roots())
+        return _component_exponents(self.diagram.components, positives)
+
     def is_positive(self, idx: int) -> bool:
         return idx < self.num_positive
 
@@ -173,6 +152,31 @@ class RootSystem:
 
     def positive_roots(self) -> list[Root]:
         return self.roots[: self.num_positive]
+
+
+def _closure(cartan: Entries) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The positive roots of a Cartan matrix of finite type, each mapped to
+    its pairing vector, closed from the simples under the s_i with p_i < 0,
+    which raise the height and take p to p - p_i (column i of A).  They
+    reach every positive root: one that is not simple has some p_i > 0, as
+    sum c_i d_i p_i > 0, and s_i lowers it to a positive root (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, 10.2, Lemma B)."""
+    n = len(cartan)
+    columns = list(zip(*cartan))
+    found = {tuple(1 if j == i else 0 for j in range(n)): columns[i] for i in range(n)}
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for coords in frontier:
+            pairing = found[coords]
+            for i, p in enumerate(pairing):
+                if p < 0:
+                    image = _reflect_simple(coords, i, p)
+                    if image not in found:
+                        found[image] = tuple(x - p * a for x, a in zip(pairing, columns[i]))
+                        fresh.append(image)
+        frontier = fresh
+    return found
 
 
 def _reflect_simple(coords: tuple[int, ...], i: int, p: int) -> tuple[int, ...]:
@@ -236,32 +240,32 @@ def _exponents(heights: Iterable[int]) -> list[int]:
     return exponents
 
 
-def _component_exponents(rs: RootSystem) -> list[list[int]]:
-    """The exponents of every irreducible component, read off the root
-    heights.  A positive root's support lies in one component."""
+def _component_exponents(components: list[list[int]], coords: Iterable) -> list[list[int]]:
+    """The exponents of every irreducible component, read off the heights of
+    the positive roots `coords`, each supported on one component."""
     component = {}
-    for k, nodes in enumerate(rs.diagram.components):
+    for k, nodes in enumerate(components):
         component.update(dict.fromkeys(nodes, k))
     heights: dict[int, list[int]] = {}
-    for root in rs.positive_roots():
-        first = next(i for i, c in enumerate(root.coords) if c)
-        heights.setdefault(component[first], []).append(root.height)
+    for root in coords:
+        first = next(i for i, c in enumerate(root) if c)
+        heights.setdefault(component[first], []).append(sum(root))
     return [_exponents(part) for part in heights.values()]
 
 
-def weyl_group_order(rs: RootSystem) -> int:
+def weyl_group_order(exponents: Iterable[Sequence[int]]) -> int:
     """|W| as the product of (e_i + 1) over the exponents of every
-    irreducible component, without building the group."""
-    return prod(e + 1 for part in _component_exponents(rs) for e in part)
+    irreducible component (`RootSystem.exponents`), with no group built."""
+    return prod(e + 1 for part in exponents for e in part)
 
 
-def catalan_number(rs: RootSystem) -> int:
-    """Cat(W), the product over every irreducible component of
-    prod (e_i + h + 1) / (e_i + 1), where h - 1 is the largest exponent.
-    It counts the antichains of the root poset and the noncrossing
-    partitions, among others."""
+def catalan_number(exponents: Iterable[Sequence[int]]) -> int:
+    """Cat(W), the product over the exponents of every irreducible component
+    (`RootSystem.exponents`) of prod (e_i + h + 1) / (e_i + 1), where h - 1
+    is the largest exponent.  It counts the antichains of the root poset and
+    the noncrossing partitions, among others."""
     total = 1
-    for part in _component_exponents(rs):
+    for part in exponents:
         h = max(part) + 1
         count, rem = divmod(prod(e + h + 1 for e in part), prod(e + 1 for e in part))
         if rem:
@@ -290,14 +294,13 @@ def coxeter_data(rs: RootSystem) -> CoxeterData:
     """Coxeter number, exponents and Weyl group order of an irreducible
     system.
 
-    Exponents come from the dual partition of the height histogram of the
-    positive roots; the Coxeter number is the order of a bipartite Coxeter
-    element as a permutation of the roots; |W| = prod(e_i + 1).  The
-    classical cross-identities n h = 2 |positives| and sum(e_i) = |positives|
-    are checked (RootCheckFailed).
+    The exponents are `rs.exponents[0]`; the Coxeter number is the order of
+    a bipartite Coxeter element as a permutation of the roots; |W| =
+    prod(e_i + 1).  The classical cross-identities n h = 2 |positives| and
+    sum(e_i) = |positives| are checked (RootCheckFailed).
     """
     _irreducible(rs, "coxeter_data")
-    exponents = _exponents(root.height for root in rs.positive_roots())
+    exponents = rs.exponents[0]
 
     perm = coxeter_element(rs)
     order = 1
@@ -313,7 +316,7 @@ def coxeter_data(rs: RootSystem) -> CoxeterData:
         raise RootCheckFailed(f"n h = {rs.n * order} != 2 |positives| {2 * rs.num_positive}")
     if sum(exponents) != rs.num_positive:
         raise RootCheckFailed(f"exponents sum to {sum(exponents)}, not |positives|")
-    return CoxeterData(order, tuple(exponents), weyl_group_order(rs))
+    return CoxeterData(order, tuple(exponents), weyl_group_order(rs.exponents))
 
 
 def coroot_half_sum(rs: RootSystem) -> tuple[Fraction, ...]:

@@ -595,15 +595,18 @@ def test_assoc_off_of_another_rank_is_refused_before_the_complex(monkeypatch, ca
 
 
 def test_matrix_file_over_the_rank_bound_is_refused_before_validation(capsys, tmp_path):
-    # 200 rows with a bad diagonal: the rank is read before the shape
-    rows = [[0] * 200 for _ in range(200)]
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(rows))
-    code, out, err = run(capsys, "roots", "--matrix-file", str(path))
-    assert (code, out) == (3, "")
-    assert err.splitlines() == [
-        "budget exceeded: rank 200 is over the bound of 128 simple roots"
-    ]
+    # 200 rows with a bad diagonal, zero or one, on every subcommand that
+    # reads a matrix: the rank is read before the shape, and for mutate
+    # before the exchange matrix is validated
+    for entry in (0, 1):
+        path = tmp_path / f"big{entry}.json"
+        path.write_text(json.dumps([[entry] * 200 for _ in range(200)]))
+        for command in ("roots", "group", "assoc", "catalan", "mutate"):
+            code, out, err = run(capsys, command, "--matrix-file", str(path))
+            assert (code, out) == (3, ""), (entry, command)
+            assert err.splitlines() == [
+                "budget exceeded: rank 200 is over the bound of 128 simple roots"
+            ]
 
 
 def test_catalan_text(capsys):
@@ -658,6 +661,31 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert "type A2" in target.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [(["roots", "--type", "A1"], ""), (["verify", "--quick"], "missing/x.txt")],
+    ids=["directory", "missing-parent"],
+)
+def test_out_path_that_cannot_be_opened_is_a_usage_error(capsys, tmp_path, argv, target):
+    # a usage error (exit 2), as an unreadable --matrix-file is; exit 1 would
+    # read as a verification failure
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out", str(tmp_path / target)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: cannot write the output file" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("budget", ["-1", "0", "x"])
+def test_seed_budget_below_one_is_a_usage_error(capsys, budget):
+    with pytest.raises(SystemExit) as info:
+        main(["mutate", "--type", "A1", "--budget-seeds", budget])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--budget-seeds: must be an integer of at least 1, not '{budget}'" in err
 
 
 def test_verify_quick(capsys):

@@ -60,7 +60,7 @@ from clusterfan.mutation import (
     seed_to_dict,
 )
 from clusterfan.packing import LIMIT, ExponentOverflow, layout
-from clusterfan.roots import catalan_number, root_system
+from clusterfan.roots import RootSystem, catalan_number, root_system
 from clusterfan.verify import QUICK_TYPES
 
 from test_cli import path_rows
@@ -639,9 +639,10 @@ mutation._g_mutate = g_mutate
 # A3 read with a largest exponent of LIMIT - 1, then LIMIT: the first passes
 # the range check and fails on the level sizes, the second is refused
 for top in (LIMIT - 1, LIMIT):
-    coxeter._component_exponents = lambda rs: [[1, 1, top]]
+    rs = root_system("A3")
+    rs.exponents = [[1, 1, top]]
     try:
-        coxeter.count_elements(root_system("A3"))
+        coxeter.count_elements(rs)
     except coxeter.GroupCheckFailed as exc:
         print("FAIL", str(exc).split(" [")[0])
 """
@@ -881,7 +882,7 @@ def test_every_orientation_is_typed_at_the_start(monkeypatch, name):
         return cluster_type(stacked, *args)
 
     monkeypatch.setattr(mutation, "_cluster_type", counted)
-    expected = (catalan_number(rs), rs.num_positive + rs.n, rs.dynkin)
+    expected = (catalan_number(rs.exponents), rs.num_positive + rs.n, rs.dynkin)
     for rows in orientations(name):
         typed.clear()
         assert exchange_counts(rows) == expected, rows
@@ -891,7 +892,7 @@ def test_every_orientation_is_typed_at_the_start(monkeypatch, name):
 
 def test_walk_checks_its_seed_count_against_cat_w(monkeypatch):
     # Cat(A3) = 14: a walk told 15 closes with 14 seeds and fails
-    monkeypatch.setattr(mutation, "catalan_number", lambda rs: catalan_number(rs) + 1)
+    monkeypatch.setattr(mutation, "catalan_number", lambda e: catalan_number(e) + 1)
     rows = exchange_rows("A3")
     with pytest.raises(mutation.WalkCheckFailed, match=r"met 14 seeds, not Cat\(A3\) = 15"):
         exchange_counts(rows)
@@ -919,6 +920,22 @@ def test_walk_refuses_more_columns_than_the_rank_bound(monkeypatch, rows):
     for walk in (exchange_counts, detect_finite_type, lambda r: explore(seed_of(r))):
         with pytest.raises(BudgetExceeded, match=message):
             walk(rows)
+
+
+@pytest.mark.parametrize("name", [*QUICK_TYPES, "E6"])
+def test_the_walk_types_its_seeds_without_a_root_system(monkeypatch, name):
+    # Cat(W) and the type come from the counterpart's diagram and positive
+    # roots alone: no Root, coroot or index is built
+    rs = root_system(name)
+    expected = (catalan_number(rs.exponents), rs.num_positive + rs.n, rs.dynkin)
+    rows = exchange_rows(name)
+
+    def never(*args):
+        raise AssertionError("the walk built a root system")
+
+    monkeypatch.setattr(RootSystem, "__init__", never)
+    assert exchange_counts(rows) == expected
+    assert explore(seed_of(rows)).detected == detect_finite_type(rows) == rs.dynkin
 
 
 INFINITE_TYPES = [

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from clusterfan import assoc, catalan, coxeter, roots
 from clusterfan import cartan as cartan_mod
 from clusterfan.cartan import MAX_RANK, BudgetExceeded
 from clusterfan.coxeter import build_group
@@ -339,3 +340,30 @@ def test_largest_admitted_a_n_has_every_interval_root():
     assert [r.coords for r in rs.positive_roots()] == sorted(
         intervals, key=lambda c: (sum(c), c)
     )
+
+
+@pytest.mark.parametrize("name", ["B4", "G2"])
+def test_exponents_are_read_once_per_root_system(monkeypatch, name):
+    # one height histogram per component on first use; every number derived
+    # from the exponents (|W|, Cat(W), h, the Poincare polynomial) reads it
+    calls = []
+    read = roots._exponents
+
+    def counted(heights):
+        calls.append(1)
+        return read(heights)
+
+    monkeypatch.setattr(roots, "_exponents", counted)
+    rs = root_system(name)
+    assert calls == []
+    assert rs.exponents == [list(INVARIANTS[name][2])]
+    assert calls == [1]
+    catalan.enumeration_report(rs)
+    coxeter.build_group(rs)
+    coxeter.count_reduced_words(rs)
+    coxeter.absolute_interval(rs)
+    assoc.almost_positive(rs)
+    assoc.n_phi(rs)
+    assoc.narayana(rs)
+    coxeter_data(rs)
+    assert calls == [1]
