@@ -33,26 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cartan import BudgetExceeded
+from .cartan import BudgetExceeded, CheckFailed
 from .coxeter import WeylGroup
 from .packing import FIELD, SIGN, WIDTH, layout
 from .roots import RootSystem, _irreducible, catalan_number, coroot_half_sum, coxeter_data
-
-
-class NonUnimodularCluster(RuntimeError):
-    """A flip's entering root has a coefficient other than -1 on the leaving
-    root: the new cluster is not a basis of the root lattice, or it lies on
-    the same side of the wall as the old one."""
-
-
-class InequalityViolation(RuntimeError):
-    """A polytope vertex missed a facet of its own cluster, or landed on or
-    outside a facet it should avoid."""
-
-
-class AssocCheckFailed(RuntimeError):
-    """A structural invariant of the tau-orbits, the cluster complex, the
-    polytope or the fan failed: a bug, never bad input."""
 
 
 @dataclass(frozen=True)
@@ -113,7 +97,7 @@ def almost_positive(rs: RootSystem) -> AlmostPositive:
                 table[idx] = perm[idx]
         for idx, image in table.items():
             if image not in position or table[image] != idx:
-                raise AssocCheckFailed(
+                raise CheckFailed(
                     f"tau must be an involution of the almost-positive roots, not at {idx}"
                 )
         return table
@@ -161,7 +145,7 @@ def tau_order(ap: AlmostPositive) -> int:
     )
     expected = (h + 2) // 2 if w0_is_minus_one else h + 2
     if order != expected:
-        raise AssocCheckFailed(f"tau order {order}, the closed form gives {expected}")
+        raise CheckFailed(f"tau order {order}, the closed form gives {expected}")
     return order
 
 
@@ -213,9 +197,9 @@ def compatibility(ap: AlmostPositive) -> CompatibilityRelation:
                     orbit.append((a, b))
         a, b = indices[start[0]], indices[start[1]]
         if not verdicts:
-            raise AssocCheckFailed(f"pair {a},{b} never met a negated simple root")
+            raise CheckFailed(f"pair {a},{b} never met a negated simple root")
         if any(v != verdicts[0] for v in verdicts):
-            raise AssocCheckFailed(f"pair {a},{b} got disagreeing verdicts {verdicts}")
+            raise CheckFailed(f"pair {a},{b} got disagreeing verdicts {verdicts}")
         if verdicts[0]:
             pairs.update(orbit)
     return CompatibilityRelation(ap, frozenset(pairs))
@@ -256,7 +240,7 @@ def _h_from_f(f_vector: Sequence[int], n: int) -> tuple[int, ...]:
         for j in range(power + 1):
             coeffs[j] += f * math.comb(power, j) * (-1) ** (power - j)
     if any(c < 0 for c in coeffs):
-        raise AssocCheckFailed(f"f-vector {tuple(f_vector)} gives a negative h-vector")
+        raise CheckFailed(f"f-vector {tuple(f_vector)} gives a negative h-vector")
     return tuple(reversed(coeffs))
 
 
@@ -288,7 +272,7 @@ def cluster_complex(rel: CompatibilityRelation) -> ClusterComplexData:
         face of size n - 2 checks that each ridge over it extends and counts
         the facets over that ridge, so no ridge or facet is visited."""
         if size and not extensions:
-            raise AssocCheckFailed(f"maximal face of size {size} < {n}: not pure")
+            raise CheckFailed(f"maximal face of size {size} < {n}: not pure")
         sizes[size + 1] += greater.bit_count()
         while greater:
             bit = greater.bit_length() - 1
@@ -299,7 +283,7 @@ def cluster_complex(rel: CompatibilityRelation) -> ClusterComplexData:
             elif extensions & mask:
                 sizes[n] += (greater & mask).bit_count()
             else:
-                raise AssocCheckFailed(f"maximal face of size {n - 1} < {n}: not pure")
+                raise CheckFailed(f"maximal face of size {n - 1} < {n}: not pure")
 
     everything = (2 << top) - 1
     if n > 1:
@@ -310,7 +294,7 @@ def cluster_complex(rel: CompatibilityRelation) -> ClusterComplexData:
     h_vector = _h_from_f(f_vector, n)
     facets, duals, entering, rising = _walk(ap, masks, f_vector[n])
     if tuple(rising) != h_vector:
-        raise AssocCheckFailed(
+        raise CheckFailed(
             f"a generic vector meets the cones with h-vector {tuple(rising)},"
             f" the f-vector gives {h_vector}"
         )
@@ -389,7 +373,7 @@ def _lex_negatives(dual: int, shape: _DualLayout) -> int:
     plain = dual + shape.half
     nonnegative = (plain & shape.half).bit_count()
     if ((plain - shape.units) & shape.half).bit_count() != nonnegative:
-        raise AssocCheckFailed("a dual basis vector is zero")
+        raise CheckFailed("a dual basis vector is zero")
     return shape.n - nonnegative
 
 
@@ -400,7 +384,7 @@ def _pivot(dual: int, j: int, product: int, shape: _DualLayout) -> int:
     With C = sum_k c_k 2^offsets[k], read off product at once, that is the
     one multiply-add D' = D + D_j (C - 2^offsets[j]).
 
-    AssocCheckFailed refuses any entry of D' outside [-ENTRY, ENTRY).  A
+    CheckFailed refuses any entry of D' outside [-ENTRY, ENTRY).  A
     coefficient |c_k| >= 2 ENTRY puts some entry of c_k D_j at 2 ENTRY or
     more (D_j is not zero) and so one of D'_k outside; it is refused first.
     Below it, every entry of D' lies within ENTRY + (2 ENTRY - 1) ENTRY =
@@ -412,7 +396,7 @@ def _pivot(dual: int, j: int, product: int, shape: _DualLayout) -> int:
         out = dual + shape.column(dual, j) * (coefficients - (1 << shape.offsets[j]))
         if not _outside(out, shape.ones, ENTRY):
             return out
-    raise AssocCheckFailed(f"a dual basis entry is outside [-{ENTRY}, {ENTRY})")
+    raise CheckFailed(f"a dual basis entry is outside [-{ENTRY}, {ENTRY})")
 
 
 def _move(dual: int, j: int, s: int, shape: _DualLayout) -> int:
@@ -475,7 +459,7 @@ def _walk(
     once q . D_j = -1, p . (-D_j) = -1 as well (p . D_j = 1).  A computed
     wall can reach no facet whose turn is over: that facet would have
     computed the wall at its turn and left this slot written; such a
-    meeting raises AssocCheckFailed.
+    meeting raises CheckFailed.
 
     Each D is one int in the layout of `_DualLayout`, and every computed
     wall costs one product D G_gamma, whose fields hold gamma . D_k for
@@ -494,7 +478,7 @@ def _walk(
     coords = [ap.rs.roots[idx].coords for idx in ap.indices]
     largest = max(abs(x) for gamma in coords for x in gamma)
     if n * ENTRY * largest >= SIGN:
-        raise AssocCheckFailed(
+        raise CheckFailed(
             f"rank {n} with root coordinates up to {largest}"
             " overflows the packed pairings"
         )
@@ -506,7 +490,7 @@ def _walk(
     everything = (2 << top) - 1
     start = everything ^ (everything >> n)  # positions 0..n-1
     if any(start & ~masks[p] != 1 << (top - p) for p in range(n)):
-        raise AssocCheckFailed("the negated simple roots are not pairwise compatible")
+        raise CheckFailed("the negated simple roots are not pairwise compatible")
     keys = [start]
     index = {start: 0}
     facets = [indices[:n]]
@@ -531,7 +515,7 @@ def _walk(
                 continue
             if not common or common & (common - 1):
                 wall = facet[:j] + facet[j + 1 :]
-                raise AssocCheckFailed(
+                raise CheckFailed(
                     f"wall {wall} lies in {1 + common.bit_count()} clusters, not 2"
                 )
             q = top - (common.bit_length() - 1)
@@ -539,7 +523,7 @@ def _walk(
             product = dual * lifts[q] + bias
             c = (product >> reads[j] & FIELD) - SIGN
             if c != -1:
-                raise NonUnimodularCluster(
+                raise CheckFailed(
                     f"root {indices[q]} enters facet {facet} at slot {j}"
                     f" with coefficient {c}, not -1"
                 )
@@ -549,7 +533,7 @@ def _walk(
             if t is None:
                 t = len(keys)
                 if t == count:
-                    raise AssocCheckFailed(
+                    raise CheckFailed(
                         f"the wall walk found more than {count} facets"
                     )
                 index[far] = t
@@ -558,13 +542,13 @@ def _walk(
                 facets.append(wall[:s] + (indices[q],) + wall[s:])
                 duals.append(_move(_pivot(dual, j, product, shape), j, s, shape))
             elif t < i:
-                raise AssocCheckFailed(
+                raise CheckFailed(
                     f"a wall of facet {facet} reached a facet whose turn is over"
                 )
             entering[t * n + s] = p
         i += 1
     if len(keys) != count:
-        raise AssocCheckFailed(f"the wall walk reached {len(keys)} of {count} facets")
+        raise CheckFailed(f"the wall walk reached {len(keys)} of {count} facets")
     del index  # freed for the sort, which would otherwise add to the peak
     order = sorted(range(count), key=keys.__getitem__, reverse=True)
     ordered = array("H")
@@ -605,13 +589,13 @@ def narayana(rs: RootSystem) -> tuple[int, ...]:
         for k in range(1, n):
             term, rem = divmod(n * math.comb(n - 1, k - 1) * math.comb(n - 1, k), n - 1)
             if rem:
-                raise AssocCheckFailed(f"D{n} Narayana term {k} is not integral")
+                raise CheckFailed(f"D{n} Narayana term {k} is not integral")
             middle.append(math.comb(n, k) ** 2 - term)
         out = (1, *middle, 1)
     else:
         out = _FIXED_NARAYANA[f"{family}{n}"]
     if sum(out) != n_phi(rs):
-        raise AssocCheckFailed(f"Narayana numbers {out} do not sum to N(Phi)")
+        raise CheckFailed(f"Narayana numbers {out} do not sum to N(Phi)")
     return out
 
 
@@ -640,20 +624,20 @@ def support_function(ap: AlmostPositive) -> SupportFunctionF:
         image = w0[rs.simple_index[i]]
         i_star = rs.roots[rs.negate(image)].coords.index(1)
         if rho[i] != rho[i_star]:
-            raise AssocCheckFailed(f"seed is not (-w0)-invariant at node {i}")
+            raise CheckFailed(f"seed is not (-w0)-invariant at node {i}")
     for j, s in enumerate(rs.simple_index):
         column = sum(map(operator.mul, rho, rs.roots[s].pairing))
         if column <= 0:
-            raise AssocCheckFailed(f"column {j} fails strict positivity")
+            raise CheckFailed(f"column {j} fails strict positivity")
 
     values: dict[int, Fraction] = {}
     for orbit in tau_orbits(ap):
         anchors = [ap.negative_simple(idx) for idx in orbit]
         seeds = {rho[i] for i in anchors if i is not None}
         if not seeds:
-            raise AssocCheckFailed(f"orbit {orbit} misses the negated simples")
+            raise CheckFailed(f"orbit {orbit} misses the negated simples")
         if len(seeds) > 1:
-            raise AssocCheckFailed(f"orbit {orbit} received values {seeds}")
+            raise CheckFailed(f"orbit {orbit} received values {seeds}")
         value = seeds.pop()
         for idx in orbit:
             values[idx] = value
@@ -722,19 +706,19 @@ def build_polytope(complex_data: ClusterComplexData) -> AssociahedronPolytope:
         point = tuple([sum(map(operator.mul, b, row)) for row in zip(*columns)])
         for p in own:
             if sum(map(operator.mul, coords[p], point)) != bounds[p]:
-                raise InequalityViolation(
+                raise CheckFailed(
                     f"vertex of {facet} misses facet {ap.indices[p]}"
                 )
         for q in entering[i * n : (i + 1) * n]:
             pairing = sum(map(operator.mul, coords[q], point))
             if pairing >= bounds[q]:
-                raise InequalityViolation(
+                raise CheckFailed(
                     f"vertex of {facet} pairs to {Fraction(pairing, scale)}"
                     f" against root {ap.indices[q]}"
                 )
         points.append(point)
     if len(set(points)) != len(points):
-        raise AssocCheckFailed("two clusters share a vertex")
+        raise CheckFailed("two clusters share a vertex")
     # the points share few distinct coordinates; each becomes a Fraction once
     fraction = {x: Fraction(x, scale) for x in set(itertools.chain.from_iterable(points))}
     vertices = tuple(tuple(map(fraction.__getitem__, point)) for point in points)
@@ -807,7 +791,7 @@ def refinement_check(
             common &= cones_holding(ray)
         if not common or common & (common - 1):
             held = {c for c in range(len(cones)) if common >> c & 1}
-            raise AssocCheckFailed(f"chamber {u} lies in cones {held}")
+            raise CheckFailed(f"chamber {u} lies in cones {held}")
         home = common.bit_length() - 1
         per_cone[home] = per_cone.get(home, 0) + 1
         for j, v in enumerate(row):

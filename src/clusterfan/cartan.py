@@ -65,6 +65,13 @@ class BudgetExceeded(RuntimeError):
     for a root system before it is validated or closed."""
 
 
+class CheckFailed(RuntimeError):
+    """A statement of the paper, or an identity it rests on, failed on data
+    the package computed (exit code 1).  Each one is checked at run time,
+    under python -O too, and the message names the check.  It signals a bug
+    in the package, never bad input."""
+
+
 def check_rank(n: int) -> None:
     if n > MAX_RANK:
         raise BudgetExceeded(

@@ -22,7 +22,7 @@ from math import lcm
 from operator import mul
 
 from .assoc import n_phi, narayana
-from .cartan import dynkin_name
+from .cartan import CheckFailed, dynkin_name
 from .coxeter import absolute_interval, build_group, conjugacy_classes, moved_matrix
 from .linalg import SingularMatrix, kernel_size_mod, solve_fraction_free
 from .roots import RootPoset, RootSystem, coxeter_data, weyl_group_order
@@ -45,10 +45,6 @@ def count_antichains(poset: RootPoset) -> tuple[int, tuple[int, ...]]:
     return sum(sizes), tuple(sizes)
 
 
-class CountCheckFailed(RuntimeError):
-    """An enumeration broke one of its own structural invariants."""
-
-
 # largest Weyl group whose torus orbits are counted; it selects the types
 # that the old walk over at most 10^7 torus points did (A7, B6, D6 and E6 in,
 # A8 and E7 out)
@@ -64,7 +60,7 @@ def torus_orbits(rs: RootSystem) -> int:
     the class's shortest representative, by `kernel_size_mod`.
     The group is built under TORUS_BUDGET elements (BudgetExceeded above
     it).
-    Raises CountCheckFailed unless every class size divides |W| and so does
+    Raises CheckFailed unless every class size divides |W| and so does
     the sum of size times fixed points.
     """
     group = build_group(rs, budget=TORUS_BUDGET)
@@ -73,7 +69,7 @@ def torus_orbits(rs: RootSystem) -> int:
     total = 0
     for rep, size in conjugacy_classes(group):
         if order % size:
-            raise CountCheckFailed(
+            raise CheckFailed(
                 f"conjugacy class of element {rep} has {size} elements,"
                 f" which does not divide |W| = {order}"
             )
@@ -81,7 +77,7 @@ def torus_orbits(rs: RootSystem) -> int:
         total += size * kernel_size_mod(moved, mod)
     orbits, rest = divmod(total, order)
     if rest:
-        raise CountCheckFailed(
+        raise CheckFailed(
             f"Burnside sum {total} over the classes is not a multiple of |W| = {order}"
         )
     return orbits
@@ -154,7 +150,7 @@ def _split(region: _Region, normal: tuple[int, ...], n: int) -> list[_Region]:
         if _centroid_inside(constraints, vertices, n):
             out.append(_Region(constraints, tuple(sorted(vertices))))
     if len(out) != 2:
-        raise CountCheckFailed("a genuinely cut region must leave two full pieces")
+        raise CheckFailed("a genuinely cut region must leave two full pieces")
     return out
 
 

@@ -2,12 +2,15 @@
 
 Subcommands map one-to-one onto the library layers: roots, group, mutate,
 assoc, catalan, wiring, and verify.  Output is deterministic for a fixed
-seed.  Exit codes: 0 success, 1 verification failure, 2 usage error
+seed.  Exit codes: 0 success, 1 verification failure or a failed internal
+check (cartan.CheckFailed, reported in one stderr line), 2 usage error
 (including a type name or matrix that is not a finite irreducible type where
 one is needed, and a matrix file that is empty, has an entry that is not an
 integer, is not a Cartan matrix or, for mutate, is not an m-by-n matrix,
-m >= n, with a skew-symmetrizable top part and full column rank, an --out
-path that cannot be written, and a --budget-seeds below 1),
+m >= n, with a skew-symmetrizable top part and full column rank, a --format
+the subcommand does not offer, an --out path that is a directory or whose
+directory is missing, both refused before any work, and a --budget-seeds
+below 1),
 3 budget exceeded (every budget raises the one class cartan.BudgetExceeded,
 including a root system of rank over 128, cartan.MAX_RANK, so that A128 is
 the largest A_n admitted) or, for mutate,
@@ -27,12 +30,14 @@ start.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
 
 from .cartan import (
     BudgetExceeded,
+    CheckFailed,
     Entries,
     NotCartanShape,
     NotSkewSymmetrizable,
@@ -127,13 +132,19 @@ def _seed_budget(text: str) -> int:
     return value
 
 
-def _check_format(parser, command: str, fmt: str) -> str:
-    if fmt not in FORMATS[command]:
-        parser.error(
-            f"format {fmt!r} is not supported by {command}"
-            f" (choose from {', '.join(FORMATS[command])})"
-        )
-    return fmt
+def _check_out(parser: argparse.ArgumentParser, path: str) -> None:
+    """Refuse, before any work, an --out path that open() would refuse as a
+    directory or for its missing directory, in the words open() uses.  The
+    file itself is opened only once the output is ready, so that a failing
+    run leaves it unchanged."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        error = errno.EISDIR
+    elif not os.path.isdir(parent):
+        error = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    parser.error(f"cannot write the output file: {OSError(error, os.strerror(error), path)}")
 
 
 def cmd_roots(parser, args) -> tuple[int, str]:
@@ -267,18 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, matrix=True):
-        if matrix:
+    def common(p, name):
+        if name != "wiring":
             p.add_argument("--type", help="Dynkin type name, e.g. A3 or B2")
             p.add_argument(
                 "--matrix-file",
                 help="file holding a matrix (JSON rows, or type:/matrix: text)",
             )
-        p.add_argument(
-            "--format",
-            default="text",
-            help="output format (availability depends on the command)",
-        )
+        p.add_argument("--format", default="text", choices=FORMATS[name], help="output format")
         p.add_argument("--out", help="write output to this file")
         # accepted for existing command lines; nothing reads it
         p.add_argument("--rng-seed", type=int, default=11)
@@ -293,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, handler in handlers.items():
         p = sub.add_parser(name)
-        common(p, matrix=name not in ("wiring",))
+        common(p, name)
         if name == "mutate":
             p.add_argument("--budget-seeds", type=_seed_budget, default=SEED_BUDGET)
         p.set_defaults(handler=handler)
@@ -311,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in FORMATS:
-        _check_format(parser, args.command, args.format)
+    if args.out:
+        _check_out(parser, args.out)
     try:
         code, text = args.handler(parser, args)
     except BudgetExceeded as exc:
@@ -331,6 +338,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
+    except CheckFailed as exc:
+        print(f"{args.command}: internal check failed: {exc}", file=sys.stderr)
+        return 1
     if args.out:
         try:
             with open(args.out, "w") as handle:

@@ -66,7 +66,7 @@ from functools import cached_property
 from itertools import islice
 from operator import mul
 
-from .cartan import BudgetExceeded
+from .cartan import BudgetExceeded, CheckFailed
 from .linalg import left_kernel, matrix_rank
 from .packing import FIELD, LIMIT, SIGN, layout
 from .roots import RootSystem, catalan_number, coxeter_element, weyl_group_order
@@ -76,15 +76,6 @@ Perm = tuple[int, ...]
 # the largest Weyl group walked: |W(E6)| = 51,840 fits, |W(E7)| = 2,903,040
 # does not
 GROUP_BUDGET = 10**6
-
-
-class LatticeCheckFailed(RuntimeError):
-    """The weak order's inversion sets disagree with the group, or two
-    covers of a common element have no join."""
-
-
-class GroupCheckFailed(RuntimeError):
-    """Two independent computations of the same group datum disagree."""
 
 
 def _poincare_polynomial(exponents: Sequence[int]) -> list[int]:
@@ -144,7 +135,7 @@ def _levels(rs: RootSystem, budget: int, right: list[tuple[int, ...]] | None = N
     level it holds.
 
     Raises BudgetExceeded before the walk when |W|, read off `rs.exponents`,
-    is over the budget.  Raises GroupCheckFailed before the walk when the
+    is over the budget.  Raises CheckFailed before the walk when the
     largest exponent is LIMIT or more, and then when a level's size is not
     its coefficient of the Poincare polynomial prod [e_i + 1]_q, when a
     negated middle weight is not on level N - k, when mu_i = 0 or a descent
@@ -162,7 +153,7 @@ def _levels(rs: RootSystem, budget: int, right: list[tuple[int, ...]] | None = N
 
     # |mu_k| <= h - 1, the largest exponent, on the orbit of rho
     if max(exponents) >= LIMIT:
-        raise GroupCheckFailed(
+        raise CheckFailed(
             f"a weight field may reach {max(exponents)},"
             f" outside the packed range [-{LIMIT}, {LIMIT})"
         )
@@ -176,13 +167,13 @@ def _levels(rs: RootSystem, budget: int, right: list[tuple[int, ...]] | None = N
     first = length = 0  # the level's first index, and its length
     while level:
         if len(level) != (poincare[length] if length < len(poincare) else 0):
-            raise GroupCheckFailed(
+            raise CheckFailed(
                 f"length counts must be the Poincare polynomial {poincare} of the exponents"
             )
         if length == mirror:
             halfway = level if mirror == middle else below
             if any(-code not in level for code in halfway):
-                raise GroupCheckFailed(
+                raise CheckFailed(
                     f"the negation of every weight of length {middle} must have length {mirror}"
                 )
         yield level, counts
@@ -200,7 +191,7 @@ def _levels(rs: RootSystem, budget: int, right: list[tuple[int, ...]] | None = N
                     if v is None:
                         v = above[image] = following + len(above_counts)
                         if v == order:
-                            raise GroupCheckFailed(
+                            raise CheckFailed(
                                 f"search found more than the {order} elements the exponents give"
                             )
                         above_counts.append(words)
@@ -209,7 +200,7 @@ def _levels(rs: RootSystem, budget: int, right: list[tuple[int, ...]] | None = N
                 else:
                     v = below.get(image) if m else None
                     if v is None:
-                        raise GroupCheckFailed(
+                        raise CheckFailed(
                             f"length must move by the sign of mu_{i + 1} = {m} from element {u}"
                         )
                 if table:
@@ -219,9 +210,9 @@ def _levels(rs: RootSystem, budget: int, right: list[tuple[int, ...]] | None = N
         below, level, counts, first = level, above, above_counts, following
         length += 1
     if first != order:
-        raise GroupCheckFailed(f"search found {first} elements, the exponents give {order}")
+        raise CheckFailed(f"search found {first} elements, the exponents give {order}")
     if len(below) != 1:
-        raise GroupCheckFailed("longest element must be unique")
+        raise CheckFailed("longest element must be unique")
 
 
 class WeylGroup:
@@ -256,11 +247,11 @@ class WeylGroup:
         for u, row in enumerate(left):
             for i, v in enumerate(row):
                 if abs(length[v] - length[u]) != 1:
-                    raise GroupCheckFailed(
+                    raise CheckFailed(
                         f"s_{i + 1} from the left must move the length of element {u} by one"
                     )
                 if left[v][i] != u:
-                    raise GroupCheckFailed(
+                    raise CheckFailed(
                         f"s_{i + 1} from the left must be an involution on element {u}"
                     )
         return left
@@ -351,7 +342,7 @@ def stanley_formula(n: int) -> int:
     for k, odd in enumerate(range(1, 2 * n, 2)):
         denominator *= odd ** (n - k)
     if numerator % denominator:
-        raise GroupCheckFailed(f"Stanley's formula is not integral for n = {n}")
+        raise CheckFailed(f"Stanley's formula is not integral for n = {n}")
     return numerator // denominator
 
 
@@ -427,7 +418,7 @@ def inversion_sets(group: WeylGroup) -> list[int]:
 def weak_order(group: WeylGroup) -> WeakOrderData:
     """Right weak order: covers u < u s_i when the length goes up.
 
-    Performs an exact lattice check, raising LatticeCheckFailed on any
+    Performs an exact lattice check, raising CheckFailed on any
     failure.  u <= w iff T_L(u) is contained in T_L(w) (Bjorner and
     Brenti, Combinatorics of Coxeter Groups, Prop. 3.1.3), so the check
     reads the order off the inversion sets.  Those are checked first: T_L(u)
@@ -451,10 +442,10 @@ def weak_order(group: WeylGroup) -> WeakOrderData:
     for u, row in enumerate(group.left):
         t, lu = sets[u], length[u]
         if t.bit_count() != lu:
-            raise LatticeCheckFailed(f"the inversion set of element {u} must have {lu} roots")
+            raise CheckFailed(f"the inversion set of element {u} must have {lu} roots")
         for i, v in enumerate(row):
             if length[v] > lu and sets[v] != _lift(tables[i], t):
-                raise LatticeCheckFailed(
+                raise CheckFailed(
                     f"the inversion set of s_{i + 1}*u must be alpha_{i + 1} and"
                     f" s_{i + 1} of that of u, for u = {u}"
                 )
@@ -474,21 +465,21 @@ def weak_order(group: WeylGroup) -> WeakOrderData:
                 while a != b:
                     a, b, step = right[a][s], right[b][t], step + 1
                     if length[a] != step or length[b] != step:
-                        raise LatticeCheckFailed(
+                        raise CheckFailed(
                             f"the words alternating s_{i + 1} and s_{j + 1} from element {z}"
                             " must rise to a common element"
                         )
                     s, t = t, s
                 held, top = sets[x] | sets[y], sets[a]
                 if held & ~top:
-                    raise LatticeCheckFailed(
+                    raise CheckFailed(
                         f"the inversion set of element {a} must hold those of {x} and {y}"
                     )
                 missing = top ^ held
                 while missing:
                     low = missing & -missing
                     if not any(held & pair == pair for pair in sums[low.bit_length() - 1]):
-                        raise LatticeCheckFailed(
+                        raise CheckFailed(
                             f"each root the inversion set of element {a} adds to those of"
                             f" {x} and {y} must be a sum of two roots held"
                         )
@@ -558,7 +549,7 @@ def absolute_interval(rs: RootSystem) -> AbsoluteInterval:
     c is below one a rank higher, so the levels are exactly the ranks of the
     interval, taken in the order the walk first meets them.  Its size,
     Cat(W), is read off the exponents first; over INTERVAL_BUDGET the walk is
-    refused with BudgetExceeded.  Raises GroupCheckFailed unless l_T(c) = n,
+    refused with BudgetExceeded.  Raises CheckFailed unless l_T(c) = n,
     every element of a level has the level's rank n - |basis|, and the
     bottom level is the identity alone.
     """
@@ -570,7 +561,7 @@ def absolute_interval(rs: RootSystem) -> AbsoluteInterval:
         )
     c = coxeter_element(rs)
     if reflection_length(rs, c) != rs.n:
-        raise GroupCheckFailed("the Coxeter element must have reflection length n")
+        raise CheckFailed("the Coxeter element must have reflection length n")
     roots = [root.coords for root in rs.positive_roots()]
     reflections = [rs.reflection_perm(b) for b in range(rs.num_positive)]
     levels = [[c]]
@@ -579,7 +570,7 @@ def absolute_interval(rs: RootSystem) -> AbsoluteInterval:
         for u in levels[-1]:
             kernel = left_kernel(moved_matrix(rs, u))
             if rs.n - len(kernel) != rank + 1:
-                raise GroupCheckFailed(
+                raise CheckFailed(
                     f"an element of the level at rank {rank + 1} has"
                     f" reflection length {rs.n - len(kernel)}"
                 )
@@ -588,7 +579,7 @@ def absolute_interval(rs: RootSystem) -> AbsoluteInterval:
                     children[tuple(map(u.__getitem__, t))] = None
         levels.append(list(children))
     if levels[-1] != [tuple(range(len(rs.roots)))]:
-        raise GroupCheckFailed("the walk down from c must end at the identity alone")
+        raise CheckFailed("the walk down from c must end at the identity alone")
 
     levels.reverse()
     elements = tuple(w for level in levels for w in level)

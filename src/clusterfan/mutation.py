@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import cartan as cartan_mod
-from .cartan import BudgetExceeded, DynkinType, NotSkewSymmetrizable, skew_symmetrizer
+from .cartan import BudgetExceeded, CheckFailed, DynkinType, NotSkewSymmetrizable, skew_symmetrizer
 from .laurent import LaurentPoly
 from .linalg import matrix_rank
 from .packing import LIMIT, layout
@@ -97,17 +97,6 @@ class Inconclusive(RuntimeError):
 
 class NotFullRank(ValueError):
     """An extended exchange matrix (m > n) whose columns are dependent."""
-
-
-class NotSignCoherent(ArithmeticError):
-    """A c-vector has entries of both signs (or none).  Sign-coherence is a
-    theorem (Gross-Hacking-Keel-Kontsevich), so this signals a bug."""
-
-
-class WalkCheckFailed(RuntimeError):
-    """A g-vector outgrew its packing, a seed disagrees with the edge that
-    reached it, an edge reached a seed whose turn is over, or a closed walk
-    met other than Cat(W) seeds; each signals a bug."""
 
 
 @dataclass(frozen=True)
@@ -189,14 +178,14 @@ def matrix_mutate(
 
 def c_vector_sign(c_rows: Sequence[Sequence[int]], k: int) -> int:
     """Sign of the k-th c-vector (column k of the C-matrix given by rows);
-    raises NotSignCoherent unless its entries are nonzero of one sign."""
+    raises CheckFailed unless its entries are nonzero of one sign."""
     column = [row[k] for row in c_rows]
     if any(column):
         if min(column) >= 0:
             return 1
         if max(column) <= 0:
             return -1
-    raise NotSignCoherent(f"c-vector {k + 1} is {tuple(column)}")
+    raise CheckFailed(f"c-vector {k + 1} is {tuple(column)}")
 
 
 @dataclass(frozen=True)
@@ -339,7 +328,7 @@ def _check_revisit(
     t = slot[moved[k]]
     for i, row in enumerate(stacked):
         if rows[slot[moved[i]] if i < n else i][t] != -row[k]:
-            raise WalkCheckFailed(
+            raise CheckFailed(
                 f"a revisited seed disagrees with column {k + 1} of the seed before it"
             )
     return t
@@ -374,7 +363,7 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
     the order they are numbered.  A computed edge can meet no seed whose
     turn is over: that seed's edge at t was computed or popped already,
     and it would have left its entry for u at k.  So a seed's data is
-    dropped when its turn ends, and such a meeting raises WalkCheckFailed.
+    dropped when its turn ends, and such a meeting raises CheckFailed.
 
     A new seed is typed (`_cluster_type`) after it is yielded, so a record
     refused by Cat(W) holds it.
@@ -413,7 +402,7 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
                     continue
                 g, total = _g_mutate(stacked, gvectors, k, c_vector_sign(c_rows, k))
                 if norm * total >= LIMIT:
-                    raise WalkCheckFailed(
+                    raise CheckFailed(
                         f"a g-vector field may reach {norm * total},"
                         f" outside the packed range [-{LIMIT}, {LIMIT})"
                     )
@@ -424,7 +413,7 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
                 v = index.get(key)
                 if v is not None:
                     if v <= u:
-                        raise WalkCheckFailed(
+                        raise CheckFailed(
                             f"the edge in direction {k + 1} reached a seed whose turn is over"
                         )
                     pending[v * n + _check_revisit(stacked, moved, k, seeds[v])] = u
@@ -454,7 +443,7 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
     dynkin, count = typed
     if len(seeds) != count:
         name = cartan_mod.dynkin_name(dynkin)
-        raise WalkCheckFailed(f"the walk met {len(seeds)} seeds, not Cat({name}) = {count}")
+        raise CheckFailed(f"the walk met {len(seeds)} seeds, not Cat({name}) = {count}")
     return dynkin
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Mapping
 
+from .cartan import CheckFailed
 from .laurent import LaurentPoly
 from .mutation import ExchangeMatrix
 
@@ -22,19 +23,6 @@ Edge = tuple[int, int]
 
 class NotADiagonal(ValueError):
     """Raised when a flip names an edge the triangulation does not contain."""
-
-
-class MonodromyDetected(RuntimeError):
-    """Two flip paths produced different values for the same diagonal.
-
-    The exchange relations make diagonal values path-independent, so this
-    exception always indicates an implementation bug, never bad input.
-    """
-
-
-class PolygonCheckFailed(RuntimeError):
-    """A triangulation or labeling broke one of its own structural
-    invariants (a face count, an apex count, a coverage count)."""
 
 
 def polygon_sides(m: int) -> tuple[Edge, ...]:
@@ -101,7 +89,7 @@ class Triangulation:
                     if (a, c) in present and (b, c) in present:
                         out.append((a, b, c))
         if len(out) != self.m - 2:
-            raise PolygonCheckFailed(
+            raise CheckFailed(
                 f"{len(out)} triangles in an {self.m}-gon, expected {self.m - 2}"
             )
         return out
@@ -121,7 +109,7 @@ class Triangulation:
             if (min(a, v), max(a, v)) in present and (min(b, v), max(b, v)) in present
         ]
         if len(apexes) != 2:
-            raise PolygonCheckFailed(f"diagonal {d} borders {len(apexes)} triangles")
+            raise CheckFailed(f"diagonal {d} borders {len(apexes)} triangles")
         return tuple(sorted([a, b, *apexes]))  # type: ignore[return-value]
 
 
@@ -268,7 +256,7 @@ def ptolemy_values(
     values defines the other diagonal by one exact division.  One whose six
     edges all have values is checked by multiplying back, value(p, r) *
     value(q, s) == product, which in the Laurent ring (an integral domain) is
-    the same test without a division.  A mismatch raises MonodromyDetected.
+    the same test without a division.  A mismatch raises CheckFailed.
     Each relation is evaluated once.
     """
     values: dict[Edge, LaurentPoly] = {
@@ -297,7 +285,7 @@ def ptolemy_values(
             if stored is None:
                 known[e] = values[e] = product.exact_div(known[d])
             elif stored * known[d] != product:
-                raise MonodromyDetected(
+                raise CheckFailed(
                     f"diagonal {e}: {stored.text()}"
                     f" != ({product.text()}) / ({known[d].text()})"
                 )
@@ -305,7 +293,7 @@ def ptolemy_values(
             break
         waiting = still_waiting
     if len(values) != len(all_diagonals(start.m)):
-        raise PolygonCheckFailed(
+        raise CheckFailed(
             f"propagation reached {len(values)} of"
             f" {len(all_diagonals(start.m))} diagonals"
         )

@@ -7,8 +7,9 @@ the minimal symmetrizer, every root datum is read off p in O(n) and stays
 exact: s_i beta = beta - p_i alpha_i, (beta, beta) = sum_i c_i d_i p_i, and
 the reflection through beta sends r to r - (beta^vee . p(r)) beta.  A root
 system reads its rank, then its matrix's `cartan.Diagram` once; every later
-layer reads the diagram's components, colouring and type off it, and |W|
-and Cat(W) off its exponents, read once off the root heights.
+layer reads the diagram's components, colouring and type off it, |W| and
+Cat(W) off its exponents, read once off the root heights, and h off its
+Coxeter number, read once off the powers of a Coxeter element.
 """
 
 from __future__ import annotations
@@ -21,16 +22,11 @@ from math import prod
 from typing import Iterable, Sequence
 
 from . import cartan as cartan_mod
-from .cartan import DynkinType, Entries
+from .cartan import CheckFailed, DynkinType, Entries
 
 
 class NotIrreducible(ValueError):
     """A computation defined for irreducible systems got a composite one."""
-
-
-class RootCheckFailed(RuntimeError):
-    """A root datum broke an identity that holds for every finite
-    crystallographic root system: a bug, never bad input."""
 
 
 @dataclass(frozen=True)
@@ -72,12 +68,12 @@ class RootSystem:
         # (beta, beta) = sum_ij c_i c_j d_i a_ij = sum_i c_i d_i p_i
         square = sum(c * d * p for c, d, p in zip(coords, self.symmetrizer, pairing))
         if square <= 0 or square % 2:
-            raise RootCheckFailed(f"root {coords} has squared length {square}")
+            raise CheckFailed(f"root {coords} has squared length {square}")
         half = square // 2
         coroot = []
         for c, d in zip(coords, self.symmetrizer):
             if c * d % half:
-                raise RootCheckFailed(f"coroot of {coords} is not integral")
+                raise CheckFailed(f"coroot of {coords} is not integral")
             coroot.append(c * d // half)
         return Root(coords, pairing, tuple(coroot), half)
 
@@ -143,6 +139,29 @@ class RootSystem:
         """The exponents of each irreducible component, read on first use."""
         positives = (r.coords for r in self.positive_roots())
         return _component_exponents(self.diagram.components, positives)
+
+    @cached_property
+    def coxeter_number(self) -> int:
+        """The Coxeter number h of an irreducible system, read on first use
+        as the order of a bipartite Coxeter element as a permutation of the
+        roots.  The classical cross-identities n h = 2 |positives| and
+        sum(e_i) = |positives| are checked (CheckFailed).  Its readers refuse
+        a composite system first (NotIrreducible)."""
+        exponents = self.exponents[0]
+        perm = coxeter_element(self)
+        order = 1
+        power = perm
+        identity = tuple(range(len(self.roots)))
+        while power != identity:
+            power = tuple(perm[power[r]] for r in range(len(power)))
+            order += 1
+        if len(exponents) != self.n:
+            raise CheckFailed(f"{len(exponents)} exponents for rank {self.n}")
+        if self.n * order != 2 * self.num_positive:
+            raise CheckFailed(f"n h = {self.n * order} != 2 |positives| {2 * self.num_positive}")
+        if sum(exponents) != self.num_positive:
+            raise CheckFailed(f"exponents sum to {sum(exponents)}, not |positives|")
+        return order
 
     def is_positive(self, idx: int) -> bool:
         return idx < self.num_positive
@@ -235,7 +254,7 @@ def _exponents(heights: Iterable[int]) -> list[int]:
     for h in range(1, max(histogram) + 1):
         multiplicity = histogram.get(h, 0) - histogram.get(h + 1, 0)
         if multiplicity < 0:
-            raise RootCheckFailed("height histogram must be non-increasing")
+            raise CheckFailed("height histogram must be non-increasing")
         exponents.extend([h] * multiplicity)
     return exponents
 
@@ -269,7 +288,7 @@ def catalan_number(exponents: Iterable[Sequence[int]]) -> int:
         h = max(part) + 1
         count, rem = divmod(prod(e + h + 1 for e in part), prod(e + 1 for e in part))
         if rem:
-            raise RootCheckFailed(f"Catalan product over exponents {part} is not integral")
+            raise CheckFailed(f"Catalan product over exponents {part} is not integral")
         total *= count
     return total
 
@@ -292,31 +311,10 @@ def _irreducible(rs: RootSystem, caller: str) -> tuple[str, int]:
 
 def coxeter_data(rs: RootSystem) -> CoxeterData:
     """Coxeter number, exponents and Weyl group order of an irreducible
-    system.
-
-    The exponents are `rs.exponents[0]`; the Coxeter number is the order of
-    a bipartite Coxeter element as a permutation of the roots; |W| =
-    prod(e_i + 1).  The classical cross-identities n h = 2 |positives| and
-    sum(e_i) = |positives| are checked (RootCheckFailed).
-    """
+    system: `rs.coxeter_number`, `rs.exponents[0]` and |W| = prod(e_i + 1),
+    each read once per root system."""
     _irreducible(rs, "coxeter_data")
-    exponents = rs.exponents[0]
-
-    perm = coxeter_element(rs)
-    order = 1
-    power = perm
-    identity = tuple(range(len(rs.roots)))
-    while power != identity:
-        power = tuple(perm[power[r]] for r in range(len(power)))
-        order += 1
-
-    if len(exponents) != rs.n:
-        raise RootCheckFailed(f"{len(exponents)} exponents for rank {rs.n}")
-    if rs.n * order != 2 * rs.num_positive:
-        raise RootCheckFailed(f"n h = {rs.n * order} != 2 |positives| {2 * rs.num_positive}")
-    if sum(exponents) != rs.num_positive:
-        raise RootCheckFailed(f"exponents sum to {sum(exponents)}, not |positives|")
-    return CoxeterData(order, tuple(exponents), weyl_group_order(rs.exponents))
+    return CoxeterData(rs.coxeter_number, tuple(rs.exponents[0]), weyl_group_order(rs.exponents))
 
 
 def coroot_half_sum(rs: RootSystem) -> tuple[Fraction, ...]:

@@ -2,7 +2,7 @@
 CLI command and the test suite.
 
 Every check recomputes its claims, sharing one root system, Weyl group and
-cluster complex per type, and raises VerificationError (through `check`,
+cluster complex per type, and raises CheckFailed (through `check`,
 which python -O keeps) on the first discrepancy; the runner turns
 exceptions into FAIL lines so a broken criterion is reported rather than
 hidden.  All detail strings are deterministic (no timing, no
@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from .laurent import LaurentPoly
 from .cartan import (
+    CheckFailed,
     UnrecognizedDiagram,
     b_matrix,
     cartan_for_type,
@@ -100,15 +101,11 @@ FACET_TABLE = {
 }
 
 
-class VerificationError(Exception):
-    """A criterion found a discrepancy."""
-
-
 def check(condition: bool, message) -> None:
-    """Raise VerificationError(message) unless condition holds.  Unlike
+    """Raise CheckFailed(message) unless condition holds.  Unlike
     the assert statement, this survives python -O."""
     if not condition:
-        raise VerificationError(message)
+        raise CheckFailed(message)
 
 
 @dataclass
@@ -211,7 +208,7 @@ def criterion_cartan_table() -> str:
     except UnrecognizedDiagram:
         pass
     else:
-        raise VerificationError("the affine rank-2 matrix must be rejected")
+        raise CheckFailed("the affine rank-2 matrix must be rejected")
     return f"{len(printed)} matrices classified, [[2,-2],[-2,2]] rejected"
 
 

@@ -27,23 +27,13 @@ from functools import lru_cache
 from .laurent import LaurentPoly
 from .linalg import matrix_rank
 from .mutation import SEED_BUDGET, Seed, explore, initial_seed
-from .cartan import dynkin_name
+from .cartan import CheckFailed, dynkin_name
 
 THICK = "T"
 THIN = "t"
 
 Letter = tuple[str, int]
 Label = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-class MoveIdentityFailed(ArithmeticError):
-    """A move's three-term identity A*C + B*D = Y*Z does not hold."""
-
-
-class WiringCheckFailed(RuntimeError):
-    """A diagram, its exchange seed or the GL(3) report broke one of its own
-    structural invariants (a chamber count, an exchange relation, the
-    match between cluster variables and minors)."""
 
 
 def parse_word(text: str) -> tuple[Letter, ...]:
@@ -128,7 +118,7 @@ def _sweep(d: DoubleWiringDiagram) -> list[tuple[tuple[int, ...], tuple[int, ...
         rows[height - 1], rows[height] = rows[height], rows[height - 1]
         slices.append((tuple(thick), tuple(thin)))
     if slices[-1] != (tuple(range(1, d.n + 1)), tuple(range(d.n, 0, -1))):
-        raise WiringCheckFailed(f"the sweep ends at {slices[-1]}, not at both reversals")
+        raise CheckFailed(f"the sweep ends at {slices[-1]}, not at both reversals")
     return slices
 
 
@@ -163,14 +153,14 @@ def chambers(d: DoubleWiringDiagram) -> tuple[Chamber, ...]:
                 Chamber(level, start, end, label, 0 < start and end < last)
             )
     if len(found) != d.n * d.n:
-        raise WiringCheckFailed(f"{len(found)} chambers, expected {d.n * d.n}")
+        raise CheckFailed(f"{len(found)} chambers, expected {d.n * d.n}")
     return tuple(found)
 
 
 def chamber_collection(d: DoubleWiringDiagram) -> frozenset[Label]:
     labels = frozenset(c.label for c in chambers(d))
     if len(labels) != d.n * d.n:
-        raise WiringCheckFailed(
+        raise CheckFailed(
             f"{len(labels)} distinct chamber labels, expected {d.n * d.n}"
         )
     return labels
@@ -385,7 +375,7 @@ def enumerate_classes(n: int) -> MoveGraph:
                 )
                 j = index[key]
                 if j == i:
-                    raise WiringCheckFailed(
+                    raise CheckFailed(
                         f"a move of {word_text(word)} keeps its collection"
                     )
                 edges.add((min(i, j), max(i, j)))
@@ -395,14 +385,14 @@ def enumerate_classes(n: int) -> MoveGraph:
 def verify_move_identities(graph: MoveGraph) -> int:
     """Check A*C + B*D = Y*Z on one witness per move found anywhere in the
     enumeration; returns the number of checks performed and raises
-    MoveIdentityFailed at the first identity that does not hold."""
+    CheckFailed at the first identity that does not hold."""
     checked = 0
     for cls in graph.classes:
         for word in cls.words:
             d = DoubleWiringDiagram(graph.n, word)
             for move in word_moves(word):
                 if not check_move_identity(d, move)["holds"]:
-                    raise MoveIdentityFailed(
+                    raise CheckFailed(
                         f"identity failed at {word_text(word)} move {move}"
                     )
                 checked += 1
@@ -463,11 +453,11 @@ def _seed_from_class(
             plus = frozenset({record["A"], record["C"]})
             minus = frozenset({record["B"], record["D"]} - {None})
             if relations.setdefault(record["Y"], (plus, minus)) != (plus, minus):
-                raise WiringCheckFailed(
+                raise CheckFailed(
                     f"two exchange relations for chamber {label_text(record['Y'])}"
                 )
     if set(relations) != set(bounded):
-        raise WiringCheckFailed("every bounded chamber must admit a move in this class")
+        raise CheckFailed("every bounded chamber must admit a move in this class")
     order = bounded + unbounded
     row_of = {label: i for i, label in enumerate(order)}
     k = len(bounded)
@@ -491,7 +481,7 @@ def _seed_from_class(
         ):
             consistent.append(rows)
     if not consistent:
-        raise WiringCheckFailed("no sign choice makes the principal part skew-symmetric")
+        raise CheckFailed("no sign choice makes the principal part skew-symmetric")
     rows = consistent[0]
     seed = initial_seed(
         rows,
@@ -534,27 +524,27 @@ def gl3_cell(graph: MoveGraph | None = None) -> dict:
         numerator, denominators = variable.substitute_laurent(substitution).separate()
         text = numerator.text()
         if any(denominators):
-            raise WiringCheckFailed(f"cluster variable {text} is not a polynomial")
+            raise CheckFailed(f"cluster variable {text} is not a polynomial")
         image_text[variable] = text
         if text in hidden_texts:
             matched_hidden.append(text)
         elif text not in all_minors:
-            raise WiringCheckFailed(f"unrecognized cluster variable {text}")
+            raise CheckFailed(f"unrecognized cluster variable {text}")
         elif text in frozen_texts:
-            raise WiringCheckFailed(f"frozen minor {text} appeared as mutable")
+            raise CheckFailed(f"frozen minor {text} appeared as mutable")
         else:
             matched_minors.append(all_minors[text])
     if not len(matched_hidden) == len(hidden_texts) == 2:
-        raise WiringCheckFailed(f"{len(matched_hidden)} hidden variables, expected 2")
+        raise CheckFailed(f"{len(matched_hidden)} hidden variables, expected 2")
     if len(matched_minors) + len(frozen_texts) != len(all_minors):
-        raise WiringCheckFailed(
+        raise CheckFailed(
             f"{len(matched_minors)} mutable and {len(frozen_texts)} frozen minors,"
             f" expected {len(all_minors)} in all"
         )
 
     cluster_sets = {frozenset(image_text[v] for v in s.cluster) for s in record.seeds}
     if len(cluster_sets) != len(record.seeds):
-        raise WiringCheckFailed(
+        raise CheckFailed(
             f"{len(record.seeds)} seeds give {len(cluster_sets)} distinct clusters"
         )
     embedded = 0
@@ -566,10 +556,10 @@ def gl3_cell(graph: MoveGraph | None = None) -> dict:
             if c.bounded
         )
         if texts not in cluster_sets:
-            raise WiringCheckFailed("wiring cluster missing from the graph")
+            raise CheckFailed("wiring cluster missing from the graph")
         embedded += 1
     if embedded >= len(cluster_sets):
-        raise WiringCheckFailed("the embedding should be strict")
+        raise CheckFailed("the embedding should be strict")
 
     rank = jacobian_rank(graph.classes[start].representative())
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from clusterfan import verify, wiring
-from clusterfan.cartan import dynkin_name
+from clusterfan.cartan import CheckFailed, dynkin_name
 
 CRITERIA = [
     (1, "rank2-periodicity", verify.criterion_rank2_periodicity, 1.0),
@@ -111,11 +111,11 @@ def test_wrong_tables_fail_without_asserts():
     result = subprocess.run(command, capture_output=True, text=True, timeout=300)
     lines = result.stdout.splitlines()
     assert lines[:3] == [
-        "optimize 1", "FAIL VerificationError A3", "FAIL VerificationError A3"
+        "optimize 1", "FAIL CheckFailed A3", "FAIL CheckFailed A3"
     ], result.stderr
-    assert lines[3].startswith("FAIL VerificationError (1, "), lines
+    assert lines[3].startswith("FAIL CheckFailed (1, "), lines
     assert "'all_equal_minors': False" in lines[3], lines
-    assert lines[4].startswith("FAIL MoveIdentityFailed identity failed at"), lines
+    assert lines[4].startswith("FAIL CheckFailed identity failed at"), lines
     assert len(lines) == 5, lines
 
 
@@ -173,5 +173,5 @@ def test_criterion_13_holds_artifacts_to_the_pin(monkeypatch):
     assert verify.criterion_determinism().startswith("4187 bytes")
     for changed in (built + " ", built.replace("A2", "A3", 1), built[:-1] + "X"):
         monkeypatch.setattr(verify, "deterministic_artifacts", lambda: changed)
-        with pytest.raises(verify.VerificationError, match="pinned reference"):
+        with pytest.raises(CheckFailed, match="pinned reference"):
             verify.criterion_determinism()

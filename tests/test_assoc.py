@@ -35,8 +35,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterfan import assoc, linalg
+from clusterfan.cartan import CheckFailed
 from clusterfan.assoc import (
-    AssocCheckFailed,
     almost_positive,
     build_polytope,
     cluster_complex,
@@ -327,7 +327,7 @@ def oracle_lex_negatives(columns):
     """How many columns have a negative first nonzero entry."""
     zero = (0,) * len(columns[0])
     if zero in columns:
-        raise AssocCheckFailed("a dual basis vector is zero")
+        raise CheckFailed("a dual basis vector is zero")
     return sum(map(zero.__gt__, columns))
 
 
@@ -431,7 +431,7 @@ def test_walk_refuses_pairings_its_fields_cannot_hold(monkeypatch):
     # lifted here to reach the walk
     monkeypatch.setattr(assoc, "FACET_BUDGET", math.inf)
     ap = almost_positive(root_system("+".join(["E8"] * 6)))
-    with pytest.raises(AssocCheckFailed, match="rank 48 with root coordinates up to 6"):
+    with pytest.raises(CheckFailed, match="rank 48 with root coordinates up to 6"):
         assoc._walk(ap, [], 0)
 
 
@@ -450,8 +450,8 @@ def unpack_columns(dual, n):
 def assert_same_negatives(dual, columns, shape):
     try:
         negatives = oracle_lex_negatives([tuple(column) for column in columns])
-    except AssocCheckFailed:
-        with pytest.raises(AssocCheckFailed, match="a dual basis vector is zero"):
+    except CheckFailed:
+        with pytest.raises(CheckFailed, match="a dual basis vector is zero"):
             assoc._lex_negatives(dual, shape)
     else:
         assert assoc._lex_negatives(dual, shape) == negatives
@@ -489,7 +489,7 @@ def test_packed_pivot_and_move_match_list_pivot(case):
     expected = oracle_pivot(columns, j, gamma)
     product = dual * shape.lift(gamma) + shape.bias
     if not all(-128 <= x < 128 for column in expected for x in column):
-        with pytest.raises(AssocCheckFailed, match=r"outside \[-128, 128\)"):
+        with pytest.raises(CheckFailed, match=r"outside \[-128, 128\)"):
             assoc._pivot(dual, j, product, shape)
         return
     pivoted = assoc._pivot(dual, j, product, shape)
@@ -505,6 +505,7 @@ def test_packed_pivot_and_move_match_list_pivot(case):
 
 OUT_OF_RANGE = """
 from clusterfan import assoc
+from clusterfan.cartan import CheckFailed
 from clusterfan.packing import layout
 shape = assoc._DualLayout(2)
 # D_0 = (0, -1) and gamma = (2, 1) give gamma . D_0 = -1 and
@@ -516,7 +517,7 @@ for column in ((64, 0), (100, 0), (127, 127)):
     product = dual * shape.lift((2, 1)) + shape.bias
     try:
         print("kept", layout(4).unpack(assoc._pivot(dual, 0, product, shape)))
-    except assoc.AssocCheckFailed as exc:
+    except CheckFailed as exc:
         print("FAIL", exc)
 """
 
@@ -718,7 +719,7 @@ def oracle_refinement(data, group):
                 }
             common &= members[key]
         if len(common) != 1:
-            raise AssocCheckFailed(f"chamber {w} lies in cones {common}")
+            raise CheckFailed(f"chamber {w} lies in cones {common}")
         home = common.pop()
         per_cone[home] = per_cone.get(home, 0) + 1
     return {
@@ -794,6 +795,7 @@ def test_polytope_off_rejects_wrong_rank():
 ASSOC_CHECKS = """
 import dataclasses, sys
 from clusterfan import assoc
+from clusterfan.cartan import CheckFailed
 from clusterfan.roots import root_system
 print("optimize", sys.flags.optimize)
 ap = assoc.almost_positive(root_system("A2"))
@@ -808,7 +810,7 @@ def shifted(self, sign, idx):
 assoc.AlmostPositive.tau = shifted
 try:
     assoc.compatibility(ap)
-except assoc.AssocCheckFailed as exc:
+except CheckFailed as exc:
     print("FAIL", str(exc).split(" [")[0])
 assoc.AlmostPositive.tau = tau
 # dropping every pair of -alpha_1 leaves it a maximal face of size 1: on
@@ -819,20 +821,20 @@ for relation in (rel, rel3):
     pairs = frozenset(pair for pair in relation.pairs if 0 not in pair)
     try:
         assoc.cluster_complex(dataclasses.replace(relation, pairs=pairs))
-    except assoc.AssocCheckFailed as exc:
+    except CheckFailed as exc:
         print("FAIL", exc)
 # one extra pair, -alpha_2 with the highest root, puts a chord into the
 # pentagon: the complex stays pure, but -alpha_2 lies in three clusters
 pairs = rel.pairs | {(1, 4)}
 try:
     assoc.cluster_complex(dataclasses.replace(rel, pairs=pairs))
-except assoc.AssocCheckFailed as exc:
+except CheckFailed as exc:
     print("FAIL", exc)
 # the pair of the two negated simple roots dropped: the complex stays pure,
 # a path of four edges, but the walk has no cluster to start from
 try:
     assoc.cluster_complex(dataclasses.replace(rel, pairs=rel.pairs - {(0, 1)}))
-except assoc.AssocCheckFailed as exc:
+except CheckFailed as exc:
     print("FAIL", exc)
 # a pivot that keeps the leaving root's dual vector instead of negating it:
 # twice the leaving column added back at its own slot
@@ -843,20 +845,20 @@ def unsigned(dual, j, product, shape):
 assoc._pivot = unsigned
 try:
     assoc.cluster_complex(rel)
-except assoc.NonUnimodularCluster as exc:
-    print("FAIL NonUnimodularCluster", exc)
+except CheckFailed as exc:
+    print("FAIL", exc)
 assoc._pivot = pivot
 data = assoc.cluster_complex(rel)
 count = len(data.facets)
 # one facet more than the face count: the walk reaches one fewer
 try:
     assoc._walk(ap, data.masks, count + 1)
-except assoc.AssocCheckFailed as exc:
+except CheckFailed as exc:
     print("FAIL", exc)
 # half the face count: the walk numbers more facets than that
 try:
     assoc._walk(ap, data.masks, count // 2)
-except assoc.AssocCheckFailed as exc:
+except CheckFailed as exc:
     print("FAIL", exc)
 # a sign rule that calls every column negative puts every cone in the
 # last bin of the h-vector count
@@ -864,7 +866,7 @@ negatives = assoc._lex_negatives
 assoc._lex_negatives = lambda dual, shape: shape.n
 try:
     assoc.cluster_complex(rel)
-except assoc.AssocCheckFailed as exc:
+except CheckFailed as exc:
     print("FAIL", exc)
 assoc._lex_negatives = negatives
 # a support value doubled at alpha_2 (index 0) moves the vertex of a cluster
@@ -878,8 +880,8 @@ def doubled(ap):
 assoc.support_function = doubled
 try:
     assoc.build_polytope(data)
-except assoc.InequalityViolation as exc:
-    print("FAIL InequalityViolation", exc)
+except CheckFailed as exc:
+    print("FAIL", exc)
 # a support value of 0 at alpha_1 + alpha_2 puts two pairs of adjacent
 # vertices on one point, so two walls meet their wall-crossing inequality
 # with equality and none is violated: the check must be strict
@@ -891,8 +893,8 @@ def tight(ap):
 assoc.support_function = tight
 try:
     assoc.build_polytope(data)
-except assoc.InequalityViolation as exc:
-    print("FAIL InequalityViolation", exc)
+except CheckFailed as exc:
+    print("FAIL", exc)
 assoc.support_function = support
 # the lowest node of the plus part moved to the minus part: the pushed cones
 # no longer hold the chambers
@@ -902,7 +904,7 @@ plus, minus = ap.rs.diagram.parts
 ap.rs.diagram.parts = (plus - {min(plus)}, minus | {min(plus)})
 try:
     assoc.refinement_check(data, group)
-except assoc.AssocCheckFailed as exc:
+except CheckFailed as exc:
     print("FAIL", exc)
 """
 
@@ -920,13 +922,13 @@ def test_assoc_checks_fail_without_asserts():
         "FAIL maximal face of size 1 < 3: not pure",
         "FAIL wall (3,) lies in 3 clusters, not 2",
         "FAIL the negated simple roots are not pairwise compatible",
-        "FAIL NonUnimodularCluster root 0 enters facet (1, 2) at slot 0"
+        "FAIL root 0 enters facet (1, 2) at slot 0"
         " with coefficient 1, not -1",
         "FAIL the wall walk reached 5 of 6 facets",
         "FAIL the wall walk found more than 2 facets",
         "FAIL a generic vector meets the cones with h-vector (0, 0, 5),"
         " the f-vector gives (1, 3, 1)",
-        "FAIL InequalityViolation vertex of (4, 0) pairs to 1 against root 2",
-        "FAIL InequalityViolation vertex of (4, 0) pairs to 0 against root 2",
+        "FAIL vertex of (4, 0) pairs to 1 against root 2",
+        "FAIL vertex of (4, 0) pairs to 0 against root 2",
         "FAIL chamber 5 lies in cones set()",
     ], result.stderr

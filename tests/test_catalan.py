@@ -209,6 +209,7 @@ def test_torus_orbits_budget(monkeypatch):
 SABOTAGED_BURNSIDE = """
 import sys
 from clusterfan import catalan
+from clusterfan.cartan import CheckFailed
 from clusterfan.roots import root_system
 print("optimize", sys.flags.optimize)
 rs = root_system("B2")
@@ -221,7 +222,7 @@ def off_by_one(rows, m):
 catalan.kernel_size_mod = off_by_one
 try:
     catalan.torus_orbits(rs)
-except catalan.CountCheckFailed as exc:
+except CheckFailed as exc:
     print("FAIL", exc)
 catalan.kernel_size_mod = count
 # the identity's class swallows the next one: 1 + 2 elements, |W(B2)| = 8
@@ -231,7 +232,7 @@ def merged(group):
 catalan.conjugacy_classes = merged
 try:
     catalan.torus_orbits(rs)
-except catalan.CountCheckFailed as exc:
+except CheckFailed as exc:
     print("FAIL", exc)
 """
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clusterfan import assoc, cartan, coxeter, mutation, roots
+from clusterfan import assoc, cartan, coxeter, mutation, roots, wiring
 from clusterfan import cli as cli_module
 from clusterfan.cli import BROKEN_PIPE, FORMATS, build_parser, main
 
@@ -70,6 +71,23 @@ def test_roots_rejects_unknown_format(capsys):
     with pytest.raises(SystemExit) as info:
         main(["roots", "--type", "A2", "--format", "dot"])
     assert info.value.code == 2
+
+
+def never_called(*args):
+    raise AssertionError("the computation ran")
+
+
+@pytest.mark.parametrize("command", FORMATS)
+def test_unknown_format_is_refused_before_any_computation(capsys, monkeypatch, command):
+    monkeypatch.setattr(cli_module, "root_system", never_called)
+    monkeypatch.setattr(cli_module, "ExchangeMatrix", never_called)
+    monkeypatch.setattr(wiring, "gl3_cell", never_called)
+    monkeypatch.setattr(wiring, "enumerate_classes", never_called)
+    source = [] if command == "wiring" else ["--type", "A2"]
+    with pytest.raises(SystemExit) as info:
+        main([command, *source, "--format", "bogus"])
+    assert info.value.code == 2
+    assert "argument --format: invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_group_text(capsys):
@@ -668,15 +686,50 @@ def test_out_flag_writes_file(capsys, tmp_path):
     [(["roots", "--type", "A1"], ""), (["verify", "--quick"], "missing/x.txt")],
     ids=["directory", "missing-parent"],
 )
-def test_out_path_that_cannot_be_opened_is_a_usage_error(capsys, tmp_path, argv, target):
+def test_out_path_that_cannot_be_opened_is_a_usage_error(
+    capsys, monkeypatch, tmp_path, argv, target
+):
     # a usage error (exit 2), as an unreadable --matrix-file is; exit 1 would
-    # read as a verification failure
+    # read as a verification failure.  It is refused before the subcommand
+    # computes anything.
+    monkeypatch.setattr(cli_module, "root_system", never_called)
+    monkeypatch.setattr(cli_module, "run_battery", never_called)
     with pytest.raises(SystemExit) as info:
         main([*argv, "--out", str(tmp_path / target)])
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "error: cannot write the output file" in err
     assert "Traceback" not in err
+
+
+def test_failing_run_leaves_the_out_file_unchanged(capsys, tmp_path):
+    # the file is opened only once the output is ready
+    target = tmp_path / "report.txt"
+    target.write_text("kept\n")
+    code, out, _ = run(capsys, "roots", "--type", "E9", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert target.read_text() == "kept\n"
+
+
+WALK_SABOTAGE = """
+import sys
+from clusterfan import cli, mutation
+catalan_number = mutation.catalan_number
+mutation.catalan_number = lambda exponents: catalan_number(exponents) + 1
+sys.exit(cli.main(["mutate", "--type", "A3"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_failed_internal_check_exits_1_in_one_line(flags):
+    # a walk told Cat(A3) = 15 closes with 14 seeds: a bug, reported as one
+    # stderr line with exit 1, not as a traceback
+    command = [sys.executable, *flags, "-c", WALK_SABOTAGE]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.splitlines() == [
+        "mutate: internal check failed: the walk met 14 seeds, not Cat(A3) = 15"
+    ]
 
 
 @pytest.mark.parametrize("budget", ["-1", "0", "x"])
@@ -845,3 +898,63 @@ def test_unreadable_matrix_file_is_a_usage_error(capsys, tmp_path):
             main(["roots", "--matrix-file", str(path)])
         assert info.value.code == 2
         assert "cannot read the matrix file" in capsys.readouterr().err
+
+
+# -- the subprocess half of the fuzz contract ------------------------------------
+
+# every draw ends in well under a second: valid types are of rank 4 at most,
+# and each other source is refused at once
+FUZZ_TYPES = st.sampled_from(
+    ["A1", "A3", "B3", "C3", "D4", "G2"]  # valid
+    + ["A1+A2", "B2+G2"]  # reducible
+    + ["A0", "D3", "E9", "A400"]  # rank 0, outside the families, over MAX_RANK
+) | st.text(  # junk, with no digit so that it names no rank
+    st.characters(blacklist_categories=("Cs", "Nd"), blacklist_characters="\x00"), max_size=6
+)
+FUZZ_ROWS = st.one_of(
+    st.sampled_from([
+        "[[2, -1], [-1]]",  # ragged
+        "",  # empty
+        "[[2, -1.5], [-1, 2]]",  # float
+        f"[[2, -{10**40}], [-1, 2]]",  # huge integer
+        '{"rows": [[2, -1], [-1, 2]]}',  # nested JSON
+        "[[[2]]]",
+    ]),
+    st.integers(1, 10**5).map(lambda depth: "[" * depth + "]" * depth),
+    # bipartite exchange rows of a rank whose Cat(W) is over every budget
+    st.integers(20, 40).map(
+        lambda n: json.dumps([list(row) for row in cartan.b_matrix(cartan.cartan_for_type(f"A{n}"))])
+    ),
+)
+FUZZ_FILES = FUZZ_ROWS | FUZZ_ROWS.map("matrix:{}".format) | FUZZ_TYPES.map("type:{}".format)
+# the child's address space: a blow-up fails the draw, not the machine
+FUZZ_MEMORY = 1 << 30
+
+
+def limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (FUZZ_MEMORY, FUZZ_MEMORY))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_cli_process_ends_with_a_documented_exit_code(tmp_path_factory, data):
+    # each draw is a fresh `python -m clusterfan.cli` process under a memory
+    # cap and a wall-clock bound: it must end with 0 (ok), 1 (a check failed),
+    # 2 (usage) or 3 (budget), and never with a traceback
+    command = data.draw(st.sampled_from(sorted(FORMATS)))
+    fmt = data.draw(st.sampled_from(FORMATS[command]))
+    source = data.draw(st.one_of(
+        st.just([]),
+        FUZZ_TYPES.map(lambda name: ["--type", name]),
+        FUZZ_FILES.map(lambda text: ["--matrix-file", text]),
+    ))
+    if source[:1] == ["--matrix-file"]:
+        path = tmp_path_factory.mktemp("fuzz") / "matrix"
+        path.write_text(source[1])
+        source = ["--matrix-file", str(path)]
+    argv = [sys.executable, "-m", "clusterfan.cli", command, *source, "--format", fmt]
+    result = subprocess.run(
+        argv, capture_output=True, text=True, timeout=30, preexec_fn=limit_memory
+    )
+    assert result.returncode in (0, 1, 2, 3), (argv, result.stderr)
+    assert "Traceback" not in result.stderr, (argv, result.stderr)

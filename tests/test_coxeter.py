@@ -26,10 +26,9 @@ import pytest
 
 from clusterfan import cli, coxeter
 from clusterfan.assoc import narayana
-from clusterfan.cartan import bipartition
+from clusterfan.cartan import CheckFailed, bipartition
 from clusterfan.coxeter import (
     BudgetExceeded,
-    LatticeCheckFailed,
     _levels,
     absolute_interval,
     build_group,
@@ -451,6 +450,7 @@ def test_oversized_interval_refused_before_the_walk():
 SABOTAGED_WALK = """
 import sys
 from clusterfan import coxeter
+from clusterfan.cartan import CheckFailed
 from clusterfan.roots import root_system
 print("optimize", sys.flags.optimize)
 rs = root_system("A3")
@@ -459,7 +459,7 @@ length = coxeter.reflection_length
 coxeter.reflection_length = lambda rs, w: 0
 try:
     coxeter.absolute_interval(rs)
-except coxeter.GroupCheckFailed as exc:
+except CheckFailed as exc:
     print("FAIL", exc)
 coxeter.reflection_length = length
 # a kernel helper that loses one basis vector: below c every level reads
@@ -468,7 +468,7 @@ kernel = coxeter.left_kernel
 coxeter.left_kernel = lambda rows: kernel(rows)[1:]
 try:
     coxeter.absolute_interval(rs)
-except coxeter.GroupCheckFailed as exc:
+except CheckFailed as exc:
     print("FAIL", exc)
 coxeter.left_kernel = kernel
 # reflections that all act as the identity: the walk never gets below c
@@ -477,7 +477,7 @@ for name in ("A3", "A1"):
     rs.reflection_perm = lambda b: tuple(range(len(rs.roots)))
     try:
         coxeter.absolute_interval(rs)
-    except coxeter.GroupCheckFailed as exc:
+    except CheckFailed as exc:
         print("FAIL", exc)
 """
 
@@ -581,13 +581,13 @@ def bitset_meet(down, a, b):
 
     The common lower bounds are down[a] & down[b]; the highest of them is
     the only candidate, and it is the meet iff its own down-set is all of
-    them.  Raises LatticeCheckFailed otherwise (also when there is no
+    them.  Raises CheckFailed otherwise (also when there is no
     common lower bound: best is then -1, the last element).
     """
     common = down[a] & down[b]
     best = common.bit_length() - 1
     if down[best] != common:
-        raise LatticeCheckFailed(f"no unique maximal lower bound for ({a},{b})")
+        raise CheckFailed(f"no unique maximal lower bound for ({a},{b})")
     return best
 
 
@@ -623,10 +623,10 @@ def test_bitset_meet_rejects_a_bowtie():
             down[u] |= down[t]
     assert bitset_meet(down, 1, 2) == 0
     assert bitset_meet(down, 3, 5) == 3
-    with pytest.raises(LatticeCheckFailed):
+    with pytest.raises(CheckFailed, match=r"no unique maximal lower bound for \(3,4\)"):
         bitset_meet(down, 3, 4)
     # two elements with no common lower bound at all
-    with pytest.raises(LatticeCheckFailed):
+    with pytest.raises(CheckFailed, match=r"no unique maximal lower bound for \(0,1\)"):
         bitset_meet([0b01, 0b10], 0, 1)
 
 
@@ -669,6 +669,7 @@ def test_weak_order_checks_one_pair_per_rank_two_coset(name, pairs):
 SABOTAGED_LATTICE = """
 import sys
 from clusterfan import coxeter
+from clusterfan.cartan import CheckFailed
 from clusterfan.roots import root_system
 print("optimize", sys.flags.optimize)
 a3 = coxeter.build_group(root_system("A3"))
@@ -686,7 +687,7 @@ for u, bits in ((0, 0b010), (5, 0b110)):
     coxeter.inversion_sets = flipped(u, bits)
     try:
         coxeter.weak_order(a3)
-    except coxeter.LatticeCheckFailed as exc:
+    except CheckFailed as exc:
         print("FAIL", exc)
 coxeter.inversion_sets = sets
 # s_1 s_2 read in the right table, once the left table is built from it,
@@ -698,7 +699,7 @@ for wrong in (0, 4):
     a2.right[1] = (0, wrong)
     try:
         coxeter.weak_order(a2)
-    except coxeter.LatticeCheckFailed as exc:
+    except CheckFailed as exc:
         print("FAIL", exc)
 # with no root a sum of two others, alpha_1 + alpha_2 cannot be grown from
 # T_L(s_1) and T_L(s_2) inside T_L(w0)
@@ -706,7 +707,7 @@ coxeter._root_sums = lambda rs: [[] for _ in range(rs.num_positive)]
 for name in ("A2", "A3"):
     try:
         coxeter.weak_order(coxeter.build_group(root_system(name)))
-    except coxeter.LatticeCheckFailed as exc:
+    except CheckFailed as exc:
         print("FAIL", exc)
 """
 
@@ -786,6 +787,7 @@ def test_group_output_builds_no_permutations(fmt, monkeypatch, capsys):
 MIRROR_SABOTAGE = """
 import sys
 from clusterfan import coxeter
+from clusterfan.cartan import CheckFailed
 from clusterfan.packing import layout
 from clusterfan.roots import root_system
 print("optimize", sys.flags.optimize)
@@ -801,7 +803,7 @@ for name in ("A2", "A3"):
     for walk in (coxeter.count_reduced_words, coxeter.build_group):
         try:
             walk(root_system(name))
-        except coxeter.GroupCheckFailed as exc:
+        except CheckFailed as exc:
             print("FAIL", exc)
 """
 
@@ -831,6 +833,7 @@ def test_left_table_is_built_on_first_use():
 SABOTAGED_SEARCH = """
 import sys
 from clusterfan import coxeter
+from clusterfan.cartan import CheckFailed
 from clusterfan.packing import layout
 from clusterfan.roots import root_system
 print("optimize", sys.flags.optimize)
@@ -844,7 +847,7 @@ def sabotaged(rs):
 coxeter._packing = sabotaged
 try:
     coxeter.build_group(root_system("A3"))
-except coxeter.GroupCheckFailed as exc:
+except CheckFailed as exc:
     print("FAIL", exc)
 coxeter._packing = packing
 # exponents 1, 1, 5 give |W| = 24 as A3's 1, 2, 3 do, but another polynomial
@@ -852,7 +855,7 @@ rs = root_system("A3")
 rs.exponents = [[1, 1, 5]]
 try:
     coxeter.build_group(rs)
-except coxeter.GroupCheckFailed as exc:
+except CheckFailed as exc:
     print("FAIL", exc)
 # element 3 = s1 s2 of A2 with s1 s2 s1 read as the identity, then as s1:
 # the left table built along the right one first moves a length by other
@@ -862,7 +865,7 @@ for row in [(0, 1), (1, 1)]:
     group.right[3] = row
     try:
         group.reduced_word(group.w0)
-    except coxeter.GroupCheckFailed as exc:
+    except CheckFailed as exc:
         print("FAIL", exc)
 """
 

@@ -18,12 +18,11 @@ import networkx as nx
 import pytest
 
 from clusterfan.assoc import almost_positive, cluster_complex, compatibility
-from clusterfan.cartan import b_matrix, cartan_for_type
+from clusterfan.cartan import CheckFailed, b_matrix, cartan_for_type
 from clusterfan.laurent import LaurentPoly
 from clusterfan.mutation import ExchangeMatrix, explore, initial_seed
 from clusterfan.polygon import (
     LabeledTriangulation,
-    MonodromyDetected,
     NotADiagonal,
     Triangulation,
     adjacency_matrix,
@@ -246,6 +245,7 @@ def test_octagon_ptolemy_values_match_divide_and_compare_oracle():
 POLYGON_CHECKS = """
 import sys
 from clusterfan import polygon
+from clusterfan.cartan import CheckFailed
 print("optimize", sys.flags.optimize)
 pentagon = polygon.Triangulation(5, ((0, 2), (0, 3)))
 # a hexagon 'triangulation' with a diagonal taken away leaves a quadrilateral
@@ -262,7 +262,7 @@ checks = (
 for check in checks:
     try:
         check()
-    except polygon.PolygonCheckFailed as exc:
+    except CheckFailed as exc:
         print("FAIL", exc)
     else:
         print("PASS")
@@ -303,7 +303,7 @@ def test_monodromy_check_fires_on_corrupted_relation(monkeypatch):
         return product
 
     monkeypatch.setattr(polygon_mod, "_quad_relation", corrupt)
-    with pytest.raises(MonodromyDetected):
+    with pytest.raises(CheckFailed, match=r"^diagonal \(2, 4\): .* != \(.*\) / \(.*\)$"):
         ptolemy_values(fan, diag_vals, side_vals)
     assert hits
 
@@ -334,7 +334,7 @@ def test_monodromy_check_fires_on_corrupted_checking_relation(monkeypatch):
 
     monkeypatch.setattr(LaurentPoly, "exact_div", exact_div)
     monkeypatch.setattr(polygon_mod, "_quad_relation", corrupt)
-    with pytest.raises(MonodromyDetected):
+    with pytest.raises(CheckFailed, match=r"^diagonal \(3, 6\): .* != \(.*\) / \(y3\)$"):
         ptolemy_values(fan, diag_vals, side_vals)
     assert len(calls) == math.comb(7, 4)
 

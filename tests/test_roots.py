@@ -367,3 +367,27 @@ def test_exponents_are_read_once_per_root_system(monkeypatch, name):
     assoc.narayana(rs)
     coxeter_data(rs)
     assert calls == [1]
+
+
+@pytest.mark.parametrize("name", ["B3", "G2"])
+def test_coxeter_number_is_read_once_per_root_system(monkeypatch, name):
+    # one walk of the powers of c on first use; every reader of h reads it
+    calls = []
+    element = roots.coxeter_element
+
+    def counted(rs):
+        calls.append(1)
+        return element(rs)
+
+    monkeypatch.setattr(roots, "coxeter_element", counted)
+    rs = root_system(name)
+    assert calls == []
+    assert rs.coxeter_number == INVARIANTS[name][1]
+    assert calls == [1]
+    coxeter_data(rs)
+    to_json_dict(rs)
+    assoc.tau_order(assoc.almost_positive(rs))
+    catalan.torus_orbits(rs)
+    catalan.shi_regions(rs)
+    catalan.enumeration_report(rs)
+    assert calls == [1]

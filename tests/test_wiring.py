@@ -310,6 +310,7 @@ def test_gl3_report_json_stable():
 WIRING_CHECKS = """
 import sys
 from clusterfan import wiring
+from clusterfan.cartan import CheckFailed
 print("optimize", sys.flags.optimize)
 chambers, explore = wiring.chambers, wiring.explore
 def duplicated(d):
@@ -330,7 +331,7 @@ for name, sabotage, check in checks:
     setattr(wiring, name, sabotage)
     try:
         check()
-    except wiring.WiringCheckFailed as exc:
+    except CheckFailed as exc:
         print("FAIL", exc)
     else:
         print("PASS")
