@@ -24,25 +24,7 @@ DynkinType = tuple[tuple[str, int], ...]
 Forest = list[list[tuple[int, int | None]]]
 
 
-class NotCartanShape(ValueError):
-    """The matrix violates the basic Cartan shape conditions."""
-
-
-class NotSymmetrizable(ValueError):
-    """No positive diagonal matrix symmetrizes the given matrix."""
-
-
-class NotSkewSymmetrizable(ValueError):
-    """An exchange matrix admits no skew-symmetrizer: it is not m-by-n with
-    m >= n, or its top square part has a nonzero diagonal entry, a broken
-    zero or sign pattern, or inconsistent ratios around a cycle."""
-
-
-class UnrecognizedDiagram(ValueError):
-    """The diagram is not one of the finite Dynkin diagrams."""
-
-
-# the most characters of a refused text that its error message repeats
+# the most characters of a refused text or entry that its error message repeats
 ECHO = 64
 
 
@@ -65,6 +47,14 @@ class BudgetExceeded(RuntimeError):
     for a root system before it is validated or closed."""
 
 
+class BadInput(ValueError):
+    """An input the package refuses (exit code 2): a type name or matrix
+    that is malformed, not of finite type or, where one is needed, not
+    irreducible, and an exchange matrix that is not skew-symmetrizable or
+    not of full rank.  The message says what is wrong; it never signals a
+    bug."""
+
+
 class CheckFailed(RuntimeError):
     """A statement of the paper, or an identity it rests on, failed on data
     the package computed (exit code 1).  Each one is checked at run time,
@@ -80,8 +70,9 @@ def check_rank(n: int) -> None:
 
 
 def as_entries(rows: Sequence[Sequence[int]]) -> Entries:
-    """Rows as tuples of ints; raises NotCartanShape on an entry that is not
-    an integral number (an integral float such as 2.0 is accepted)."""
+    """Rows as tuples of ints; raises BadInput on an entry that is not an
+    integral number (an integral float such as 2.0 is accepted), whose
+    message repeats at most ECHO characters of the entry's repr."""
     return tuple(
         tuple(x if type(x) is int else _integer(x) for x in row) for row in rows
     )
@@ -93,7 +84,10 @@ def _integer(x) -> int:
     except (TypeError, ValueError, OverflowError):
         value = None
     if isinstance(x, bool) or not isinstance(x, Real) or value != x:
-        raise NotCartanShape(f"entry {x!r} is not an integer")
+        shown = repr(x)
+        if len(shown) > ECHO:
+            shown = f"{shown[:ECHO]}... ({len(shown)} characters)"
+        raise BadInput(f"entry {shown} is not an integer")
     return value
 
 
@@ -104,16 +98,16 @@ def check_shape(rows: Sequence[Sequence[int]]) -> Entries:
     n = len(entries)
     for i, row in enumerate(entries):
         if len(row) != n:
-            raise NotCartanShape(f"row {i} has length {len(row)}, expected {n}")
+            raise BadInput(f"row {i} has length {len(row)}, expected {n}")
         if row[i] != 2:
-            raise NotCartanShape(f"diagonal entry a[{i}][{i}] = {row[i]}, expected 2")
+            raise BadInput(f"diagonal entry a[{i}][{i}] = {row[i]}, expected 2")
         for j, a in enumerate(row):
             if i == j:
                 continue
             if a > 0:
-                raise NotCartanShape(f"off-diagonal a[{i}][{j}] = {a} is positive")
+                raise BadInput(f"off-diagonal a[{i}][{j}] = {a} is positive")
             if (a == 0) != (entries[j][i] == 0):
-                raise NotCartanShape(
+                raise BadInput(
                     f"zero pattern broken at ({i},{j}): {a} vs {entries[j][i]}"
                 )
     return entries
@@ -143,7 +137,7 @@ def _forest(entries: Sequence[Sequence[int]]) -> Forest:
 
 
 def _propagate(
-    entries: Sequence[Sequence[int]], forest: Forest, sign: int, error: type[ValueError]
+    entries: Sequence[Sequence[int]], forest: Forest, sign: int
 ) -> tuple[int, ...]:
     """Minimal positive integers d with d_i m_ij = sign d_j m_ji.
 
@@ -152,7 +146,7 @@ def _propagate(
     every nonzero entry.  The caller guarantees that m_ij and m_ji vanish
     together and that sign m_ij m_ji > 0 otherwise, so every ratio is
     positive; an entry off the forest that breaks the equation (a cycle
-    forcing inconsistent ratios) raises `error`.
+    forcing inconsistent ratios) raises BadInput.
     """
     n = len(entries)
     d = [0] * n
@@ -168,26 +162,23 @@ def _propagate(
     for i in range(n):
         for j in range(i + 1, n):
             if entries[i][j] and d[i] * entries[i][j] != sign * d[j] * entries[j][i]:
-                raise error(f"inconsistent symmetrizer ratio at edge ({i},{j})")
+                raise BadInput(f"inconsistent symmetrizer ratio at edge ({i},{j})")
     return tuple(d)
 
 
 def skew_symmetrizer(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Minimal positive integers d with d_i b_ij = -d_j b_ji for a square
-    integer matrix with zero diagonal; raises NotSkewSymmetrizable if none
-    exist."""
+    integer matrix with zero diagonal; raises BadInput if none exist."""
     n = len(rows)
     for i in range(n):
         if rows[i][i] != 0:
-            raise NotSkewSymmetrizable(
-                f"diagonal entry b[{i}][{i}] = {rows[i][i]} nonzero"
-            )
+            raise BadInput(f"diagonal entry b[{i}][{i}] = {rows[i][i]} nonzero")
         for j in range(n):
             if (rows[i][j] == 0) != (rows[j][i] == 0):
-                raise NotSkewSymmetrizable(f"zero pattern broken at ({i},{j})")
+                raise BadInput(f"zero pattern broken at ({i},{j})")
             if rows[i][j] * rows[j][i] > 0:
-                raise NotSkewSymmetrizable(f"entries at ({i},{j}) share a sign")
-    return _propagate(rows, _forest(rows), -1, NotSkewSymmetrizable)
+                raise BadInput(f"entries at ({i},{j}) share a sign")
+    return _propagate(rows, _forest(rows), -1)
 
 
 class Diagram:
@@ -203,14 +194,14 @@ class Diagram:
     @cached_property
     def symmetrizer(self) -> tuple[int, ...]:
         """Minimal positive integer diagonal D with D A symmetric; raises
-        NotSymmetrizable when a cycle forces inconsistent ratios."""
-        return _propagate(self.entries, self.forest, 1, NotSymmetrizable)
+        BadInput when a cycle forces inconsistent ratios."""
+        return _propagate(self.entries, self.forest, 1)
 
     @cached_property
     def finite_type(self) -> DynkinType | None:
         """The Dynkin type, or None when the symmetrization is not positive
-        definite (Sylvester's criterion); raises NotSymmetrizable when there
-        is no symmetrizer."""
+        definite (Sylvester's criterion); raises BadInput when there is no
+        symmetrizer."""
         entries, d = self.entries, self.symmetrizer
         n = len(entries)
         sym = [[d[i] * entries[i][j] for j in range(n)] for i in range(n)]
@@ -219,16 +210,16 @@ class Diagram:
         return tuple(sorted(_classify_component(entries, comp) for comp in self.components))
 
     def classify(self) -> DynkinType:
-        """The Dynkin type; UnrecognizedDiagram when it is not finite."""
+        """The Dynkin type; BadInput when it is not finite."""
         if self.finite_type is None:
-            raise UnrecognizedDiagram("matrix is not of finite type (not positive definite)")
+            raise BadInput("matrix is not of finite type (not positive definite)")
         return self.finite_type
 
     @cached_property
     def parts(self) -> tuple[frozenset[int], frozenset[int]]:
         """The two colours along the spanning forest; the lowest index of
         each component goes into the first (plus) part.  An edge whose ends
-        share a colour (an odd cycle) raises UnrecognizedDiagram."""
+        share a colour (an odd cycle) raises BadInput."""
         entries = self.entries
         n = len(entries)
         color = [0] * n
@@ -238,7 +229,7 @@ class Diagram:
         for i in range(n):
             for j in range(i + 1, n):
                 if entries[i][j] and color[i] == color[j]:
-                    raise UnrecognizedDiagram("diagram contains an odd cycle")
+                    raise BadInput("diagram contains an odd cycle")
         plus = frozenset(i for i in range(n) if color[i] == 0)
         minus = frozenset(i for i in range(n) if color[i] == 1)
         return plus, minus
@@ -247,9 +238,9 @@ class Diagram:
 def validate_finite_type(rows: Sequence[Sequence[int]]) -> bool:
     """True when the matrix is a Cartan matrix of finite type.
 
-    Shape violations raise NotCartanShape and unsymmetrizable input raises
-    NotSymmetrizable; a symmetrizable matrix whose symmetrization is not
-    positive definite is reported as False.
+    Shape violations and unsymmetrizable input raise BadInput; a
+    symmetrizable matrix whose symmetrization is not positive definite is
+    reported as False.
     """
     return finite_type(rows) is not None
 
@@ -269,7 +260,7 @@ def _classify_component(entries: Entries, comp: list[int]) -> tuple[str, int]:
             if a < b and entries[a][b] != 0:
                 edges.append((a, b))
     if len(edges) != n - 1:
-        raise UnrecognizedDiagram("diagram component is not a tree")
+        raise BadInput("diagram component is not a tree")
     degree = {v: 0 for v in comp}
     for a, b in edges:
         degree[a] += 1
@@ -283,7 +274,7 @@ def _classify_component(entries: Entries, comp: list[int]) -> tuple[str, int]:
         if not branch:
             return ("A", n)
         if len(branch) > 1 or degree[branch[0]] != 3:
-            raise UnrecognizedDiagram("too many branch points for finite type")
+            raise BadInput("too many branch points for finite type")
         center = branch[0]
         arms = []
         for start in (v for v in comp if entries[center][v] != 0 and v != center):
@@ -305,20 +296,20 @@ def _classify_component(entries: Entries, comp: list[int]) -> tuple[str, int]:
             return ("E", 7)
         if arms == [1, 2, 4]:
             return ("E", 8)
-        raise UnrecognizedDiagram(f"branch arms {arms} are not of finite type")
+        raise BadInput(f"branch arms {arms} are not of finite type")
 
     if len(multi) > 1:
-        raise UnrecognizedDiagram("more than one multiple edge")
+        raise BadInput("more than one multiple edge")
     a, b = multi[0]
     weight = entries[a][b] * entries[b][a]
     if weight == 3:
         if n != 2:
-            raise UnrecognizedDiagram("triple edge only occurs at rank 2")
+            raise BadInput("triple edge only occurs at rank 2")
         return ("G", 2)
     if weight != 2:
-        raise UnrecognizedDiagram(f"edge weight {weight} is not of finite type")
+        raise BadInput(f"edge weight {weight} is not of finite type")
     if any(degree[v] > 2 for v in comp):
-        raise UnrecognizedDiagram("branch point with a double edge")
+        raise BadInput("branch point with a double edge")
     if n == 2:
         return ("B", 2)
     # short end s receives the -2: a_sl = -2 pairs the long root against the
@@ -330,7 +321,7 @@ def _classify_component(entries: Entries, comp: list[int]) -> tuple[str, int]:
         return ("C", n)
     if n == 4:
         return ("F", 4)
-    raise UnrecognizedDiagram("interior double edge only occurs at rank 4")
+    raise BadInput("interior double edge only occurs at rank 4")
 
 
 def classify(rows: Sequence[Sequence[int]]) -> DynkinType:
@@ -384,18 +375,18 @@ def standard_cartan(letter: str, rank: int) -> Entries:
     """
     letter = letter.upper()
     if rank < 1:
-        raise UnrecognizedDiagram(f"rank {rank} out of range")
+        raise BadInput(f"rank {rank} out of range")
     if letter == "A":
         return as_entries(_path(rank))
     if letter == "B":
         if rank < 2:
-            raise UnrecognizedDiagram("B requires rank >= 2")
+            raise BadInput("B requires rank >= 2")
         rows = _path(rank)
         rows[0][1] = -2
         return as_entries(rows)
     if letter == "C":
         if rank < 3:
-            raise UnrecognizedDiagram("C requires rank >= 3")
+            raise BadInput("C requires rank >= 3")
         rows = _path(rank)
         if rank == 3:
             rows[1][2] = -2
@@ -405,7 +396,7 @@ def standard_cartan(letter: str, rank: int) -> Entries:
         return as_entries(rows)
     if letter == "D":
         if rank < 4:
-            raise UnrecognizedDiagram("D requires rank >= 4")
+            raise BadInput("D requires rank >= 4")
         rows = [[0] * rank for _ in range(rank)]
         for i in range(rank):
             rows[i][i] = 2
@@ -416,7 +407,7 @@ def standard_cartan(letter: str, rank: int) -> Entries:
         return as_entries(rows)
     if letter == "E":
         if rank not in (6, 7, 8):
-            raise UnrecognizedDiagram("E requires rank 6, 7 or 8")
+            raise BadInput("E requires rank 6, 7 or 8")
         rows = _path(rank)
         rows[rank - 1][rank - 1] = 2
         rows[rank - 2][rank - 1] = rows[rank - 1][rank - 2] = 0
@@ -424,15 +415,15 @@ def standard_cartan(letter: str, rank: int) -> Entries:
         return as_entries(rows)
     if letter == "F":
         if rank != 4:
-            raise UnrecognizedDiagram("F requires rank 4")
+            raise BadInput("F requires rank 4")
         rows = _path(4)
         rows[2][1] = -2
         return as_entries(rows)
     if letter == "G":
         if rank != 2:
-            raise UnrecognizedDiagram("G requires rank 2")
+            raise BadInput("G requires rank 2")
         return as_entries([[2, -3], [-1, 2]])
-    raise UnrecognizedDiagram(f"unknown family {letter!r}")
+    raise BadInput(f"unknown family {letter!r}")
 
 
 def parse_type_name(name: str) -> DynkinType:
@@ -447,9 +438,7 @@ def parse_type_name(name: str) -> DynkinType:
                 raise ValueError
             factors.append((piece[0].upper(), int(piece[1:])))
         except ValueError:
-            raise UnrecognizedDiagram(
-                f"cannot parse type name {_shown(piece)}"
-            ) from None
+            raise BadInput(f"cannot parse type name {_shown(piece)}") from None
     return tuple(sorted(factors))
 
 
@@ -481,7 +470,7 @@ def parse_cartan_text(text: str) -> Entries:
     their shape is checked where they are used, by `RootSystem` as a Cartan
     matrix or by `ExchangeMatrix` as an exchange matrix.  Bad JSON (nested
     past the recursion limit included), rows of another shape, an entry that
-    is not an integer and text of no form raise NotCartanShape, whose
+    is not an integer and text of no form raise BadInput, whose
     message repeats at most ECHO characters of the text."""
     text = text.strip()
     if text.startswith("type:"):
@@ -490,15 +479,15 @@ def parse_cartan_text(text: str) -> Entries:
     try:
         rows = json.loads(text[len("matrix:"):].strip() if prefixed else text)
     except RecursionError:
-        raise NotCartanShape("bad matrix JSON: nested too deeply") from None
+        raise BadInput("bad matrix JSON: nested too deeply") from None
     except json.JSONDecodeError as exc:
         if prefixed:
-            raise NotCartanShape(f"bad matrix JSON: {exc}") from None
-        raise NotCartanShape(
+            raise BadInput(f"bad matrix JSON: {exc}") from None
+        raise BadInput(
             f"expected 'type:NAME' or 'matrix:[[...]]', got {_shown(text)}"
         ) from None
     if not isinstance(rows, list) or not rows or not all(
         isinstance(row, list) and row for row in rows
     ):
-        raise NotCartanShape("matrix must be a nonempty list of nonempty rows")
+        raise BadInput("matrix must be a nonempty list of nonempty rows")
     return as_entries(rows)

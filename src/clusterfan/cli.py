@@ -3,19 +3,19 @@
 Subcommands map one-to-one onto the library layers: roots, group, mutate,
 assoc, catalan, wiring, and verify.  Output is deterministic for a fixed
 seed.  Exit codes: 0 success, 1 verification failure or a failed internal
-check (cartan.CheckFailed, reported in one stderr line), 2 usage error
-(including a type name or matrix that is not a finite irreducible type where
-one is needed, and a matrix file that is empty, has an entry that is not an
-integer, is not a Cartan matrix or, for mutate, is not an m-by-n matrix,
-m >= n, with a skew-symmetrizable top part and full column rank, a --format
-the subcommand does not offer, an --out path that is a directory or whose
-directory is missing, both refused before any work, and a --budget-seeds
-below 1),
-3 budget exceeded (every budget raises the one class cartan.BudgetExceeded,
-including a root system of rank over 128, cartan.MAX_RANK, so that A128 is
-the largest A_n admitted) or, for mutate,
-an exchange matrix of infinite type or a cluster variable with an exponent
-outside [-8192, 8192) (packing.LIMIT),
+check (cartan.CheckFailed, reported in one stderr line), 2 usage error:
+input the package refuses (cartan.BadInput: a type name or matrix that is
+not a finite irreducible type where one is needed, and a matrix file that
+is empty, has an entry that is not an integer, is not a Cartan matrix or,
+for mutate, is not an m-by-n matrix, m >= n, with a skew-symmetrizable top
+part and full column rank), and, refused by the parser before any work, a
+--format the subcommand does not offer, an --out path that is a directory
+or whose directory is missing, and a --budget-seeds below 1,
+3 budget exceeded (cartan.BudgetExceeded, including a root system of rank
+over 128, cartan.MAX_RANK, so that A128 is the largest A_n admitted) or,
+for mutate, an exchange matrix of infinite type (mutation.NotFiniteType)
+or a cluster variable with an exponent outside [-8192, 8192)
+(packing.LIMIT; packing.ExponentOverflow),
 141 (128 + SIGPIPE, as a shell reports a writer killed by a closed pipe)
 when the reader closes stdout before the output is written.  mutate walks
 the exchange graph once, under --budget-seeds alone; text output prints
@@ -36,24 +36,16 @@ import os
 import sys
 
 from .cartan import (
+    BadInput,
     BudgetExceeded,
     CheckFailed,
     Entries,
-    NotCartanShape,
-    NotSkewSymmetrizable,
-    NotSymmetrizable,
-    UnrecognizedDiagram,
     b_matrix,
     cartan_for_type,
     dynkin_name,
     parse_cartan_text,
 )
-from .roots import (
-    NotIrreducible,
-    root_system,
-    to_json_dict,
-    weyl_group_order,
-)
+from .roots import root_system, to_json_dict, weyl_group_order
 from .coxeter import (
     build_group,
     count_reduced_words,
@@ -63,9 +55,7 @@ from .coxeter import (
 from .laurent import ExponentOverflow
 from .mutation import (
     ExchangeMatrix,
-    Inconclusive,
     NotFiniteType,
-    NotFullRank,
     SEED_BUDGET,
     exchange_counts,
     explore,
@@ -311,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--extended", action="store_true")
     p.add_argument("--out", help="write the report to this file")
     p.add_argument("--rng-seed", type=int, default=11)  # accepted, unused
-    p.set_defaults(handler=cmd_verify, format="text", extended=False)
+    p.set_defaults(handler=cmd_verify, extended=False)
     return parser
 
 
@@ -325,17 +315,10 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (NotFiniteType, Inconclusive, ExponentOverflow) as exc:
+    except (NotFiniteType, ExponentOverflow) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 3
-    except (
-        UnrecognizedDiagram,
-        NotIrreducible,
-        NotCartanShape,
-        NotSymmetrizable,
-        NotSkewSymmetrizable,
-        NotFullRank,
-    ) as exc:
+    except BadInput as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     except CheckFailed as exc:

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import cartan as cartan_mod
-from .cartan import BudgetExceeded, CheckFailed, DynkinType, NotSkewSymmetrizable, skew_symmetrizer
+from .cartan import BadInput, BudgetExceeded, CheckFailed, DynkinType, skew_symmetrizer
 from .laurent import LaurentPoly
 from .linalg import matrix_rank
 from .packing import LIMIT, layout
@@ -91,14 +91,6 @@ class NotFiniteType(_WalkStopped):
     """A seed matrix has an entry pair |b_ij b_ji| > 3: the graph is infinite."""
 
 
-class Inconclusive(RuntimeError):
-    """Finite-type detection ran out of budget without a witness."""
-
-
-class NotFullRank(ValueError):
-    """An extended exchange matrix (m > n) whose columns are dependent."""
-
-
 @dataclass(frozen=True)
 class ExchangeMatrix:
     """An m-by-n extended exchange matrix; the top n-by-n principal part must
@@ -112,24 +104,22 @@ class ExchangeMatrix:
     matrix are still perfectly good starting points for mutation.
 
     More than cartan.MAX_RANK columns raise BudgetExceeded before any other
-    check, as a Cartan matrix of that rank does."""
+    check, as a Cartan matrix of that rank does; every other refusal raises
+    BadInput."""
 
     rows: tuple[tuple[int, ...], ...]
     n: int
 
     def __post_init__(self):
         cartan_mod.check_rank(self.n)
-        try:
-            rows = cartan_mod.as_entries(self.rows)
-        except cartan_mod.NotCartanShape as exc:
-            raise NotSkewSymmetrizable(str(exc)) from None
+        rows = cartan_mod.as_entries(self.rows)
         object.__setattr__(self, "rows", rows)
         m = len(rows)
         if m < self.n or any(len(r) != self.n for r in rows):
-            raise NotSkewSymmetrizable(f"need an m>=n matrix with {self.n} columns")
+            raise BadInput(f"need an m>=n matrix with {self.n} columns")
         skew_symmetrizer([r[: self.n] for r in rows[: self.n]])
         if m > self.n and matrix_rank(rows) != self.n:
-            raise NotFullRank("extended exchange matrix must have full column rank")
+            raise BadInput("extended exchange matrix must have full column rank")
 
     @classmethod
     def _make(cls, rows: tuple[tuple[int, ...], ...], n: int) -> "ExchangeMatrix":
@@ -439,7 +429,7 @@ def _walk(rows: Sequence[Sequence[int]], budget: int, partial=None):
             seeds[u] = None  # no edge reads a seed whose turn is over
         frontier = fresh
     if typed is None:  # Thm 1.4 says this cannot happen
-        raise Inconclusive("mutation class closed without a finite Cartan counterpart")
+        raise CheckFailed("mutation class closed without a finite Cartan counterpart")
     dynkin, count = typed
     if len(seeds) != count:
         name = cartan_mod.dynkin_name(dynkin)
@@ -572,9 +562,11 @@ def detect_finite_type(rows: Sequence[Sequence[int]]) -> DynkinType | None:
     Walks the coefficient-free exchange graph (`exchange_counts`), whose
     seed matrices make up the mutation class.  Returns None at the first
     infinite-type witness and, once the walk closes, the Dynkin type.
-    Raises Inconclusive if more than DETECT_BUDGET seeds appear or are
-    counted by Cat(W) first (E8 at the start), and BudgetExceeded over
-    MAX_RANK columns before the shape is checked.
+    Lets the walk's MutationBudgetExceeded (a BudgetExceeded, "exchange
+    graph exceeded 10000 seeds") pass if more than DETECT_BUDGET seeds
+    appear or are counted by Cat(W) first (E8 at the start), raises
+    BudgetExceeded over MAX_RANK columns before the shape is checked, and
+    BadInput on a matrix that is not skew-symmetrizable.
     """
     cartan_mod.check_rank(len(rows))
     start = tuple(tuple(int(x) for x in r) for r in rows)
@@ -583,8 +575,6 @@ def detect_finite_type(rows: Sequence[Sequence[int]]) -> DynkinType | None:
         return exchange_counts(start, DETECT_BUDGET)[2]
     except NotFiniteType:
         return None
-    except MutationBudgetExceeded:
-        raise Inconclusive(f"mutation class exceeded {DETECT_BUDGET} seeds") from None
 
 
 # -- positivity -----------------------------------------------------------------

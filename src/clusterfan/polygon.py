@@ -14,15 +14,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Mapping
 
-from .cartan import CheckFailed
+from .cartan import BadInput, CheckFailed
 from .laurent import LaurentPoly
 from .mutation import ExchangeMatrix
 
 Edge = tuple[int, int]
-
-
-class NotADiagonal(ValueError):
-    """Raised when a flip names an edge the triangulation does not contain."""
 
 
 def polygon_sides(m: int) -> tuple[Edge, ...]:
@@ -62,7 +58,7 @@ class Triangulation:
         for d in diags:
             a, b = d
             if not (0 <= a < b < self.m) or d in sides:
-                raise NotADiagonal(f"{d} is not a diagonal of an {self.m}-gon")
+                raise BadInput(f"{d} is not a diagonal of an {self.m}-gon")
         if len(set(diags)) != self.m - 3:
             raise ValueError(
                 f"a triangulation of an {self.m}-gon has {self.m - 3} diagonals"
@@ -100,7 +96,7 @@ class Triangulation:
         apexes are the common neighbours of d's endpoints: every 3-cycle of
         non-crossing edges bounds a face, and a diagonal borders two faces."""
         if d not in self.diagonals:
-            raise NotADiagonal(f"{d} not in triangulation")
+            raise BadInput(f"{d} not in triangulation")
         a, b = d
         present = self.edges()
         apexes = [
@@ -194,7 +190,7 @@ class LabeledTriangulation:
         """Flip the diagonal labeled k; the label transfers to the new
         diagonal, all other labels stay put."""
         if not 1 <= k <= self.n:
-            raise NotADiagonal(f"no diagonal labeled {k}")
+            raise BadInput(f"no diagonal labeled {k}")
         tri = self.underlying()
         new = flipped_diagonal(tri, self.diagonals[k - 1])
         diags = list(self.diagonals)

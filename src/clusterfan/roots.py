@@ -22,11 +22,7 @@ from math import prod
 from typing import Iterable, Sequence
 
 from . import cartan as cartan_mod
-from .cartan import CheckFailed, DynkinType, Entries
-
-
-class NotIrreducible(ValueError):
-    """A computation defined for irreducible systems got a composite one."""
+from .cartan import BadInput, CheckFailed, DynkinType, Entries
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,7 @@ class RootSystem:
         as the order of a bipartite Coxeter element as a permutation of the
         roots.  The classical cross-identities n h = 2 |positives| and
         sum(e_i) = |positives| are checked (CheckFailed).  Its readers refuse
-        a composite system first (NotIrreducible)."""
+        a composite system first (BadInput)."""
         exponents = self.exponents[0]
         perm = coxeter_element(self)
         order = 1
@@ -302,10 +298,10 @@ def coxeter_element(rs: RootSystem) -> tuple[int, ...]:
 
 def _irreducible(rs: RootSystem, caller: str) -> tuple[str, int]:
     """The one factor of an irreducible system's Dynkin type; raises
-    NotIrreducible, naming the caller, on a composite one."""
+    BadInput, naming the caller, on a composite one."""
     if len(rs.dynkin) != 1:
         name = cartan_mod.dynkin_name(rs.dynkin)
-        raise NotIrreducible(f"{caller} needs an irreducible system, got {name}")
+        raise BadInput(f"{caller} needs an irreducible system, got {name}")
     return rs.dynkin[0]
 
 

@@ -18,8 +18,8 @@ from functools import lru_cache
 
 from .laurent import LaurentPoly
 from .cartan import (
+    BadInput,
     CheckFailed,
-    UnrecognizedDiagram,
     b_matrix,
     cartan_for_type,
     classify,
@@ -205,8 +205,8 @@ def criterion_cartan_table() -> str:
     check(not validate_finite_type(affine), "[[2,-2],[-2,2]] passed as finite type")
     try:
         classify(affine)
-    except UnrecognizedDiagram:
-        pass
+    except BadInput as exc:
+        check("not of finite type" in str(exc), f"the affine rank-2 matrix refused: {exc}")
     else:
         raise CheckFailed("the affine rank-2 matrix must be rejected")
     return f"{len(printed)} matrices classified, [[2,-2],[-2,2]] rejected"

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from clusterfan import verify, wiring
-from clusterfan.cartan import CheckFailed, dynkin_name
+from clusterfan.cartan import BadInput, CheckFailed, dynkin_name
 
 CRITERIA = [
     (1, "rank2-periodicity", verify.criterion_rank2_periodicity, 1.0),
@@ -175,3 +175,18 @@ def test_criterion_13_holds_artifacts_to_the_pin(monkeypatch):
         monkeypatch.setattr(verify, "deterministic_artifacts", lambda: changed)
         with pytest.raises(CheckFailed, match="pinned reference"):
             verify.criterion_determinism()
+
+
+def test_criterion_03_fails_when_the_affine_matrix_is_refused_otherwise(monkeypatch):
+    # the affine matrix must be refused as not of finite type; a refusal of
+    # its shape or its diagram for another reason is a failure
+    classify = verify.classify
+
+    def refused_as_malformed(rows):
+        if rows == [[2, -2], [-2, 2]]:
+            raise BadInput("diagram contains an odd cycle")
+        return classify(rows)
+
+    monkeypatch.setattr(verify, "classify", refused_as_malformed)
+    with pytest.raises(CheckFailed, match="affine rank-2 matrix refused: diagram contains"):
+        verify.criterion_cartan_table()

@@ -711,6 +711,12 @@ def test_failing_run_leaves_the_out_file_unchanged(capsys, tmp_path):
     assert target.read_text() == "kept\n"
 
 
+def run_script(flags, script):
+    """Run a Python script in a child interpreter with the given flags."""
+    command = [sys.executable, *flags, "-c", script]
+    return subprocess.run(command, capture_output=True, text=True, timeout=60)
+
+
 WALK_SABOTAGE = """
 import sys
 from clusterfan import cli, mutation
@@ -724,12 +730,61 @@ sys.exit(cli.main(["mutate", "--type", "A3"]))
 def test_failed_internal_check_exits_1_in_one_line(flags):
     # a walk told Cat(A3) = 15 closes with 14 seeds: a bug, reported as one
     # stderr line with exit 1, not as a traceback
-    command = [sys.executable, *flags, "-c", WALK_SABOTAGE]
-    result = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    result = run_script(flags, WALK_SABOTAGE)
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr.splitlines() == [
         "mutate: internal check failed: the walk met 14 seeds, not Cat(A3) = 15"
     ]
+
+
+UNTYPED_WALK = """
+import sys
+from clusterfan import cli, mutation
+mutation._cluster_type = lambda *args: None
+sys.exit(cli.main(["mutate", "--type", "A3"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_walk_that_closes_untyped_exits_1(flags):
+    # Thm 1.4 puts a seed with a finite Cartan counterpart in every finite
+    # mutation class: a walk that closes without one is a bug, not a budget
+    result = run_script(flags, UNTYPED_WALK)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.splitlines() == [
+        "mutate: internal check failed:"
+        " mutation class closed without a finite Cartan counterpart"
+    ]
+
+
+REFUSING_HANDLER = """
+import sys
+from clusterfan import cartan, cli, mutation, packing
+def refuse(parser, args):
+    raise {error}("refused")
+cli.cmd_roots = refuse
+sys.exit(cli.main(["roots", "--type", "A2"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+@pytest.mark.parametrize(
+    ("error", "code", "line"),
+    [
+        ("cartan.BadInput", 2, "roots: refused"),
+        ("cartan.BudgetExceeded", 3, "budget exceeded: refused"),
+        ("mutation.NotFiniteType", 3, "roots: refused"),
+        ("packing.ExponentOverflow", 3, "roots: refused"),
+        ("cartan.CheckFailed", 1, "roots: internal check failed: refused"),
+    ],
+    ids=["BadInput", "BudgetExceeded", "NotFiniteType", "ExponentOverflow", "CheckFailed"],
+)
+def test_each_exception_class_has_one_exit_code(flags, error, code, line):
+    # main maps each class a handler may raise to its exit code, in one
+    # stderr line with no traceback
+    result = run_script(flags, REFUSING_HANDLER.format(error=error))
+    assert (result.returncode, result.stdout) == (code, "")
+    assert result.stderr.splitlines() == [line]
 
 
 @pytest.mark.parametrize("budget", ["-1", "0", "x"])
@@ -820,8 +875,18 @@ NESTED = "[" * 10**5 + "]" * 10**5
             "group: expected 'type:NAME' or 'matrix:[[...]]',"
             f" got {'x' * 64!r}... (200000 characters)",
         ),
+        (
+            "roots",
+            json.dumps([["x" * 100_000]]),
+            "roots: entry '" + "x" * 63 + "... (100002 characters) is not an integer",
+        ),
+        (
+            "mutate",
+            "[[" + "[" * 900 + "]" * 900 + "]]",
+            "mutate: entry " + "[" * 64 + "... (1800 characters) is not an integer",
+        ),
     ],
-    ids=["nested", "nested-matrix", "nested-exchange", "text"],
+    ids=["nested", "nested-matrix", "nested-exchange", "text", "long-entry", "deep-entry"],
 )
 def test_long_bad_matrix_file_is_refused_in_a_short_line(
     capsys, tmp_path, command, content, message

@@ -21,11 +21,9 @@ from clusterfan import cli, mutation, wiring
 
 from clusterfan.assoc import almost_positive, cluster_complex, compatibility
 from clusterfan.cartan import (
+    BadInput,
     CheckFailed,
     Diagram,
-    NotCartanShape,
-    NotSkewSymmetrizable,
-    NotSymmetrizable,
     b_matrix,
     cartan_for_type,
     classify,
@@ -38,11 +36,9 @@ from clusterfan.laurent import LaurentPoly
 from clusterfan.linalg import matrix_rank
 from clusterfan.mutation import (
     ExchangeMatrix,
-    Inconclusive,
     MutationBudgetExceeded,
     MutationGraph,
     NotFiniteType,
-    NotFullRank,
     Seed,
     alternating_chain,
     canonical_key,
@@ -66,6 +62,19 @@ from clusterfan.verify import QUICK_TYPES
 
 from test_cli import path_rows
 from test_laurent import parse_laurent
+
+# the message of ExchangeMatrix's rank refusal
+NOT_FULL_RANK = "extended exchange matrix must have full column rank"
+# how the refusals of a matrix's shape check (`cartan.check_shape` and the
+# integer check before it) and of its symmetrizer begin
+SHAPE_OR_SYMMETRIZER = (
+    "entry ",
+    "row ",
+    "diagonal entry ",
+    "off-diagonal ",
+    "zero pattern broken ",
+    "inconsistent symmetrizer ratio ",
+)
 
 
 def test_matrix_mutation_is_involutive():
@@ -127,7 +136,9 @@ def test_mutated_matrices_pass_full_validation():
         rows = random_extended_matrix(rng)
         try:
             matrix = ExchangeMatrix(rows, len(rows[0]))
-        except NotFullRank:
+        except BadInput as exc:
+            if str(exc) != NOT_FULL_RANK:
+                raise
             continue
         current = matrix
         for _ in range(4):
@@ -146,7 +157,9 @@ def test_explored_seed_matrices_pass_full_validation():
         rows += [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, 2))]
         try:
             matrix = ExchangeMatrix(rows, n)
-        except NotFullRank:
+        except BadInput as exc:
+            if str(exc) != NOT_FULL_RANK:
+                raise
             continue
         names = [f"x{i}" for i in range(n)]
         frozen = [f"y{i}" for i in range(matrix.m - n)]
@@ -162,7 +175,7 @@ def test_explored_seed_matrices_pass_full_validation():
 
 
 def test_exchange_matrix_rejects_dependent_columns():
-    with pytest.raises(NotFullRank):
+    with pytest.raises(BadInput, match=NOT_FULL_RANK):
         ExchangeMatrix(((0, 1, 0), (-1, 0, 1), (0, -1, 0), (1, 0, -1)), 3)
 
 
@@ -174,9 +187,9 @@ def test_exchange_matrix_rejects_non_skew_symmetrizable():
 
 
 def test_exchange_matrix_rejects_fractional_entries():
-    with pytest.raises(NotSkewSymmetrizable, match="1.9 is not an integer"):
+    with pytest.raises(BadInput, match="entry 1.9 is not an integer"):
         ExchangeMatrix(((0, 1.9), (-1, 0)), 2)
-    with pytest.raises(NotSkewSymmetrizable):
+    with pytest.raises(BadInput, match="entry 0.5 is not an integer"):
         ExchangeMatrix(((0, 1), (-1, 0), (0.5, 1)), 2)
     # integral floats are still integers
     assert ExchangeMatrix(((0, 1.0), (-1, 0)), 2).rows == ((0, 1), (-1, 0))
@@ -335,9 +348,9 @@ def test_detect_infinite_type_returns_none():
 
 def test_detect_finite_type_gives_up_past_its_budget(monkeypatch):
     # A3's mutation class has 14 seeds; past 3 the walk has met no witness
-    # of either kind, so detection is inconclusive
+    # of either kind, so detection gives up with the walk's own refusal
     monkeypatch.setattr(mutation, "DETECT_BUDGET", 3)
-    with pytest.raises(Inconclusive, match="mutation class exceeded 3 seeds"):
+    with pytest.raises(BudgetExceeded, match="exchange graph exceeded 3 seeds"):
         detect_finite_type(b_matrix(cartan_for_type("A3")))
 
 
@@ -908,7 +921,8 @@ def test_e8_detection_is_refused_by_its_catalan_number(monkeypatch):
     # Cat(E8) = 25,080 is over DETECT_BUDGET: refused before any edge
     calls = []
     monkeypatch.setattr(mutation, "_g_mutate", lambda *args: calls.append(args))
-    with pytest.raises(Inconclusive, match=f"exceeded {mutation.DETECT_BUDGET} seeds"):
+    refusal = f"exchange graph exceeded {mutation.DETECT_BUDGET} seeds"
+    with pytest.raises(BudgetExceeded, match=refusal):
         detect_finite_type(b_matrix(cartan_for_type("E8")))
     assert calls == []
 
@@ -1010,7 +1024,7 @@ def matrix_class_detect(rows, budget=10**4):
                 if key not in seen:
                     seen.add(key)
                     if len(seen) > budget:
-                        raise Inconclusive("budget")
+                        raise AssertionError("the oracle's budget is spent")
                     fresh.append(image)
                     matrices.append(image)
         frontier = fresh
@@ -1019,9 +1033,13 @@ def matrix_class_detect(rows, budget=10**4):
         try:
             if validate_finite_type(candidate):
                 return classify(candidate)
-        except (NotCartanShape, NotSymmetrizable):
+        except BadInput as exc:
+            # a companion that fails the shape check or has no symmetrizer
+            # is skipped; a diagram refusal is not
+            if not str(exc).startswith(SHAPE_OR_SYMMETRIZER):
+                raise
             continue
-    raise Inconclusive("no finite Cartan companion")
+    raise AssertionError("no finite Cartan companion")
 
 
 def random_exchange_matrix(rng, n):

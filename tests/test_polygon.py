@@ -18,12 +18,11 @@ import networkx as nx
 import pytest
 
 from clusterfan.assoc import almost_positive, cluster_complex, compatibility
-from clusterfan.cartan import CheckFailed, b_matrix, cartan_for_type
+from clusterfan.cartan import BadInput, CheckFailed, b_matrix, cartan_for_type
 from clusterfan.laurent import LaurentPoly
 from clusterfan.mutation import ExchangeMatrix, explore, initial_seed
 from clusterfan.polygon import (
     LabeledTriangulation,
-    NotADiagonal,
     Triangulation,
     adjacency_matrix,
     adjacency_rows,
@@ -60,7 +59,7 @@ def test_catalan_counts(n, count):
 def test_triangulation_validates():
     with pytest.raises(ValueError):
         Triangulation(6, ((0, 2), (1, 3), (0, 4)))  # crossing diagonals
-    with pytest.raises(NotADiagonal):
+    with pytest.raises(BadInput, match=r"\(0, 1\) is not a diagonal of an 5-gon"):
         Triangulation(5, ((0, 1), (0, 3)))
     with pytest.raises(ValueError):
         Triangulation(6, ((0, 2),))  # not enough diagonals
@@ -120,7 +119,7 @@ def test_labeled_flip_transfers_label():
     assert moved.underlying().diagonals == Triangulation(
         6, ((0, 2), (2, 4), (0, 4))
     ).diagonals
-    with pytest.raises(NotADiagonal):
+    with pytest.raises(BadInput, match="no diagonal labeled 0"):
         lt.flip(0)
 
 
